@@ -7,9 +7,9 @@ file supplies flag defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,24 +18,40 @@ from ziskit import datagen, dsp, evaluation, pipeline, randomness
 from ziskit.core.io import load_dataset
 from ziskit.core.types import EvaluationRecord
 from ziskit.core.windowing import filter_subscenario
-from ziskit.errors import DegenerateLabels, ZisError
+from ziskit.errors import DegenerateLabels, ParseError, ZisError
 from ziskit.ml import ensemble
 from ziskit.schemes import karapanos, miettinen, shrestha, truong
+from ziskit.table import Column, flag, read_table, real, write_table
 
 SCHEMES = ("karapanos", "schurmann", "miettinen", "truong", "shrestha")
 
-RESULTS_HEADER = ["scheme", "scenario", "subscenario", "t", "eer", "starred",
-                  "threshold", "availability"]
-CURVE_HEADER = ["far_target", "frr"]
-ROBUSTNESS_HEADER = ["scheme", "subscenario", "t", "threshold", "far", "frr",
-                     "delta_far", "delta_frr"]
-METRICS_HEADER = ["model_id", "auc", "eer", "accuracy"]
+RESULTS_COLUMNS = (Column("scheme"), Column("scenario"), Column("subscenario"),
+                   Column("t", int), real("eer"), flag("starred"), real("threshold"),
+                   real("availability"))
+CURVE_COLUMNS = (real("far_target"), real("frr"))
+ROBUSTNESS_COLUMNS = (Column("scheme"), Column("subscenario"), Column("t", int),
+                      real("threshold"), real("far"), real("frr"), real("delta_far"),
+                      real("delta_frr"))
+METRICS_COLUMNS = (Column("model_id"), real("auc"), real("eer"), real("accuracy"))
 
 DEFAULT_FAR_TARGETS = "0.001,0.005,0.01,0.05"
 
 
 class _UsageError(Exception):
     pass
+
+
+def _int_list(value: str) -> list[int]:
+    return [int(v) for v in value.split(",") if v]
+
+
+def _float_list(value: str) -> list[float]:
+    return [float(v) for v in value.split(",") if v]
+
+
+def _float_pair(value: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in value.split(","))
+    return lo, hi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,20 +64,21 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subs = parser.add_subparsers(dest="command")
     registry: dict[str, _Parser] = {}
 
-    def sub(name: str, **kwargs) -> _Parser:
-        sp = subs.add_parser(name, **kwargs)
+    def sub(name: str, group=subs, prefix: str = "", **kwargs) -> _Parser:
+        sp = group.add_parser(name, **kwargs)
         sp.add_argument("--config", type=Path, help="JSON file with flag defaults")
-        registry[name] = sp
+        registry[prefix + name] = sp
         return sp
 
     p = sub("datagen", help="generate a synthetic scenario")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration-s", type=int, default=600)
-    p.add_argument("--groups", default="3,3", help="comma-separated group sizes")
+    p.add_argument("--groups", type=_int_list, default="3,3",
+                   help="comma-separated group sizes")
     p.add_argument("--leakage", type=float, default=0.1)
     p.add_argument("--event-rate", type=float, default=30.0)
-    p.add_argument("--event-band", default="300,3500")
+    p.add_argument("--event-band", type=_float_pair, default="300,3500")
     p.add_argument("--noise-floor-db", type=float, default=45.0)
     p.add_argument("--beacon-population", type=int, default=12)
     p.add_argument("--beacon-dropout", type=float, default=0.1)
@@ -101,7 +118,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--dataset", type=Path, help="dataset dir for ground-truth labels")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--scenario", default="scenario")
-    p.add_argument("--far-targets", default=DEFAULT_FAR_TARGETS)
+    p.add_argument("--far-targets", type=_float_list, default=DEFAULT_FAR_TARGETS)
     p.add_argument("--surprisal-threshold", type=float, default=None)
 
     p = sub("robustness", help="apply scenario A thresholds to scenario B scores")
@@ -115,9 +132,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("ml", help="train or apply a colocation classifier")
     ml_subs = p.add_subparsers(dest="ml_command")
-    pt = ml_subs.add_parser("train")
-    registry["ml train"] = pt
-    pt.add_argument("--config", type=Path)
+    pt = sub("train", ml_subs, "ml ")
     pt.add_argument("--features", type=Path, required=True)
     pt.add_argument("--scheme", choices=("truong", "shrestha"), required=True)
     pt.add_argument("--kind", choices=("auto", "forest", "boosting"), default="auto")
@@ -128,9 +143,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     pt.add_argument("--out", type=Path, required=True)
     pt.add_argument("--predictions", type=Path)
     pt.add_argument("--metrics", type=Path)
-    pp = ml_subs.add_parser("predict")
-    registry["ml predict"] = pp
-    pp.add_argument("--config", type=Path)
+    pp = sub("predict", ml_subs, "ml ")
     pp.add_argument("--model", type=Path, required=True)
     pp.add_argument("--features", type=Path, required=True)
     pp.add_argument("--scheme", choices=("truong", "shrestha"), required=True)
@@ -143,22 +156,25 @@ def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
     """Config file values become flag defaults; explicit flags still win."""
     if "--config" not in argv:
         return
-    path = Path(argv[argv.index("--config") + 1])
-    defaults = json.loads(path.read_text(encoding="utf-8"))
-    key = argv[0] if argv else ""
-    if len(argv) > 1 and f"{argv[0]} {argv[1]}" in registry:
-        key = f"{argv[0]} {argv[1]}"
-    if key not in registry:
+    index = argv.index("--config") + 1
+    if index == len(argv):
+        raise _UsageError("argument --config: expected one argument")
+    path = Path(argv[index])
+    try:
+        defaults = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or undecodable bytes
+        raise ParseError(f"bad config file: {exc}", path=str(path)) from exc
+    if not isinstance(defaults, dict):
+        raise ParseError("config file must hold a JSON object", path=str(path))
+    parser = registry.get(" ".join(argv[:2])) or registry.get(argv[0])
+    if parser is None:
         return
-    parser = registry[key]
     mapped = {k.replace("-", "_"): v for k, v in defaults.items()}
     parser.set_defaults(**mapped)
     for action in parser._actions:
         if action.dest in mapped:
             # a config-supplied value satisfies required flags
             action.required = False
-            if action.type is Path:
-                action.default = Path(mapped[action.dest])
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +182,9 @@ def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_datagen(args) -> int:
-    sizes = [int(s) for s in args.groups.split(",") if s]
-    lo, hi = (float(v) for v in args.event_band.split(","))
     profile = datagen.AmbientProfile(
         event_rate_per_min=args.event_rate,
-        event_band_hz=(lo, hi),
+        event_band_hz=args.event_band,
         noise_floor_db=args.noise_floor_db,
         beacon_population=args.beacon_population,
         beacon_dropout=args.beacon_dropout,
@@ -178,7 +192,7 @@ def _cmd_datagen(args) -> int:
     )
     cfg = datagen.ScenarioConfig(
         seed=args.seed, duration_s=args.duration_s,
-        groups=tuple(datagen.GroupSpec(size, profile) for size in sizes))
+        groups=tuple(datagen.GroupSpec(size, profile) for size in args.groups))
     datagen.generate(cfg, args.out)
     print(f"wrote scenario to {args.out}")
     return 0
@@ -264,32 +278,25 @@ def _load_records(args) -> list[EvaluationRecord]:
     if args.scheme in ("truong", "shrestha", "scores"):
         if not args.scores:
             raise _UsageError(f"--scores is required for scheme {args.scheme}")
-        return pipeline.read_prediction_csv(args.scores)
-    if not args.features or not args.dataset:
+        records = pipeline.read_prediction_csv(args.scores)
+    elif not args.features or not args.dataset:
         raise _UsageError("--features and --dataset are required for this scheme")
-    dataset = load_dataset(args.dataset)
-    if args.scheme == "karapanos":
-        return pipeline.read_score_csv(args.features, dataset.ground_truth)
-    fingerprints, surprisals, spans = pipeline.read_fingerprint_csv(
-        args.features, scheme=args.scheme)
-    return pipeline.fingerprint_records(
-        fingerprints, spans, dataset.ground_truth, surprisals=surprisals,
-        surprisal_threshold=args.surprisal_threshold)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    elif args.scheme == "karapanos":
+        records = pipeline.read_score_csv(args.features,
+                                          load_dataset(args.dataset).ground_truth)
+    else:
+        fingerprints, surprisals, spans = pipeline.read_fingerprint_csv(
+            args.features, scheme=args.scheme)
+        records = pipeline.fingerprint_records(
+            fingerprints, spans, load_dataset(args.dataset).ground_truth,
+            surprisals=surprisals, surprisal_threshold=args.surprisal_threshold)
+    if not records:
+        raise ZisError("no records to evaluate")
+    return records
 
 
 def _cmd_evaluate(args) -> int:
     records = _load_records(args)
-    if not records:
-        raise ZisError("no records to evaluate")
-    far_targets = [float(v) for v in args.far_targets.split(",") if v]
     ground_truth = load_dataset(args.dataset).ground_truth if args.dataset else None
     sub_names = [s.name for s in ground_truth.subscenarios] if ground_truth else []
     out_rows = []
@@ -305,43 +312,37 @@ def _cmd_evaluate(args) -> int:
             except (DegenerateLabels, ValueError):
                 continue
             sub_name = sub or "full"
-            out_rows.append([args.scheme, args.scenario, sub_name, t,
-                             repr(rates.eer), int(rates.starred),
-                             repr(rates.threshold), repr(avail)])
-            curve = evaluation.frr_at_far(scores, labels, far_targets=far_targets)
-            _write_csv(args.out / "curves" / f"{args.scheme}_{sub_name}_t{t}.csv",
-                       CURVE_HEADER, [[repr(ft), repr(frr)] for ft, frr in curve])
+            out_rows.append((args.scheme, args.scenario, sub_name, t, rates.eer,
+                             rates.starred, rates.threshold, avail))
+            curve = evaluation.frr_at_far(scores, labels, far_targets=args.far_targets)
+            write_table(args.out / "curves" / f"{args.scheme}_{sub_name}_t{t}.csv",
+                        CURVE_COLUMNS, curve)
     if not out_rows:
         raise ZisError("no records with both classes present")
-    _write_csv(args.out / "results.csv", RESULTS_HEADER, out_rows)
+    write_table(args.out / "results.csv", RESULTS_COLUMNS, out_rows)
     print(f"wrote {len(out_rows)} result rows to {args.out / 'results.csv'}")
     return 0
 
 
 def _cmd_robustness(args) -> int:
     records = _load_records(args)
-    if not records:
-        raise ZisError("no records to evaluate")
     out_rows = []
-    with open(args.results, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            t = int(row["t"])
-            at_t = [r for r in records if r.interval_len_s == t]
-            scores, labels = evaluation.usable_scores(at_t)
-            if scores.size == 0:
-                continue
-            threshold = float(row["threshold"])
-            try:
-                result = evaluation.cross_apply(threshold, evaluation.ACCEPT_IF_GEQ,
-                                                scores, labels)
-            except DegenerateLabels:
-                continue
-            out_rows.append([row["scheme"], row["subscenario"], t, repr(threshold),
-                             repr(result.far), repr(result.frr),
-                             repr(result.delta_far), repr(result.delta_frr)])
+    results = read_table(args.results, RESULTS_COLUMNS)
+    for scheme, _, subscenario, t, _, _, threshold, _ in results:
+        at_t = [r for r in records if r.interval_len_s == t]
+        scores, labels = evaluation.usable_scores(at_t)
+        if scores.size == 0:
+            continue
+        try:
+            result = evaluation.cross_apply(threshold, evaluation.ACCEPT_IF_GEQ,
+                                            scores, labels)
+        except DegenerateLabels:
+            continue
+        out_rows.append((scheme, subscenario, t, threshold, result.far, result.frr,
+                         result.delta_far, result.delta_frr))
     if not out_rows:
         raise ZisError("no overlapping configurations between results and scores")
-    _write_csv(args.out, ROBUSTNESS_HEADER, out_rows)
+    write_table(args.out, ROBUSTNESS_COLUMNS, out_rows)
     print(f"wrote {len(out_rows)} robustness rows to {args.out}")
     return 0
 
@@ -373,9 +374,7 @@ def _cmd_ml_train(args) -> int:
     args.out.write_text(model.to_json() + "\n", encoding="utf-8")
     scores = ensemble.oof_predictions(data, model.params, seed=args.seed, k=args.folds)
     if args.predictions:
-        records = [EvaluationRecord(m.device_a, m.device_b, m.interval_start,
-                                    m.interval_len_s, m.label, float(s))
-                   for m, s in zip(meta, scores)]
+        records = [replace(m, score=float(s)) for m, s in zip(meta, scores)]
         pipeline.write_prediction_csv(args.predictions, records)
     if args.metrics:
         labels = data.y.astype(int)
@@ -386,8 +385,8 @@ def _cmd_ml_train(args) -> int:
         accuracy = float(np.sum(correct * data.weights) / np.sum(data.weights))
         model_id = (f"{model.kind}-n{model.params.n_trees}-d{model.params.max_depth}"
                     f"-lr{model.params.learning_rate}-s{args.seed}")
-        _write_csv(args.metrics, METRICS_HEADER,
-                   [[model_id, repr(cv_auc), repr(rates.eer), repr(accuracy)]])
+        write_table(args.metrics, METRICS_COLUMNS,
+                    [(model_id, cv_auc, rates.eer, accuracy)])
     print(f"trained {model.kind} model (cv_auc={model.cv_auc:.4f}) -> {args.out}")
     return 0
 
@@ -396,9 +395,7 @@ def _cmd_ml_predict(args) -> int:
     data, meta = _ml_dataset(args)
     model = ensemble.TrainedModel.from_json(args.model.read_text(encoding="utf-8"))
     scores = model.predict(data.X)
-    records = [EvaluationRecord(m.device_a, m.device_b, m.interval_start,
-                                m.interval_len_s, m.label, float(s))
-               for m, s in zip(meta, scores)]
+    records = [replace(m, score=float(s)) for m, s in zip(meta, scores)]
     pipeline.write_prediction_csv(args.out, records)
     print(f"wrote {len(records)} predictions to {args.out}")
     return 0
@@ -429,13 +426,6 @@ def main(argv: list[str] | None = None) -> int:
             handler = _cmd_ml_train if args.ml_command == "train" else _cmd_ml_predict
         else:
             handler = _HANDLERS[args.command]
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

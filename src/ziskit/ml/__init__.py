@@ -6,7 +6,6 @@ from ziskit.ml.ensemble import (
     TrainedModel,
     fit_model,
     oof_predictions,
-    predict,
     train,
 )
 from ziskit.ml.folds import stratified_folds
@@ -14,5 +13,5 @@ from ziskit.ml.metrics import auc
 
 __all__ = [
     "GRID_FULL", "GRID_SMALL", "MLDataset", "ModelParams", "TrainedModel",
-    "auc", "fit_model", "oof_predictions", "predict", "stratified_folds", "train",
+    "auc", "fit_model", "oof_predictions", "stratified_folds", "train",
 ]

@@ -305,7 +305,3 @@ def train(data: MLDataset, kind: str = "auto",
                       early_stop_rounds=early_stop_rounds)
     model.cv_auc = float(cv_auc)
     return model
-
-
-def predict(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
-    return model.predict(rows)

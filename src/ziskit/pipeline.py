@@ -8,7 +8,6 @@ capped by the ZIS_THREADS environment variable.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,10 +20,12 @@ from ziskit.core.types import (
     GroundTruth,
     IntervalPair,
     Label,
+    SensorKind,
 )
-from ziskit.core.windowing import window_pairs
-from ziskit.errors import InsufficientSamples, ParseError
+from ziskit.core.windowing import dataset_epoch, window_pairs
+from ziskit.errors import InsufficientSamples
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
+from ziskit.table import Column, choice, flag, read_table, real, write_table
 
 
 def thread_count() -> int:
@@ -44,21 +45,6 @@ def pmap(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _group_by_interval(pairs: list[IntervalPair]) -> dict[int, list[IntervalPair]]:
-    grouped: dict[int, list[IntervalPair]] = {}
-    for pair in pairs:
-        grouped.setdefault(pair.interval_start, []).append(pair)
-    return grouped
-
-
 # ---------------------------------------------------------------------------
 # Karapanos: per-pair similarity scores
 # ---------------------------------------------------------------------------
@@ -66,8 +52,9 @@ def _group_by_interval(pairs: list[IntervalPair]) -> dict[int, list[IntervalPair
 def karapanos_records(dataset: Dataset, t: int,
                       cfg: karapanos.KarapanosConfig) -> list[EvaluationRecord]:
     """Similarity score per pair-interval; band filtering is shared per device."""
-    pairs = window_pairs(dataset, t)
-    grouped = sorted(_group_by_interval(pairs).items())
+    grouped: dict[int, list[IntervalPair]] = {}
+    for pair in window_pairs(dataset, t):
+        grouped.setdefault(pair.interval_start, []).append(pair)
 
     def one_interval(item: tuple[int, list[IntervalPair]]) -> list[EvaluationRecord]:
         start, interval_pairs = item
@@ -97,42 +84,40 @@ def karapanos_records(dataset: Dataset, t: int,
         return records
 
     out: list[EvaluationRecord] = []
-    for chunk in pmap(one_interval, grouped):
+    for chunk in pmap(one_interval, sorted(grouped.items())):
         out.extend(chunk)
     return out
 
 
-SCORE_HEADER = ["pair_id", "interval_start_ms", "t", "score", "gated"]
+def _split_pair(cell: str) -> tuple[str, str]:
+    dev_a, dev_b = cell.split("|")
+    return dev_a, dev_b
+
+
+# Columns shared by the pair-interval tables; a pair is written `devA|devB`.
+PAIR_ID = Column("pair_id", _split_pair, "|".join)
+INTERVAL_START = Column("interval_start_ms", int)
+INTERVAL_LEN = Column("t", int)
+LABEL = choice("label", Label)
+
+SCORE_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN, real("score", nullable=True),
+                 flag("gated"))
 
 
 def write_score_csv(path: Path, records: list[EvaluationRecord]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_HEADER)
-        for r in records:
-            writer.writerow([r.pair_id, r.interval_start, r.interval_len_s,
-                             _fmt(r.score), int(r.gated)])
+    write_table(path, SCORE_COLUMNS,
+                (((r.device_a, r.device_b), r.interval_start, r.interval_len_s,
+                  r.score, r.gated) for r in records))
 
 
 def read_score_csv(path: Path, ground_truth: GroundTruth) -> list[EvaluationRecord]:
-    records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                dev_a, dev_b = row["pair_id"].split("|")
-                start = int(row["interval_start_ms"])
-                t = int(row["t"])
-                gated = bool(int(row["gated"]))
-                score = None if row["score"] == "" else float(row["score"])
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad score row: {exc}", path=str(path), line=lineno) from exc
-            label = ground_truth.label_for(dev_a, dev_b, start, start + t * 1000)
-            if label is None:
-                continue
-            records.append(EvaluationRecord(dev_a, dev_b, start, t, label, score, gated))
-    return records
+    """Score rows whose pair-interval has a ground-truth label."""
+    def record(pair, start, t, score, gated):
+        label = ground_truth.label_for(*pair, start, start + t * 1000)
+        return None if label is None else \
+            EvaluationRecord(*pair, start, t, label, score, gated)
+
+    return [r for r in read_table(path, SCORE_COLUMNS, record) if r is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +128,7 @@ def schurmann_fingerprints(dataset: Dataset, t: int,
                            cfg: schurmann.SchurmannConfig | None = None
                            ) -> list[Fingerprint]:
     cfg = cfg or schurmann.SchurmannConfig(interval_s=t)
-    span = _common_span(dataset)
+    span = dataset_epoch(dataset)
     if span is None:
         return []
     epoch, end = span
@@ -169,8 +154,6 @@ def schurmann_fingerprints(dataset: Dataset, t: int,
 def miettinen_fingerprints(dataset: Dataset, cfg: miettinen.MiettinenConfig,
                            source: str = "noise") -> list[Fingerprint]:
     """Noise-level pipeline windows audio; luminosity uses raw readings."""
-    from ziskit.core.types import SensorKind
-
     out: list[Fingerprint] = []
     if source == "noise":
         for device in sorted(dataset.audio):
@@ -187,42 +170,34 @@ def miettinen_fingerprints(dataset: Dataset, cfg: miettinen.MiettinenConfig,
     return out
 
 
-FINGERPRINT_HEADER = ["device_id", "interval_start_ms", "t", "hex_bits"]
+FINGERPRINT_COLUMNS = (Column("device_id"), INTERVAL_START, INTERVAL_LEN,
+                       Column("hex_bits"))
+SURPRISAL = real("surprisal_bits", optional=True)
 
 
 def write_fingerprint_csv(path: Path, fingerprints: list[Fingerprint], t: int,
                           surprisals: list[float] | None = None) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = FINGERPRINT_HEADER + (["surprisal_bits"] if surprisals is not None else [])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, fp in enumerate(fingerprints):
-            row = [fp.device_id, fp.interval_start, t, fp.to_hex()]
-            if surprisals is not None:
-                row.append(_fmt(surprisals[i]))
-            writer.writerow(row)
+    rows = [(fp.device_id, fp.interval_start, t, fp.to_hex()) for fp in fingerprints]
+    if surprisals is None:
+        write_table(path, FINGERPRINT_COLUMNS, rows)
+    else:
+        write_table(path, (*FINGERPRINT_COLUMNS, SURPRISAL),
+                    ((*row, s) for row, s in zip(rows, surprisals, strict=True)))
 
 
 def read_fingerprint_csv(path: Path, scheme: str, n_bits: int | None = None
                          ) -> tuple[list[Fingerprint], list[float | None], list[int]]:
-    """Fingerprints plus optional surprisal column and per-row interval lengths."""
-    fingerprints, surprisals, spans = [], [], []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                bits = n_bits if n_bits is not None else len(row["hex_bits"]) * 4
-                fingerprints.append(Fingerprint.from_hex(
-                    row["hex_bits"], bits, scheme, row["device_id"],
-                    int(row["interval_start_ms"])))
-                spans.append(int(row["t"]))
-                raw = row.get("surprisal_bits", "")
-                surprisals.append(float(raw) if raw else None)
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad fingerprint row: {exc}",
-                                 path=str(path), line=lineno) from exc
-    return fingerprints, surprisals, spans
+    """Fingerprints plus optional surprisal column and per-row interval lengths.
+
+    Without `n_bits` the length is the hex width, so a fingerprint whose
+    bit count is not a multiple of 8 reads back zero-padded.
+    """
+    def row(device, start, t, hex_bits, surprisal):
+        bits = n_bits if n_bits is not None else len(hex_bits) * 4
+        return Fingerprint.from_hex(hex_bits, bits, scheme, device, start), surprisal, t
+
+    rows = list(read_table(path, (*FINGERPRINT_COLUMNS, SURPRISAL), row))
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
 
 
 def fingerprint_records(fingerprints: list[Fingerprint], spans: list[int],
@@ -260,117 +235,58 @@ def fingerprint_records(fingerprints: list[Fingerprint], spans: list[int],
 # Truong / Shrestha feature tables
 # ---------------------------------------------------------------------------
 
-TRUONG_HEADER = (["pair_id", "interval_start_ms", "t"]
-                 + list(truong.ALL_FEATURES) + ["label"])
+TRUONG_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN,
+                  *(real(name, nullable=True) for name in truong.ALL_FEATURES), LABEL)
 
 
 def truong_rows(dataset: Dataset, t: int, theta: float = truong.THETA_DEFAULT
                 ) -> list[truong.TruongFeatureVector]:
-    pairs = [p for p in window_pairs(dataset, t)]
-    return truong.build_dataset(pairs, dataset, t, theta=theta)
+    return truong.build_dataset(window_pairs(dataset, t), dataset, t, theta=theta)
 
 
 def write_truong_csv(path: Path, rows: list[truong.TruongFeatureVector]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUONG_HEADER)
-        for row in rows:
-            writer.writerow([row.pair_id, row.interval_start, row.interval_len_s]
-                            + [_fmt(v) for v in row.values()] + [row.label.value])
+    write_table(path, TRUONG_COLUMNS,
+                (((r.device_a, r.device_b), r.interval_start, r.interval_len_s,
+                  *r.values(), r.label) for r in rows))
 
 
 def read_truong_csv(path: Path) -> list[truong.TruongFeatureVector]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                dev_a, dev_b = raw["pair_id"].split("|")
-                slots = {name: (None if raw[name] == "" else float(raw[name]))
-                         for name in truong.ALL_FEATURES}
-                rows.append(truong.TruongFeatureVector(
-                    device_a=dev_a, device_b=dev_b,
-                    interval_start=int(raw["interval_start_ms"]),
-                    interval_len_s=int(raw["t"]),
-                    label=Label(raw["label"]), **slots))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad feature row: {exc}", path=str(path),
-                                 line=lineno) from exc
-    return rows
+    # After pair_id the columns are the vector's fields, in order.
+    return list(read_table(path, TRUONG_COLUMNS, lambda pair, *fields:
+                           truong.TruongFeatureVector(*pair, *fields)))
 
 
-SHRESTHA_HEADER = ["pair_id", "timestamp_ms", "d_temp", "d_hum", "d_alt",
-                   "label", "weight"]
+SHRESTHA_COLUMNS = (PAIR_ID, Column("timestamp_ms", int), real("d_temp", nullable=True),
+                    real("d_hum", nullable=True), real("d_alt", nullable=True), LABEL,
+                    Column("weight", int))
 
 
 def write_shrestha_csv(path: Path, rows: list[shrestha.ShresthaFeatureVector]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SHRESTHA_HEADER)
-        for row in rows:
-            writer.writerow([row.pair_id, row.timestamp_ms,
-                             _fmt(row.d_temperature), _fmt(row.d_humidity),
-                             _fmt(row.d_altitude), row.label.value, row.weight])
+    write_table(path, SHRESTHA_COLUMNS,
+                (((r.device_a, r.device_b), r.timestamp_ms, r.d_temperature,
+                  r.d_humidity, r.d_altitude, r.label, r.weight) for r in rows))
 
 
 def read_shrestha_csv(path: Path) -> list[shrestha.ShresthaFeatureVector]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                dev_a, dev_b = raw["pair_id"].split("|")
-                rows.append(shrestha.ShresthaFeatureVector(
-                    device_a=dev_a, device_b=dev_b,
-                    timestamp_ms=int(raw["timestamp_ms"]),
-                    d_temperature=None if raw["d_temp"] == "" else float(raw["d_temp"]),
-                    d_humidity=None if raw["d_hum"] == "" else float(raw["d_hum"]),
-                    d_altitude=None if raw["d_alt"] == "" else float(raw["d_alt"]),
-                    label=Label(raw["label"]),
-                    weight=int(raw["weight"])))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad feature row: {exc}", path=str(path),
-                                 line=lineno) from exc
-    return rows
+    # After pair_id the columns are the vector's fields, in order.
+    return list(read_table(path, SHRESTHA_COLUMNS, lambda pair, *fields:
+                           shrestha.ShresthaFeatureVector(*pair, *fields)))
 
 
 # ---------------------------------------------------------------------------
 # Generic score files (ML predictions)
 # ---------------------------------------------------------------------------
 
-PREDICTION_HEADER = ["pair_id", "interval_start_ms", "t", "score", "label"]
+PREDICTION_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN,
+                      real("score", nullable=True), LABEL)
 
 
 def write_prediction_csv(path: Path, records: list[EvaluationRecord]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_HEADER)
-        for r in records:
-            writer.writerow([r.pair_id, r.interval_start, r.interval_len_s,
-                             _fmt(r.score), r.label.value])
+    write_table(path, PREDICTION_COLUMNS,
+                (((r.device_a, r.device_b), r.interval_start, r.interval_len_s,
+                  r.score, r.label) for r in records))
 
 
 def read_prediction_csv(path: Path) -> list[EvaluationRecord]:
-    records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                dev_a, dev_b = row["pair_id"].split("|")
-                records.append(EvaluationRecord(
-                    dev_a, dev_b, int(row["interval_start_ms"]), int(row["t"]),
-                    Label(row["label"]),
-                    None if row["score"] == "" else float(row["score"])))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad prediction row: {exc}", path=str(path),
-                                 line=lineno) from exc
-    return records
-
-
-def _common_span(dataset: Dataset) -> tuple[int, int] | None:
-    from ziskit.core.windowing import dataset_epoch
-
-    return dataset_epoch(dataset)
+    return list(read_table(path, PREDICTION_COLUMNS, lambda pair, start, t, score, label:
+                           EvaluationRecord(*pair, start, t, label, score)))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ziskit.cli import main
+from ziskit.cli import _apply_config, build_parser, main
 
 pytestmark = pytest.mark.usefixtures("scenario_dir")
 
@@ -187,3 +187,109 @@ def test_config_file_defaults_and_flag_override(scenario_dir, tmp_path):
     run_ok(["features", "--config", str(config), "--scheme", "schurmann",
             "--dataset", str(scenario_dir), "--out", str(tmp_path / "explicit.csv")])
     assert (tmp_path / "explicit.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def valid_files(scenario_dir, tmp_path_factory):
+    """One valid file of every table format that a CLI command reads."""
+    base = tmp_path_factory.mktemp("tables")
+    for scheme, name in [("karapanos", "score"), ("schurmann", "fingerprint"),
+                         ("truong", "truong"), ("shrestha", "shrestha")]:
+        run_ok(["features", "--scheme", scheme, "--dataset", str(scenario_dir),
+                "--out", str(base / f"{name}.csv"), "--t", "10"])
+    (base / "prediction.csv").write_bytes(
+        b"pair_id,interval_start_ms,t,score,label\r\n"
+        b"a|b,0,10,0.9,colocated\r\na|c,0,10,0.2,non_colocated\r\n"
+        b"a|b,10000,10,0.7,colocated\r\na|c,10000,10,0.4,non_colocated\r\n")
+    run_ok(["evaluate", "--scheme", "scores", "--scores", str(base / "prediction.csv"),
+            "--out", str(base / "eval")])
+    (base / "results.csv").write_bytes((base / "eval" / "results.csv").read_bytes())
+    return base
+
+
+def _reader_argv(table: str, bad: Path, files: Path, scenario: Path, out: Path):
+    if table in ("score", "fingerprint"):
+        scheme = "karapanos" if table == "score" else "schurmann"
+        return ["evaluate", "--scheme", scheme, "--features", str(bad),
+                "--dataset", str(scenario), "--out", str(out)]
+    if table in ("truong", "shrestha"):
+        return ["ml", "train", "--scheme", table, "--features", str(bad),
+                "--grid", "small", "--folds", "3", "--out", str(out / "model.json")]
+    if table == "prediction":
+        return ["evaluate", "--scheme", "scores", "--scores", str(bad), "--out", str(out)]
+    return ["robustness", "--results", str(bad), "--scheme", "scores",
+            "--scores", str(files / "prediction.csv"), "--out", str(out / "robust.csv")]
+
+
+@pytest.mark.parametrize("fault", ["ragged_row", "non_utf8"])
+@pytest.mark.parametrize("table", ["score", "fingerprint", "truong", "shrestha",
+                                   "prediction", "results"])
+def test_bad_input_table_exits_2(table, fault, valid_files, scenario_dir, tmp_path,
+                                 capsys):
+    lines = (valid_files / f"{table}.csv").read_bytes().split(b"\r\n")
+    lines[1] = lines[1] + b",extra" if fault == "ragged_row" else b"\xff" + lines[1]
+    bad = tmp_path / f"bad_{table}.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    code = main(_reader_argv(table, bad, valid_files, scenario_dir, tmp_path / "out"))
+    assert code == 2
+    assert f"{bad}:2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["missing_t", "t_not_int"])
+def test_robustness_bad_results_exits_2(edit, valid_files, tmp_path, capsys):
+    with open(valid_files / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("t")
+    for row in rows:
+        if edit == "missing_t":
+            del row[col]
+        elif row is not rows[0]:
+            row[col] = "ten"
+    bad = tmp_path / "results.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code = main(["robustness", "--results", str(bad), "--scheme", "scores",
+                 "--scores", str(valid_files / "prediction.csv"),
+                 "--out", str(tmp_path / "robust.csv")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_config_flag_without_file_is_usage_error(capsys):
+    assert main(["evaluate", "--config"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_file_must_hold_json_object(scenario_dir, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps([{"t": 10}]))
+    code = main(["features", "--config", str(config), "--scheme", "schurmann",
+                 "--dataset", str(scenario_dir), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--groups", "a,b"), ("--event-band", "300"),
+                                         ("--far-targets", "x")])
+def test_bad_comma_list_is_usage_error(flag, value, valid_files, tmp_path, capsys):
+    if flag == "--far-targets":
+        argv = ["evaluate", "--scheme", "scores",
+                "--scores", str(valid_files / "prediction.csv")]
+    else:
+        argv = ["datagen", "--duration-s", "10"]
+    assert main(argv + ["--out", str(tmp_path / "out"), flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_comma_list_config_values_are_converted(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"groups": "1,2", "event_band": "400,3000"}))
+    parser, registry = build_parser()
+    argv = ["datagen", "--config", str(config), "--out", str(tmp_path / "s")]
+    _apply_config(argv, registry)
+    args = parser.parse_args(argv)
+    assert args.groups == [1, 2]
+    assert args.event_band == (400.0, 3000.0)
+    args = parser.parse_args(["evaluate", "--scheme", "scores", "--out", "x"])
+    assert args.far_targets == [0.001, 0.005, 0.01, 0.05]

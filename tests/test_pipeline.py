@@ -4,7 +4,8 @@ import pytest
 from conftest import noise_snippet, series_of, two_group_truth
 from ziskit import pipeline
 from ziskit.core.types import AudioSnippet, Dataset, Label, SensorKind
-from ziskit.schemes import karapanos, miettinen, schurmann
+from ziskit.errors import ParseError
+from ziskit.schemes import karapanos, miettinen, schurmann, truong
 
 
 @pytest.fixture
@@ -171,3 +172,39 @@ def test_schurmann_pipeline_matches_direct_calls(audio_dataset):
     pipe_a0 = next(fp for fp in fps
                    if fp.device_id == "a" and fp.interval_start == 0)
     np.testing.assert_array_equal(pipe_a0.bits, direct.bits)
+
+
+# One valid header and data row per table, with the reader that takes it.
+TABLES = {
+    "score": (lambda path: pipeline.read_score_csv(path, two_group_truth()),
+              "pair_id,interval_start_ms,t,score,gated", "a|b,0,10,0.5,0"),
+    "fingerprint": (lambda path: pipeline.read_fingerprint_csv(path, "schurmann"),
+                    "device_id,interval_start_ms,t,hex_bits", "a,0,10,a5"),
+    "truong": (pipeline.read_truong_csv,
+               ",".join(["pair_id", "interval_start_ms", "t", *truong.ALL_FEATURES,
+                         "label"]),
+               "a|b,0,10," + ",".join(["0.5"] * len(truong.ALL_FEATURES)) + ",colocated"),
+    "shrestha": (pipeline.read_shrestha_csv,
+                 "pair_id,timestamp_ms,d_temp,d_hum,d_alt,label,weight",
+                 "a|b,0,0.1,,0.3,colocated,2"),
+    "prediction": (pipeline.read_prediction_csv,
+                   "pair_id,interval_start_ms,t,score,label", "a|b,0,10,0.5,colocated"),
+}
+
+
+@pytest.mark.parametrize("fault", ["ragged_row", "non_utf8"])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_reader_rejects_bad_rows_with_parse_error(table, fault, tmp_path):
+    read, header, row = TABLES[table]
+    good = tmp_path / "good.csv"
+    good.write_bytes(f"{header}\r\n{row}\r\n".encode())
+    assert len(read(good)[0] if table == "fingerprint" else read(good)) == 1
+    bad = tmp_path / "bad.csv"
+    if fault == "ragged_row":
+        bad.write_bytes(f"{header}\r\n{row}\r\n{row},extra\r\n".encode())
+    else:
+        bad.write_bytes(f"{header}\r\n{row}\r\n".encode() + b"\xff" + row.encode())
+    with pytest.raises(ParseError) as info:
+        read(bad)
+    assert info.value.path == str(bad)
+    assert info.value.line == 3
