@@ -16,7 +16,7 @@ import numpy as np
 
 from ziskit import datagen, dsp, evaluation, pipeline, randomness
 from ziskit.core.io import load_dataset
-from ziskit.core.types import EvaluationRecord
+from ziskit.core.types import EvaluationRecord, GroundTruth
 from ziskit.core.windowing import filter_subscenario
 from ziskit.errors import DegenerateLabels, ParseError, ZisError
 from ziskit.ml import ensemble
@@ -169,12 +169,20 @@ def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
     parser = registry.get(" ".join(argv[:2])) or registry.get(argv[0])
     if parser is None:
         return
-    mapped = {k.replace("-", "_"): v for k, v in defaults.items()}
-    parser.set_defaults(**mapped)
-    for action in parser._actions:
-        if action.dest in mapped:
-            # a config-supplied value satisfies required flags
-            action.required = False
+    flags = {action.dest: action for action in parser._actions if action.option_strings}
+    for key, value in defaults.items():
+        action = flags.get(key.replace("-", "_"))
+        switch = action is not None and action.nargs == 0
+        # Values parse like flag strings; numeric flags also take JSON numbers.
+        if action is None or isinstance(value, bool) != switch or not (
+                switch or isinstance(value, str) or action.type in (int, float)):
+            raise _UsageError(f"config {key}={value!r} is not a value for {parser.prog}")
+        try:
+            action.default = value if switch else parser._get_values(action, [str(value)])
+        except argparse.ArgumentError as exc:
+            raise _UsageError(f"config {key}: {exc}") from exc
+        # a config-supplied value satisfies required flags
+        action.required = False
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +282,21 @@ def _cmd_fingerprint_randomness(args) -> int:
     return 0
 
 
-def _load_records(args) -> list[EvaluationRecord]:
+def _load_records(args, ground_truth: GroundTruth | None) -> list[EvaluationRecord]:
+    """The scheme's records; feature files are labelled with `ground_truth`."""
     if args.scheme in ("truong", "shrestha", "scores"):
         if not args.scores:
             raise _UsageError(f"--scores is required for scheme {args.scheme}")
         records = pipeline.read_prediction_csv(args.scores)
-    elif not args.features or not args.dataset:
+    elif not args.features or ground_truth is None:
         raise _UsageError("--features and --dataset are required for this scheme")
     elif args.scheme == "karapanos":
-        records = pipeline.read_score_csv(args.features,
-                                          load_dataset(args.dataset).ground_truth)
+        records = pipeline.read_score_csv(args.features, ground_truth)
     else:
         fingerprints, surprisals, spans = pipeline.read_fingerprint_csv(
             args.features, scheme=args.scheme)
         records = pipeline.fingerprint_records(
-            fingerprints, spans, load_dataset(args.dataset).ground_truth,
+            fingerprints, spans, ground_truth,
             surprisals=surprisals, surprisal_threshold=args.surprisal_threshold)
     if not records:
         raise ZisError("no records to evaluate")
@@ -296,8 +304,8 @@ def _load_records(args) -> list[EvaluationRecord]:
 
 
 def _cmd_evaluate(args) -> int:
-    records = _load_records(args)
     ground_truth = load_dataset(args.dataset).ground_truth if args.dataset else None
+    records = _load_records(args, ground_truth)
     sub_names = [s.name for s in ground_truth.subscenarios] if ground_truth else []
     out_rows = []
     t_values = sorted({r.interval_len_s for r in records})
@@ -325,7 +333,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    records = _load_records(args)
+    records = _load_records(args, load_dataset(args.dataset).ground_truth
+                            if args.dataset else None)
     out_rows = []
     results = read_table(args.results, RESULTS_COLUMNS)
     for scheme, _, subscenario, t, _, _, threshold, _ in results:

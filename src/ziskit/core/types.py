@@ -185,7 +185,8 @@ class GroundTruth:
         norm_subs = []
         for s in self.subscenarios:
             merged = _merge_ranges(list(s.ranges))
-            if len(merged) != len(sorted(set(s.ranges))):
+            # Overlaps shrink the union; touching ranges such as [0, 10), [10, 20) do not.
+            if sum(e - b for b, e in set(s.ranges)) != sum(e - b for b, e in merged):
                 raise InvariantViolation(f"subscenario {s.name!r} has overlapping ranges")
             norm_subs.append(Subscenario(s.name, tuple(merged)))
         object.__setattr__(self, "subscenarios", tuple(norm_subs))
@@ -214,21 +215,11 @@ class GroundTruth:
 
         raise NotFound(f"unknown subscenario {name!r}")
 
-    def _membership(self, device: str, start: int, end: int) -> list[tuple[int, int]]:
-        """Instants in [start, end) where the device belongs to any group."""
-        covered: list[tuple[int, int]] = []
-        for g in self.groups:
-            if device in g.members:
-                covered.extend(_covered_within(list(g.ranges), start, end))
-        return _merge_ranges(covered) if covered else []
-
-    def _shared(self, a: str, b: str, start: int, end: int) -> list[tuple[int, int]]:
-        """Instants in [start, end) where a and b share a group."""
-        covered: list[tuple[int, int]] = []
-        for g in self.groups:
-            if a in g.members and b in g.members:
-                covered.extend(_covered_within(list(g.ranges), start, end))
-        return _merge_ranges(covered) if covered else []
+    def _together(self, devices: tuple[str, ...], start: int, end: int) -> int:
+        """Length of [start, end) during which all `devices` share a group."""
+        covered = [r for g in self.groups if all(d in g.members for d in devices)
+                   for r in _covered_within(list(g.ranges), start, end)]
+        return sum(e - s for s, e in _merge_ranges(covered))
 
     def label_for(self, a: str, b: str, start: int, end: int) -> Label | None:
         """Colocation label for [start, end), or None when the interval is mixed.
@@ -239,15 +230,11 @@ class GroundTruth:
         yields None and the pair-interval is dropped.
         """
         span = end - start
-        shared = self._shared(a, b, start, end)
-        shared_len = sum(e - s for s, e in shared)
-        if shared_len == span:
+        shared = self._together((a, b), start, end)
+        if shared == span:
             return Label.COLOCATED
-        if shared_len > 0:
-            return None
-        cov_a = sum(e - s for s, e in self._membership(a, start, end))
-        cov_b = sum(e - s for s, e in self._membership(b, start, end))
-        if cov_a == span and cov_b == span:
+        if shared == 0 and self._together((a,), start, end) == span \
+                and self._together((b,), start, end) == span:
             return Label.NON_COLOCATED
         return None
 
@@ -366,6 +353,13 @@ class Dataset:
             if start <= scan.time < end:
                 return True
         return False
+
+    def audio_in(self, device: str, start: int, end: int) -> AudioSnippet | None:
+        """The device's audio over [start, end), or None when missing or short."""
+        snip = self.audio.get(device)
+        chunk = snip.slice_ms(start, end) if snip is not None else None
+        full = chunk is not None and chunk.samples.size >= (end - start) * snip.rate_hz // 1000
+        return chunk if full else None
 
     def beacons_in(self, device: str, kind: str, start: int, end: int) -> list[BeaconScan]:
         return [s for s in self.beacons.get(device, [])

@@ -1,9 +1,11 @@
-"""Interval windowing of device pairs and subscenario filtering."""
+"""Interval windowing of device pairs, per-interval pair work, subscenario filtering."""
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Sequence
+import os
+from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations, groupby
+from typing import Callable, Iterable, Sequence
 
 from ziskit.core.types import Dataset, EvaluationRecord, GroundTruth, IntervalPair
 
@@ -38,8 +40,7 @@ def window_pairs(dataset: Dataset, t: int) -> list[IntervalPair]:
     gt = dataset.ground_truth
     step = t * 1000
     pairs: list[IntervalPair] = []
-    start = epoch
-    while start + step <= end:
+    for start in range(epoch, end - step + 1, step):
         stop = start + step
         for a, b in combinations(devices, 2):
             label = gt.label_for(a, b, start, stop)
@@ -48,8 +49,42 @@ def window_pairs(dataset: Dataset, t: int) -> list[IntervalPair]:
             empty = not (dataset.has_data_in(a, start, stop)
                          and dataset.has_data_in(b, start, stop))
             pairs.append(IntervalPair(a, b, start, t, label, empty_data=empty))
-        start = stop
     return pairs
+
+
+def thread_count() -> int:
+    raw = os.environ.get("ZIS_THREADS", "")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return max(1, os.cpu_count() or 1)
+
+
+def pmap(fn: Callable, items: Sequence) -> list:
+    """Order-preserving parallel map honoring ZIS_THREADS."""
+    workers = thread_count()
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def map_pairs(pairs: Sequence[IntervalPair], state: Callable, score: Callable) -> list:
+    """score(pair, state(device_a, start), state(device_b, start)) per pair, in order.
+
+    A run of consecutive pairs with one interval start (window_pairs gives one
+    per interval) builds each device's state once; runs go through `pmap`.
+    """
+    def one_run(run: list[IntervalPair]) -> list:
+        states: dict[str, object] = {}
+        for pair in run:
+            for device in (pair.device_a, pair.device_b):
+                if device not in states:
+                    states[device] = state(device, pair.interval_start)
+        return [score(p, states[p.device_a], states[p.device_b]) for p in run]
+
+    runs = [list(run) for _, run in groupby(pairs, key=lambda p: p.interval_start)]
+    return [row for rows in pmap(one_run, runs) for row in rows]
 
 
 def filter_subscenario(records: Sequence[EvaluationRecord] | Iterable[IntervalPair],

@@ -2,9 +2,9 @@
 
 Band-pass filtering uses Butterworth designs realized as cascaded
 second-order sections; a direct-form transfer function of order 20 is
-numerically unstable for narrow bands at 16 kHz. Cross-correlations run
-over an FFT path for long signals and a direct-sum path for short ones,
-and the two are required to agree to 1e-6 relative.
+numerically unstable for narrow bands at 16 kHz. Every cross-correlation
+runs through one FFT core (padded_spectrum, xcorr_spectra, lag_peak); the
+direct sum of xcorr_lags(method="direct") is its reference to 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from scipy.signal import butter, sosfilt
 
 from ziskit.core.types import AudioSnippet
 from ziskit.errors import InsufficientProbe, InvalidBand, InvariantViolation, UndefinedCorrelation
-
-# Direct-sum cross-correlation is used below this many multiply-adds.
-_DIRECT_XCORR_OPS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -135,20 +132,35 @@ def avg_power_db(x: AudioSnippet | np.ndarray) -> float:
     return 10.0 * np.log10(mean_sq)
 
 
+def padded_spectrum(x: np.ndarray, maxlag: int) -> tuple[np.ndarray, int]:
+    """rfft along the last axis at M = fast_len(N + maxlag), and M.
+
+    At M, circular correlation is exact for every lag in [-maxlag, maxlag]."""
+    pad = fast_len(x.shape[-1] + maxlag)
+    return sfft.rfft(x, pad, axis=-1), pad
+
+
+def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int) -> np.ndarray:
+    """c[l] = sum_i x[i]*y[i-l] (lag -l at c[-l]) from padded spectra, last axis."""
+    return sfft.irfft(fx * np.conj(fy), pad_len, axis=-1)
+
+
+def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:
+    """max |c| over lags [0, maxlag], or [-maxlag, maxlag], along the last axis."""
+    peak = np.abs(c[..., :maxlag + 1]).max(axis=-1)
+    if two_sided and maxlag:
+        peak = np.maximum(peak, np.abs(c[..., -maxlag:]).max(axis=-1))
+    return peak
+
+
 def _xcorr_fft_circular(x: np.ndarray, y: np.ndarray, maxlag: int) -> np.ndarray:
-    """Circular FFT correlation padded so lags [-maxlag, maxlag] are exact.
-
-    Returns c with c[l] = sum_i x[i]*y[i-l] for l in [0, maxlag] and
-    c[-l] = sum_i x[i]*y[i+l].
-    """
-    n = x.size
-    m = fast_len(n + maxlag)
-    fx = sfft.rfft(x, m)
-    fy = sfft.rfft(y, m)
-    return sfft.irfft(fx * np.conj(fy), m)
+    """Circular FFT correlation padded so lags [-maxlag, maxlag] are exact."""
+    fx, pad = padded_spectrum(x, maxlag)
+    fy, _ = padded_spectrum(y, maxlag)
+    return xcorr_spectra(fx, fy, pad)
 
 
-def xcorr_lags(x: np.ndarray, y: np.ndarray, maxlag: int, method: str = "auto") -> np.ndarray:
+def xcorr_lags(x: np.ndarray, y: np.ndarray, maxlag: int, method: str = "fft") -> np.ndarray:
     """Raw cross-correlation C(l) = sum_i x[i]*y[i-l] for l in [0, maxlag]."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -156,8 +168,6 @@ def xcorr_lags(x: np.ndarray, y: np.ndarray, maxlag: int, method: str = "auto") 
         raise ValueError("signals must be nonempty and of equal length")
     if not 0 <= maxlag <= x.size - 1:
         raise ValueError(f"maxlag must lie in [0, {x.size - 1}]")
-    if method == "auto":
-        method = "direct" if x.size * (maxlag + 1) <= _DIRECT_XCORR_OPS else "fft"
     if method == "direct":
         n = x.size
         return np.array([np.dot(x[l:], y[:n - l]) for l in range(maxlag + 1)])
@@ -167,7 +177,7 @@ def xcorr_lags(x: np.ndarray, y: np.ndarray, maxlag: int, method: str = "auto") 
 
 
 def max_xcorr_norm(x: np.ndarray, y: np.ndarray, maxlag: int,
-                   method: str = "auto") -> float:
+                   method: str = "fft") -> float:
     """Normalized maximum cross-correlation over lags [0, maxlag], in [0, 1].
 
     max over l of |C_xy(l)| / sqrt(C_xx(0) * C_yy(0)). Raises
@@ -178,8 +188,7 @@ def max_xcorr_norm(x: np.ndarray, y: np.ndarray, maxlag: int,
     norm = np.sqrt(np.dot(x, x) * np.dot(y, y))
     if norm == 0.0:
         raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
-    c = xcorr_lags(x, y, maxlag, method=method)
-    return float(min(np.max(np.abs(c)) / norm, 1.0))
+    return float(min(lag_peak(xcorr_lags(x, y, maxlag, method=method), maxlag) / norm, 1.0))
 
 
 def max_xcorr_norm_two_sided(x: np.ndarray, y: np.ndarray, maxlag: int) -> float:
@@ -195,12 +204,7 @@ def max_xcorr_norm_two_sided(x: np.ndarray, y: np.ndarray, maxlag: int) -> float
     norm = np.sqrt(np.dot(x, x) * np.dot(y, y))
     if norm == 0.0:
         raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
-    if x.size * (maxlag + 1) <= _DIRECT_XCORR_OPS // 2:
-        pos = np.max(np.abs(xcorr_lags(x, y, maxlag, method="direct")))
-        neg = np.max(np.abs(xcorr_lags(y, x, maxlag, method="direct")))
-        return float(min(max(pos, neg) / norm, 1.0))
-    c = _xcorr_fft_circular(x, y, maxlag)
-    peak = max(np.max(np.abs(c[:maxlag + 1])), np.max(np.abs(c[-maxlag:])) if maxlag else 0.0)
+    peak = lag_peak(_xcorr_fft_circular(x, y, maxlag), maxlag, two_sided=True)
     return float(min(peak / norm, 1.0))
 
 

@@ -8,10 +8,7 @@ capped by the ZIS_THREADS environment variable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
 
 from ziskit.core.types import (
     Dataset,
@@ -22,27 +19,11 @@ from ziskit.core.types import (
     Label,
     SensorKind,
 )
-from ziskit.core.windowing import dataset_epoch, window_pairs
+from ziskit.core.windowing import dataset_epoch, map_pairs, pmap, window_pairs
+from ziskit.core.windowing import thread_count  # noqa: F401 (re-exported)
 from ziskit.errors import InsufficientSamples
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
 from ziskit.table import Column, choice, flag, read_table, real, write_table
-
-
-def thread_count() -> int:
-    raw = os.environ.get("ZIS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
-def pmap(fn: Callable, items: Sequence) -> list:
-    """Order-preserving parallel map honoring ZIS_THREADS."""
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -52,41 +33,17 @@ def pmap(fn: Callable, items: Sequence) -> list:
 def karapanos_records(dataset: Dataset, t: int,
                       cfg: karapanos.KarapanosConfig) -> list[EvaluationRecord]:
     """Similarity score per pair-interval; band filtering is shared per device."""
-    grouped: dict[int, list[IntervalPair]] = {}
-    for pair in window_pairs(dataset, t):
-        grouped.setdefault(pair.interval_start, []).append(pair)
+    def decompose(device: str, start: int) -> karapanos.BandedSnippet | None:
+        chunk = dataset.audio_in(device, start, start + t * 1000)
+        return None if chunk is None else karapanos.band_decompose(chunk, cfg)
 
-    def one_interval(item: tuple[int, list[IntervalPair]]) -> list[EvaluationRecord]:
-        start, interval_pairs = item
-        stop = start + t * 1000
-        expected = t * 1000 * next(iter(dataset.audio.values())).rate_hz // 1000 \
-            if dataset.audio else 0
-        decomposed: dict[str, karapanos.BandedSnippet | None] = {}
-        for device in sorted({d for p in interval_pairs for d in (p.device_a, p.device_b)}):
-            snip = dataset.audio.get(device)
-            chunk = snip.slice_ms(start, stop) if snip is not None else None
-            if chunk is None or chunk.samples.size < expected or chunk.samples.size == 0:
-                decomposed[device] = None
-            else:
-                decomposed[device] = karapanos.band_decompose(chunk, cfg)
-        records = []
-        for pair in interval_pairs:
-            a = decomposed[pair.device_a]
-            b = decomposed[pair.device_b]
-            if a is None or b is None:
-                records.append(EvaluationRecord(pair.device_a, pair.device_b, start, t,
-                                                pair.label, score=None, gated=True))
-                continue
-            score = karapanos.similarity_banded(a, b, cfg, two_sided=True)
-            records.append(EvaluationRecord(pair.device_a, pair.device_b, start, t,
-                                            pair.label, score=score.value,
-                                            gated=score.gated))
-        return records
+    def record(pair: IntervalPair, a, b) -> EvaluationRecord:
+        score = karapanos.SimilarityScore(None, gated=True) if a is None or b is None \
+            else karapanos.similarity_banded(a, b, cfg, two_sided=True)
+        return EvaluationRecord(pair.device_a, pair.device_b, pair.interval_start, t,
+                                pair.label, score=score.value, gated=score.gated)
 
-    out: list[EvaluationRecord] = []
-    for chunk in pmap(one_interval, sorted(grouped.items())):
-        out.extend(chunk)
-    return out
+    return map_pairs(window_pairs(dataset, t), decompose, record)
 
 
 def _split_pair(cell: str) -> tuple[str, str]:
@@ -133,12 +90,8 @@ def schurmann_fingerprints(dataset: Dataset, t: int,
         return []
     epoch, end = span
     step = t * 1000
-    jobs = []
-    for device in sorted(dataset.audio):
-        start = epoch
-        while start + step <= end:
-            jobs.append((device, start))
-            start += step
+    jobs = [(device, start) for device in sorted(dataset.audio)
+            for start in range(epoch, end - step + 1, step)]
 
     def one(job: tuple[str, int]) -> Fingerprint | None:
         device, start = job

@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from ziskit import dsp
 from ziskit.core.types import AudioSnippet
-from ziskit.errors import UndefinedCorrelation
 
 DEFAULT_POWER_DB = 40.0
 # Published device-class adjustments for quieter built-in microphones.
@@ -50,10 +48,8 @@ class BandedSnippet:
     """Per-band decomposition of one snippet, reusable across its pairings."""
 
     device_id: str
-    interval_start: int
     rate_hz: int
     power_db: float
-    bands: np.ndarray          # (n_bands, N) band-passed samples
     norms: np.ndarray          # (n_bands,) sum of squares per band
     spectra: np.ndarray        # (n_bands, M//2+1) rfft at pad length M
     pad_len: int
@@ -63,16 +59,13 @@ def band_decompose(x: AudioSnippet, cfg: KarapanosConfig) -> BandedSnippet:
     """Filter a snippet through every configured band and cache its spectra."""
     data = x.as_float()
     banded = dsp.bandpass_bank(data, cfg.bands, x.rate_hz, order=cfg.order)
-    maxlag = int(round(cfg.maxlag_s * x.rate_hz))
-    pad = dsp.fast_len(data.size + maxlag)
+    spectra, pad = dsp.padded_spectrum(banded, int(round(cfg.maxlag_s * x.rate_hz)))
     return BandedSnippet(
         device_id=x.device_id,
-        interval_start=x.start_time,
         rate_hz=x.rate_hz,
         power_db=dsp.avg_power_db(data),
-        bands=banded,
         norms=np.einsum("ij,ij->i", banded, banded),
-        spectra=sfft.rfft(banded, pad, axis=-1),
+        spectra=spectra,
         pad_len=pad,
     )
 
@@ -84,7 +77,7 @@ def similarity_banded(a: BandedSnippet, b: BandedSnippet, cfg: KarapanosConfig,
     two_sided extends the lag search to [-maxlag, maxlag], which equals the
     maximum of the score over both argument orders.
     """
-    if a.bands.shape != b.bands.shape or a.pad_len != b.pad_len:
+    if a.spectra.shape != b.spectra.shape or a.pad_len != b.pad_len:
         raise ValueError("banded snippets are not comparable")
     if a.power_db <= cfg.threshold_for(a.device_id) or \
             b.power_db <= cfg.threshold_for(b.device_id):
@@ -93,10 +86,8 @@ def similarity_banded(a: BandedSnippet, b: BandedSnippet, cfg: KarapanosConfig,
     if np.any(norm == 0.0):
         return SimilarityScore(value=None, gated=True, reason="undefined-correlation")
     maxlag = int(round(cfg.maxlag_s * a.rate_hz))
-    corr = sfft.irfft(a.spectra * np.conj(b.spectra), a.pad_len, axis=-1)
-    peaks = np.abs(corr[:, :maxlag + 1]).max(axis=1)
-    if two_sided and maxlag:
-        peaks = np.maximum(peaks, np.abs(corr[:, -maxlag:]).max(axis=1))
+    peaks = dsp.lag_peak(dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len), maxlag,
+                         two_sided)
     per_band = np.minimum(peaks / norm, 1.0)
     return SimilarityScore(value=float(per_band.mean()), gated=False)
 
@@ -107,14 +98,9 @@ def similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> Simila
     Mean over the configured bands of the normalized maximum cross-correlation
     with lags in [0, maxlag]; gated when either input has insufficient power.
     """
-    if x.samples.size != y.samples.size:
-        raise ValueError("snippets must be aligned to equal length")
-    if x.samples.size == 0:
-        raise ValueError("empty snippets")
-    try:
-        return similarity_banded(band_decompose(x, cfg), band_decompose(y, cfg), cfg)
-    except UndefinedCorrelation:
-        return SimilarityScore(value=None, gated=True, reason="undefined-correlation")
+    if x.samples.size != y.samples.size or x.samples.size == 0:
+        raise ValueError("snippets must be aligned to equal nonzero length")
+    return similarity_banded(band_decompose(x, cfg), band_decompose(y, cfg), cfg)
 
 
 def pair_similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> SimilarityScore:

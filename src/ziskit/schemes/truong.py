@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ziskit import dsp
 from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, IntervalPair, Label
+from ziskit.core.windowing import map_pairs
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
 
 SCHEME_NAME = "truong"
@@ -97,24 +99,50 @@ class AudioDistances:
     tf_distance: float
 
 
+@dataclass(frozen=True)
+class AudioState:
+    """Per-snippet audio work, reusable across the snippet's pairings."""
+
+    size: int
+    sum_sq: float                     # sum of squared samples
+    spectrum: np.ndarray              # rfft at pad length fast_len(2N - 1)
+    pad_len: int
+    unit_spectrum: np.ndarray | None  # |FFT(hamming * x)|[:N//2] over its norm
+
+
+def audio_state(x: np.ndarray) -> AudioState:
+    spectrum, pad = dsp.padded_spectrum(x, x.size - 1)
+    mag = dsp.fft_mag_hamming(x)
+    norm = float(np.linalg.norm(mag))
+    return AudioState(x.size, np.dot(x, x), spectrum, pad,
+                      mag / norm if norm != 0.0 else None)
+
+
+def audio_distances(a: AudioState, b: AudioState) -> AudioDistances:
+    """Full-lag normalized max cross-correlation and time-frequency distance."""
+    if a.size != b.size:
+        raise ValueError("snippets must be aligned, equal length, and non-trivial")
+    # Energy normalization makes the full-lag peak equal the normalized form.
+    norm = np.sqrt(a.sum_sq * b.sum_sq)
+    if norm == 0.0:
+        raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
+    c = dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len)
+    max_xcorr = float(min(dsp.lag_peak(c, a.size - 1, two_sided=True) / norm, 1.0))
+    if a.unit_spectrum is None or b.unit_spectrum is None:
+        raise UndefinedCorrelation("zero spectrum")
+    freq_distance = float(np.linalg.norm(a.unit_spectrum - b.unit_spectrum))
+    time_distance = 1.0 - max_xcorr
+    return AudioDistances(max_xcorr, time_distance, freq_distance,
+                          math.hypot(time_distance, freq_distance))
+
+
 def audio_features(x: AudioSnippet | np.ndarray, y: AudioSnippet | np.ndarray) -> AudioDistances:
     """Full-lag normalized max cross-correlation and time-frequency distance."""
     xd = x.as_float() if isinstance(x, AudioSnippet) else np.asarray(x, dtype=np.float64)
     yd = y.as_float() if isinstance(y, AudioSnippet) else np.asarray(y, dtype=np.float64)
     if xd.size != yd.size or xd.size < 2:
         raise ValueError("snippets must be aligned, equal length, and non-trivial")
-    # Energy normalization makes the full-lag peak equal the normalized form.
-    max_xcorr = dsp.max_xcorr_norm_two_sided(xd, yd, xd.size - 1)
-    spec_x = dsp.fft_mag_hamming(xd)
-    spec_y = dsp.fft_mag_hamming(yd)
-    nx = float(np.linalg.norm(spec_x))
-    ny = float(np.linalg.norm(spec_y))
-    if nx == 0.0 or ny == 0.0:
-        raise UndefinedCorrelation("zero spectrum")
-    freq_distance = float(np.linalg.norm(spec_x / nx - spec_y / ny))
-    time_distance = 1.0 - max_xcorr
-    tf_distance = math.hypot(time_distance, freq_distance)
-    return AudioDistances(max_xcorr, time_distance, freq_distance, tf_distance)
+    return audio_distances(audio_state(xd), audio_state(yd))
 
 
 @dataclass(frozen=True)
@@ -144,35 +172,6 @@ class TruongFeatureVector:
         return [getattr(self, name) for name in ALL_FEATURES]
 
 
-def _beacon_slots(dataset: Dataset, pair: IntervalPair, kind: str, theta: float,
-                  start: int, stop: int) -> BeaconDistances | None:
-    scans_a = dataset.beacons_in(pair.device_a, kind, start, stop)
-    scans_b = dataset.beacons_in(pair.device_b, kind, start, stop)
-    # No scan records at all means a scan error, not an empty environment.
-    if not scans_a or not scans_b:
-        return None
-    return beacon_features(BeaconAggregate.from_scans(scans_a, kind),
-                           BeaconAggregate.from_scans(scans_b, kind), theta)
-
-
-def _audio_slots(dataset: Dataset, pair: IntervalPair, start: int,
-                 stop: int) -> AudioDistances | None:
-    snip_a = dataset.audio.get(pair.device_a)
-    snip_b = dataset.audio.get(pair.device_b)
-    if snip_a is None or snip_b is None:
-        return None
-    xa = snip_a.slice_ms(start, stop)
-    xb = snip_b.slice_ms(start, stop)
-    expected = (stop - start) * snip_a.rate_hz // 1000
-    n = min(xa.samples.size, xb.samples.size)
-    if n < expected:
-        return None
-    try:
-        return audio_features(xa.as_float()[:n], xb.as_float()[:n])
-    except UndefinedCorrelation:
-        return None
-
-
 def ml_arrays(rows: list[TruongFeatureVector]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Feature matrix (NaN for missing), 0/1 labels, and column names."""
     X = np.array([[np.nan if v is None else v for v in row.values()] for row in rows])
@@ -180,30 +179,48 @@ def ml_arrays(rows: list[TruongFeatureVector]) -> tuple[np.ndarray, np.ndarray, 
     return X, y, ALL_FEATURES
 
 
+class DeviceInterval(NamedTuple):
+    """One device's state in one interval; None marks a modality without usable data."""
+
+    audio: AudioState | None
+    wifi: BeaconAggregate | None
+    ble: BeaconAggregate | None
+
+
+def device_interval(dataset: Dataset, device: str, start: int, stop: int) -> DeviceInterval:
+    chunk = dataset.audio_in(device, start, stop)
+    audio = audio_state(chunk.as_float()) if chunk is not None else None
+    # No scan records at all means a scan error, not an empty environment.
+    scans = {kind: dataset.beacons_in(device, kind, start, stop) for kind in ("wifi", "ble")}
+    return DeviceInterval(audio, *(BeaconAggregate.from_scans(s, kind) if s else None
+                                   for kind, s in scans.items()))
+
+
+def pair_features(pair: IntervalPair, a: DeviceInterval, b: DeviceInterval, t: int,
+                  theta: float = THETA_DEFAULT) -> TruongFeatureVector:
+    """The feature vector of one pair-interval from its two device states."""
+    wifi, ble = (beacon_features(x, y, theta) if x is not None and y is not None else None
+                 for x, y in ((a.wifi, b.wifi), (a.ble, b.ble)))
+    audio = None
+    # Audio of unequal length (devices recording at other rates) is not comparable.
+    if a.audio is not None and b.audio is not None and a.audio.size == b.audio.size:
+        try:
+            audio = audio_distances(a.audio, b.audio)
+        except UndefinedCorrelation:
+            pass
+    return TruongFeatureVector(
+        pair.device_a, pair.device_b, pair.interval_start, t,
+        *((wifi.jaccard, wifi.mean_hamming, wifi.euclidean, wifi.mean_exp,
+           wifi.sum_sq_ranks) if wifi else (None,) * 5),
+        *((ble.jaccard, ble.euclidean) if ble else (None,) * 2),
+        *((audio.max_xcorr, audio.tf_distance) if audio else (None,) * 2),
+        pair.label)
+
+
 def build_dataset(pairs: list[IntervalPair], dataset: Dataset, t: int,
                   theta: float = THETA_DEFAULT) -> list[TruongFeatureVector]:
-    """One labeled feature vector per pair-interval."""
-    rows = []
-    for pair in pairs:
-        start = pair.interval_start
-        stop = start + t * 1000
-        wifi = _beacon_slots(dataset, pair, "wifi", theta, start, stop)
-        ble = _beacon_slots(dataset, pair, "ble", theta, start, stop)
-        audio = _audio_slots(dataset, pair, start, stop)
-        rows.append(TruongFeatureVector(
-            device_a=pair.device_a,
-            device_b=pair.device_b,
-            interval_start=start,
-            interval_len_s=t,
-            wifi_jaccard=wifi.jaccard if wifi else None,
-            wifi_mean_hamming=wifi.mean_hamming if wifi else None,
-            wifi_euclidean=wifi.euclidean if wifi else None,
-            wifi_mean_exp=wifi.mean_exp if wifi else None,
-            wifi_sum_sq_ranks=wifi.sum_sq_ranks if wifi else None,
-            ble_jaccard=ble.jaccard if ble else None,
-            ble_euclidean=ble.euclidean if ble else None,
-            audio_max_xcorr=audio.max_xcorr if audio else None,
-            audio_tf_distance=audio.tf_distance if audio else None,
-            label=pair.label,
-        ))
-    return rows
+    """One labeled feature vector per pair-interval, in the order of `pairs`."""
+    return map_pairs(pairs,
+                     lambda device, start: device_interval(dataset, device, start,
+                                                           start + t * 1000),
+                     lambda pair, a, b: pair_features(pair, a, b, t, theta))

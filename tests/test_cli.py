@@ -293,3 +293,35 @@ def test_comma_list_config_values_are_converted(tmp_path):
     assert args.event_band == (400.0, 3000.0)
     args = parser.parse_args(["evaluate", "--scheme", "scores", "--out", "x"])
     assert args.far_targets == [0.001, 0.005, 0.01, 0.05]
+
+
+@pytest.mark.parametrize("values, explicit", [
+    ({"scheme": "nope"}, ["--out", "x.csv"]),
+    ({"out": 5}, ["--scheme", "schurmann"]),
+])
+def test_bad_config_value_is_usage_error(values, explicit, scenario_dir, tmp_path,
+                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    code = main(["features", "--config", str(config), "--dataset", str(scenario_dir),
+                 *explicit])
+    assert code in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_evaluate_loads_dataset_once(valid_files, scenario_dir, tmp_path, monkeypatch):
+    import ziskit.cli as cli
+
+    calls = []
+    real_load = cli.load_dataset
+
+    def counting_load(path):
+        calls.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "load_dataset", counting_load)
+    run_ok(["evaluate", "--scheme", "karapanos", "--features", str(valid_files / "score.csv"),
+            "--dataset", str(scenario_dir), "--out", str(tmp_path / "eval")])
+    assert calls == [scenario_dir]

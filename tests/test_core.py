@@ -65,6 +65,16 @@ class TestTypeInvariants:
             GroundTruth(groups=(), subscenarios=(
                 Subscenario("s", ((0, 100), (50, 150))),))
 
+    def test_ground_truth_accepts_touching_subscenario_ranges(self):
+        gt = GroundTruth(groups=(), subscenarios=(
+            Subscenario("s", ((10, 20), (0, 10))),))
+        assert gt.subscenario("s").ranges == ((0, 20),)
+
+    def test_ground_truth_rejects_subscenario_overlapping_by_one(self):
+        with pytest.raises(InvariantViolation):
+            GroundTruth(groups=(), subscenarios=(
+                Subscenario("s", ((0, 10), (9, 20))),))
+
 
 class TestLoadDataset:
     def test_empty_manifest_gives_empty_dataset(self, tmp_path):

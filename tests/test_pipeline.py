@@ -164,6 +164,40 @@ class TestThreading:
         assert serial == threaded
 
 
+    def test_feature_csvs_identical_for_one_and_two_threads(self, audio_dataset,
+                                                            monkeypatch, tmp_path):
+        cfg = karapanos.KarapanosConfig(interval_s=5)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZIS_THREADS", threads)
+            kara, rows = tmp_path / f"kara{threads}.csv", tmp_path / f"truong{threads}.csv"
+            pipeline.write_score_csv(kara, pipeline.karapanos_records(audio_dataset, 5, cfg))
+            pipeline.write_truong_csv(rows, pipeline.truong_rows(audio_dataset, 5))
+            outputs[threads] = (kara.read_bytes(), rows.read_bytes())
+        assert outputs["1"] == outputs["2"]
+
+    def test_device_state_built_once_per_device_interval(self, audio_dataset,
+                                                         monkeypatch):
+        monkeypatch.setenv("ZIS_THREADS", "2")
+        built = []
+        for module, name in [(karapanos, "band_decompose"),
+                             (truong, "device_interval")]:
+            real_fn = getattr(module, name)
+
+            def counted(*args, _real=real_fn, _name=name):
+                built.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        pipeline.karapanos_records(audio_dataset, 5, karapanos.KarapanosConfig())
+        pipeline.truong_rows(audio_dataset, 5)
+        device_intervals = {(d, p.interval_start) for p in pipeline.window_pairs(
+            audio_dataset, 5) for d in (p.device_a, p.device_b)}
+        assert len(device_intervals) == 4 * 4  # 4 devices x 4 intervals
+        assert built.count("band_decompose") == len(device_intervals)
+        assert built.count("device_interval") == len(device_intervals)
+
+
 def test_schurmann_pipeline_matches_direct_calls(audio_dataset):
     cfg = schurmann.SchurmannConfig(interval_s=10)
     fps = pipeline.schurmann_fingerprints(audio_dataset, 10, cfg)

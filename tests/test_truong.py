@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import noise_snippet, two_group_truth
+from ziskit import dsp
 from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, Label
 from ziskit.core.windowing import window_pairs
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
@@ -150,6 +151,20 @@ class TestAudioFeatures:
             assert 0.0 <= f.time_distance <= 1.0
             assert 0.0 <= f.freq_distance <= 2.0
 
+    def test_matches_per_pair_dsp_path(self, rng):
+        # Reference: the per-pair dsp calls, with no per-snippet state.
+        for n in (2, 301, 4000):
+            x = rng.normal(size=n)
+            y = rng.normal(size=n)
+            f = truong.audio_features(x, y)
+            xc = dsp.max_xcorr_norm_two_sided(x, y, n - 1)
+            spec_x = dsp.fft_mag_hamming(x)
+            spec_y = dsp.fft_mag_hamming(y)
+            d_f = float(np.linalg.norm(spec_x / float(np.linalg.norm(spec_x))
+                                       - spec_y / float(np.linalg.norm(spec_y))))
+            assert (f.max_xcorr, f.freq_distance) == (xc, d_f)
+            assert f.tf_distance == math.hypot(1.0 - xc, d_f)
+
     def test_scale_invariance(self, rng):
         x = rng.normal(size=500)
         y = rng.normal(size=500)
@@ -220,6 +235,34 @@ class TestBuildDataset:
             if "a" in (row.device_a, row.device_b):
                 assert row.wifi_jaccard is None
                 assert row.ble_jaccard is not None
+
+    def test_rows_match_per_pair_features(self, rng):
+        dataset = _beacon_dataset(rng, shared=False)
+        for dev in dataset.audio:
+            dataset.audio[dev] = noise_snippet(rng, seconds=20.0, device=dev)
+        dataset.beacons["a"] = [s for s in dataset.beacons["a"] if s.kind == "ble"]
+        rows = truong.build_dataset(window_pairs(dataset, 10), dataset, 10)
+        for row in rows:
+            start, stop = row.interval_start, row.interval_start + 10_000
+            pair = (row.device_a, row.device_b)
+            audio = truong.audio_features(
+                *(dataset.audio[d].slice_ms(start, stop) for d in pair))
+            assert (row.audio_max_xcorr, row.audio_tf_distance) == \
+                (audio.max_xcorr, audio.tf_distance)
+            if "a" in pair:
+                assert row.wifi_jaccard is None
+                continue
+            wifi = truong.beacon_features(*(truong.BeaconAggregate.from_scans(
+                dataset.beacons_in(d, "wifi", start, stop), "wifi") for d in pair))
+            assert row.values()[:5] == [wifi.jaccard, wifi.mean_hamming, wifi.euclidean,
+                                        wifi.mean_exp, wifi.sum_sq_ranks]
+
+    def test_audio_at_another_rate_is_missing(self, rng):
+        dataset = _beacon_dataset(rng, shared=True)
+        dataset.audio["a"] = AudioSnippet(dataset.audio["a"].samples[::2], 8000, 0, "a")
+        rows = truong.build_dataset(window_pairs(dataset, 10), dataset, 10)
+        for row in rows:
+            assert (row.audio_max_xcorr is None) == ("a" in (row.device_a, row.device_b))
 
     def test_ml_arrays_shape_and_nan(self, rng):
         dataset = _beacon_dataset(rng, shared=True)
