@@ -231,7 +231,7 @@ def _cmd_align(args) -> int:
 def _cmd_features(args) -> int:
     dataset = load_dataset(args.dataset)
     if args.scheme == "karapanos":
-        cfg = karapanos.KarapanosConfig(interval_s=args.t, maxlag_s=args.maxlag_s,
+        cfg = karapanos.KarapanosConfig(maxlag_s=args.maxlag_s,
                                         power_threshold_db=args.power_db)
         records = pipeline.karapanos_records(dataset, args.t, cfg)
         pipeline.write_score_csv(args.out, records)

@@ -6,7 +6,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from ziskit.core.types import (
     AudioSnippet,
@@ -30,6 +29,8 @@ def _require(path: Path) -> Path:
 
 
 def read_wav(path: Path, device_id: str, start_ms: int = 0) -> AudioSnippet:
+    from scipy.io import wavfile
+
     _require(path)
     rate, data = wavfile.read(str(path))
     if data.dtype != np.int16:
@@ -40,6 +41,8 @@ def read_wav(path: Path, device_id: str, start_ms: int = 0) -> AudioSnippet:
 
 
 def write_wav(path: Path, snippet: AudioSnippet) -> None:
+    from scipy.io import wavfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     wavfile.write(str(path), snippet.rate_hz, snippet.samples)
 

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, sosfilt
 
 from ziskit.core import io as zio
 from ziskit.core.types import (
@@ -97,6 +96,8 @@ class ScenarioConfig:
 def _group_event_signal(rng: np.random.Generator, profile: AmbientProfile,
                         n_samples: int, rate_hz: int) -> np.ndarray:
     """Shared ambient audio of one group: enveloped band noise plus bursts."""
+    from scipy.signal import butter, sosfilt
+
     lo, hi = profile.event_band_hz
     sos = butter(2, [lo, hi], btype="bandpass", fs=rate_hz, output="sos")
     carrier = sosfilt(sos, rng.standard_normal(n_samples).astype(np.float32))

@@ -5,6 +5,10 @@ second-order sections; a direct-form transfer function of order 20 is
 numerically unstable for narrow bands at 16 kHz. Every cross-correlation
 runs through one FFT core (padded_spectrum, xcorr_spectra, lag_peak); the
 direct sum of xcorr_lags(method="direct") is its reference to 1e-6 relative.
+
+scipy is imported inside the functions that call it, here and in the other
+modules the CLI imports, so commands that never filter or transform audio
+do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.signal import butter, sosfilt
 
 from ziskit.core.types import AudioSnippet
 from ziskit.errors import InsufficientProbe, InvalidBand, InvariantViolation, UndefinedCorrelation
@@ -88,6 +90,8 @@ def fast_len(n: int) -> int:
 
 @lru_cache(maxsize=256)
 def _bandpass_sos(f_low: float, f_high: float, order: int, rate_hz: int) -> np.ndarray:
+    from scipy.signal import butter
+
     return butter(order // 2, [f_low, f_high], btype="bandpass", fs=rate_hz, output="sos")
 
 
@@ -109,6 +113,8 @@ def bandpass(x: AudioSnippet | np.ndarray, f_low: float, f_high: float,
         raise ValueError(f"filter order must be a positive even integer, got {order}")
     if not 0 < f_low < f_high < rate_hz / 2:
         raise InvalidBand(f"band [{f_low}, {f_high}] outside (0, {rate_hz / 2})")
+    from scipy.signal import sosfilt
+
     sos = _bandpass_sos(float(f_low), float(f_high), int(order), int(rate_hz))
     return sosfilt(sos, data, axis=-1)
 
@@ -136,13 +142,17 @@ def padded_spectrum(x: np.ndarray, maxlag: int) -> tuple[np.ndarray, int]:
     """rfft along the last axis at M = fast_len(N + maxlag), and M.
 
     At M, circular correlation is exact for every lag in [-maxlag, maxlag]."""
+    from scipy.fft import rfft
+
     pad = fast_len(x.shape[-1] + maxlag)
-    return sfft.rfft(x, pad, axis=-1), pad
+    return rfft(x, pad, axis=-1), pad
 
 
 def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int) -> np.ndarray:
     """c[l] = sum_i x[i]*y[i-l] (lag -l at c[-l]) from padded spectra, last axis."""
-    return sfft.irfft(fx * np.conj(fy), pad_len, axis=-1)
+    from scipy.fft import irfft
+
+    return irfft(fx * np.conj(fy), pad_len, axis=-1)
 
 
 def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:

@@ -3,6 +3,12 @@
 Similarity-style scores accept high (accept_if_geq), distance-style scores
 accept low (accept_if_leq). Gated or missing scores never enter FAR/FRR
 denominators; they are reported through the availability fraction instead.
+
+The EER and FRR-at-FAR sweeps are exact and O(n log n): one sort of the
+scores, then cumulative class counts give FAR and FRR at every candidate
+threshold (Fawcett, "An introduction to ROC analysis", PRL 2006). Each
+rate is an integer count over its class total, so it equals `far_frr` at
+the same threshold bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels).astype(int)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-d sequences")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     if not (np.any(labels == 1) and np.any(labels == 0)):
         raise DegenerateLabels("need both colocated and non-colocated scores")
     return scores, labels
@@ -60,30 +68,44 @@ def far_frr(scores, labels, threshold: float,
     return far, frr
 
 
-def candidate_thresholds(scores: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct scores plus open-end sentinels."""
-    uniq = np.unique(scores)
-    mids = (uniq[:-1] + uniq[1:]) / 2.0
-    return np.concatenate(([-np.inf], mids, [np.inf]))
+def _sweep(scores: np.ndarray, labels: np.ndarray, polarity: str
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate thresholds and the FAR and FRR at each, from one sort.
+
+    The candidates are -inf, the midpoints between consecutive distinct
+    scores, and +inf. `k` counts the distinct scores below a candidate
+    (accept_if_geq: rejected) or at or below it (accept_if_leq: accepted)
+    with the comparison `far_frr` makes, so a midpoint that rounds onto a
+    score stays exact.
+    """
+    uniq, inverse = np.unique(scores, return_inverse=True)
+    cumpos, cumneg = (np.concatenate(([0], np.cumsum(np.bincount(
+        inverse[labels == c], minlength=uniq.size)))) for c in (1, 0))
+    n_pos, n_neg = cumpos[-1], cumneg[-1]
+    thresholds = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
+    if polarity == ACCEPT_IF_GEQ:
+        k = np.searchsorted(uniq, thresholds, side="left")
+        neg_acc, pos_rej = n_neg - cumneg[k], cumpos[k]
+    elif polarity == ACCEPT_IF_LEQ:
+        k = np.searchsorted(uniq, thresholds, side="right")
+        neg_acc, pos_rej = cumneg[k], n_pos - cumpos[k]
+    else:
+        raise ValueError(f"unknown polarity {polarity!r}")
+    return thresholds, neg_acc / n_neg, pos_rej / n_pos
 
 
 def equal_error_rate(scores, labels, polarity: str = ACCEPT_IF_GEQ) -> ErrorRates:
     """Operating point minimizing |FAR - FRR| over all achievable thresholds.
 
-    Ties prefer the lower FAR, then the lower FRR. The EER is the average of
-    FAR and FRR at the chosen point and is starred when they disagree beyond
-    three decimals.
+    Ties prefer the lower FAR, then the lower FRR, then the lower candidate
+    threshold. The EER is the average of FAR and FRR at the chosen point and
+    is starred when they disagree beyond three decimals.
     """
-    scores, labels = _validate(scores, labels)
-    best = None
-    for threshold in candidate_thresholds(scores):
-        far, frr = far_frr(scores, labels, threshold, polarity)
-        key = (abs(far - frr), far, frr)
-        if best is None or key < best[0]:
-            best = (key, threshold, far, frr)
-    _, threshold, far, frr = best
+    thresholds, far, frr = _sweep(*_validate(scores, labels), polarity)
+    best = np.lexsort((frr, far, np.abs(far - frr)))[0]
+    far, frr = float(far[best]), float(frr[best])
     return ErrorRates(
-        threshold=float(threshold),
+        threshold=float(thresholds[best]),
         far=far,
         frr=frr,
         eer=(far + frr) / 2.0,
@@ -95,14 +117,12 @@ def frr_at_far(scores, labels, polarity: str = ACCEPT_IF_GEQ,
                far_targets: Sequence[float] = (0.001, 0.005, 0.01, 0.05)
                ) -> list[tuple[float, float]]:
     """Smallest achievable FRR with FAR at or below each target."""
-    scores, labels = _validate(scores, labels)
-    points = [far_frr(scores, labels, t, polarity) for t in candidate_thresholds(scores)]
+    _, far, frr = _sweep(*_validate(scores, labels), polarity)
     out = []
     for target in far_targets:
         if not 0 < target < 1:
             raise ValueError(f"FAR target must lie in (0, 1), got {target}")
-        feasible = [frr for far, frr in points if far <= target]
-        out.append((float(target), float(min(feasible))))
+        out.append((float(target), float(frr[far <= target].min())))
     return out
 
 

@@ -32,13 +32,21 @@ from ziskit.table import Column, choice, flag, read_table, real, write_table
 
 def karapanos_records(dataset: Dataset, t: int,
                       cfg: karapanos.KarapanosConfig) -> list[EvaluationRecord]:
-    """Similarity score per pair-interval; band filtering is shared per device."""
+    """Similarity score per pair-interval; band filtering is shared per device.
+
+    A device-interval with missing or short audio, or recorded at a rate too
+    low for the configured bands, has no state, so its pairs are gated; so
+    are pairs of two devices recorded at different rates.
+    """
     def decompose(device: str, start: int) -> karapanos.BandedSnippet | None:
         chunk = dataset.audio_in(device, start, start + t * 1000)
-        return None if chunk is None else karapanos.band_decompose(chunk, cfg)
+        if chunk is None or not cfg.fits_rate(chunk.rate_hz):
+            return None
+        return karapanos.band_decompose(chunk, cfg)
 
     def record(pair: IntervalPair, a, b) -> EvaluationRecord:
-        score = karapanos.SimilarityScore(None, gated=True) if a is None or b is None \
+        score = karapanos.SimilarityScore(None, gated=True) \
+            if a is None or b is None or a.rate_hz != b.rate_hz \
             else karapanos.similarity_banded(a, b, cfg, two_sided=True)
         return EvaluationRecord(pair.device_a, pair.device_b, pair.interval_start, t,
                                 pair.label, score=score.value, gated=score.gated)
@@ -57,8 +65,9 @@ INTERVAL_START = Column("interval_start_ms", int)
 INTERVAL_LEN = Column("t", int)
 LABEL = choice("label", Label)
 
-SCORE_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN, real("score", nullable=True),
-                 flag("gated"))
+# Scores feed the FAR/FRR sweeps, which need an order: nan and inf are rejected.
+SCORE = real("score", nullable=True, finite=True)
+SCORE_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN, SCORE, flag("gated"))
 
 
 def write_score_csv(path: Path, records: list[EvaluationRecord]) -> None:
@@ -230,8 +239,7 @@ def read_shrestha_csv(path: Path) -> list[shrestha.ShresthaFeatureVector]:
 # Generic score files (ML predictions)
 # ---------------------------------------------------------------------------
 
-PREDICTION_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN,
-                      real("score", nullable=True), LABEL)
+PREDICTION_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN, SCORE, LABEL)
 
 
 def write_prediction_csv(path: Path, records: list[EvaluationRecord]) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from ziskit.core.types import Fingerprint
 from ziskit.errors import IncompatibleFingerprints, InvalidSplit
@@ -63,6 +62,8 @@ def _bit_matrix(fingerprints: list[Fingerprint]) -> np.ndarray:
 
 def random_walk(fingerprints: list[Fingerprint]) -> RandomWalkReport:
     """Endpoint histogram vs the binomial expectation, with their TV distance."""
+    from scipy.stats import binom
+
     bits = _bit_matrix(fingerprints)
     n, length = bits.shape
     ones = bits.sum(axis=1)

@@ -24,7 +24,6 @@ DEVICE_CLASS_POWER_DB = {"smartphone": 38.0, "watch": 35.0}
 class KarapanosConfig:
     """Parameters of the sound similarity computation."""
 
-    interval_s: int = 10
     maxlag_s: float = 1.0
     bands: tuple[dsp.OctaveBandSpec, ...] = dsp.THIRD_OCTAVE_BANDS
     order: int = 20
@@ -34,6 +33,10 @@ class KarapanosConfig:
 
     def threshold_for(self, device_id: str) -> float:
         return self.device_thresholds.get(device_id, self.power_threshold_db)
+
+    def fits_rate(self, rate_hz: int) -> bool:
+        """Whether every configured band lies below the Nyquist frequency."""
+        return all(band.f_high < rate_hz / 2 for band in self.bands)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import sosfilt
 
 from ziskit.core.types import AudioSnippet, Fingerprint
 from ziskit.dsp import _bandpass_sos
@@ -53,6 +52,8 @@ class SchurmannConfig:
 
 def energy_matrix(x: AudioSnippet, cfg: SchurmannConfig) -> np.ndarray:
     """Per-frame, per-band signal energies, shape (n_frames, n_bands)."""
+    from scipy.signal import sosfilt
+
     d = cfg.frame_len(x.rate_hz)
     needed = cfg.n_frames * d
     if x.samples.size < needed:

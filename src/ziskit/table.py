@@ -11,6 +11,7 @@ csv syntax) surfaces as `ParseError` with path and line.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -35,9 +36,19 @@ def _real(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def real(name: str, nullable: bool = False, optional: bool = False) -> Column:
-    """Floats are written as `repr(float(v))`, the shortest exact form."""
-    return Column(name, float, _real, nullable or optional, optional)
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+def real(name: str, nullable: bool = False, optional: bool = False,
+         finite: bool = False) -> Column:
+    """Floats are written as `repr(float(v))`, the shortest exact form.
+
+    A `finite` column rejects nan and +-inf cells."""
+    return Column(name, _finite if finite else float, _real, nullable or optional, optional)
 
 
 def flag(name: str) -> Column:

@@ -61,7 +61,7 @@ def test_criterion_1_dsp_oracle_equivalence():
 def test_criterion_2_karapanos_identity_and_scale():
     with criterion(2, "similarity(x,x)=1 within 1e-9; scale invariance for a,b in {0.5,2}"):
         rng = np.random.default_rng(200)
-        cfg = karapanos.KarapanosConfig(interval_s=2)
+        cfg = karapanos.KarapanosConfig()
         for _ in range(20):
             samples = 2 * rng.integers(-2000, 2001, size=2 * RATE, dtype=np.int64)
             x = AudioSnippet(samples.astype(np.int16), RATE, 0, "a")
@@ -71,7 +71,7 @@ def test_criterion_2_karapanos_identity_and_scale():
         for _ in range(5):
             sx = 2 * rng.integers(-2000, 2001, size=RATE, dtype=np.int64)
             sy = 2 * rng.integers(-2000, 2001, size=RATE, dtype=np.int64)
-            cfg1 = karapanos.KarapanosConfig(interval_s=1)
+            cfg1 = karapanos.KarapanosConfig()
             ref = karapanos.similarity(
                 AudioSnippet(sx.astype(np.int16), RATE, 0, "a"),
                 AudioSnippet(sy.astype(np.int16), RATE, 0, "b"), cfg1).value

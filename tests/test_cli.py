@@ -1,9 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.io import wavfile
+from scipy.signal import resample_poly
 
 from ziskit.cli import _apply_config, build_parser, main
 
@@ -235,6 +242,22 @@ def test_bad_input_table_exits_2(table, fault, valid_files, scenario_dir, tmp_pa
     assert f"{bad}:2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("table", ["score", "prediction"])
+def test_non_finite_score_exits_2(table, cell, valid_files, scenario_dir, tmp_path,
+                                  capsys):
+    with open(valid_files / f"{table}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][rows[0].index("score")] = cell
+    bad = tmp_path / f"bad_{table}.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code = main(_reader_argv(table, bad, valid_files, scenario_dir, tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:3)" in err and "non-finite" in err
+
+
 @pytest.mark.parametrize("edit", ["missing_t", "t_not_int"])
 def test_robustness_bad_results_exits_2(edit, valid_files, tmp_path, capsys):
     with open(valid_files / "results.csv", newline="") as fh:
@@ -325,3 +348,61 @@ def test_evaluate_loads_dataset_once(valid_files, scenario_dir, tmp_path, monkey
     run_ok(["evaluate", "--scheme", "karapanos", "--features", str(valid_files / "score.csv"),
             "--dataset", str(scenario_dir), "--out", str(tmp_path / "eval")])
     assert calls == [scenario_dir]
+
+
+@pytest.mark.parametrize("rate", [8000, 32000])
+def test_karapanos_gates_only_pairs_of_a_device_at_another_rate(rate, scenario_dir,
+                                                                 tmp_path):
+    # The top third-octave band reaches 4.49 kHz, above an 8 kHz device's
+    # Nyquist; a 32 kHz device holds the bands but matches no other device.
+    other = tmp_path / "scen"
+    shutil.copytree(scenario_dir, other)
+    manifest = json.loads((other / "manifest.json").read_text())
+    device = manifest["devices"][0]["id"]
+    wav = other / manifest["devices"][0]["audio"]["path"]
+    native, samples = wavfile.read(wav)
+    assert native == 16000
+    resampled = resample_poly(samples.astype(float), rate // 8000, 2)
+    wavfile.write(wav, rate, np.clip(np.round(resampled), -32768, 32767).astype(np.int16))
+    rows = {}
+    for name, dataset in [("native", scenario_dir), ("other", other)]:
+        out = tmp_path / f"{name}.csv"
+        run_ok(["features", "--scheme", "karapanos", "--dataset", str(dataset),
+                "--out", str(out), "--t", "10"])
+        with open(out, newline="") as fh:
+            rows[name] = list(csv.DictReader(fh))
+    assert len(rows["other"]) == len(rows["native"])
+    for native_row, row in zip(rows["native"], rows["other"]):
+        if device in row["pair_id"].split("|"):
+            assert (row["score"], row["gated"]) == ("", "1")
+        else:
+            assert row == native_row
+    assert any(r["gated"] == "0" for r in rows["other"])
+
+
+def _cold(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    os.environ.get("PYTHONPATH", "")) if p))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_import_loads_no_scipy_and_commands_run_cold(tmp_path):
+    proc = _cold("-c", "import sys, ziskit.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                 cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # Each command imports the scipy parts it uses on first call.
+    for argv in (["datagen", "--out", "scen", "--seed", "3", "--duration-s", "20",
+                  "--groups", "2,2"],
+                 ["features", "--scheme", "karapanos", "--dataset", "scen",
+                  "--out", "kara.csv", "--t", "10"],
+                 ["features", "--scheme", "schurmann", "--dataset", "scen",
+                  "--out", "fp.csv", "--t", "10"],
+                 ["fingerprint-randomness", "--features", "fp.csv", "--out", "rand.json"]):
+        proc = _cold("-m", "ziskit.cli", *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "kara.csv").read_text().splitlines()) == 1 + 6 * 2
+    assert json.loads((tmp_path / "rand.json").read_text())["random_walk"]["n_fingerprints"] == 8

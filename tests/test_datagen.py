@@ -76,7 +76,7 @@ class TestGenerate:
             out = tmp_path / f"leak{leakage}"
             datagen.generate(small_cfg(seed=7, leakage=leakage, duration_s=30), out)
             dataset = load_dataset(out)
-            cfg = karapanos.KarapanosConfig(interval_s=10)
+            cfg = karapanos.KarapanosConfig()
             records = pipeline.karapanos_records(dataset, 10, cfg)
             scores, labels = evaluation.usable_scores(records)
             means[leakage] = float(np.mean(scores[labels == 0]))

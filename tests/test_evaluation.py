@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -24,6 +26,113 @@ def sweep_oracle(scores, labels, polarity=ev.ACCEPT_IF_GEQ):
             best = (key, far, frr)
     _, far, frr = best
     return far, frr, abs(far - frr) > ev.STARRED_TOLERANCE
+
+
+def reference_sweep(scores, labels, polarity=ev.ACCEPT_IF_GEQ,
+                    far_targets=(0.001, 0.005, 0.01, 0.05)):
+    """The per-threshold loop: one far_frr per candidate, strict-< first wins.
+
+    Returns the EER point as (threshold, far, frr, eer, starred) and the
+    FRR-at-FAR curve, for comparison with `==`.
+    """
+    scores = np.asarray(scores, dtype=float)
+    uniq = np.unique(scores)
+    candidates = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
+    points = [(thr, *ev.far_frr(scores, labels, thr, polarity)) for thr in candidates]
+    best = None
+    for thr, far, frr in points:
+        key = (abs(far - frr), far, frr)
+        if best is None or key < best[0]:
+            best = (key, thr, far, frr)
+    _, thr, far, frr = best
+    rates = (float(thr), far, frr, (far + frr) / 2.0, abs(far - frr) > ev.STARRED_TOLERANCE)
+    curve = [(float(target), float(min(fr for _, fa, fr in points if fa <= target)))
+             for target in far_targets]
+    return rates, curve
+
+
+def assert_matches_reference(scores, labels, polarity):
+    targets = (0.001, 0.01, 0.05, 0.2, 0.5, 0.9)
+    rates, curve = reference_sweep(scores, labels, polarity, targets)
+    got = ev.equal_error_rate(scores, labels, polarity)
+    assert (got.threshold, got.far, got.frr, got.eer, got.starred) == rates
+    # Signed zeros compare equal; the threshold's sign must match as well.
+    assert np.signbit(got.threshold) == np.signbit(rates[0])
+    assert ev.frr_at_far(scores, labels, polarity, far_targets=targets) == curve
+
+
+POLARITIES = [ev.ACCEPT_IF_GEQ, ev.ACCEPT_IF_LEQ]
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("polarity", POLARITIES)
+    @pytest.mark.parametrize("decimals", [1, 2])
+    def test_tie_heavy_corpora(self, rng, polarity, decimals):
+        for _ in range(30):
+            n = int(rng.integers(2, 200))
+            scores = np.round(rng.normal(size=n), decimals)
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = [0, 1]
+            assert_matches_reference(scores, labels, polarity)
+
+    @pytest.mark.parametrize("polarity", POLARITIES)
+    def test_signed_zeros(self, rng, polarity):
+        for _ in range(30):
+            scores = rng.choice([-0.0, 0.0, 0.5, -0.5], size=12)
+            labels = rng.integers(0, 2, size=12)
+            labels[:2] = [0, 1]
+            assert_matches_reference(scores, labels, polarity)
+
+    @pytest.mark.parametrize("polarity", POLARITIES)
+    def test_single_score_classes(self, polarity):
+        for scores, labels in [([0.3, 0.7], [0, 1]), ([0.7, 0.3], [0, 1]),
+                               ([0.5, 0.5], [1, 0]), ([0.1, 0.4, 0.9, 0.4], [1, 0, 0, 0]),
+                               ([0.1, 0.4, 0.9, 0.4], [0, 1, 1, 1])]:
+            assert_matches_reference(scores, labels, polarity)
+
+    @pytest.mark.parametrize("polarity", POLARITIES)
+    def test_midpoint_rounding_onto_a_score(self, polarity):
+        # (1 + nextafter(1)) / 2 rounds to 1.0, so that candidate accepts 1.0.
+        one, up = 1.0, float(np.nextafter(1.0, 2.0))
+        assert (one + up) / 2.0 == one
+        assert_matches_reference([one, up, 0.5, up], [0, 1, 1, 0], polarity)
+        assert_matches_reference([one, up, 0.5, one], [1, 0, 0, 1], polarity)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("polarity", POLARITIES)
+    def test_midpoints_overflowing_to_infinity(self, polarity):
+        big = np.finfo(float).max
+        assert_matches_reference([big, big / 2, -big, -big / 2], [1, 0, 1, 0], polarity)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(0, 1)), min_size=2, max_size=40),
+           polarity=st.sampled_from(POLARITIES))
+    def test_hypothesis_inputs(self, data, polarity):
+        scores = [s for s, _ in data]
+        labels = [1, 0] + [label for _, label in data[2:]]
+        assert_matches_reference(scores, labels, polarity)
+
+    def test_sweeps_never_call_far_frr(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("far_frr called")
+
+        monkeypatch.setattr(ev, "far_frr", forbidden)
+        scores, labels = rng.random(50), np.array([0, 1] * 25)
+        ev.equal_error_rate(scores, labels)
+        ev.frr_at_far(scores, labels)
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        scores, labels = [0.1, bad, 0.9, 0.2], [0, 1, 1, 0]
+        for call in (lambda: ev.equal_error_rate(scores, labels),
+                     lambda: ev.frr_at_far(scores, labels),
+                     lambda: ev.far_frr(scores, labels, 0.5)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 class TestFarFrr:

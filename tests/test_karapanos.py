@@ -9,7 +9,7 @@ from ziskit.schemes import karapanos
 
 
 def quiet_config(**kwargs):
-    defaults = dict(interval_s=1, power_threshold_db=-1000.0)
+    defaults = dict(power_threshold_db=-1000.0)
     defaults.update(kwargs)
     return karapanos.KarapanosConfig(**defaults)
 
@@ -42,7 +42,7 @@ class TestSimilarity:
 
     def test_silence_is_gated(self):
         x = AudioSnippet(np.zeros(16000, dtype=np.int16), 16000, 0, "d")
-        score = karapanos.similarity(x, x, karapanos.KarapanosConfig(interval_s=1))
+        score = karapanos.similarity(x, x, karapanos.KarapanosConfig())
         assert score.gated and score.value is None
         assert score.reason == "power"
 
@@ -89,7 +89,7 @@ class TestSimilarity:
         power = dsp.avg_power_db(x.as_float())
         gated_states = []
         for thr in np.linspace(power - 10, power + 10, 9):
-            cfg = karapanos.KarapanosConfig(interval_s=1, power_threshold_db=float(thr))
+            cfg = karapanos.KarapanosConfig(power_threshold_db=float(thr))
             gated_states.append(karapanos.similarity(x, y, cfg).gated)
         # once gated, raising the threshold keeps it gated
         assert gated_states == sorted(gated_states)
@@ -98,7 +98,7 @@ class TestSimilarity:
         loud = noise_snippet(rng, seconds=0.5, amplitude=3000, device="a")
         quiet = AudioSnippet((noise_snippet(rng, seconds=0.5).samples * 0.01)
                              .astype(np.int16), 16000, 0, "b")
-        cfg = karapanos.KarapanosConfig(interval_s=1, power_threshold_db=40.0)
+        cfg = karapanos.KarapanosConfig(power_threshold_db=40.0)
         score = karapanos.similarity(loud, quiet, cfg)
         assert score.gated and score.reason == "power"
 
@@ -107,10 +107,10 @@ class TestSimilarity:
         y = noise_snippet(rng, seconds=0.5, amplitude=220, device="watch-1")
         power = dsp.avg_power_db(x.as_float())  # uniform +-220 -> ~42 dB
         assert 40.0 < power < 43.0
-        strict = karapanos.KarapanosConfig(interval_s=1, power_threshold_db=45.0)
+        strict = karapanos.KarapanosConfig(power_threshold_db=45.0)
         assert karapanos.similarity(x, y, strict).gated
         lenient = karapanos.KarapanosConfig(
-            interval_s=1, power_threshold_db=45.0,
+            power_threshold_db=45.0,
             device_thresholds={"usb-1": 40.0, "watch-1": 35.0})
         assert not karapanos.similarity(x, y, lenient).gated
 

@@ -23,7 +23,7 @@ def audio_dataset(rng):
 
 class TestKarapanosRecords:
     def test_scores_and_labels(self, audio_dataset):
-        cfg = karapanos.KarapanosConfig(interval_s=10)
+        cfg = karapanos.KarapanosConfig()
         records = pipeline.karapanos_records(audio_dataset, 10, cfg)
         assert len(records) == 12  # 2 intervals x 6 pairs
         by_label = {}
@@ -35,7 +35,7 @@ class TestKarapanosRecords:
     def test_missing_audio_becomes_gated_record(self, audio_dataset):
         del audio_dataset.audio["d"]
         # d still has ground truth but no data at all: dropped from windows
-        cfg = karapanos.KarapanosConfig(interval_s=10)
+        cfg = karapanos.KarapanosConfig()
         records = pipeline.karapanos_records(audio_dataset, 10, cfg)
         devices = {r.device_a for r in records} | {r.device_b for r in records}
         assert "d" not in devices
@@ -47,7 +47,7 @@ class TestKarapanosRecords:
         audio_dataset.audio["c"] = AudioSnippet(short, 16000, 0, "c")
         audio_dataset.sensors["c"] = {SensorKind.TEMPERATURE: series_of(
             [20.0] * 21, kind=SensorKind.TEMPERATURE, step_ms=1000, device="c")}
-        cfg = karapanos.KarapanosConfig(interval_s=10)
+        cfg = karapanos.KarapanosConfig()
         records = pipeline.karapanos_records(audio_dataset, 10, cfg)
         late_c = [r for r in records
                   if r.interval_start == 10_000 and "c" in (r.device_a, r.device_b)]
@@ -58,7 +58,7 @@ class TestKarapanosRecords:
         assert late_other and not any(r.gated for r in late_other)
 
     def test_score_csv_round_trip(self, audio_dataset, tmp_path):
-        cfg = karapanos.KarapanosConfig(interval_s=10)
+        cfg = karapanos.KarapanosConfig()
         records = pipeline.karapanos_records(audio_dataset, 10, cfg)
         path = tmp_path / "scores.csv"
         pipeline.write_score_csv(path, records)
@@ -156,7 +156,7 @@ class TestThreading:
         assert out == [v * v for v in range(50)]
 
     def test_parallel_karapanos_matches_serial(self, audio_dataset, monkeypatch):
-        cfg = karapanos.KarapanosConfig(interval_s=10)
+        cfg = karapanos.KarapanosConfig()
         monkeypatch.setenv("ZIS_THREADS", "1")
         serial = pipeline.karapanos_records(audio_dataset, 10, cfg)
         monkeypatch.setenv("ZIS_THREADS", "4")
@@ -166,7 +166,7 @@ class TestThreading:
 
     def test_feature_csvs_identical_for_one_and_two_threads(self, audio_dataset,
                                                             monkeypatch, tmp_path):
-        cfg = karapanos.KarapanosConfig(interval_s=5)
+        cfg = karapanos.KarapanosConfig()
         outputs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("ZIS_THREADS", threads)
@@ -242,3 +242,14 @@ def test_reader_rejects_bad_rows_with_parse_error(table, fault, tmp_path):
         read(bad)
     assert info.value.path == str(bad)
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("table", ["score", "prediction"])
+def test_score_column_rejects_non_finite_cells(table, cell, tmp_path):
+    read, header, row = TABLES[table]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(f"{header}\r\n{row}\r\n{row.replace(',0.5,', f',{cell},')}\r\n".encode())
+    with pytest.raises(ParseError, match="non-finite") as info:
+        read(bad)
+    assert (info.value.path, info.value.line) == (str(bad), 3)
