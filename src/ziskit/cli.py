@@ -54,6 +54,13 @@ def _float_pair(value: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _fold_count(value: str) -> int:
+    k = int(value)
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {k}")
+    return k
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -139,7 +146,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     pt.add_argument("--grid", choices=("full", "small"), default="full")
     pt.add_argument("--seed", type=int, default=ensemble.DEFAULT_SEED)
     pt.add_argument("--early-stop", type=int, default=ensemble.DEFAULT_EARLY_STOP_ROUNDS)
-    pt.add_argument("--folds", type=int, default=10)
+    pt.add_argument("--folds", type=_fold_count, default=10)
     pt.add_argument("--out", type=Path, required=True)
     pt.add_argument("--predictions", type=Path)
     pt.add_argument("--metrics", type=Path)
@@ -175,7 +182,7 @@ def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
         switch = action is not None and action.nargs == 0
         # Values parse like flag strings; numeric flags also take JSON numbers.
         if action is None or isinstance(value, bool) != switch or not (
-                switch or isinstance(value, str) or action.type in (int, float)):
+                switch or isinstance(value, str) or action.type in (int, float, _fold_count)):
             raise _UsageError(f"config {key}={value!r} is not a value for {parser.prog}")
         try:
             action.default = value if switch else parser._get_values(action, [str(value)])
@@ -381,7 +388,8 @@ def _cmd_ml_train(args) -> int:
                            early_stop_rounds=args.early_stop, cv_folds=args.folds)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(model.to_json() + "\n", encoding="utf-8")
-    scores = ensemble.oof_predictions(data, model.params, seed=args.seed, k=args.folds)
+    if args.predictions or args.metrics:
+        scores = ensemble.oof_predictions(data, model.params, seed=args.seed, k=args.folds)
     if args.predictions:
         records = [replace(m, score=float(s)) for m, s in zip(meta, scores)]
         pipeline.write_prediction_csv(args.predictions, records)
@@ -402,7 +410,7 @@ def _cmd_ml_train(args) -> int:
 
 def _cmd_ml_predict(args) -> int:
     data, meta = _ml_dataset(args)
-    model = ensemble.TrainedModel.from_json(args.model.read_text(encoding="utf-8"))
+    model = ensemble.TrainedModel.from_json(args.model.read_bytes(), path=str(args.model))
     scores = model.predict(data.X)
     records = [replace(m, score=float(s)) for m, s in zip(meta, scores)]
     pipeline.write_prediction_csv(args.out, records)

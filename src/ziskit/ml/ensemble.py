@@ -14,11 +14,11 @@ train/validation split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ziskit.errors import DegenerateLabels, IncompatibleRow
+from ziskit.errors import DegenerateLabels, IncompatibleRow, ParseError
 from ziskit.ml.folds import stratified_folds
 from ziskit.ml.metrics import auc
 from ziskit.ml.tree import Tree, TreeParams
@@ -68,9 +68,6 @@ class ModelParams:
     max_depth: int = 8
     learning_rate: float = 0.3    # boosting only
 
-    def key(self) -> tuple:
-        return (self.kind, self.n_trees, self.max_depth, self.learning_rate)
-
 
 GRID_FULL: tuple[ModelParams, ...] = tuple(
     [ModelParams("forest", n, d) for n in (50, 100, 200) for d in (4, 8, 16)]
@@ -90,31 +87,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrainedModel:
-    kind: str
     params: ModelParams
     trees: list[Tree]
     n_features: int
     prior: float
     base_score: float       # logit units, used by boosting
     seed: int
+    feature_importances: np.ndarray   # normalized split-gain totals; sums to 1
     cv_auc: float | None = None
     feature_names: tuple[str, ...] | None = None
-    _importances: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def feature_importances(self) -> np.ndarray:
-        """Normalized split-gain totals per feature; sums to 1."""
-        if self._importances is not None:
-            return self._importances
-        gains = np.zeros(self.n_features)
-        for tree in self.trees:
-            gains += tree.feature_gains
-        total = gains.sum()
-        if total <= 0:
-            imp = np.full(self.n_features, 1.0 / self.n_features)
-        else:
-            imp = gains / total
-        return imp
+    def kind(self) -> str:
+        return self.params.kind
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Ensemble probability of the positive class per row."""
@@ -159,23 +144,27 @@ class TrainedModel:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        doc = json.loads(text)
-        params = ModelParams(**doc["params"])
-        n_features = int(doc["n_features"])
-        model = cls(
-            kind=doc["kind"],
-            params=params,
-            trees=[Tree.from_dict(t, n_features) for t in doc["trees"]],
-            n_features=n_features,
-            prior=float(doc["prior"]),
-            base_score=float(doc["base_score"]),
-            seed=int(doc["seed"]),
-            cv_auc=doc["cv_auc"],
-            feature_names=tuple(doc["feature_names"]) if doc["feature_names"] else None,
-        )
-        model._importances = np.asarray(doc["feature_importances"])
-        return model
+    def from_json(cls, text: str | bytes, path: str | None = None) -> "TrainedModel":
+        """Parse `to_json` output; ParseError (naming `path`) on a malformed model."""
+        try:
+            doc = json.loads(text)
+            params = ModelParams(**doc["params"])
+            if params.kind not in ("forest", "boosting"):
+                raise ValueError(f"unknown model kind {params.kind!r}")
+            n_features = int(doc["n_features"])
+            return cls(
+                params=params,
+                trees=[Tree.from_dict(t, n_features) for t in doc["trees"]],
+                n_features=n_features,
+                prior=float(doc["prior"]),
+                base_score=float(doc["base_score"]),
+                seed=int(doc["seed"]),
+                feature_importances=np.asarray(doc["feature_importances"], dtype=np.float64),
+                cv_auc=doc["cv_auc"],
+                feature_names=tuple(doc["feature_names"]) if doc["feature_names"] else None,
+            )
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ParseError(f"bad model file: {exc!r}", path=path) from exc
 
 
 def _tree_params(params: ModelParams, n_features: int) -> TreeParams:
@@ -188,6 +177,16 @@ def _tree_params(params: ModelParams, n_features: int) -> TreeParams:
 
 def _weighted_prior(data: MLDataset) -> float:
     return float(np.sum(data.weights * data.y) / np.sum(data.weights))
+
+
+def _normalized_gains(trees: list[Tree], n_features: int) -> np.ndarray:
+    gains = np.zeros(n_features)
+    for tree in trees:
+        gains += tree.feature_gains
+    total = gains.sum()
+    if total <= 0:
+        return np.full(n_features, 1.0 / n_features)
+    return gains / total
 
 
 def fit_model(data: MLDataset, params: ModelParams, seed: int = DEFAULT_SEED,
@@ -208,8 +207,9 @@ def fit_model(data: MLDataset, params: ModelParams, seed: int = DEFAULT_SEED,
         g = data.weights * data.y.astype(np.float64)
         h = data.weights.copy()
         trees = [Tree.fit(data.X, g, h, tparams, child) for child in rng.spawn(params.n_trees)]
-        return TrainedModel(kind="forest", params=params, trees=trees, n_features=d,
-                            prior=prior, base_score=0.0, seed=seed,
+        return TrainedModel(params=params, trees=trees, n_features=d, prior=prior,
+                            base_score=0.0, seed=seed,
+                            feature_importances=_normalized_gains(trees, d),
                             feature_names=data.feature_names)
     if params.kind != "boosting":
         raise ValueError(f"unknown model kind {params.kind!r}")
@@ -241,8 +241,9 @@ def fit_model(data: MLDataset, params: ModelParams, seed: int = DEFAULT_SEED,
             if since_best >= early_stop_rounds:
                 trees = trees[:best_len]
                 break
-    return TrainedModel(kind="boosting", params=params, trees=trees, n_features=d,
-                        prior=prior, base_score=base, seed=seed,
+    return TrainedModel(params=params, trees=trees, n_features=d, prior=prior,
+                        base_score=base, seed=seed,
+                        feature_importances=_normalized_gains(trees, d),
                         feature_names=data.feature_names)
 
 

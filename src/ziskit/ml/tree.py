@@ -12,7 +12,7 @@ weight, and the same side is used at prediction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,33 +25,6 @@ class TreeParams:
     max_depth: int = 8
     # Number of feature candidates per split; None tries every feature.
     mtry: int | None = None
-
-
-@dataclass
-class TreeNodes:
-    """Flat node arrays; children reference node indices, -1 marks a leaf."""
-
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    missing_left: list[bool] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-
-    def add_leaf(self, value: float) -> int:
-        return self._add(-1, 0.0, True, -1, -1, value)
-
-    def add_split(self, feature: int, threshold: float, missing_left: bool) -> int:
-        return self._add(feature, threshold, missing_left, -1, -1, 0.0)
-
-    def _add(self, feature, threshold, missing_left, left, right, value) -> int:
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.missing_left.append(missing_left)
-        self.left.append(left)
-        self.right.append(right)
-        self.value.append(value)
-        return len(self.feature) - 1
 
 
 def _best_split_on_feature(col: np.ndarray, g: np.ndarray, h: np.ndarray
@@ -93,60 +66,14 @@ def _best_split_on_feature(col: np.ndarray, g: np.ndarray, h: np.ndarray
     return float(gain[best]), float(threshold), bool(to_left[best])
 
 
-class TreeBuilder:
-    def __init__(self, X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                 params: TreeParams, rng: np.random.Generator):
-        self.X = X
-        self.g = g
-        self.h = h
-        self.params = params
-        self.rng = rng
-        self.nodes = TreeNodes()
-        self.gains: dict[int, float] = {}
-
-    def build(self) -> int:
-        return self._grow(np.arange(self.X.shape[0]), depth=0)
-
-    def _leaf_value(self, idx: np.ndarray) -> float:
-        h_sum = float(self.h[idx].sum())
-        return float(self.g[idx].sum()) / max(h_sum, _MIN_HESSIAN)
-
-    def _grow(self, idx: np.ndarray, depth: int) -> int:
-        # Only depth gates the recursion before the split search: row-count
-        # shortcuts would consume the RNG differently for weighted data and
-        # its expanded-duplicate equivalent.
-        params = self.params
-        if depth >= params.max_depth:
-            return self.nodes.add_leaf(self._leaf_value(idx))
-        n_feat = self.X.shape[1]
-        if params.mtry is not None and params.mtry < n_feat:
-            candidates = np.sort(self.rng.choice(n_feat, size=params.mtry, replace=False))
-        else:
-            candidates = np.arange(n_feat)
-        best = None
-        for f in candidates:
-            found = _best_split_on_feature(self.X[idx, f], self.g[idx], self.h[idx])
-            if found is None:
-                continue
-            gain, threshold, missing_left = found
-            if best is None or gain > best[0]:
-                best = (gain, int(f), threshold, missing_left)
-        if best is None:
-            return self.nodes.add_leaf(self._leaf_value(idx))
-        gain, feature, threshold, missing_left = best
-        col = self.X[idx, feature]
-        miss = np.isnan(col)
-        go_left = np.where(miss, missing_left, col < threshold)
-        node = self.nodes.add_split(feature, threshold, missing_left)
-        self.gains[node] = gain
-        self.nodes.left[node] = self._grow(idx[go_left], depth + 1)
-        self.nodes.right[node] = self._grow(idx[~go_left], depth + 1)
-        return node
-
-
 @dataclass
 class Tree:
-    """Immutable fitted tree plus per-feature split gains."""
+    """Fitted tree as flat node arrays in depth-first preorder.
+
+    Children are node indices (-1 on a leaf, where `feature` is -1 too).
+    `feature_gains` holds per-feature split-gain totals of a fitted tree and
+    is None on a tree read back from JSON.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -155,44 +82,75 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     root: int
-    feature_gains: np.ndarray
+    feature_gains: np.ndarray | None = None
 
     @classmethod
     def fit(cls, X: np.ndarray, g: np.ndarray, h: np.ndarray, params: TreeParams,
             rng: np.random.Generator) -> "Tree":
-        builder = TreeBuilder(X, g, h, params, rng)
-        root = builder.build()
-        nodes = builder.nodes
-        gains = np.zeros(X.shape[1])
-        for node, gain in builder.gains.items():
-            gains[nodes.feature[node]] += gain
+        """Grow depth-first from an explicit stack, nodes numbered in preorder.
+
+        A forest's feature candidates are drawn per node in that same order.
+        Only depth stops a node before the split search: row-count shortcuts
+        would consume the RNG differently for weighted data and its
+        expanded-duplicate equivalent.
+        """
+        n_feat = X.shape[1]
+        sample = params.mtry is not None and params.mtry < n_feat
+        nodes = []   # (feature, threshold, missing_left, value) per node
+        left, right = [], []
+        gains = np.zeros(n_feat)
+        stack = [(np.arange(X.shape[0]), 0, -1, True)]
+        while stack:
+            rows, depth, parent, is_left = stack.pop()
+            node = len(nodes)
+            if parent >= 0:
+                (left if is_left else right)[parent] = node
+            left.append(-1)
+            right.append(-1)
+            best = None
+            if depth < params.max_depth:
+                candidates = (np.sort(rng.choice(n_feat, size=params.mtry, replace=False))
+                              if sample else range(n_feat))
+                g_rows, h_rows = g[rows], h[rows]
+                for f in candidates:
+                    found = _best_split_on_feature(X[rows, f], g_rows, h_rows)
+                    if found is not None and (best is None or found[0] > best[0]):
+                        best = (*found, int(f))
+            if best is None:
+                h_sum = max(float(h[rows].sum()), _MIN_HESSIAN)
+                nodes.append((-1, 0.0, True, float(g[rows].sum()) / h_sum))
+                continue
+            gain, cut, miss_left, f = best
+            gains[f] += gain
+            nodes.append((f, cut, miss_left, 0.0))
+            col = X[rows, f]
+            go_left = np.where(np.isnan(col), miss_left, col < cut)
+            # Right is pushed first so the left subtree is numbered next.
+            stack.append((rows[~go_left], depth + 1, node, False))
+            stack.append((rows[go_left], depth + 1, node, True))
+        feature, threshold, missing_left, value = zip(*nodes)
         return cls(
-            feature=np.asarray(nodes.feature, dtype=np.int32),
-            threshold=np.asarray(nodes.threshold),
-            missing_left=np.asarray(nodes.missing_left, dtype=bool),
-            left=np.asarray(nodes.left, dtype=np.int32),
-            right=np.asarray(nodes.right, dtype=np.int32),
-            value=np.asarray(nodes.value),
-            root=root,
+            feature=np.asarray(feature, dtype=np.int32),
+            threshold=np.asarray(threshold),
+            missing_left=np.asarray(missing_left, dtype=bool),
+            left=np.asarray(left, dtype=np.int32),
+            right=np.asarray(right, dtype=np.int32),
+            value=np.asarray(value),
+            root=0,
             feature_gains=gains,
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        self._walk(X, np.arange(X.shape[0]), self.root, out)
-        return out
-
-    def _walk(self, X: np.ndarray, idx: np.ndarray, node: int, out: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        if self.feature[node] < 0:
-            out[idx] = self.value[node]
-            return
-        col = X[idx, self.feature[node]]
-        miss = np.isnan(col)
-        go_left = np.where(miss, self.missing_left[node], col < self.threshold[node])
-        self._walk(X, idx[go_left], int(self.left[node]), out)
-        self._walk(X, idx[~go_left], int(self.right[node]), out)
+        """Leaf value per row; every row still on a split moves down one level per pass."""
+        node = np.full(X.shape[0], self.root)
+        active = np.nonzero(self.feature[node] >= 0)[0]
+        while active.size:
+            at = node[active]
+            col = X[active, self.feature[at]]
+            go_left = np.where(np.isnan(col), self.missing_left[at], col < self.threshold[at])
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return self.value[node]
 
     def to_dict(self) -> dict:
         return {
@@ -207,7 +165,9 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict, n_features: int) -> "Tree":
-        return cls(
+        """Rebuild a tree; ValueError unless every split's feature is in range
+        and its children come after it, which also keeps `predict` finite."""
+        tree = cls(
             feature=np.asarray(doc["feature"], dtype=np.int32),
             threshold=np.asarray(doc["threshold"], dtype=np.float64),
             missing_left=np.asarray(doc["missing_left"], dtype=bool),
@@ -215,5 +175,13 @@ class Tree:
             right=np.asarray(doc["right"], dtype=np.int32),
             value=np.asarray(doc["value"], dtype=np.float64),
             root=int(doc["root"]),
-            feature_gains=np.zeros(n_features),
         )
+        n = tree.feature.size
+        split = np.nonzero(tree.feature >= 0)[0]
+        children = np.concatenate([tree.left[split], tree.right[split]])
+        if (any(a.shape != (n,) for a in (tree.threshold, tree.missing_left, tree.left,
+                                          tree.right, tree.value))
+                or not 0 <= tree.root < n or np.any(tree.feature >= n_features)
+                or np.any(children <= np.tile(split, 2)) or np.any(children >= n)):
+            raise ValueError("tree arrays are inconsistent")
+        return tree

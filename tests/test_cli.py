@@ -13,6 +13,7 @@ from scipy.io import wavfile
 from scipy.signal import resample_poly
 
 from ziskit.cli import _apply_config, build_parser, main
+from ziskit.schemes import truong
 
 pytestmark = pytest.mark.usefixtures("scenario_dir")
 
@@ -378,6 +379,89 @@ def test_karapanos_gates_only_pairs_of_a_device_at_another_rate(rate, scenario_d
         else:
             assert row == native_row
     assert any(r["gated"] == "0" for r in rows["other"])
+
+
+def _truong_model(kind: str = "forest", left: tuple = (1, -1, -1)) -> bytes:
+    """A one-split model over the truong features; the defaults make it valid."""
+    n = len(truong.ALL_FEATURES)
+    return json.dumps({
+        "kind": kind, "params": {"kind": kind, "n_trees": 1, "max_depth": 1,
+                                 "learning_rate": 0.3},
+        "n_features": n, "prior": 0.5, "base_score": 0.0, "seed": 0, "cv_auc": None,
+        "feature_names": None, "feature_importances": [1.0 / n] * n,
+        "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                   "missing_left": [1, 1, 1], "left": list(left), "right": [2, -1, -1],
+                   "value": [0.0, 0.0, 1.0], "root": 0}]}).encode()
+
+
+@pytest.mark.parametrize("content", [b"not json", b'{"kind":"forest"}', b"\xffnot utf-8",
+                                     _truong_model(left=(0, -1, -1)),
+                                     _truong_model(kind="tree")],
+                         ids=["not_json", "no_params", "non_utf8", "cyclic_tree",
+                              "unknown_kind"])
+def test_bad_model_file_exits_2(content, valid_files, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    code = main(["ml", "predict", "--model", str(model), "--scheme", "truong",
+                 "--features", str(valid_files / "truong.csv"),
+                 "--out", str(tmp_path / "pred.csv")])
+    assert code == 2
+    assert f"({model})" in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_handwritten_model_predicts(valid_files, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_bytes(_truong_model())
+    run_ok(["ml", "predict", "--model", str(model), "--scheme", "truong",
+            "--features", str(valid_files / "truong.csv"), "--out", str(tmp_path / "pred.csv")])
+    assert (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("folds, via_config", [("1", False), ("0", False), ("-3", False),
+                                               (1, True), ("0", True)])
+def test_folds_below_two_is_usage_error(folds, via_config, valid_files, tmp_path, capsys):
+    argv = ["ml", "train", "--scheme", "shrestha", "--grid", "small",
+            "--features", str(valid_files / "shrestha.csv"), "--out", str(tmp_path / "m.json")]
+    if via_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"folds": folds}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--folds", folds]
+    assert main(argv) == 1
+    assert "need at least 2 folds" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_folds_config_takes_json_number(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"folds": 3}))
+    parser, registry = build_parser()
+    argv = ["ml", "train", "--config", str(config), "--scheme", "truong",
+            "--features", "f.csv", "--out", "m.json"]
+    _apply_config(argv, registry)
+    assert parser.parse_args(argv).folds == 3
+
+
+@pytest.mark.parametrize("outputs", [[], ["--metrics"], ["--predictions"]])
+def test_ml_train_refits_only_for_predictions_or_metrics(outputs, valid_files, tmp_path,
+                                                         monkeypatch):
+    from ziskit.ml import ensemble
+
+    calls = []
+    real_oof = ensemble.oof_predictions
+
+    def counting_oof(*args, **kwargs):
+        calls.append(args[1])
+        return real_oof(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "oof_predictions", counting_oof)
+    run_ok(["ml", "train", "--scheme", "shrestha", "--grid", "small", "--folds", "3",
+            "--features", str(valid_files / "shrestha.csv"), "--out", str(tmp_path / "m.json"),
+            *(arg for flag in outputs for arg in (flag, str(tmp_path / "out.csv")))])
+    assert calls[:2] == list(ensemble.GRID_SMALL)
+    assert len(calls) == 2 + len(outputs)
 
 
 def _cold(*args: str, cwd: Path) -> subprocess.CompletedProcess:

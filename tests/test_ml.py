@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,45 @@ class TestTrain:
         probe = rng.normal(size=(30, 2))
         np.testing.assert_array_equal(model.predict(probe), restored.predict(probe))
         assert restored.to_json() == model.to_json()
+
+
+def tie_nan_weighted_dataset() -> MLDataset:
+    """Coarse values (many ties), ~15% NaN slots and integer weights."""
+    rng = np.random.default_rng(2024)
+    X = np.round(rng.normal(size=(150, 4)), 1)
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.8, size=150) > 0).astype(np.uint8)
+    X[rng.random(size=X.shape) < 0.15] = np.nan
+    X[:3] = np.nan
+    weights = rng.integers(1, 5, size=150).astype(float)
+    return MLDataset(X, y, weights)
+
+
+class TestGoldenModels:
+    # Digests recorded before tree growth became iterative; any change to
+    # node order, split choice, NaN routing or per-node RNG draws moves them.
+    # The early-stopped boosting model also pins importances of a truncated
+    # ensemble.
+    @pytest.mark.parametrize("params, early_stop, model_sha, predict_sha", [
+        (ModelParams("forest", 12, 6), False,
+         "e266a553f7ed8a0afa3e174b3a9bb5dc87d4e681ea96bda9a6864d9df80e825f",
+         "3995ccc7862759cdd8f6d480b28b90cad1821430396a73e21fa5ef5246f9b886"),
+        (ModelParams("boosting", 12, 4, 0.3), False,
+         "aa23c9ae598d6c59326ca6376ed6ffa495a824cb9fb44b247b4280ee2fe29e82",
+         "6dd75a2a743a538d8f1ae20d6b393ca79b469f6b125947f8d4e8576d09683770"),
+        (ModelParams("boosting", 60, 3, 0.3), True,
+         "c7a2e971d7e0e478b3f2ffb8f49e6cc148c0ec414ea40849f844fe5720afb668",
+         "8330a5cdf44a51bf56ad6a4dfd152fa51be1dd37bbc716bdcc6b28f441d50b3b"),
+    ])
+    def test_model_bytes_and_predictions(self, params, early_stop, model_sha, predict_sha):
+        data = tie_nan_weighted_dataset()
+        fit_rows = np.arange(110) if early_stop else np.arange(150)
+        valid = data.subset(np.arange(110, 150)) if early_stop else None
+        model = fit_model(data.subset(fit_rows), params, seed=77, valid=valid,
+                          early_stop_rounds=3)
+        if early_stop:
+            assert len(model.trees) < params.n_trees
+        probe = np.vstack([data.X, np.round(np.random.default_rng(5).normal(size=(40, 4)), 1)])
+        probe[-1, 2] = np.nan
+        preds = model.predict(probe)
+        assert hashlib.sha256(model.to_json().encode()).hexdigest() == model_sha
+        assert hashlib.sha256(preds.tobytes()).hexdigest() == predict_sha
