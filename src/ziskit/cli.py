@@ -71,13 +71,14 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subs = parser.add_subparsers(dest="command")
     registry: dict[str, _Parser] = {}
 
-    def sub(name: str, group=subs, prefix: str = "", **kwargs) -> _Parser:
+    def sub(name: str, handler, group=subs, prefix: str = "", **kwargs) -> _Parser:
         sp = group.add_parser(name, **kwargs)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--config", type=Path, help="JSON file with flag defaults")
         registry[prefix + name] = sp
         return sp
 
-    p = sub("datagen", help="generate a synthetic scenario")
+    p = sub("datagen", _cmd_datagen, help="generate a synthetic scenario")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration-s", type=int, default=600)
@@ -90,13 +91,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--beacon-population", type=int, default=12)
     p.add_argument("--beacon-dropout", type=float, default=0.1)
 
-    p = sub("align", help="report pairwise audio lags")
+    p = sub("align", _cmd_align, help="report pairwise audio lags")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--probe-s", type=float, default=60.0)
     p.add_argument("--maxlag-s", type=float, default=3.0)
 
-    p = sub("features", help="compute per-scheme context features")
+    p = sub("features", _cmd_features, help="compute per-scheme context features")
     p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
@@ -112,13 +113,14 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--with-surprisal", action="store_true",
                    help="fit a surprisal model on the corpus and emit the column")
 
-    p = sub("fingerprint-randomness", help="random-walk and bit statistics")
+    p = sub("fingerprint-randomness", _cmd_fingerprint_randomness,
+            help="random-walk and bit statistics")
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--sub-len", type=int, default=0,
                    help="also analyze contiguous sub-fingerprints of this length")
 
-    p = sub("evaluate", help="EER / FAR-FRR evaluation of features or scores")
+    p = sub("evaluate", _cmd_evaluate, help="EER / FAR-FRR evaluation of features or scores")
     p.add_argument("--scheme", choices=SCHEMES + ("scores",), required=True)
     p.add_argument("--features", type=Path)
     p.add_argument("--scores", type=Path, help="prediction CSV for ML schemes")
@@ -128,7 +130,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--far-targets", type=_float_list, default=DEFAULT_FAR_TARGETS)
     p.add_argument("--surprisal-threshold", type=float, default=None)
 
-    p = sub("robustness", help="apply scenario A thresholds to scenario B scores")
+    p = sub("robustness", _cmd_robustness,
+            help="apply scenario A thresholds to scenario B scores")
     p.add_argument("--results", type=Path, required=True, help="results.csv of scenario A")
     p.add_argument("--scheme", choices=SCHEMES + ("scores",), required=True)
     p.add_argument("--features", type=Path)
@@ -137,9 +140,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--surprisal-threshold", type=float, default=None)
 
-    p = sub("ml", help="train or apply a colocation classifier")
-    ml_subs = p.add_subparsers(dest="ml_command")
-    pt = sub("train", ml_subs, "ml ")
+    p = sub("ml", None, help="train or apply a colocation classifier")
+    ml_subs = p.add_subparsers()
+    pt = sub("train", _cmd_ml_train, ml_subs, "ml ")
     pt.add_argument("--features", type=Path, required=True)
     pt.add_argument("--scheme", choices=("truong", "shrestha"), required=True)
     pt.add_argument("--kind", choices=("auto", "forest", "boosting"), default="auto")
@@ -150,7 +153,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     pt.add_argument("--out", type=Path, required=True)
     pt.add_argument("--predictions", type=Path)
     pt.add_argument("--metrics", type=Path)
-    pp = sub("predict", ml_subs, "ml ")
+    pp = sub("predict", _cmd_ml_predict, ml_subs, "ml ")
     pp.add_argument("--model", type=Path, required=True)
     pp.add_argument("--features", type=Path, required=True)
     pp.add_argument("--scheme", choices=("truong", "shrestha"), required=True)
@@ -418,16 +421,6 @@ def _cmd_ml_predict(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "datagen": _cmd_datagen,
-    "align": _cmd_align,
-    "features": _cmd_features,
-    "fingerprint-randomness": _cmd_fingerprint_randomness,
-    "evaluate": _cmd_evaluate,
-    "robustness": _cmd_robustness,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
@@ -437,13 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
-        if args.command == "ml":
-            if not args.ml_command:
-                raise _UsageError("ml requires a subcommand: train or predict")
-            handler = _cmd_ml_train if args.ml_command == "train" else _cmd_ml_predict
-        else:
-            handler = _HANDLERS[args.command]
-        return handler(args)
+        if args.handler is None:
+            raise _UsageError("ml requires a subcommand: train or predict")
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

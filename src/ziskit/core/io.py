@@ -18,6 +18,7 @@ from ziskit.core.types import (
     Subscenario,
 )
 from ziskit.errors import InvariantViolation, MissingInput, ParseError
+from ziskit.table import Column, read_table, real
 
 MANIFEST_NAME = "manifest.json"
 
@@ -47,26 +48,14 @@ def write_wav(path: Path, snippet: AudioSnippet) -> None:
     wavfile.write(str(path), snippet.rate_hz, snippet.samples)
 
 
+SENSOR_COLUMNS = (Column("timestamp_ms", int), real("value"))
+
+
 def read_sensor_csv(path: Path, kind: SensorKind, device_id: str) -> SensorSeries:
-    _require(path)
-    timestamps, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "timestamp_ms,value":
-            raise ParseError(f"bad header {header!r}", path=str(path), line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                timestamps.append(int(parts[0]))
-                values.append(float(parts[1]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad row: {exc}", path=str(path), line=lineno) from exc
+    rows = list(read_table(_require(path), SENSOR_COLUMNS))
     try:
-        return SensorSeries(kind, np.array(timestamps, dtype=np.int64),
-                            np.array(values), device_id)
+        return SensorSeries(kind, np.array([t for t, _ in rows], dtype=np.int64),
+                            np.array([v for _, v in rows], dtype=np.float64), device_id)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path}: {exc}") from exc
 
@@ -82,19 +71,19 @@ def write_sensor_csv(path: Path, series: SensorSeries) -> None:
 def read_beacons_jsonl(path: Path, device_id: str) -> list[BeaconScan]:
     _require(path)
     scans = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 obs = {o["id"]: float(o["rssi"]) for o in rec["obs"]}
                 if len(obs) != len(rec["obs"]):
                     raise InvariantViolation("duplicate beacon identifiers in one scan")
                 scans.append(BeaconScan(kind=rec["kind"], time=int(rec["t"]),
                                         observations=obs, device_id=device_id))
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            except (KeyError, ValueError, TypeError) as exc:  # UnicodeDecodeError too
                 raise ParseError(f"bad scan record: {exc}", path=str(path), line=lineno) from exc
     return scans
 
@@ -155,37 +144,42 @@ def load_dataset(root_path: str | Path, manifest: dict | str | Path | None = Non
 
     `manifest` may be the parsed dict, a path to a manifest JSON, or None to
     read `manifest.json` under `root_path`. An empty manifest yields an empty
-    Dataset.
+    Dataset; a malformed one raises ParseError naming it.
     """
     root = Path(root_path)
     if manifest is None:
         manifest = root / MANIFEST_NAME
-    if isinstance(manifest, (str, Path)):
-        mpath = _require(Path(manifest))
-        try:
-            manifest = json.loads(mpath.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad manifest: {exc}", path=str(mpath)) from exc
+    where = str(_require(Path(manifest))) if isinstance(manifest, (str, Path)) else None
+    try:
+        if where is not None:
+            manifest = json.loads(Path(where).read_text(encoding="utf-8"))
+        devices = [_device_files(root, dev) for dev in manifest.get("devices", [])]
+        gt_path = root / manifest["ground_truth"] if "ground_truth" in manifest else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON or bytes too
+        raise ParseError(f"bad manifest: {exc!r}", path=where) from exc
 
     audio: dict[str, AudioSnippet] = {}
     sensors: dict[str, dict[SensorKind, SensorSeries]] = {}
     beacons: dict[str, list[BeaconScan]] = {}
-    for dev in manifest.get("devices", []):
-        dev_id = dev["id"]
-        if "audio" in dev:
-            entry = dev["audio"]
-            if isinstance(entry, str):
-                path, start_ms = root / entry, 0
-            else:
-                path, start_ms = root / entry["path"], int(entry.get("start_ms", 0))
-            audio[dev_id] = read_wav(path, dev_id, start_ms)
-        for kind_name, rel in dev.get("sensors", {}).items():
-            kind = SensorKind(kind_name)
-            sensors.setdefault(dev_id, {})[kind] = read_sensor_csv(root / rel, kind, dev_id)
-        if "beacons" in dev:
-            beacons[dev_id] = read_beacons_jsonl(root / dev["beacons"], dev_id)
-
-    gt = GroundTruth(groups=())
-    if "ground_truth" in manifest:
-        gt = read_ground_truth(root / manifest["ground_truth"])
+    for dev_id, wav, sensor_files, jsonl in devices:
+        if wav is not None:
+            audio[dev_id] = read_wav(wav[0], dev_id, wav[1])
+        for kind, path in sensor_files:
+            sensors.setdefault(dev_id, {})[kind] = read_sensor_csv(path, kind, dev_id)
+        if jsonl is not None:
+            beacons[dev_id] = read_beacons_jsonl(jsonl, dev_id)
+    gt = read_ground_truth(gt_path) if gt_path is not None else GroundTruth(groups=())
     return Dataset(audio=audio, sensors=sensors, beacons=beacons, ground_truth=gt)
+
+
+def _device_files(root: Path, dev: dict) -> tuple:
+    """(id, (wav, start_ms) or None, [(kind, csv)], jsonl or None) of a manifest device."""
+    if not isinstance(dev["id"], str):
+        raise TypeError(f"device id {dev['id']!r} is not a string")
+    wav = dev.get("audio")
+    if wav is not None:
+        wav = {"path": wav} if isinstance(wav, str) else wav
+        wav = (root / wav["path"], int(wav.get("start_ms", 0)))
+    sensor_files = [(SensorKind(kind), root / rel) for kind, rel in dev.get("sensors", {}).items()]
+    jsonl = root / dev["beacons"] if "beacons" in dev else None
+    return dev["id"], wav, sensor_files, jsonl

@@ -248,15 +248,10 @@ class IntervalPair:
     interval_start: int
     interval_len_s: int
     label: Label
-    empty_data: bool = False
 
     def __post_init__(self):
         if self.device_a == self.device_b:
             raise InvariantViolation("pair must consist of two distinct devices")
-
-    @property
-    def pair_id(self) -> str:
-        return f"{self.device_a}|{self.device_b}"
 
 
 @dataclass(frozen=True)
@@ -341,18 +336,6 @@ class Dataset:
         if not starts:
             return None
         return min(starts), max(ends)
-
-    def has_data_in(self, device: str, start: int, end: int) -> bool:
-        snip = self.audio.get(device)
-        if snip is not None and snip.slice_ms(start, end).samples.size:
-            return True
-        for series in self.sensors.get(device, {}).values():
-            if len(series.slice_ms(start, end)):
-                return True
-        for scan in self.beacons.get(device, []):
-            if start <= scan.time < end:
-                return True
-        return False
 
     def audio_in(self, device: str, start: int, end: int) -> AudioSnippet | None:
         """The device's audio over [start, end), or None when missing or short."""

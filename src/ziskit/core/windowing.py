@@ -27,8 +27,7 @@ def window_pairs(dataset: Dataset, t: int) -> list[IntervalPair]:
     """One pair per unordered device pair per aligned interval of length t.
 
     The interval grid is anchored at the dataset's earliest common timestamp.
-    Pairs whose colocation state changes mid-interval are dropped; pairs where
-    a device has no data in the interval carry empty_data=True.
+    Pairs whose colocation state changes mid-interval are dropped.
     """
     if t <= 0:
         raise ValueError("interval length must be a positive integer")
@@ -46,9 +45,7 @@ def window_pairs(dataset: Dataset, t: int) -> list[IntervalPair]:
             label = gt.label_for(a, b, start, stop)
             if label is None:
                 continue
-            empty = not (dataset.has_data_in(a, start, stop)
-                         and dataset.has_data_in(b, start, stop))
-            pairs.append(IntervalPair(a, b, start, t, label, empty_data=empty))
+            pairs.append(IntervalPair(a, b, start, t, label))
     return pairs
 
 

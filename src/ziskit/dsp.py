@@ -95,20 +95,13 @@ def _bandpass_sos(f_low: float, f_high: float, order: int, rate_hz: int) -> np.n
     return butter(order // 2, [f_low, f_high], btype="bandpass", fs=rate_hz, output="sos")
 
 
-def bandpass(x: AudioSnippet | np.ndarray, f_low: float, f_high: float,
-             order: int = 20, rate_hz: int | None = None) -> np.ndarray:
-    """Zero-state Butterworth band-pass of total order `order`.
+def bandpass(x: np.ndarray, f_low: float, f_high: float, order: int = 20, *,
+             rate_hz: int) -> np.ndarray:
+    """Zero-state Butterworth band-pass of total order `order` along the last axis.
 
-    Accepts an AudioSnippet or a raw sample array (then rate_hz is required).
-    Output has the same length as the input.
+    Output has the shape of the input.
     """
-    if isinstance(x, AudioSnippet):
-        rate_hz = x.rate_hz
-        data = x.as_float()
-    else:
-        if rate_hz is None:
-            raise ValueError("rate_hz required for raw sample arrays")
-        data = np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     if order <= 0 or order % 2:
         raise ValueError(f"filter order must be a positive even integer, got {order}")
     if not 0 < f_low < f_high < rate_hz / 2:
@@ -127,9 +120,9 @@ def bandpass_bank(data: np.ndarray, bands: tuple[OctaveBandSpec, ...], rate_hz: 
                      for b in bands])
 
 
-def avg_power_db(x: AudioSnippet | np.ndarray) -> float:
+def avg_power_db(x: np.ndarray) -> float:
     """10*log10 of the mean squared raw amplitude; -inf for all-zero input."""
-    data = x.as_float() if isinstance(x, AudioSnippet) else np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     if data.size == 0:
         raise ValueError("avg_power_db of empty signal")
     mean_sq = float(np.mean(data * data))

@@ -25,6 +25,8 @@ from ziskit.ml.tree import Tree, TreeParams
 
 DEFAULT_SEED = 1619
 DEFAULT_EARLY_STOP_ROUNDS = 5
+# Share of each class held out of training; boosting stops early against it.
+VALIDATION_FRACTION = 0.2
 _PRIOR_CLIP = 1e-6
 
 
@@ -259,23 +261,22 @@ def oof_predictions(data: MLDataset, params: ModelParams, seed: int = DEFAULT_SE
     return scores
 
 
-def train_val_split(data: MLDataset, val_fraction: float, seed: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified row-index split; validation gets ~val_fraction per class."""
+def train_val_split(data: MLDataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified row-index split; validation gets ~VALIDATION_FRACTION per class."""
     rng = np.random.default_rng(seed)
     val_mask = np.zeros(data.y.size, dtype=bool)
     for cls in np.unique(data.y):
         idx = np.nonzero(data.y == cls)[0]
         idx = idx[rng.permutation(idx.size)]
-        n_val = int(np.floor(val_fraction * idx.size))
+        n_val = int(np.floor(VALIDATION_FRACTION * idx.size))
         val_mask[idx[:n_val]] = True
     return np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
 
 
 def train(data: MLDataset, kind: str = "auto",
           grid: tuple[ModelParams, ...] | None = None, seed: int = DEFAULT_SEED,
-          early_stop_rounds: int = DEFAULT_EARLY_STOP_ROUNDS, cv_folds: int = 10,
-          val_fraction: float = 0.2) -> TrainedModel:
+          early_stop_rounds: int = DEFAULT_EARLY_STOP_ROUNDS, cv_folds: int = 10
+          ) -> TrainedModel:
     """Grid search by cross-validated AUC, then a final early-stopped fit.
 
     The data is first split 80/20 into training and validation; each grid
@@ -291,7 +292,7 @@ def train(data: MLDataset, kind: str = "auto",
         grid = tuple(p for p in grid if p.kind == kind)
         if not grid:
             raise ValueError(f"grid contains no {kind!r} configurations")
-    train_idx, val_idx = train_val_split(data, val_fraction, seed)
+    train_idx, val_idx = train_val_split(data, seed)
     train_part = data.subset(train_idx)
     valid_part = data.subset(val_idx) if val_idx.size else None
     train_part.require_both_classes()

@@ -21,7 +21,7 @@ from ziskit.core.types import (
 )
 from ziskit.core.windowing import dataset_epoch, map_pairs, pmap, window_pairs
 from ziskit.core.windowing import thread_count  # noqa: F401 (re-exported)
-from ziskit.errors import InsufficientSamples
+from ziskit.errors import InsufficientSamples, InvalidBand
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
 from ziskit.table import Column, choice, flag, read_table, real, write_table
 
@@ -107,7 +107,7 @@ def schurmann_fingerprints(dataset: Dataset, t: int,
         chunk = dataset.audio[device].slice_ms(start, start + step)
         try:
             return schurmann.audio_fingerprint(chunk, cfg)
-        except InsufficientSamples:
+        except (InsufficientSamples, InvalidBand):  # short audio, or bands above Nyquist
             return None
 
     return [fp for fp in pmap(one, jobs) if fp is not None]
@@ -147,16 +147,16 @@ def write_fingerprint_csv(path: Path, fingerprints: list[Fingerprint], t: int,
                     ((*row, s) for row, s in zip(rows, surprisals, strict=True)))
 
 
-def read_fingerprint_csv(path: Path, scheme: str, n_bits: int | None = None
+def read_fingerprint_csv(path: Path, scheme: str
                          ) -> tuple[list[Fingerprint], list[float | None], list[int]]:
     """Fingerprints plus optional surprisal column and per-row interval lengths.
 
-    Without `n_bits` the length is the hex width, so a fingerprint whose
-    bit count is not a multiple of 8 reads back zero-padded.
+    The length is the hex width, so a fingerprint whose bit count is not a
+    multiple of 8 reads back zero-padded.
     """
     def row(device, start, t, hex_bits, surprisal):
-        bits = n_bits if n_bits is not None else len(hex_bits) * 4
-        return Fingerprint.from_hex(hex_bits, bits, scheme, device, start), surprisal, t
+        return Fingerprint.from_hex(hex_bits, len(hex_bits) * 4, scheme, device, start), \
+            surprisal, t
 
     rows = list(read_table(path, (*FINGERPRINT_COLUMNS, SURPRISAL), row))
     return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]

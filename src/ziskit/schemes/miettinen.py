@@ -26,18 +26,15 @@ _P_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MiettinenConfig:
-    """Snapshot/period length w = f, change thresholds, fingerprint length."""
+    """Snapshot length w, change thresholds, fingerprint length.
+
+    A new snapshot starts every snapshot_s seconds: the period f equals w."""
 
     snapshot_s: int = 120
     bits: int = 128
     measurement_window_s: float = 1.0
     delta_rel: float = 0.1
     delta_abs: float = 10.0
-
-    @property
-    def period_s(self) -> int:
-        # A new snapshot starts every period; the scheme uses period == snapshot.
-        return self.snapshot_s
 
 
 def noise_levels(x: AudioSnippet, m_w: float = 1.0) -> SensorSeries:
@@ -51,13 +48,13 @@ def noise_levels(x: AudioSnippet, m_w: float = 1.0) -> SensorSeries:
     return SensorSeries(SensorKind.NOISE, times, data.mean(axis=1), x.device_id)
 
 
-def snapshot_averages(series: SensorSeries, period_s: int, n_snapshots: int,
+def snapshot_averages(series: SensorSeries, snapshot_s: int, n_snapshots: int,
                       offset: int = 0) -> np.ndarray:
-    """Averages of consecutive period_s windows starting at snapshot `offset`."""
+    """Averages of consecutive snapshot_s windows starting at snapshot `offset`."""
     if len(series) == 0:
         raise InsufficientSamples("empty series")
-    t0 = int(series.timestamps_ms[0]) + offset * period_s * 1000
-    step = period_s * 1000
+    t0 = int(series.timestamps_ms[0]) + offset * snapshot_s * 1000
+    step = snapshot_s * 1000
     averages = np.empty(n_snapshots)
     for i in range(n_snapshots):
         window = series.slice_ms(t0 + i * step, t0 + (i + 1) * step)
@@ -86,7 +83,7 @@ def context_fingerprint(series: SensorSeries, cfg: MiettinenConfig,
     The first snapshot only serves as the predecessor of bit 0. `offset`
     shifts the snapshot grid by whole periods.
     """
-    period = cfg.period_s
+    period = cfg.snapshot_s
     span_ms = int(series.timestamps_ms[-1] - series.timestamps_ms[0]) + 1 if len(series) else 0
     # The final snapshot window must have started; emptiness of any window is
     # checked during averaging.
@@ -107,7 +104,7 @@ def context_fingerprint(series: SensorSeries, cfg: MiettinenConfig,
 
 def iter_fingerprints(series: SensorSeries, cfg: MiettinenConfig) -> list[Fingerprint]:
     """Consecutive fingerprints tiling the series (adjacent tiles share one snapshot)."""
-    period_ms = cfg.period_s * 1000
+    period_ms = cfg.snapshot_s * 1000
     span_ms = int(series.timestamps_ms[-1] - series.timestamps_ms[0]) + 1 if len(series) else 0
     out = []
     offset = 0

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ziskit import dsp
 from ziskit.core.types import AudioSnippet, Fingerprint
-from ziskit.dsp import _bandpass_sos
 from ziskit.errors import IncompatibleFingerprints, InsufficientSamples
 
 SCHEME_NAME = "schurmann"
@@ -51,9 +51,11 @@ class SchurmannConfig:
 
 
 def energy_matrix(x: AudioSnippet, cfg: SchurmannConfig) -> np.ndarray:
-    """Per-frame, per-band signal energies, shape (n_frames, n_bands)."""
-    from scipy.signal import sosfilt
+    """Per-frame, per-band signal energies, shape (n_frames, n_bands).
 
+    Raises InvalidBand when the rate is too low for the bands (below 16 kHz
+    for the default 32 bands of 250 Hz).
+    """
     d = cfg.frame_len(x.rate_hz)
     needed = cfg.n_frames * d
     if x.samples.size < needed:
@@ -62,8 +64,7 @@ def energy_matrix(x: AudioSnippet, cfg: SchurmannConfig) -> np.ndarray:
     frames = x.as_float()[:needed].reshape(cfg.n_frames, d)
     energies = np.empty((cfg.n_frames, cfg.n_bands))
     for j, (lo, hi) in enumerate(cfg.band_edges(x.rate_hz)):
-        sos = _bandpass_sos(lo, hi, cfg.filter_order, x.rate_hz)
-        filtered = sosfilt(sos, frames, axis=-1)
+        filtered = dsp.bandpass(frames, lo, hi, cfg.filter_order, rate_hz=x.rate_hz)
         energies[:, j] = np.einsum("ij,ij->i", filtered, filtered)
     return energies
 

@@ -51,10 +51,6 @@ class ShresthaFeatureVector:
     label: Label
     weight: int = 1
 
-    @property
-    def pair_id(self) -> str:
-        return f"{self.device_a}|{self.device_b}"
-
     def feature_key(self) -> tuple:
         def r(v):
             return None if v is None else round(v, GROUP_DECIMALS)

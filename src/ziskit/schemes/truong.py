@@ -164,10 +164,6 @@ class TruongFeatureVector:
     audio_tf_distance: float | None
     label: Label
 
-    @property
-    def pair_id(self) -> str:
-        return f"{self.device_a}|{self.device_b}"
-
     def values(self) -> list[float | None]:
         return [getattr(self, name) for name in ALL_FEATURES]
 

@@ -243,6 +243,44 @@ def test_bad_input_table_exits_2(table, fault, valid_files, scenario_dir, tmp_pa
     assert f"{bad}:2)" in capsys.readouterr().err
 
 
+def _break_dataset_file(fault: str, dataset: Path) -> Path:
+    """Break one file of a copied dataset as `fault` says; returns that file."""
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    device = manifest["devices"][0]
+    if fault.endswith("_bytes"):
+        name = {"manifest_bytes": "manifest.json", "beacon_bytes": device["beacons"],
+                "sensor_bytes": device["sensors"]["temperature"]}[fault]
+        (dataset / name).write_bytes(b"\xff" + (dataset / name).read_bytes())
+        return dataset / name
+    if fault == "list":
+        manifest = [manifest]
+    elif fault == "no_id":
+        del device["id"]
+    elif fault == "sensor_kind":
+        device["sensors"]["smell"] = device["sensors"]["temperature"]
+    elif fault == "start_ms":
+        device["audio"]["start_ms"] = "abc"
+    else:
+        manifest["devices"] = 5
+    (dataset / "manifest.json").write_text(json.dumps(manifest))
+    return dataset / "manifest.json"
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate"])
+@pytest.mark.parametrize("fault", ["list", "no_id", "sensor_kind", "start_ms", "devices_int",
+                                   "manifest_bytes", "sensor_bytes", "beacon_bytes"])
+def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp_path,
+                                  capsys):
+    dataset = tmp_path / "scen"
+    shutil.copytree(scenario_dir, dataset)
+    bad = _break_dataset_file(fault, dataset)
+    argv = ["--scheme", "karapanos", "--dataset", str(dataset), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--features", str(valid_files / "score.csv")]
+    assert main([command, *argv]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 @pytest.mark.parametrize("table", ["score", "prediction"])
 def test_non_finite_score_exits_2(table, cell, valid_files, scenario_dir, tmp_path,
@@ -379,6 +417,27 @@ def test_karapanos_gates_only_pairs_of_a_device_at_another_rate(rate, scenario_d
         else:
             assert row == native_row
     assert any(r["gated"] == "0" for r in rows["other"])
+
+
+def test_schurmann_skips_only_a_device_at_8khz(scenario_dir, tmp_path):
+    # 32 bands of 250 Hz need 16 kHz audio: at 8 kHz bands 17-32 lie above Nyquist.
+    other = tmp_path / "scen"
+    shutil.copytree(scenario_dir, other)
+    manifest = json.loads((other / "manifest.json").read_text())
+    device = manifest["devices"][0]["id"]
+    wav = other / manifest["devices"][0]["audio"]["path"]
+    _, samples = wavfile.read(wav)
+    resampled = resample_poly(samples.astype(float), 1, 2)
+    wavfile.write(wav, 8000, np.clip(np.round(resampled), -32768, 32767).astype(np.int16))
+    rows = {}
+    for name, dataset in [("native", scenario_dir), ("other", other)]:
+        out = tmp_path / f"{name}.csv"
+        run_ok(["features", "--scheme", "schurmann", "--dataset", str(dataset),
+                "--out", str(out), "--t", "10"])
+        with open(out, newline="") as fh:
+            rows[name] = list(csv.DictReader(fh))
+    assert any(r["device_id"] == device for r in rows["native"])
+    assert rows["other"] == [r for r in rows["native"] if r["device_id"] != device]
 
 
 def _truong_model(kind: str = "forest", left: tuple = (1, -1, -1)) -> bytes:

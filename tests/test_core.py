@@ -197,21 +197,6 @@ class TestWindowPairs:
         pairs = window_pairs(dataset, 5)
         assert all("x" not in (p.device_a, p.device_b) for p in pairs)
 
-    def test_empty_data_marker(self):
-        gt = GroundTruth(groups=(Group("g", ("a", "b"), ((0, 100_000),)),))
-        sensors = {
-            "a": {SensorKind.TEMPERATURE: series_of([20.0] * 11,
-                                                    kind=SensorKind.TEMPERATURE,
-                                                    device="a")},
-            # b only has data in the first interval
-            "b": {SensorKind.TEMPERATURE: series_of([20.0, 20.0, 20.0, 20.0, 20.0, 21.0],
-                                                    kind=SensorKind.TEMPERATURE,
-                                                    step_ms=2000, device="b")},
-        }
-        dataset = Dataset(sensors=sensors, ground_truth=gt)
-        pairs = window_pairs(dataset, 5)
-        assert pairs and not pairs[0].empty_data
-
 
 class TestFilterSubscenario:
     def _records(self, n=10, t=5):
