@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,8 +46,12 @@ def _int_list(value: str) -> list[int]:
     return [int(v) for v in value.split(",") if v]
 
 
-def _float_list(value: str) -> list[float]:
-    return [float(v) for v in value.split(",") if v]
+def _far_targets(value: str) -> list[float]:
+    targets = [float(v) for v in value.split(",") if v]
+    for target in targets:
+        if not 0 < target < 1:
+            raise argparse.ArgumentTypeError(f"FAR targets must lie in (0, 1), got {target}")
+    return targets
 
 
 def _float_pair(value: str) -> tuple[float, float]:
@@ -54,11 +59,25 @@ def _float_pair(value: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _fold_count(value: str) -> int:
-    k = int(value)
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {k}")
-    return k
+def _at_least(kind: type, low: int, what: str = ""):
+    """argparse type: a finite `kind` number no smaller than `low`."""
+    def parse(value: str):
+        number = kind(value)
+        if not low <= number < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"need at least {low} {what}".rstrip() + f", got {value}")
+        return number
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_fold_count = _at_least(int, 2, "folds")
+_positive_int = _at_least(int, 1)
+_non_negative_int = _at_least(int, 0)
+_non_negative = _at_least(float, 0)
+# Flag types that also take JSON numbers from a config file.
+NUMERIC_TYPES = (int, float, _fold_count, _positive_int, _non_negative_int, _non_negative)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,12 +99,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("datagen", _cmd_datagen, help="generate a synthetic scenario")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration-s", type=int, default=600)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--duration-s", type=_positive_int, default=600)
     p.add_argument("--groups", type=_int_list, default="3,3",
                    help="comma-separated group sizes")
     p.add_argument("--leakage", type=float, default=0.1)
-    p.add_argument("--event-rate", type=float, default=30.0)
+    p.add_argument("--event-rate", type=_non_negative, default=30.0)
     p.add_argument("--event-band", type=_float_pair, default="300,3500")
     p.add_argument("--noise-floor-db", type=float, default=45.0)
     p.add_argument("--beacon-population", type=int, default=12)
@@ -95,17 +114,17 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--probe-s", type=float, default=60.0)
-    p.add_argument("--maxlag-s", type=float, default=3.0)
+    p.add_argument("--maxlag-s", type=_non_negative, default=3.0)
 
     p = sub("features", _cmd_features, help="compute per-scheme context features")
     p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--t", type=int, default=10)
-    p.add_argument("--maxlag-s", type=float, default=1.0)
+    p.add_argument("--t", type=_positive_int, default=10)
+    p.add_argument("--maxlag-s", type=_non_negative, default=1.0)
     p.add_argument("--power-db", type=float, default=karapanos.DEFAULT_POWER_DB)
     p.add_argument("--theta", type=float, default=truong.THETA_DEFAULT)
-    p.add_argument("--bits", type=int, default=16)
+    p.add_argument("--bits", type=_positive_int, default=16)
     p.add_argument("--source", choices=("noise", "luminosity"), default="noise")
     p.add_argument("--delta-rel", type=float, default=0.1)
     p.add_argument("--delta-abs", type=float, default=10.0)
@@ -127,7 +146,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--dataset", type=Path, help="dataset dir for ground-truth labels")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--scenario", default="scenario")
-    p.add_argument("--far-targets", type=_float_list, default=DEFAULT_FAR_TARGETS)
+    p.add_argument("--far-targets", type=_far_targets, default=DEFAULT_FAR_TARGETS)
     p.add_argument("--surprisal-threshold", type=float, default=None)
 
     p = sub("robustness", _cmd_robustness,
@@ -147,7 +166,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     pt.add_argument("--scheme", choices=("truong", "shrestha"), required=True)
     pt.add_argument("--kind", choices=("auto", "forest", "boosting"), default="auto")
     pt.add_argument("--grid", choices=("full", "small"), default="full")
-    pt.add_argument("--seed", type=int, default=ensemble.DEFAULT_SEED)
+    pt.add_argument("--seed", type=_non_negative_int, default=ensemble.DEFAULT_SEED)
     pt.add_argument("--early-stop", type=int, default=ensemble.DEFAULT_EARLY_STOP_ROUNDS)
     pt.add_argument("--folds", type=_fold_count, default=10)
     pt.add_argument("--out", type=Path, required=True)
@@ -185,7 +204,7 @@ def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
         switch = action is not None and action.nargs == 0
         # Values parse like flag strings; numeric flags also take JSON numbers.
         if action is None or isinstance(value, bool) != switch or not (
-                switch or isinstance(value, str) or action.type in (int, float, _fold_count)):
+                switch or isinstance(value, str) or action.type in NUMERIC_TYPES):
             raise _UsageError(f"config {key}={value!r} is not a value for {parser.prog}")
         try:
             action.default = value if switch else parser._get_values(action, [str(value)])

@@ -156,6 +156,19 @@ def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:
     return peak
 
 
+def normalized_peak(c: np.ndarray, energy_x, energy_y, maxlag: int,
+                    two_sided: bool = False):
+    """min(lag_peak(c) / sqrt(Ex * Ey), 1) along the last axis of `c`.
+
+    Energies are sums of squares: scalars for 1-d `c`, one per row for a
+    stack. Raises UndefinedCorrelation when a normalizer is 0 (all-zero input).
+    """
+    norm = np.sqrt(energy_x * energy_y)
+    if np.any(norm == 0.0):
+        raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
+    return np.minimum(lag_peak(c, maxlag, two_sided) / norm, 1.0)
+
+
 def _xcorr_fft_circular(x: np.ndarray, y: np.ndarray, maxlag: int) -> np.ndarray:
     """Circular FFT correlation padded so lags [-maxlag, maxlag] are exact."""
     fx, pad = padded_spectrum(x, maxlag)
@@ -188,10 +201,8 @@ def max_xcorr_norm(x: np.ndarray, y: np.ndarray, maxlag: int,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    norm = np.sqrt(np.dot(x, x) * np.dot(y, y))
-    if norm == 0.0:
-        raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
-    return float(min(lag_peak(xcorr_lags(x, y, maxlag, method=method), maxlag) / norm, 1.0))
+    c = xcorr_lags(x, y, maxlag, method=method)
+    return float(normalized_peak(c, np.dot(x, x), np.dot(y, y), maxlag))
 
 
 def max_xcorr_norm_two_sided(x: np.ndarray, y: np.ndarray, maxlag: int) -> float:
@@ -204,11 +215,8 @@ def max_xcorr_norm_two_sided(x: np.ndarray, y: np.ndarray, maxlag: int) -> float
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size == 0:
         raise ValueError("signals must be nonempty and of equal length")
-    norm = np.sqrt(np.dot(x, x) * np.dot(y, y))
-    if norm == 0.0:
-        raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
-    peak = lag_peak(_xcorr_fft_circular(x, y, maxlag), maxlag, two_sided=True)
-    return float(min(peak / norm, 1.0))
+    c = _xcorr_fft_circular(x, y, maxlag)
+    return float(normalized_peak(c, np.dot(x, x), np.dot(y, y), maxlag, two_sided=True))
 
 
 def align(x: AudioSnippet, y: AudioSnippet, probe_len_s: float,

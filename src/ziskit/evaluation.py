@@ -8,7 +8,8 @@ The EER and FRR-at-FAR sweeps are exact and O(n log n): one sort of the
 scores, then cumulative class counts give FAR and FRR at every candidate
 threshold (Fawcett, "An introduction to ROC analysis", PRL 2006). Each
 rate is an integer count over its class total, so it equals `far_frr` at
-the same threshold bit for bit.
+the same threshold bit for bit. The AUC that ranks ML models comes from the
+same per-score class masses (`score_masses`).
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ def far_frr(scores, labels, threshold: float,
     return far, frr
 
 
+def score_masses(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct scores, ascending, and the colocated and non-colocated mass at each.
+
+    Takes 1-d arrays. With no weights the masses are integer counts.
+    """
+    uniq, inverse = np.unique(scores, return_inverse=True)
+    pos, neg = (np.bincount(inverse[m], None if weights is None else weights[m],
+                            minlength=uniq.size) for m in (labels == 1, labels == 0))
+    return uniq, pos, neg
+
+
 def _sweep(scores: np.ndarray, labels: np.ndarray, polarity: str
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate thresholds and the FAR and FRR at each, from one sort.
@@ -78,9 +91,8 @@ def _sweep(scores: np.ndarray, labels: np.ndarray, polarity: str
     with the comparison `far_frr` makes, so a midpoint that rounds onto a
     score stays exact.
     """
-    uniq, inverse = np.unique(scores, return_inverse=True)
-    cumpos, cumneg = (np.concatenate(([0], np.cumsum(np.bincount(
-        inverse[labels == c], minlength=uniq.size)))) for c in (1, 0))
+    uniq, pos, neg = score_masses(scores, labels)
+    cumpos, cumneg = (np.concatenate(([0], np.cumsum(m))) for m in (pos, neg))
     n_pos, n_neg = cumpos[-1], cumneg[-1]
     thresholds = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
     if polarity == ACCEPT_IF_GEQ:
@@ -124,6 +136,26 @@ def frr_at_far(scores, labels, polarity: str = ACCEPT_IF_GEQ,
             raise ValueError(f"FAR target must lie in (0, 1), got {target}")
         out.append((float(target), float(frr[far <= target].min())))
     return out
+
+
+def auc(scores, labels, weights=None) -> float:
+    """Weighted Mann-Whitney AUC with ties counted half.
+
+    The sum over distinct scores of pos * (neg below + neg tied / 2), over
+    W+ * W-. Integer weights make every term an integer or half-integer, so
+    the sum is exact in any order while W+ * W- < 2**52.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(int)
+    weights = np.ones_like(scores) if weights is None else np.asarray(weights, dtype=np.float64)
+    if scores.shape != labels.shape or scores.shape != weights.shape:
+        raise ValueError("scores, labels and weights must have equal shapes")
+    _, pos, neg = score_masses(scores, labels, weights)
+    w_pos, w_neg = pos.sum(), neg.sum()
+    if w_pos == 0 or w_neg == 0:
+        raise DegenerateLabels("AUC needs both classes present")
+    neg_below = np.concatenate(([0], np.cumsum(neg)[:-1]))
+    return float(np.sum(pos * (neg_below + 0.5 * neg)) / (w_pos * w_neg))
 
 
 def class_overlap(scores, labels, bins: int = 100) -> float:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ziskit.errors import DegenerateLabels, IncompatibleRow, ParseError
+from ziskit.evaluation import auc
 from ziskit.ml.folds import stratified_folds
-from ziskit.ml.metrics import auc
 from ziskit.ml.tree import Tree, TreeParams
 
 DEFAULT_SEED = 1619

@@ -20,7 +20,6 @@ from ziskit.core.types import (
     SensorKind,
 )
 from ziskit.core.windowing import dataset_epoch, map_pairs, pmap, window_pairs
-from ziskit.core.windowing import thread_count  # noqa: F401 (re-exported)
 from ziskit.errors import InsufficientSamples, InvalidBand
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
 from ziskit.table import Column, choice, flag, read_table, real, write_table

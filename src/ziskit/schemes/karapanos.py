@@ -14,6 +14,7 @@ import numpy as np
 
 from ziskit import dsp
 from ziskit.core.types import AudioSnippet
+from ziskit.errors import UndefinedCorrelation
 
 DEFAULT_POWER_DB = 40.0
 # Published device-class adjustments for quieter built-in microphones.
@@ -85,13 +86,12 @@ def similarity_banded(a: BandedSnippet, b: BandedSnippet, cfg: KarapanosConfig,
     if a.power_db <= cfg.threshold_for(a.device_id) or \
             b.power_db <= cfg.threshold_for(b.device_id):
         return SimilarityScore(value=None, gated=True, reason="power")
-    norm = np.sqrt(a.norms * b.norms)
-    if np.any(norm == 0.0):
+    c = dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len)
+    try:
+        per_band = dsp.normalized_peak(c, a.norms, b.norms,
+                                       int(round(cfg.maxlag_s * a.rate_hz)), two_sided)
+    except UndefinedCorrelation:
         return SimilarityScore(value=None, gated=True, reason="undefined-correlation")
-    maxlag = int(round(cfg.maxlag_s * a.rate_hz))
-    peaks = dsp.lag_peak(dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len), maxlag,
-                         two_sided)
-    per_band = np.minimum(peaks / norm, 1.0)
     return SimilarityScore(value=float(per_band.mean()), gated=False)
 
 
@@ -105,10 +105,3 @@ def similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> Simila
         raise ValueError("snippets must be aligned to equal nonzero length")
     return similarity_banded(band_decompose(x, cfg), band_decompose(y, cfg), cfg)
 
-
-def pair_similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> SimilarityScore:
-    """Order-independent score: lag searched in both directions."""
-    if x.samples.size != y.samples.size or x.samples.size == 0:
-        raise ValueError("snippets must be aligned to equal nonzero length")
-    return similarity_banded(band_decompose(x, cfg), band_decompose(y, cfg), cfg,
-                             two_sided=True)

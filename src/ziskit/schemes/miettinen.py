@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ziskit.core.types import AudioSnippet, Fingerprint, SensorKind, SensorSeries
-from ziskit.errors import InsufficientSamples, ModelGap
+from ziskit.errors import InsufficientSamples, InvariantViolation, ModelGap
 
 SCHEME_NAME = "miettinen"
 
@@ -35,6 +35,11 @@ class MiettinenConfig:
     measurement_window_s: float = 1.0
     delta_rel: float = 0.1
     delta_abs: float = 10.0
+
+    def __post_init__(self):
+        if self.bits < 1 or self.snapshot_s < 1:
+            raise InvariantViolation(
+                f"need bits >= 1 and snapshot_s >= 1, got {self.bits} and {self.snapshot_s}")
 
 
 def noise_levels(x: AudioSnippet, m_w: float = 1.0) -> SensorSeries:
@@ -104,18 +109,15 @@ def context_fingerprint(series: SensorSeries, cfg: MiettinenConfig,
 
 def iter_fingerprints(series: SensorSeries, cfg: MiettinenConfig) -> list[Fingerprint]:
     """Consecutive fingerprints tiling the series (adjacent tiles share one snapshot)."""
-    period_ms = cfg.snapshot_s * 1000
-    span_ms = int(series.timestamps_ms[-1] - series.timestamps_ms[0]) + 1 if len(series) else 0
     out = []
     offset = 0
-    while (offset + cfg.bits) * period_ms < span_ms:
+    while True:
         try:
             out.append(context_fingerprint(series, cfg, offset=offset))
         except InsufficientSamples:
-            # Ragged tail: a trailing snapshot window without readings.
-            break
+            # The series ends, or a trailing snapshot window holds no readings.
+            return out
         offset += cfg.bits
-    return out
 
 
 def hour_of_day(epoch_ms: int) -> int:

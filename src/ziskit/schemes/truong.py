@@ -122,12 +122,8 @@ def audio_distances(a: AudioState, b: AudioState) -> AudioDistances:
     """Full-lag normalized max cross-correlation and time-frequency distance."""
     if a.size != b.size:
         raise ValueError("snippets must be aligned, equal length, and non-trivial")
-    # Energy normalization makes the full-lag peak equal the normalized form.
-    norm = np.sqrt(a.sum_sq * b.sum_sq)
-    if norm == 0.0:
-        raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
     c = dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len)
-    max_xcorr = float(min(dsp.lag_peak(c, a.size - 1, two_sided=True) / norm, 1.0))
+    max_xcorr = float(dsp.normalized_peak(c, a.sum_sq, b.sum_sq, a.size - 1, two_sided=True))
     if a.unit_spectrum is None or b.unit_spectrum is None:
         raise UndefinedCorrelation("zero spectrum")
     freq_distance = float(np.linalg.norm(a.unit_spectrum - b.unit_spectrum))

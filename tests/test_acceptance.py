@@ -17,7 +17,8 @@ from ziskit import dsp, evaluation, pipeline, randomness
 from ziskit.cli import main
 from ziskit.core.io import load_dataset
 from ziskit.core.types import AudioSnippet, Fingerprint, Label
-from ziskit.ml import GRID_SMALL, MLDataset, ModelParams, auc, fit_model, oof_predictions, train
+from ziskit.evaluation import auc
+from ziskit.ml.ensemble import GRID_SMALL, MLDataset, ModelParams, fit_model, oof_predictions, train
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
 
 RATE = 16000

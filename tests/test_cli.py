@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
+from ziskit import cli
 from ziskit.cli import _apply_config, build_parser, main
 from ziskit.schemes import truong
 
@@ -503,6 +505,57 @@ def test_folds_config_takes_json_number(tmp_path):
     assert parser.parse_args(argv).folds == 3
 
 
+def test_every_numeric_flag_takes_a_json_number(tmp_path):
+    _, registry = build_parser()
+    config = tmp_path / "cfg.json"
+    checked = 0
+    for name, sub in registry.items():
+        for action in sub._actions:
+            if not action.option_strings or action.type is None:
+                continue
+            try:
+                numeric = isinstance(action.type("3"), (int, float))
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                numeric = False
+            # A type that parses numbers must be one the config reader accepts.
+            assert numeric == (action.type in cli.NUMERIC_TYPES), (name, action.dest)
+            if numeric:
+                config.write_text(json.dumps({action.dest: 3}))
+                _apply_config([*name.split(), "--config", str(config)], registry)
+                assert action.default == 3, (name, action.dest)
+                checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "--scheme", "miettinen", "--t", "5", "--bits", "0"],
+    ["features", "--scheme", "miettinen", "--t", "5", "--bits", "-1"],
+    ["features", "--scheme", "karapanos", "--t", "0"],
+    ["features", "--scheme", "truong", "--t", "0"],
+    ["features", "--scheme", "schurmann", "--t", "0"],
+    ["features", "--scheme", "miettinen", "--t", "-3"],
+    ["features", "--scheme", "karapanos", "--maxlag-s", "-1"],
+    ["features", "--scheme", "karapanos", "--maxlag-s", "nan"],
+    ["align", "--maxlag-s", "-1"],
+    ["datagen", "--duration-s", "0"],
+    ["datagen", "--duration-s", "-5"],
+    ["datagen", "--seed", "-1"],
+    ["datagen", "--event-rate", "-1"],
+    ["ml", "train", "--scheme", "truong", "--seed", "-1"],
+    ["evaluate", "--scheme", "karapanos", "--far-targets", "0,2"],
+])
+def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp_path):
+    dataset = ["--dataset", str(scenario_dir)]
+    inputs = {"features": dataset, "align": dataset,
+              "ml": ["--features", str(valid_files / "truong.csv")],
+              "evaluate": ["--features", str(valid_files / "score.csv"), *dataset]}
+    proc = _cold("-m", "ziskit.cli", *argv, *inputs.get(argv[0], []),
+                 "--out", str(tmp_path / "out"), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "usage error" in proc.stderr
+
+
 @pytest.mark.parametrize("outputs", [[], ["--metrics"], ["--predictions"]])
 def test_ml_train_refits_only_for_predictions_or_metrics(outputs, valid_files, tmp_path,
                                                          monkeypatch):
@@ -523,12 +576,12 @@ def test_ml_train_refits_only_for_predictions_or_metrics(outputs, valid_files, t
     assert len(calls) == 2 + len(outputs)
 
 
-def _cold(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+def _cold(*args: str, cwd: Path, timeout: float = 300) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                     os.environ.get("PYTHONPATH", "")) if p))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_cli_import_loads_no_scipy_and_commands_run_cold(tmp_path):

@@ -151,6 +151,39 @@ class TestMaxXcorrNorm:
             assert 0.0 <= dsp.max_xcorr_norm(x, y, 255) <= 1.0
 
 
+class TestNormalizedPeak:
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_equals_scalar_expression(self, rng, two_sided):
+        for y_is_x in (False, True):
+            x = rng.normal(size=500)
+            y = x if y_is_x else rng.normal(size=500)
+            c = dsp._xcorr_fft_circular(x, y, 50)
+            norm = np.sqrt(np.dot(x, x) * np.dot(y, y))
+            expected = float(min(dsp.lag_peak(c, 50, two_sided) / norm, 1.0))
+            assert float(dsp.normalized_peak(c, np.dot(x, x), np.dot(y, y), 50,
+                                             two_sided)) == expected
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_equals_banded_expression(self, rng, two_sided):
+        x, y = rng.normal(size=(2, 6, 400))
+        y[1] = x[1]
+        fx, pad = dsp.padded_spectrum(x, 30)
+        fy, _ = dsp.padded_spectrum(y, 30)
+        c = dsp.xcorr_spectra(fx, fy, pad)
+        ex, ey = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+        expected = np.minimum(dsp.lag_peak(c, 30, two_sided) / np.sqrt(ex * ey), 1.0)
+        got = dsp.normalized_peak(c, ex, ey, 30, two_sided)
+        assert got.shape == (6,)
+        assert np.array_equal(got, expected)
+
+    def test_zero_energy_raises(self):
+        c = np.ones((3, 20))
+        with pytest.raises(UndefinedCorrelation):
+            dsp.normalized_peak(c[0], 0.0, 4.0, 5)
+        with pytest.raises(UndefinedCorrelation):
+            dsp.normalized_peak(c, np.array([1.0, 0.0, 2.0]), np.ones(3), 5, two_sided=True)
+
+
 class TestAvgPowerDb:
     def test_constant_100_is_40db(self):
         assert dsp.avg_power_db(np.full(1000, 100.0)) == pytest.approx(40.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import sosfilt
@@ -57,9 +59,23 @@ class TestSimilarity:
         cfg = quiet_config(maxlag_s=0.05)
         x = noise_snippet(rng, seconds=1.0, device="a")
         y = noise_snippet(rng, seconds=1.0, device="b")
-        got = karapanos.pair_similarity(x, y, cfg)
+        got = karapanos.similarity_banded(karapanos.band_decompose(x, cfg),
+                                          karapanos.band_decompose(y, cfg), cfg, two_sided=True)
         assert got.value == pytest.approx(
             oracle_similarity(x, y, cfg, two_sided=True), rel=1e-6)
+
+    def test_zero_band_norm_is_undefined_correlation(self, rng):
+        cfg = quiet_config(maxlag_s=0.02)
+        a = karapanos.band_decompose(noise_snippet(rng, seconds=0.5, device="a"), cfg)
+        b = karapanos.band_decompose(noise_snippet(rng, seconds=0.5, device="b"), cfg)
+        norms = a.norms.copy()
+        norms[3] = 0.0
+        silent_band = replace(a, norms=norms)
+        assert silent_band.power_db > cfg.threshold_for("a")
+        for pair in ((silent_band, b), (b, silent_band)):
+            score = karapanos.similarity_banded(*pair, cfg)
+            assert score.gated and score.value is None
+            assert score.reason == "undefined-correlation"
 
     def test_value_bounds(self, rng):
         cfg = quiet_config(maxlag_s=0.02)

@@ -2,19 +2,21 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ziskit.errors import DegenerateLabels, IncompatibleRow, InfeasibleStratification
-from ziskit.ml import (
+from ziskit.evaluation import auc
+from ziskit.ml.ensemble import (
     GRID_SMALL,
     MLDataset,
     ModelParams,
     TrainedModel,
-    auc,
     fit_model,
     oof_predictions,
-    stratified_folds,
     train,
 )
+from ziskit.ml.folds import stratified_folds
 
 
 def auc_pair_oracle(scores, labels, weights=None):
@@ -32,6 +34,67 @@ def auc_pair_oracle(scores, labels, weights=None):
             elif scores[i] == scores[j]:
                 total += 0.5 * w
     return total / w_sum
+
+
+def reference_auc(scores, labels, weights=None):
+    """The tie loop that `auc` replaced: one group of equal scores at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(int)
+    weights = np.ones_like(scores) if weights is None else np.asarray(weights, dtype=np.float64)
+    w_pos = float(weights[labels == 1].sum())
+    w_neg = float(weights[labels == 0].sum())
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    w = weights[order]
+    pos = (labels[order] == 1).astype(np.float64) * w
+    neg = (labels[order] == 0).astype(np.float64) * w
+    total = 0.0
+    cum_neg = 0.0
+    i = 0
+    n = s.size
+    while i < n:
+        j = i
+        while j < n and s[j] == s[i]:
+            j += 1
+        tie_pos = float(pos[i:j].sum())
+        tie_neg = float(neg[i:j].sum())
+        total += tie_pos * (cum_neg + 0.5 * tie_neg)
+        cum_neg += tie_neg
+        i = j
+    return total / (w_pos * w_neg)
+
+
+def tie_heavy_corpus(rng, n):
+    """Scores on a coarse grid, both classes present, integer weights."""
+    scores = rng.integers(0, rng.integers(1, 12), size=n) / 7.0
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    weights = rng.integers(1, 40, size=n).astype(float)
+    return scores, labels, weights
+
+
+class TestAucMatchesReference:
+    def test_tie_heavy_integer_weights(self, rng):
+        for _ in range(300):
+            scores, labels, weights = tie_heavy_corpus(rng, int(rng.integers(2, 400)))
+            assert auc(scores, labels) == reference_auc(scores, labels)
+            assert auc(scores, labels, weights) == reference_auc(scores, labels, weights)
+
+    def test_float_weights_within_rounding(self, rng):
+        for _ in range(100):
+            scores, labels, _ = tie_heavy_corpus(rng, int(rng.integers(2, 400)))
+            weights = rng.uniform(0.1, 5.0, size=scores.size)
+            assert auc(scores, labels, weights) == pytest.approx(
+                reference_auc(scores, labels, weights), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(0, 1), st.integers(1, 1000)),
+                         min_size=2, max_size=60))
+    def test_hypothesis_inputs(self, data):
+        scores, labels, weights = (np.array(col) for col in zip(*data))
+        labels[:2] = (1, 0)
+        assert auc(scores, labels, weights) == reference_auc(scores, labels, weights)
 
 
 class TestAuc:

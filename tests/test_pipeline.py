@@ -4,6 +4,7 @@ import pytest
 from conftest import noise_snippet, series_of, two_group_truth
 from ziskit import pipeline
 from ziskit.core.types import AudioSnippet, Dataset, Label, SensorKind
+from ziskit.core.windowing import thread_count
 from ziskit.errors import ParseError
 from ziskit.schemes import karapanos, miettinen, schurmann, truong
 
@@ -146,9 +147,9 @@ class TestPredictionCsv:
 class TestThreading:
     def test_zis_threads_env_respected(self, monkeypatch):
         monkeypatch.setenv("ZIS_THREADS", "3")
-        assert pipeline.thread_count() == 3
+        assert thread_count() == 3
         monkeypatch.setenv("ZIS_THREADS", "0")
-        assert pipeline.thread_count() == 1
+        assert thread_count() == 1
 
     def test_pmap_preserves_order_under_threads(self, monkeypatch):
         monkeypatch.setenv("ZIS_THREADS", "4")
