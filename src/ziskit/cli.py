@@ -54,18 +54,23 @@ def _far_targets(value: str) -> list[float]:
     return targets
 
 
-def _float_pair(value: str) -> tuple[float, float]:
+def _event_band(value: str) -> tuple[float, float]:
+    """`lo,hi` with 0 < lo < hi below the Nyquist frequency of generated audio."""
     lo, hi = (float(v) for v in value.split(","))
+    if not 0 < lo < hi < datagen.RATE_HZ / 2:
+        raise argparse.ArgumentTypeError(
+            f"need 0 < lo < hi < {datagen.RATE_HZ // 2} Hz, got {value}")
     return lo, hi
 
 
-def _at_least(kind: type, low: int, what: str = ""):
+def _at_least(kind: type, low: float, what: str = ""):
     """argparse type: a finite `kind` number no smaller than `low`."""
+    need = f"at least {low} {what}".rstrip() if low > -math.inf else "a finite number"
+
     def parse(value: str):
         number = kind(value)
-        if not low <= number < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"need at least {low} {what}".rstrip() + f", got {value}")
+        if not (math.isfinite(number) and low <= number):
+            raise argparse.ArgumentTypeError(f"need {need}, got {value}")
         return number
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
@@ -75,9 +80,11 @@ def _at_least(kind: type, low: int, what: str = ""):
 _fold_count = _at_least(int, 2, "folds")
 _positive_int = _at_least(int, 1)
 _non_negative_int = _at_least(int, 0)
+_finite = _at_least(float, -math.inf)
 _non_negative = _at_least(float, 0)
 # Flag types that also take JSON numbers from a config file.
-NUMERIC_TYPES = (int, float, _fold_count, _positive_int, _non_negative_int, _non_negative)
+NUMERIC_TYPES = (int, float, _fold_count, _positive_int, _non_negative_int, _finite,
+                 _non_negative)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,15 +112,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="comma-separated group sizes")
     p.add_argument("--leakage", type=float, default=0.1)
     p.add_argument("--event-rate", type=_non_negative, default=30.0)
-    p.add_argument("--event-band", type=_float_pair, default="300,3500")
-    p.add_argument("--noise-floor-db", type=float, default=45.0)
-    p.add_argument("--beacon-population", type=int, default=12)
-    p.add_argument("--beacon-dropout", type=float, default=0.1)
+    p.add_argument("--event-band", type=_event_band, default="300,3500")
+    p.add_argument("--noise-floor-db", type=_finite, default=45.0)
+    p.add_argument("--beacon-population", type=_non_negative_int, default=12)
+    p.add_argument("--beacon-dropout", type=_finite, default=0.1)
 
     p = sub("align", _cmd_align, help="report pairwise audio lags")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--probe-s", type=float, default=60.0)
+    p.add_argument("--probe-s", type=_non_negative, default=60.0)
     p.add_argument("--maxlag-s", type=_non_negative, default=3.0)
 
     p = sub("features", _cmd_features, help="compute per-scheme context features")
@@ -122,12 +129,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--t", type=_positive_int, default=10)
     p.add_argument("--maxlag-s", type=_non_negative, default=1.0)
-    p.add_argument("--power-db", type=float, default=karapanos.DEFAULT_POWER_DB)
-    p.add_argument("--theta", type=float, default=truong.THETA_DEFAULT)
+    p.add_argument("--power-db", type=_finite, default=karapanos.DEFAULT_POWER_DB)
+    p.add_argument("--theta", type=_finite, default=truong.THETA_DEFAULT)
     p.add_argument("--bits", type=_positive_int, default=16)
     p.add_argument("--source", choices=("noise", "luminosity"), default="noise")
-    p.add_argument("--delta-rel", type=float, default=0.1)
-    p.add_argument("--delta-abs", type=float, default=10.0)
+    p.add_argument("--delta-rel", type=_finite, default=0.1)
+    p.add_argument("--delta-abs", type=_finite, default=10.0)
     p.add_argument("--measurement-window-s", type=float, default=1.0)
     p.add_argument("--with-surprisal", action="store_true",
                    help="fit a surprisal model on the corpus and emit the column")
@@ -147,7 +154,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--scenario", default="scenario")
     p.add_argument("--far-targets", type=_far_targets, default=DEFAULT_FAR_TARGETS)
-    p.add_argument("--surprisal-threshold", type=float, default=None)
+    p.add_argument("--surprisal-threshold", type=_finite, default=None)
 
     p = sub("robustness", _cmd_robustness,
             help="apply scenario A thresholds to scenario B scores")
@@ -157,7 +164,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--scores", type=Path)
     p.add_argument("--dataset", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--surprisal-threshold", type=float, default=None)
+    p.add_argument("--surprisal-threshold", type=_finite, default=None)
 
     p = sub("ml", None, help="train or apply a colocation classifier")
     ml_subs = p.add_subparsers()
@@ -219,6 +226,11 @@ def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_datagen(args) -> int:
+    # The upper bound is checked here: each type in NUMERIC_TYPES takes every
+    # number above its lower bound.
+    if not 0 <= args.beacon_dropout <= 1:
+        raise _UsageError(f"argument --beacon-dropout: need a number in [0, 1], "
+                          f"got {args.beacon_dropout}")
     profile = datagen.AmbientProfile(
         event_rate_per_min=args.event_rate,
         event_band_hz=args.event_band,
@@ -289,7 +301,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fingerprint_randomness(args) -> int:
-    fingerprints, _, _ = pipeline.read_fingerprint_csv(args.features, scheme="any")
+    fingerprints, _, _ = pipeline.read_fingerprint_csv(args.features)
     if not fingerprints:
         raise ZisError("no records in fingerprint file")
     walk = randomness.random_walk(fingerprints)
@@ -322,8 +334,7 @@ def _load_records(args, ground_truth: GroundTruth | None) -> list[EvaluationReco
     elif args.scheme == "karapanos":
         records = pipeline.read_score_csv(args.features, ground_truth)
     else:
-        fingerprints, surprisals, spans = pipeline.read_fingerprint_csv(
-            args.features, scheme=args.scheme)
+        fingerprints, surprisals, spans = pipeline.read_fingerprint_csv(args.features)
         records = pipeline.fingerprint_records(
             fingerprints, spans, ground_truth,
             surprisals=surprisals, surprisal_threshold=args.surprisal_threshold)
@@ -386,21 +397,8 @@ def _cmd_robustness(args) -> int:
 
 
 def _ml_dataset(args) -> tuple[ensemble.MLDataset, list[EvaluationRecord]]:
-    if args.scheme == "truong":
-        rows = pipeline.read_truong_csv(args.features)
-        X, y, names = truong.ml_arrays(rows)
-        data = ensemble.MLDataset(X, y, feature_names=names)
-        meta = [EvaluationRecord(r.device_a, r.device_b, r.interval_start,
-                                 r.interval_len_s, r.label, None) for r in rows]
-    else:
-        rows = pipeline.read_shrestha_csv(args.features)
-        X, y, w, names = shrestha.ml_arrays(rows)
-        data = ensemble.MLDataset(X, y, w, feature_names=names)
-        meta = [EvaluationRecord(r.device_a, r.device_b, r.timestamp_ms, 0,
-                                 r.label, None) for r in rows]
-    if not len(meta):
-        raise ZisError("no records in feature file")
-    return data, meta
+    read = pipeline.read_truong_csv if args.scheme == "truong" else pipeline.read_shrestha_csv
+    return pipeline.ml_table(read(args.features))
 
 
 def _cmd_ml_train(args) -> int:

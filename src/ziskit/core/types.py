@@ -264,7 +264,11 @@ class EvaluationRecord:
     interval_len_s: int
     label: Label
     score: float | None
-    gated: bool = False
+
+    @property
+    def gated(self) -> bool:
+        """No score: the pair-interval was gated."""
+        return self.score is None
 
     @property
     def pair_id(self) -> str:
@@ -276,7 +280,6 @@ class Fingerprint:
     """Fixed-length bit vector with generation metadata."""
 
     bits: np.ndarray
-    scheme: str
     device_id: str
     interval_start: int
 
@@ -294,15 +297,14 @@ class Fingerprint:
         return np.packbits(self.bits).tobytes().hex()
 
     @classmethod
-    def from_hex(cls, hex_bits: str, n_bits: int, scheme: str, device_id: str,
+    def from_hex(cls, hex_bits: str, n_bits: int, device_id: str,
                  interval_start: int) -> "Fingerprint":
         raw = np.frombuffer(bytes.fromhex(hex_bits), dtype=np.uint8)
         unpacked = np.unpackbits(raw)
         if unpacked.size < n_bits:
             raise InvariantViolation(
                 f"hex string holds {unpacked.size} bits, need {n_bits}")
-        return cls(bits=unpacked[:n_bits], scheme=scheme, device_id=device_id,
-                   interval_start=interval_start)
+        return cls(unpacked[:n_bits], device_id, interval_start)
 
 
 @dataclass(frozen=True)

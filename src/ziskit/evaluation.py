@@ -193,14 +193,14 @@ def availability(records: Iterable[EvaluationRecord]) -> float:
     records = list(records)
     if not records:
         return 0.0
-    usable = sum(1 for r in records if not r.gated and r.score is not None)
+    usable = sum(1 for r in records if r.score is not None)
     return usable / len(records)
 
 
 def usable_scores(records: Iterable[EvaluationRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Scores and 0/1 labels of non-gated records."""
     pairs = [(r.score, 1 if r.label is Label.COLOCATED else 0)
-             for r in records if not r.gated and r.score is not None]
+             for r in records if r.score is not None]
     if not pairs:
         return np.array([]), np.array([], dtype=int)
     scores, labels = zip(*pairs)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from ziskit.core.types import (
     Dataset,
     EvaluationRecord,
@@ -20,7 +22,8 @@ from ziskit.core.types import (
     SensorKind,
 )
 from ziskit.core.windowing import dataset_epoch, map_pairs, pmap, window_pairs
-from ziskit.errors import InsufficientSamples, InvalidBand
+from ziskit.errors import InsufficientSamples, InvalidBand, ZisError
+from ziskit.ml.ensemble import MLDataset
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
 from ziskit.table import Column, choice, flag, read_table, real, write_table
 
@@ -44,11 +47,10 @@ def karapanos_records(dataset: Dataset, t: int,
         return karapanos.band_decompose(chunk, cfg)
 
     def record(pair: IntervalPair, a, b) -> EvaluationRecord:
-        score = karapanos.SimilarityScore(None, gated=True) \
-            if a is None or b is None or a.rate_hz != b.rate_hz \
-            else karapanos.similarity_banded(a, b, cfg, two_sided=True)
+        score = None if a is None or b is None or a.rate_hz != b.rate_hz \
+            else karapanos.similarity_banded(a, b, cfg, two_sided=True).value
         return EvaluationRecord(pair.device_a, pair.device_b, pair.interval_start, t,
-                                pair.label, score=score.value, gated=score.gated)
+                                pair.label, score)
 
     return map_pairs(window_pairs(dataset, t), decompose, record)
 
@@ -76,11 +78,13 @@ def write_score_csv(path: Path, records: list[EvaluationRecord]) -> None:
 
 
 def read_score_csv(path: Path, ground_truth: GroundTruth) -> list[EvaluationRecord]:
-    """Score rows whose pair-interval has a ground-truth label."""
+    """Score rows whose pair-interval has a ground-truth label; `gated` must be 1
+    exactly when the score cell is empty."""
     def record(pair, start, t, score, gated):
+        if gated != (score is None):
+            raise ValueError(f"gated={int(gated)} disagrees with score {score!r}")
         label = ground_truth.label_for(*pair, start, start + t * 1000)
-        return None if label is None else \
-            EvaluationRecord(*pair, start, t, label, score, gated)
+        return None if label is None else EvaluationRecord(*pair, start, t, label, score)
 
     return [r for r in read_table(path, SCORE_COLUMNS, record) if r is not None]
 
@@ -146,7 +150,7 @@ def write_fingerprint_csv(path: Path, fingerprints: list[Fingerprint], t: int,
                     ((*row, s) for row, s in zip(rows, surprisals, strict=True)))
 
 
-def read_fingerprint_csv(path: Path, scheme: str
+def read_fingerprint_csv(path: Path
                          ) -> tuple[list[Fingerprint], list[float | None], list[int]]:
     """Fingerprints plus optional surprisal column and per-row interval lengths.
 
@@ -154,8 +158,7 @@ def read_fingerprint_csv(path: Path, scheme: str
     multiple of 8 reads back zero-padded.
     """
     def row(device, start, t, hex_bits, surprisal):
-        return Fingerprint.from_hex(hex_bits, len(hex_bits) * 4, scheme, device, start), \
-            surprisal, t
+        return Fingerprint.from_hex(hex_bits, len(hex_bits) * 4, device, start), surprisal, t
 
     rows = list(read_table(path, (*FINGERPRINT_COLUMNS, SURPRISAL), row))
     return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
@@ -166,7 +169,12 @@ def fingerprint_records(fingerprints: list[Fingerprint], spans: list[int],
                         surprisals: list[float | None] | None = None,
                         surprisal_threshold: float | None = None
                         ) -> list[EvaluationRecord]:
-    """Pairwise Hamming similarity of co-timed fingerprints, labeled."""
+    """Pairwise Hamming similarity of co-timed fingerprints, labeled.
+
+    A pair is gated when either fingerprint's surprisal is at or below the threshold.
+    """
+    gate = [surprisal_threshold is not None and s is not None and s <= surprisal_threshold
+            for s in surprisals or [None] * len(fingerprints)]
     by_start: dict[tuple[int, int], list[int]] = {}
     for i, fp in enumerate(fingerprints):
         by_start.setdefault((fp.interval_start, spans[i]), []).append(i)
@@ -181,14 +189,8 @@ def fingerprint_records(fingerprints: list[Fingerprint], spans: list[int],
                 label = ground_truth.label_for(dev_a, dev_b, start, start + span * 1000)
                 if label is None:
                     continue
-                gated = False
-                if surprisal_threshold is not None and surprisals is not None:
-                    s_i, s_j = surprisals[i], surprisals[j]
-                    gated = (s_i is not None and s_i <= surprisal_threshold) or \
-                            (s_j is not None and s_j <= surprisal_threshold)
-                score = None if gated else schurmann.fingerprint_similarity(a, b)
-                records.append(EvaluationRecord(dev_a, dev_b, start, span, label,
-                                                score, gated=gated))
+                score = None if gate[i] or gate[j] else schurmann.fingerprint_similarity(a, b)
+                records.append(EvaluationRecord(dev_a, dev_b, start, span, label, score))
     return records
 
 
@@ -224,14 +226,29 @@ SHRESTHA_COLUMNS = (PAIR_ID, Column("timestamp_ms", int), real("d_temp", nullabl
 
 def write_shrestha_csv(path: Path, rows: list[shrestha.ShresthaFeatureVector]) -> None:
     write_table(path, SHRESTHA_COLUMNS,
-                (((r.device_a, r.device_b), r.timestamp_ms, r.d_temperature,
-                  r.d_humidity, r.d_altitude, r.label, r.weight) for r in rows))
+                (((r.device_a, r.device_b), r.timestamp_ms, *r.values(), r.label, r.weight)
+                 for r in rows))
 
 
 def read_shrestha_csv(path: Path) -> list[shrestha.ShresthaFeatureVector]:
     # After pair_id the columns are the vector's fields, in order.
     return list(read_table(path, SHRESTHA_COLUMNS, lambda pair, *fields:
                            shrestha.ShresthaFeatureVector(*pair, *fields)))
+
+
+def ml_table(rows: list[truong.TruongFeatureVector] | list[shrestha.ShresthaFeatureVector]
+             ) -> tuple[MLDataset, list[EvaluationRecord]]:
+    """A feature table as ML arrays, plus each row's unscored record.
+
+    A missing feature becomes NaN and a colocated label 1; the records are
+    what the prediction CSV writes once scored.
+    """
+    if not rows:
+        raise ZisError("no records in feature file")
+    X = np.array([[np.nan if v is None else v for v in r.values()] for r in rows])
+    y = np.array([1 if r.label is Label.COLOCATED else 0 for r in rows], dtype=np.uint8)
+    w = np.array([r.weight for r in rows], dtype=np.float64)
+    return MLDataset(X, y, w, rows[0].FEATURES), [r.record() for r in rows]
 
 
 # ---------------------------------------------------------------------------

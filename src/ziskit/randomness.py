@@ -81,13 +81,8 @@ def split_subfingerprints(fingerprint: Fingerprint, sub_len: int = 31) -> list[F
     length = len(fingerprint)
     if sub_len <= 0 or length % sub_len:
         raise InvalidSplit(f"{length} bits not divisible into {sub_len}-bit chunks")
-    return [
-        Fingerprint(bits=fingerprint.bits[i:i + sub_len],
-                    scheme=fingerprint.scheme,
-                    device_id=fingerprint.device_id,
-                    interval_start=fingerprint.interval_start)
-        for i in range(0, length, sub_len)
-    ]
+    return [Fingerprint(fingerprint.bits[i:i + sub_len], fingerprint.device_id,
+                        fingerprint.interval_start) for i in range(0, length, sub_len)]
 
 
 def markov_stats(fingerprints: list[Fingerprint]) -> MarkovReport:

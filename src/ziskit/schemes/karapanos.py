@@ -43,8 +43,11 @@ class KarapanosConfig:
 @dataclass(frozen=True)
 class SimilarityScore:
     value: float | None
-    gated: bool
-    reason: str | None = None
+    reason: str | None = None  # why a gated score has no value
+
+    @property
+    def gated(self) -> bool:
+        return self.value is None
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,14 @@ def similarity_banded(a: BandedSnippet, b: BandedSnippet, cfg: KarapanosConfig,
         raise ValueError("banded snippets are not comparable")
     if a.power_db <= cfg.threshold_for(a.device_id) or \
             b.power_db <= cfg.threshold_for(b.device_id):
-        return SimilarityScore(value=None, gated=True, reason="power")
+        return SimilarityScore(None, "power")
     c = dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len)
     try:
         per_band = dsp.normalized_peak(c, a.norms, b.norms,
                                        int(round(cfg.maxlag_s * a.rate_hz)), two_sided)
     except UndefinedCorrelation:
-        return SimilarityScore(value=None, gated=True, reason="undefined-correlation")
-    return SimilarityScore(value=float(per_band.mean()), gated=False)
+        return SimilarityScore(None, "undefined-correlation")
+    return SimilarityScore(float(per_band.mean()))
 
 
 def similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> SimilarityScore:

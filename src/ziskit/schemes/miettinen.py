@@ -16,8 +16,6 @@ import numpy as np
 from ziskit.core.types import AudioSnippet, Fingerprint, SensorKind, SensorSeries
 from ziskit.errors import InsufficientSamples, InvariantViolation, ModelGap
 
-SCHEME_NAME = "miettinen"
-
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
 # Probabilities are clamped before taking logs so surprisal stays finite.
@@ -99,12 +97,8 @@ def context_fingerprint(series: SensorSeries, cfg: MiettinenConfig,
             f"{cfg.bits} bits")
     averages = snapshot_averages(series, period, cfg.bits + 1, offset=offset)
     start = int(series.timestamps_ms[0]) + (offset + 1) * period * 1000
-    return Fingerprint(
-        bits=_change_bits(averages, cfg.delta_rel, cfg.delta_abs),
-        scheme=SCHEME_NAME,
-        device_id=series.device_id,
-        interval_start=start,
-    )
+    return Fingerprint(_change_bits(averages, cfg.delta_rel, cfg.delta_abs), series.device_id,
+                       start)
 
 
 def iter_fingerprints(series: SensorSeries, cfg: MiettinenConfig) -> list[Fingerprint]:

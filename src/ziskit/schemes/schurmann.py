@@ -14,9 +14,7 @@ import numpy as np
 
 from ziskit import dsp
 from ziskit.core.types import AudioSnippet, Fingerprint
-from ziskit.errors import IncompatibleFingerprints, InsufficientSamples
-
-SCHEME_NAME = "schurmann"
+from ziskit.errors import IncompatibleFingerprints, InsufficientSamples, InvalidBand
 
 
 @dataclass(frozen=True)
@@ -49,18 +47,26 @@ class SchurmannConfig:
             edges.append((float(lo), float(hi)))
         return edges
 
+    def fits_rate(self, rate_hz: int) -> bool:
+        """Whether every band, clamped below the Nyquist frequency, is a valid band."""
+        return all(0 < lo < hi < rate_hz / 2 for lo, hi in self.band_edges(rate_hz))
+
 
 def energy_matrix(x: AudioSnippet, cfg: SchurmannConfig) -> np.ndarray:
     """Per-frame, per-band signal energies, shape (n_frames, n_bands).
 
-    Raises InvalidBand when the rate is too low for the bands (below 16 kHz
-    for the default 32 bands of 250 Hz).
+    Raises InvalidBand, before any filtering, when the rate is too low for the
+    bands (`SchurmannConfig.fits_rate`: 15504 Hz or less for the default 32
+    bands of 250 Hz).
     """
     d = cfg.frame_len(x.rate_hz)
     needed = cfg.n_frames * d
     if x.samples.size < needed:
         raise InsufficientSamples(
             f"need {needed} samples for {cfg.n_frames} frames of {d}, got {x.samples.size}")
+    if not cfg.fits_rate(x.rate_hz):
+        raise InvalidBand(f"{cfg.n_bands} bands of {cfg.band_width_hz} Hz do not fit "
+                          f"below {x.rate_hz / 2} Hz")
     frames = x.as_float()[:needed].reshape(cfg.n_frames, d)
     energies = np.empty((cfg.n_frames, cfg.n_bands))
     for j, (lo, hi) in enumerate(cfg.band_edges(x.rate_hz)):
@@ -79,12 +85,7 @@ def audio_fingerprint(x: AudioSnippet, cfg: SchurmannConfig | None = None) -> Fi
     energies = energy_matrix(x, cfg)
     band_diff = energies[:, :-1] - energies[:, 1:]
     bits = (band_diff[1:, :] - band_diff[:-1, :]) > 0
-    return Fingerprint(
-        bits=bits.reshape(-1).astype(np.uint8),
-        scheme=SCHEME_NAME,
-        device_id=x.device_id,
-        interval_start=x.start_time,
-    )
+    return Fingerprint(bits.reshape(-1).astype(np.uint8), x.device_id, x.start_time)
 
 
 def fingerprint_similarity(f: Fingerprint, g: Fingerprint) -> float:

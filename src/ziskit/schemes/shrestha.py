@@ -9,19 +9,19 @@ rows are compressed into weighted instances before training.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from ziskit.core.types import Dataset, Label, SensorKind
+from ziskit.core.types import Dataset, EvaluationRecord, Label, SensorKind
 from ziskit.errors import InvalidPressure
-
-SCHEME_NAME = "shrestha"
 
 STANDARD_PRESSURE_HPA = 1013.25
 # Sample matching tolerance across devices.
 MATCH_TOLERANCE_MS = 1000
 # Feature values are grouped after rounding; raw floats are too fragile.
 GROUP_DECIMALS = 4
+FEATURE_NAMES = ("d_temperature", "d_humidity", "d_altitude")
 
 
 def pressure_to_altitude(p_hpa: float) -> float:
@@ -51,11 +51,18 @@ class ShresthaFeatureVector:
     label: Label
     weight: int = 1
 
-    def feature_key(self) -> tuple:
-        def r(v):
-            return None if v is None else round(v, GROUP_DECIMALS)
+    FEATURES: ClassVar[tuple[str, ...]] = FEATURE_NAMES
 
-        return (r(self.d_temperature), r(self.d_humidity), r(self.d_altitude))
+    def values(self) -> list[float | None]:
+        return [getattr(self, name) for name in FEATURE_NAMES]
+
+    def feature_key(self) -> tuple:
+        return tuple(None if v is None else round(v, GROUP_DECIMALS) for v in self.values())
+
+    def record(self) -> EvaluationRecord:
+        """The unscored record of this row: its reading time, with t = 0."""
+        return EvaluationRecord(self.device_a, self.device_b, self.timestamp_ms, 0,
+                                self.label, None)
 
 
 def _abs_diff(a: float | None, b: float | None) -> float | None:
@@ -171,19 +178,6 @@ def expand_instances(rows: list[ShresthaFeatureVector]) -> list[ShresthaFeatureV
     for row in rows:
         out.extend([replace(row, weight=1)] * row.weight)
     return out
-
-
-FEATURE_NAMES = ("d_temperature", "d_humidity", "d_altitude")
-
-
-def ml_arrays(rows: list[ShresthaFeatureVector]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Feature matrix (NaN for missing), 0/1 labels, weights, column names."""
-    X = np.array([[np.nan if v is None else v
-                   for v in (r.d_temperature, r.d_humidity, r.d_altitude)] for r in rows])
-    y = np.array([1 if r.label is Label.COLOCATED else 0 for r in rows], dtype=np.uint8)
-    w = np.array([r.weight for r in rows], dtype=np.float64)
-    return X, y, w, FEATURE_NAMES
 
 
 def ambiguity_fraction(rows: list[ShresthaFeatureVector]) -> float:

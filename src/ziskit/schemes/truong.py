@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from ziskit import dsp
-from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, IntervalPair, Label
+from ziskit.core.types import (AudioSnippet, BeaconScan, Dataset, EvaluationRecord,
+                               IntervalPair, Label)
 from ziskit.core.windowing import map_pairs
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
-
-SCHEME_NAME = "truong"
 
 THETA_DEFAULT = -100.0
 # Distance substituted when neither side observed any beacon (reject bias).
@@ -160,15 +159,16 @@ class TruongFeatureVector:
     audio_tf_distance: float | None
     label: Label
 
+    FEATURES: ClassVar[tuple[str, ...]] = ALL_FEATURES
+    weight: ClassVar[int] = 1
+
     def values(self) -> list[float | None]:
         return [getattr(self, name) for name in ALL_FEATURES]
 
-
-def ml_arrays(rows: list[TruongFeatureVector]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Feature matrix (NaN for missing), 0/1 labels, and column names."""
-    X = np.array([[np.nan if v is None else v for v in row.values()] for row in rows])
-    y = np.array([1 if row.label is Label.COLOCATED else 0 for row in rows], dtype=np.uint8)
-    return X, y, ALL_FEATURES
+    def record(self) -> EvaluationRecord:
+        """The unscored pair-interval record of this row."""
+        return EvaluationRecord(self.device_a, self.device_b, self.interval_start,
+                                self.interval_len_s, self.label, None)
 
 
 class DeviceInterval(NamedTuple):

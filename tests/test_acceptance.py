@@ -141,8 +141,7 @@ def test_criterion_4_miettinen_bit_rule_and_surprisal():
             assert fp.bits.tolist() == [expected], averages
         for length in (8, 128, 496):
             rng = np.random.default_rng(length)
-            fp = Fingerprint(rng.integers(0, 2, size=length).astype(np.uint8),
-                             "miettinen", "d", 0)
+            fp = Fingerprint(rng.integers(0, 2, size=length).astype(np.uint8), "d", 0)
             model = miettinen.SurprisalModel.uniform(length)
             assert miettinen.surprisal(fp, model) == pytest.approx(float(length), abs=1e-12)
 
@@ -332,6 +331,7 @@ def _full_eer(results_csv: Path, t: int = E2E_T) -> float:
     raise AssertionError(f"no full/{t} row in {results_csv}")
 
 
+@pytest.mark.slow
 def test_criterion_9_end_to_end_separability(e2e):
     with criterion(9, "EER <= 0.05 at leakage 0.1; EER rise >= 0.10 at 0.9; <10 min"):
         for scheme in ("karapanos", "schurmann", "truong"):
@@ -350,14 +350,14 @@ def test_criterion_10_randomness_suite():
     with criterion(10, "uniform corpus: TV < 0.05 and bits within 3 sigma; "
                        "all-ones corpus: TV > 0.9"):
         rng = np.random.default_rng(13)
-        fps = [Fingerprint(rng.integers(0, 2, size=496).astype(np.uint8),
-                           "test", "d", 0) for _ in range(10_000)]
+        fps = [Fingerprint(rng.integers(0, 2, size=496).astype(np.uint8), "d", 0)
+               for _ in range(10_000)]
         walk = randomness.random_walk(fps)
         assert walk.tv_distance < 0.05
         markov = randomness.markov_stats(fps)
         sigma = 0.5 / np.sqrt(10_000)
         assert np.all(np.abs(markov.p_one - 0.5) < 3 * sigma)
-        ones = [Fingerprint(np.ones(496, dtype=np.uint8), "test", "d", 0)] * 100
+        ones = [Fingerprint(np.ones(496, dtype=np.uint8), "d", 0)] * 100
         assert randomness.random_walk(ones).tv_distance > 0.9
 
 
@@ -372,11 +372,12 @@ def _records_for(scheme: str, info: dict) -> list:
                                        dataset.ground_truth)
     if scheme == "schurmann":
         fps, surprisals, spans = pipeline.read_fingerprint_csv(
-            info["features"]["schurmann"], scheme="schurmann")
+            info["features"]["schurmann"])
         return pipeline.fingerprint_records(fps, spans, dataset.ground_truth)
     return pipeline.read_prediction_csv(info["predictions"])
 
 
+@pytest.mark.slow
 def test_criterion_11_robustness_self_application(e2e):
     with criterion(11, "cross_apply(A=B) reproduces each stored EER operating point"):
         checked = 0

@@ -543,6 +543,17 @@ def test_every_numeric_flag_takes_a_json_number(tmp_path):
     ["datagen", "--event-rate", "-1"],
     ["ml", "train", "--scheme", "truong", "--seed", "-1"],
     ["evaluate", "--scheme", "karapanos", "--far-targets", "0,2"],
+    ["align", "--probe-s", "nan"],
+    ["features", "--scheme", "karapanos", "--power-db", "nan"],
+    ["features", "--scheme", "truong", "--theta", "nan"],
+    ["features", "--scheme", "miettinen", "--delta-abs", "nan"],
+    ["features", "--scheme", "miettinen", "--delta-rel", "inf"],
+    ["evaluate", "--scheme", "schurmann", "--surprisal-threshold", "nan"],
+    ["datagen", "--event-band", "5,1"],
+    ["datagen", "--event-band", "300,8000"],
+    ["datagen", "--noise-floor-db", "nan"],
+    ["datagen", "--beacon-dropout", "2"],
+    ["datagen", "--beacon-population", "-3"],
 ])
 def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp_path):
     dataset = ["--dataset", str(scenario_dir)]
@@ -554,6 +565,20 @@ def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "usage error" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("scheme", ["truong", "shrestha"])
+def test_ml_on_header_only_features_exits_2(scheme, command, valid_files, tmp_path, capsys):
+    header = (valid_files / f"{scheme}.csv").read_bytes().split(b"\r\n")[0]
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(header + b"\r\n")
+    # predict reads the features before the model, so the model need not exist
+    model = ["--model", str(tmp_path / "absent.json")] if command == "predict" else []
+    code = main(["ml", command, "--scheme", scheme, "--features", str(empty), *model,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "no records in feature file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("outputs", [[], ["--metrics"], ["--predictions"]])

@@ -243,8 +243,8 @@ def test_fingerprint_hex_round_trip(rng):
     from ziskit.core.types import Fingerprint
 
     bits = rng.integers(0, 2, size=496).astype(np.uint8)
-    fp = Fingerprint(bits, "schurmann", "d", 0)
-    back = Fingerprint.from_hex(fp.to_hex(), 496, "schurmann", "d", 0)
+    fp = Fingerprint(bits, "d", 0)
+    back = Fingerprint.from_hex(fp.to_hex(), 496, "d", 0)
     np.testing.assert_array_equal(back.bits, bits)
     assert len(fp.to_hex()) == 124  # 62 bytes
 

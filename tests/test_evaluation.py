@@ -306,7 +306,7 @@ class TestRecords:
         return [
             EvaluationRecord("a", "b", 0, 10, Label.COLOCATED, 0.9),
             EvaluationRecord("a", "c", 0, 10, Label.NON_COLOCATED, 0.2),
-            EvaluationRecord("b", "c", 0, 10, Label.NON_COLOCATED, None, gated=True),
+            EvaluationRecord("b", "c", 0, 10, Label.NON_COLOCATED, None),
         ]
 
     def test_availability_excludes_gated(self):

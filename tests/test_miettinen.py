@@ -26,7 +26,7 @@ def snapshot_series(averages, period_s=10, readings_per_snapshot=5, start=0):
 
 
 def make_fp(bits, start=0):
-    return Fingerprint(np.array(bits, dtype=np.uint8), "miettinen", "d", start)
+    return Fingerprint(np.array(bits, dtype=np.uint8), "d", start)
 
 
 class TestNoiseLevels:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import noise_snippet, series_of, two_group_truth
 from ziskit import pipeline
-from ziskit.core.types import AudioSnippet, Dataset, Label, SensorKind
+from ziskit.core.types import AudioSnippet, Dataset, Fingerprint, Label, SensorKind
 from ziskit.core.windowing import thread_count
 from ziskit.errors import ParseError
 from ziskit.schemes import karapanos, miettinen, schurmann, truong
@@ -80,11 +80,20 @@ class TestFingerprintPipeline:
         fps = pipeline.schurmann_fingerprints(audio_dataset, 10)
         path = tmp_path / "fp.csv"
         pipeline.write_fingerprint_csv(path, fps, 10)
-        back, surprisals, spans = pipeline.read_fingerprint_csv(path, "schurmann")
+        back, surprisals, spans = pipeline.read_fingerprint_csv(path)
         assert spans == [10] * len(fps)
         assert surprisals == [None] * len(fps)
         for orig, rec in zip(fps, back):
             np.testing.assert_array_equal(orig.bits, rec.bits)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the reader takes the length "
+                       "from the hex width, so 20 bits read back as 24")
+    def test_fingerprint_csv_keeps_bit_count(self, tmp_path):
+        fp = Fingerprint(np.array([1, 0, 1, 1] * 5, dtype=np.uint8), "d", 0)
+        path = tmp_path / "fp.csv"
+        pipeline.write_fingerprint_csv(path, [fp], 10)
+        back, _, _ = pipeline.read_fingerprint_csv(path)
+        np.testing.assert_array_equal(back[0].bits, fp.bits)
 
     def test_fingerprint_records_labeling(self, audio_dataset):
         fps = pipeline.schurmann_fingerprints(audio_dataset, 10)
@@ -117,7 +126,6 @@ class TestFingerprintPipeline:
         cfg = miettinen.MiettinenConfig(snapshot_s=5, bits=4)
         fps = pipeline.miettinen_fingerprints(dataset, cfg, source="luminosity")
         assert len(fps) == 4
-        assert all(fp.scheme == "miettinen" for fp in fps)
 
     def test_miettinen_noise_source_uses_audio(self, audio_dataset):
         cfg = miettinen.MiettinenConfig(snapshot_s=2, bits=4)
@@ -213,7 +221,7 @@ def test_schurmann_pipeline_matches_direct_calls(audio_dataset):
 TABLES = {
     "score": (lambda path: pipeline.read_score_csv(path, two_group_truth()),
               "pair_id,interval_start_ms,t,score,gated", "a|b,0,10,0.5,0"),
-    "fingerprint": (lambda path: pipeline.read_fingerprint_csv(path, "schurmann"),
+    "fingerprint": (pipeline.read_fingerprint_csv,
                     "device_id,interval_start_ms,t,hex_bits", "a,0,10,a5"),
     "truong": (pipeline.read_truong_csv,
                ",".join(["pair_id", "interval_start_ms", "t", *truong.ALL_FEATURES,
@@ -243,6 +251,16 @@ def test_reader_rejects_bad_rows_with_parse_error(table, fault, tmp_path):
         read(bad)
     assert info.value.path == str(bad)
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize("row", ["a|b,0,10,0.5,1", "a|b,0,10,,0"])
+def test_score_csv_rejects_gated_flag_that_disagrees_with_score(row, tmp_path):
+    read, header, good = TABLES["score"]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(f"{header}\r\n{good}\r\n{row}\r\n".encode())
+    with pytest.raises(ParseError, match="gated") as info:
+        read(bad)
+    assert (info.value.path, info.value.line) == (str(bad), 3)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

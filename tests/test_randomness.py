@@ -8,7 +8,7 @@ from ziskit.randomness import markov_stats, random_walk, split_subfingerprints
 
 
 def fp(bits, device="d", start=0):
-    return Fingerprint(np.asarray(bits, dtype=np.uint8), "test", device, start)
+    return Fingerprint(np.asarray(bits, dtype=np.uint8), device, start)
 
 
 def uniform_corpus(rng, n, length):

@@ -3,9 +3,10 @@ import pytest
 from scipy.signal import lfilter
 
 from conftest import noise_snippet
+from ziskit import dsp
 from ziskit.core.types import AudioSnippet, Fingerprint
 from ziskit.dsp import _bandpass_sos
-from ziskit.errors import IncompatibleFingerprints, InsufficientSamples
+from ziskit.errors import IncompatibleFingerprints, InsufficientSamples, InvalidBand
 from ziskit.schemes import schurmann
 
 
@@ -58,6 +59,20 @@ class TestAudioFingerprint:
         fp = schurmann.audio_fingerprint(x, cfg)
         assert not np.any(fp.bits)
 
+    def test_low_rate_raises_before_any_filter(self, rng, monkeypatch):
+        calls = []
+        real_bandpass = dsp.bandpass
+
+        def counting_bandpass(*args, **kwargs):
+            calls.append(args[1:3])
+            return real_bandpass(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "bandpass", counting_bandpass)
+        x = AudioSnippet(rng.integers(-3000, 3000, size=80_000).astype(np.int16), 8000, 0, "d")
+        with pytest.raises(InvalidBand):
+            schurmann.audio_fingerprint(x)
+        assert calls == []
+
     def test_amplitude_scale_invariance(self, rng):
         cfg = schurmann.SchurmannConfig(interval_s=1)
         base = 2 * rng.integers(-800, 801, size=16000, dtype=np.int64)
@@ -85,10 +100,29 @@ class TestAudioFingerprint:
         assert edges[-1] == (7751.0, 7999.0)
         assert len(edges) == 32
 
+    def test_fits_rate_is_where_every_band_filter_is_valid(self, monkeypatch):
+        # The reference is the filter itself: a rate fits when dsp.bandpass takes
+        # every band. A pass-through design keeps each call cheap.
+        monkeypatch.setattr(dsp, "_bandpass_sos",
+                            lambda *args: np.array([[1.0, 0, 0, 1.0, 0, 0]]))
+        cfg = schurmann.SchurmannConfig()
+
+        def every_band_filters(rate: int) -> bool:
+            try:
+                for lo, hi in cfg.band_edges(rate):
+                    dsp.bandpass(np.zeros(1), lo, hi, cfg.filter_order, rate_hz=rate)
+            except InvalidBand:
+                return False
+            return True
+
+        # 250 Hz steps from 4 to 48 kHz, and every rate where the top band closes.
+        for rate in [*range(4000, 48001, 250), *range(15490, 15521)]:
+            assert cfg.fits_rate(rate) == every_band_filters(rate), rate
+
 
 class TestFingerprintSimilarity:
     def _fp(self, bits):
-        return Fingerprint(np.array(bits, dtype=np.uint8), "schurmann", "d", 0)
+        return Fingerprint(np.array(bits, dtype=np.uint8), "d", 0)
 
     def test_equal_is_one(self, rng):
         bits = rng.integers(0, 2, size=64)

@@ -3,6 +3,7 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import series_of, two_group_truth
+from ziskit import pipeline
 from ziskit.core.types import Dataset, Label, SensorKind
 from ziskit.errors import InvalidPressure
 from ziskit.schemes import shrestha
@@ -212,7 +213,8 @@ class TestBuildDataset:
 
     def test_ml_arrays_weights(self):
         rows = [make_row(1.0, 2.0, 3.0, weight=5), make_row(2.0, None, 1.0)]
-        X, y, w, names = shrestha.ml_arrays(rows)
+        data, _ = pipeline.ml_table(rows)
+        X, y, w, names = data.X, data.y, data.weights, data.feature_names
         assert X.shape == (2, 3)
         assert np.isnan(X[1, 1])
         assert w.tolist() == [5.0, 1.0]

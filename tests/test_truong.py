@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import noise_snippet, two_group_truth
-from ziskit import dsp
+from ziskit import dsp, pipeline
 from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, Label
 from ziskit.core.windowing import window_pairs
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
@@ -268,7 +268,8 @@ class TestBuildDataset:
         dataset = _beacon_dataset(rng, shared=True)
         dataset.beacons["a"] = [s for s in dataset.beacons["a"] if s.kind == "ble"]
         rows = truong.build_dataset(window_pairs(dataset, 10), dataset, 10)
-        X, y, names = truong.ml_arrays(rows)
+        data, _ = pipeline.ml_table(rows)
+        X, y, names = data.X, data.y, data.feature_names
         assert X.shape == (len(rows), 9)
         assert names == truong.ALL_FEATURES
         a_rows = [i for i, r in enumerate(rows) if "a" in (r.device_a, r.device_b)]
