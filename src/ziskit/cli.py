@@ -82,9 +82,11 @@ _positive_int = _at_least(int, 1)
 _non_negative_int = _at_least(int, 0)
 _finite = _at_least(float, -math.inf)
 _non_negative = _at_least(float, 0)
+# Noise levels are timestamped in whole milliseconds.
+_millisecond_or_more = _at_least(float, 0.001, "seconds")
 # Flag types that also take JSON numbers from a config file.
 NUMERIC_TYPES = (int, float, _fold_count, _positive_int, _non_negative_int, _finite,
-                 _non_negative)
+                 _non_negative, _millisecond_or_more)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +137,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--source", choices=("noise", "luminosity"), default="noise")
     p.add_argument("--delta-rel", type=_finite, default=0.1)
     p.add_argument("--delta-abs", type=_finite, default=10.0)
-    p.add_argument("--measurement-window-s", type=float, default=1.0)
+    p.add_argument("--measurement-window-s", type=_millisecond_or_more, default=1.0)
     p.add_argument("--with-surprisal", action="store_true",
                    help="fit a surprisal model on the corpus and emit the column")
 
@@ -174,7 +176,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     pt.add_argument("--kind", choices=("auto", "forest", "boosting"), default="auto")
     pt.add_argument("--grid", choices=("full", "small"), default="full")
     pt.add_argument("--seed", type=_non_negative_int, default=ensemble.DEFAULT_SEED)
-    pt.add_argument("--early-stop", type=int, default=ensemble.DEFAULT_EARLY_STOP_ROUNDS)
+    pt.add_argument("--early-stop", type=_non_negative_int,
+                    default=ensemble.DEFAULT_EARLY_STOP_ROUNDS)
     pt.add_argument("--folds", type=_fold_count, default=10)
     pt.add_argument("--out", type=Path, required=True)
     pt.add_argument("--predictions", type=Path)
@@ -383,8 +386,7 @@ def _cmd_robustness(args) -> int:
         if scores.size == 0:
             continue
         try:
-            result = evaluation.cross_apply(threshold, evaluation.ACCEPT_IF_GEQ,
-                                            scores, labels)
+            result = evaluation.cross_apply(threshold, scores, labels)
         except DegenerateLabels:
             continue
         out_rows.append((scheme, subscenario, t, threshold, result.far, result.frr,

@@ -240,34 +240,26 @@ class GroundTruth:
 
 
 @dataclass(frozen=True)
-class IntervalPair:
-    """One unordered device pair in one aligned interval."""
+class EvaluationRecord:
+    """One device pair in one aligned interval, its ground-truth label and score.
+
+    A record without a score is unscored (not yet scored, or gated).
+    """
 
     device_a: str
     device_b: str
     interval_start: int
     interval_len_s: int
     label: Label
+    score: float | None = None
 
     def __post_init__(self):
         if self.device_a == self.device_b:
             raise InvariantViolation("pair must consist of two distinct devices")
 
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """A scored (or gated) pair-interval with its ground-truth label."""
-
-    device_a: str
-    device_b: str
-    interval_start: int
-    interval_len_s: int
-    label: Label
-    score: float | None
-
     @property
     def gated(self) -> bool:
-        """No score: the pair-interval was gated."""
+        """No score: the pair-interval is not scored yet, or was gated."""
         return self.score is None
 
     @property

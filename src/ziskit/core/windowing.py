@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, groupby
 from typing import Callable, Iterable, Sequence
 
-from ziskit.core.types import Dataset, EvaluationRecord, GroundTruth, IntervalPair
+from ziskit.core.types import Dataset, EvaluationRecord, GroundTruth
 
 
 def dataset_epoch(dataset: Dataset) -> tuple[int, int] | None:
@@ -23,30 +23,33 @@ def dataset_epoch(dataset: Dataset) -> tuple[int, int] | None:
     return start, end
 
 
-def window_pairs(dataset: Dataset, t: int) -> list[IntervalPair]:
-    """One pair per unordered device pair per aligned interval of length t.
+def interval_starts(dataset: Dataset, t: int) -> range:
+    """Start times of the aligned intervals of length t seconds.
 
-    The interval grid is anchored at the dataset's earliest common timestamp.
-    Pairs whose colocation state changes mid-interval are dropped.
+    The grid is anchored at the dataset's earliest common timestamp, and
+    every interval ends by its latest common end.
     """
     if t <= 0:
         raise ValueError("interval length must be a positive integer")
     span = dataset_epoch(dataset)
     if span is None:
-        return []
+        return range(0)
     epoch, end = span
+    step = t * 1000
+    return range(epoch, end - step + 1, step)
+
+
+def window_pairs(dataset: Dataset, t: int) -> list[EvaluationRecord]:
+    """One unscored record per unordered device pair per interval of `interval_starts`.
+
+    Pairs whose colocation state changes mid-interval are dropped.
+    """
     devices = [d for d in dataset.device_ids() if dataset.device_span(d) is not None]
     gt = dataset.ground_truth
-    step = t * 1000
-    pairs: list[IntervalPair] = []
-    for start in range(epoch, end - step + 1, step):
-        stop = start + step
-        for a, b in combinations(devices, 2):
-            label = gt.label_for(a, b, start, stop)
-            if label is None:
-                continue
-            pairs.append(IntervalPair(a, b, start, t, label))
-    return pairs
+    return [EvaluationRecord(a, b, start, t, label)
+            for start in interval_starts(dataset, t)
+            for a, b in combinations(devices, 2)
+            if (label := gt.label_for(a, b, start, start + t * 1000)) is not None]
 
 
 def thread_count() -> int:
@@ -66,13 +69,13 @@ def pmap(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
-def map_pairs(pairs: Sequence[IntervalPair], state: Callable, score: Callable) -> list:
+def map_pairs(pairs: Sequence[EvaluationRecord], state: Callable, score: Callable) -> list:
     """score(pair, state(device_a, start), state(device_b, start)) per pair, in order.
 
     A run of consecutive pairs with one interval start (window_pairs gives one
     per interval) builds each device's state once; runs go through `pmap`.
     """
-    def one_run(run: list[IntervalPair]) -> list:
+    def one_run(run: list[EvaluationRecord]) -> list:
         states: dict[str, object] = {}
         for pair in run:
             for device in (pair.device_a, pair.device_b):
@@ -84,8 +87,8 @@ def map_pairs(pairs: Sequence[IntervalPair], state: Callable, score: Callable) -
     return [row for rows in pmap(one_run, runs) for row in rows]
 
 
-def filter_subscenario(records: Sequence[EvaluationRecord] | Iterable[IntervalPair],
-                       ground_truth: GroundTruth, name: str) -> list:
+def filter_subscenario(records: Iterable[EvaluationRecord], ground_truth: GroundTruth,
+                       name: str) -> list[EvaluationRecord]:
     """Records whose interval lies fully inside any range of the subscenario."""
     sub = ground_truth.subscenario(name)
     kept = []

@@ -1,8 +1,9 @@
 """Error-rate evaluation: FAR/FRR, EER sweeps, target-FAR curves, robustness.
 
-Similarity-style scores accept high (accept_if_geq), distance-style scores
-accept low (accept_if_leq). Gated or missing scores never enter FAR/FRR
-denominators; they are reported through the availability fraction instead.
+Every scheme scores a pair-interval higher the more likely it is colocated,
+so a score is accepted when it is at or above the threshold. Gated or
+missing scores never enter FAR/FRR denominators; they are reported through
+the availability fraction instead.
 
 The EER and FRR-at-FAR sweeps are exact and O(n log n): one sort of the
 scores, then cumulative class counts give FAR and FRR at every candidate
@@ -21,9 +22,6 @@ import numpy as np
 
 from ziskit.core.types import EvaluationRecord, Label
 from ziskit.errors import DegenerateLabels
-
-ACCEPT_IF_GEQ = "accept_if_geq"
-ACCEPT_IF_LEQ = "accept_if_leq"
 
 # FAR and FRR that differ beyond three decimals make the EER a starred
 # (averaged) value.
@@ -51,19 +49,13 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
-def far_frr(scores, labels, threshold: float,
-            polarity: str = ACCEPT_IF_GEQ) -> tuple[float, float]:
+def far_frr(scores, labels, threshold: float) -> tuple[float, float]:
     """False accept and false reject rates at a fixed threshold.
 
     labels: 1 = colocated, 0 = non-colocated.
     """
     scores, labels = _validate(scores, labels)
-    if polarity == ACCEPT_IF_GEQ:
-        accepted = scores >= threshold
-    elif polarity == ACCEPT_IF_LEQ:
-        accepted = scores <= threshold
-    else:
-        raise ValueError(f"unknown polarity {polarity!r}")
+    accepted = scores >= threshold
     far = float(np.mean(accepted[labels == 0]))
     frr = float(np.mean(~accepted[labels == 1]))
     return far, frr
@@ -81,39 +73,30 @@ def score_masses(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | N
     return uniq, pos, neg
 
 
-def _sweep(scores: np.ndarray, labels: np.ndarray, polarity: str
+def _sweep(scores: np.ndarray, labels: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate thresholds and the FAR and FRR at each, from one sort.
 
     The candidates are -inf, the midpoints between consecutive distinct
-    scores, and +inf. `k` counts the distinct scores below a candidate
-    (accept_if_geq: rejected) or at or below it (accept_if_leq: accepted)
-    with the comparison `far_frr` makes, so a midpoint that rounds onto a
-    score stays exact.
+    scores, and +inf. `k` counts the distinct scores below a candidate, the
+    rejected ones, with the comparison `far_frr` makes, so a midpoint that
+    rounds onto a score stays exact.
     """
     uniq, pos, neg = score_masses(scores, labels)
     cumpos, cumneg = (np.concatenate(([0], np.cumsum(m))) for m in (pos, neg))
-    n_pos, n_neg = cumpos[-1], cumneg[-1]
     thresholds = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
-    if polarity == ACCEPT_IF_GEQ:
-        k = np.searchsorted(uniq, thresholds, side="left")
-        neg_acc, pos_rej = n_neg - cumneg[k], cumpos[k]
-    elif polarity == ACCEPT_IF_LEQ:
-        k = np.searchsorted(uniq, thresholds, side="right")
-        neg_acc, pos_rej = cumneg[k], n_pos - cumpos[k]
-    else:
-        raise ValueError(f"unknown polarity {polarity!r}")
-    return thresholds, neg_acc / n_neg, pos_rej / n_pos
+    k = np.searchsorted(uniq, thresholds, side="left")
+    return thresholds, (cumneg[-1] - cumneg[k]) / cumneg[-1], cumpos[k] / cumpos[-1]
 
 
-def equal_error_rate(scores, labels, polarity: str = ACCEPT_IF_GEQ) -> ErrorRates:
+def equal_error_rate(scores, labels) -> ErrorRates:
     """Operating point minimizing |FAR - FRR| over all achievable thresholds.
 
     Ties prefer the lower FAR, then the lower FRR, then the lower candidate
     threshold. The EER is the average of FAR and FRR at the chosen point and
     is starred when they disagree beyond three decimals.
     """
-    thresholds, far, frr = _sweep(*_validate(scores, labels), polarity)
+    thresholds, far, frr = _sweep(*_validate(scores, labels))
     best = np.lexsort((frr, far, np.abs(far - frr)))[0]
     far, frr = float(far[best]), float(frr[best])
     return ErrorRates(
@@ -125,11 +108,10 @@ def equal_error_rate(scores, labels, polarity: str = ACCEPT_IF_GEQ) -> ErrorRate
     )
 
 
-def frr_at_far(scores, labels, polarity: str = ACCEPT_IF_GEQ,
-               far_targets: Sequence[float] = (0.001, 0.005, 0.01, 0.05)
+def frr_at_far(scores, labels, far_targets: Sequence[float] = (0.001, 0.005, 0.01, 0.05)
                ) -> list[tuple[float, float]]:
     """Smallest achievable FRR with FAR at or below each target."""
-    _, far, frr = _sweep(*_validate(scores, labels), polarity)
+    _, far, frr = _sweep(*_validate(scores, labels))
     out = []
     for target in far_targets:
         if not 0 < target < 1:
@@ -180,10 +162,10 @@ class CrossApplyResult:
     delta_frr: float
 
 
-def cross_apply(threshold: float, polarity: str, scores, labels) -> CrossApplyResult:
+def cross_apply(threshold: float, scores, labels) -> CrossApplyResult:
     """Apply a foreign decision threshold and report deltas vs the native EER."""
-    far, frr = far_frr(scores, labels, threshold, polarity)
-    native = equal_error_rate(scores, labels, polarity)
+    far, frr = far_frr(scores, labels, threshold)
+    native = equal_error_rate(scores, labels)
     return CrossApplyResult(far=far, frr=frr,
                             delta_far=far - native.far, delta_frr=frr - native.frr)
 

@@ -8,6 +8,7 @@ capped by the ZIS_THREADS environment variable.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,10 @@ from ziskit.core.types import (
     EvaluationRecord,
     Fingerprint,
     GroundTruth,
-    IntervalPair,
     Label,
     SensorKind,
 )
-from ziskit.core.windowing import dataset_epoch, map_pairs, pmap, window_pairs
+from ziskit.core.windowing import interval_starts, map_pairs, pmap, window_pairs
 from ziskit.errors import InsufficientSamples, InvalidBand, ZisError
 from ziskit.ml.ensemble import MLDataset
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
@@ -46,11 +46,10 @@ def karapanos_records(dataset: Dataset, t: int,
             return None
         return karapanos.band_decompose(chunk, cfg)
 
-    def record(pair: IntervalPair, a, b) -> EvaluationRecord:
-        score = None if a is None or b is None or a.rate_hz != b.rate_hz \
-            else karapanos.similarity_banded(a, b, cfg, two_sided=True).value
-        return EvaluationRecord(pair.device_a, pair.device_b, pair.interval_start, t,
-                                pair.label, score)
+    def record(pair: EvaluationRecord, a, b) -> EvaluationRecord:
+        if a is None or b is None or a.rate_hz != b.rate_hz:
+            return pair
+        return replace(pair, score=karapanos.similarity_banded(a, b, cfg, two_sided=True).value)
 
     return map_pairs(window_pairs(dataset, t), decompose, record)
 
@@ -97,17 +96,12 @@ def schurmann_fingerprints(dataset: Dataset, t: int,
                            cfg: schurmann.SchurmannConfig | None = None
                            ) -> list[Fingerprint]:
     cfg = cfg or schurmann.SchurmannConfig(interval_s=t)
-    span = dataset_epoch(dataset)
-    if span is None:
-        return []
-    epoch, end = span
-    step = t * 1000
-    jobs = [(device, start) for device in sorted(dataset.audio)
-            for start in range(epoch, end - step + 1, step)]
+    starts = interval_starts(dataset, t)
+    jobs = [(device, start) for device in sorted(dataset.audio) for start in starts]
 
     def one(job: tuple[str, int]) -> Fingerprint | None:
         device, start = job
-        chunk = dataset.audio[device].slice_ms(start, start + step)
+        chunk = dataset.audio[device].slice_ms(start, start + t * 1000)
         try:
             return schurmann.audio_fingerprint(chunk, cfg)
         except (InsufficientSamples, InvalidBand):  # short audio, or bands above Nyquist

@@ -7,6 +7,7 @@ one-frequencies and adjacent-bit transition estimates expose positional bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,15 @@ def _bit_matrix(fingerprints: list[Fingerprint]) -> np.ndarray:
 
 
 def random_walk(fingerprints: list[Fingerprint]) -> RandomWalkReport:
-    """Endpoint histogram vs the binomial expectation, with their TV distance."""
-    from scipy.stats import binom
+    """Endpoint histogram vs the binomial expectation, with their TV distance.
 
+    Each Binomial(L, 1/2) probability is the exact ratio comb(L, k) / 2**L, rounded once."""
     bits = _bit_matrix(fingerprints)
     n, length = bits.shape
     ones = bits.sum(axis=1)
     counts = np.bincount(ones, minlength=length + 1)
     offsets = 2 * np.arange(length + 1) - length
-    pmf = binom.pmf(np.arange(length + 1), length, 0.5)
+    pmf = np.array([math.comb(length, k) / 2 ** length for k in range(length + 1)])
     empirical = counts / n
     tv = 0.5 * float(np.abs(empirical - pmf).sum())
     return RandomWalkReport(offsets=offsets, counts=counts, expected_pmf=pmf,

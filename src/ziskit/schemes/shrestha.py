@@ -61,8 +61,7 @@ class ShresthaFeatureVector:
 
     def record(self) -> EvaluationRecord:
         """The unscored record of this row: its reading time, with t = 0."""
-        return EvaluationRecord(self.device_a, self.device_b, self.timestamp_ms, 0,
-                                self.label, None)
+        return EvaluationRecord(self.device_a, self.device_b, self.timestamp_ms, 0, self.label)
 
 
 def _abs_diff(a: float | None, b: float | None) -> float | None:

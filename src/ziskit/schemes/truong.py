@@ -16,8 +16,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from ziskit import dsp
-from ziskit.core.types import (AudioSnippet, BeaconScan, Dataset, EvaluationRecord,
-                               IntervalPair, Label)
+from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, EvaluationRecord, Label
 from ziskit.core.windowing import map_pairs
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
 
@@ -168,7 +167,7 @@ class TruongFeatureVector:
     def record(self) -> EvaluationRecord:
         """The unscored pair-interval record of this row."""
         return EvaluationRecord(self.device_a, self.device_b, self.interval_start,
-                                self.interval_len_s, self.label, None)
+                                self.interval_len_s, self.label)
 
 
 class DeviceInterval(NamedTuple):
@@ -188,7 +187,7 @@ def device_interval(dataset: Dataset, device: str, start: int, stop: int) -> Dev
                                    for kind, s in scans.items()))
 
 
-def pair_features(pair: IntervalPair, a: DeviceInterval, b: DeviceInterval, t: int,
+def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
                   theta: float = THETA_DEFAULT) -> TruongFeatureVector:
     """The feature vector of one pair-interval from its two device states."""
     wifi, ble = (beacon_features(x, y, theta) if x is not None and y is not None else None
@@ -201,7 +200,7 @@ def pair_features(pair: IntervalPair, a: DeviceInterval, b: DeviceInterval, t: i
         except UndefinedCorrelation:
             pass
     return TruongFeatureVector(
-        pair.device_a, pair.device_b, pair.interval_start, t,
+        pair.device_a, pair.device_b, pair.interval_start, pair.interval_len_s,
         *((wifi.jaccard, wifi.mean_hamming, wifi.euclidean, wifi.mean_exp,
            wifi.sum_sq_ranks) if wifi else (None,) * 5),
         *((ble.jaccard, ble.euclidean) if ble else (None,) * 2),
@@ -209,10 +208,10 @@ def pair_features(pair: IntervalPair, a: DeviceInterval, b: DeviceInterval, t: i
         pair.label)
 
 
-def build_dataset(pairs: list[IntervalPair], dataset: Dataset, t: int,
+def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
                   theta: float = THETA_DEFAULT) -> list[TruongFeatureVector]:
     """One labeled feature vector per pair-interval, in the order of `pairs`."""
     return map_pairs(pairs,
                      lambda device, start: device_interval(dataset, device, start,
                                                            start + t * 1000),
-                     lambda pair, a, b: pair_features(pair, a, b, t, theta))
+                     lambda pair, a, b: pair_features(pair, a, b, theta))

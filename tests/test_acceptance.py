@@ -394,9 +394,7 @@ def test_criterion_11_robustness_self_application(e2e):
                     native = evaluation.equal_error_rate(scores, labels)
                     stored_thr = float(row["threshold"])
                     assert stored_thr == native.threshold
-                    result = evaluation.cross_apply(stored_thr,
-                                                    evaluation.ACCEPT_IF_GEQ,
-                                                    scores, labels)
+                    result = evaluation.cross_apply(stored_thr, scores, labels)
                     assert (result.far, result.frr) == (native.far, native.frr)
                     assert float(row["eer"]) == native.eer
                     assert bool(int(row["starred"])) == native.starred

@@ -231,18 +231,29 @@ def _reader_argv(table: str, bad: Path, files: Path, scenario: Path, out: Path):
             "--scores", str(files / "prediction.csv"), "--out", str(out / "robust.csv")]
 
 
-@pytest.mark.parametrize("fault", ["ragged_row", "non_utf8"])
-@pytest.mark.parametrize("table", ["score", "fingerprint", "truong", "shrestha",
-                                   "prediction", "results"])
+@pytest.mark.parametrize("table,fault", [
+    *((table, fault) for table in ("score", "fingerprint", "truong", "shrestha", "prediction",
+                                   "results") for fault in ("ragged_row", "non_utf8")),
+    # The tables read into EvaluationRecords hold pairs of two distinct devices.
+    ("score", "self_pair"), ("prediction", "self_pair")])
 def test_bad_input_table_exits_2(table, fault, valid_files, scenario_dir, tmp_path,
                                  capsys):
     lines = (valid_files / f"{table}.csv").read_bytes().split(b"\r\n")
-    lines[1] = lines[1] + b",extra" if fault == "ragged_row" else b"\xff" + lines[1]
+    if fault == "ragged_row":
+        lines[1] += b",extra"
+    elif fault == "non_utf8":
+        lines[1] = b"\xff" + lines[1]
+    else:  # the row's pair becomes its first device twice
+        pair, rest = lines[1].split(b",", 1)
+        device = pair.split(b"|")[0]
+        lines[1] = device + b"|" + device + b"," + rest
     bad = tmp_path / f"bad_{table}.csv"
     bad.write_bytes(b"\r\n".join(lines))
     code = main(_reader_argv(table, bad, valid_files, scenario_dir, tmp_path / "out"))
     assert code == 2
-    assert f"{bad}:2)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}:2)" in err
+    assert fault != "self_pair" or "two distinct devices" in err
 
 
 def _break_dataset_file(fault: str, dataset: Path) -> Path:
@@ -554,6 +565,11 @@ def test_every_numeric_flag_takes_a_json_number(tmp_path):
     ["datagen", "--noise-floor-db", "nan"],
     ["datagen", "--beacon-dropout", "2"],
     ["datagen", "--beacon-population", "-3"],
+    ["features", "--scheme", "miettinen", "--measurement-window-s", "nan"],
+    ["features", "--scheme", "miettinen", "--measurement-window-s", "inf"],
+    ["features", "--scheme", "miettinen", "--measurement-window-s", "0"],
+    ["features", "--scheme", "miettinen", "--measurement-window-s", "-1"],
+    ["ml", "train", "--scheme", "truong", "--early-stop", "-1"],
 ])
 def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp_path):
     dataset = ["--dataset", str(scenario_dir)]
@@ -627,3 +643,15 @@ def test_cli_import_loads_no_scipy_and_commands_run_cold(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "kara.csv").read_text().splitlines()) == 1 + 6 * 2
     assert json.loads((tmp_path / "rand.json").read_text())["random_walk"]["n_fingerprints"] == 8
+
+
+def test_fingerprint_randomness_loads_no_scipy(valid_files, tmp_path):
+    argv = ["fingerprint-randomness", "--features", str(valid_files / "fingerprint.csv"),
+            "--out", "rand.json", "--sub-len", "31"]
+    proc = _cold("-c", "import sys; from ziskit.cli import main; "
+                 f"code = main({argv!r}); "
+                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                 cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert json.loads((tmp_path / "rand.json").read_text())["subfingerprints"]

@@ -10,7 +10,7 @@ from ziskit.core.types import EvaluationRecord, Label
 from ziskit.errors import DegenerateLabels
 
 
-def sweep_oracle(scores, labels, polarity=ev.ACCEPT_IF_GEQ):
+def sweep_oracle(scores, labels):
     """Exhaustive enumeration over a fine threshold set, same tie rule."""
     scores = np.asarray(scores, dtype=float)
     uniq = np.unique(scores)
@@ -20,7 +20,7 @@ def sweep_oracle(scores, labels, polarity=ev.ACCEPT_IF_GEQ):
     candidates += list(uniq - 1e-9) + list(uniq + 1e-9)
     best = None
     for thr in candidates:
-        far, frr = ev.far_frr(scores, labels, thr, polarity)
+        far, frr = ev.far_frr(scores, labels, thr)
         key = (abs(far - frr), far, frr)
         if best is None or key < best[0]:
             best = (key, far, frr)
@@ -28,8 +28,7 @@ def sweep_oracle(scores, labels, polarity=ev.ACCEPT_IF_GEQ):
     return far, frr, abs(far - frr) > ev.STARRED_TOLERANCE
 
 
-def reference_sweep(scores, labels, polarity=ev.ACCEPT_IF_GEQ,
-                    far_targets=(0.001, 0.005, 0.01, 0.05)):
+def reference_sweep(scores, labels, far_targets=(0.001, 0.005, 0.01, 0.05)):
     """The per-threshold loop: one far_frr per candidate, strict-< first wins.
 
     Returns the EER point as (threshold, far, frr, eer, starred) and the
@@ -38,7 +37,7 @@ def reference_sweep(scores, labels, polarity=ev.ACCEPT_IF_GEQ,
     scores = np.asarray(scores, dtype=float)
     uniq = np.unique(scores)
     candidates = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
-    points = [(thr, *ev.far_frr(scores, labels, thr, polarity)) for thr in candidates]
+    points = [(thr, *ev.far_frr(scores, labels, thr)) for thr in candidates]
     best = None
     for thr, far, frr in points:
         key = (abs(far - frr), far, frr)
@@ -51,68 +50,59 @@ def reference_sweep(scores, labels, polarity=ev.ACCEPT_IF_GEQ,
     return rates, curve
 
 
-def assert_matches_reference(scores, labels, polarity):
+def assert_matches_reference(scores, labels):
     targets = (0.001, 0.01, 0.05, 0.2, 0.5, 0.9)
-    rates, curve = reference_sweep(scores, labels, polarity, targets)
-    got = ev.equal_error_rate(scores, labels, polarity)
+    rates, curve = reference_sweep(scores, labels, targets)
+    got = ev.equal_error_rate(scores, labels)
     assert (got.threshold, got.far, got.frr, got.eer, got.starred) == rates
     # Signed zeros compare equal; the threshold's sign must match as well.
     assert np.signbit(got.threshold) == np.signbit(rates[0])
-    assert ev.frr_at_far(scores, labels, polarity, far_targets=targets) == curve
-
-
-POLARITIES = [ev.ACCEPT_IF_GEQ, ev.ACCEPT_IF_LEQ]
+    assert ev.frr_at_far(scores, labels, far_targets=targets) == curve
 
 
 class TestSweepMatchesReference:
-    @pytest.mark.parametrize("polarity", POLARITIES)
     @pytest.mark.parametrize("decimals", [1, 2])
-    def test_tie_heavy_corpora(self, rng, polarity, decimals):
+    def test_tie_heavy_corpora(self, rng, decimals):
         for _ in range(30):
             n = int(rng.integers(2, 200))
             scores = np.round(rng.normal(size=n), decimals)
             labels = rng.integers(0, 2, size=n)
             labels[:2] = [0, 1]
-            assert_matches_reference(scores, labels, polarity)
+            assert_matches_reference(scores, labels)
 
-    @pytest.mark.parametrize("polarity", POLARITIES)
-    def test_signed_zeros(self, rng, polarity):
+    def test_signed_zeros(self, rng):
         for _ in range(30):
             scores = rng.choice([-0.0, 0.0, 0.5, -0.5], size=12)
             labels = rng.integers(0, 2, size=12)
             labels[:2] = [0, 1]
-            assert_matches_reference(scores, labels, polarity)
+            assert_matches_reference(scores, labels)
 
-    @pytest.mark.parametrize("polarity", POLARITIES)
-    def test_single_score_classes(self, polarity):
+    def test_single_score_classes(self):
         for scores, labels in [([0.3, 0.7], [0, 1]), ([0.7, 0.3], [0, 1]),
                                ([0.5, 0.5], [1, 0]), ([0.1, 0.4, 0.9, 0.4], [1, 0, 0, 0]),
                                ([0.1, 0.4, 0.9, 0.4], [0, 1, 1, 1])]:
-            assert_matches_reference(scores, labels, polarity)
+            assert_matches_reference(scores, labels)
 
-    @pytest.mark.parametrize("polarity", POLARITIES)
-    def test_midpoint_rounding_onto_a_score(self, polarity):
+    def test_midpoint_rounding_onto_a_score(self):
         # (1 + nextafter(1)) / 2 rounds to 1.0, so that candidate accepts 1.0.
         one, up = 1.0, float(np.nextafter(1.0, 2.0))
         assert (one + up) / 2.0 == one
-        assert_matches_reference([one, up, 0.5, up], [0, 1, 1, 0], polarity)
-        assert_matches_reference([one, up, 0.5, one], [1, 0, 0, 1], polarity)
+        assert_matches_reference([one, up, 0.5, up], [0, 1, 1, 0])
+        assert_matches_reference([one, up, 0.5, one], [1, 0, 0, 1])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("polarity", POLARITIES)
-    def test_midpoints_overflowing_to_infinity(self, polarity):
+    def test_midpoints_overflowing_to_infinity(self):
         big = np.finfo(float).max
-        assert_matches_reference([big, big / 2, -big, -big / 2], [1, 0, 1, 0], polarity)
+        assert_matches_reference([big, big / 2, -big, -big / 2], [1, 0, 1, 0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @settings(max_examples=200, deadline=None)
     @given(data=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-                                   st.integers(0, 1)), min_size=2, max_size=40),
-           polarity=st.sampled_from(POLARITIES))
-    def test_hypothesis_inputs(self, data, polarity):
+                                   st.integers(0, 1)), min_size=2, max_size=40))
+    def test_hypothesis_inputs(self, data):
         scores = [s for s, _ in data]
         labels = [1, 0] + [label for _, label in data[2:]]
-        assert_matches_reference(scores, labels, polarity)
+        assert_matches_reference(scores, labels)
 
     def test_sweeps_never_call_far_frr(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -146,11 +136,6 @@ class TestFarFrr:
 
     def test_separable_at_mid_threshold(self):
         far, frr = ev.far_frr([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0], 0.5)
-        assert (far, frr) == (0.0, 0.0)
-
-    def test_accept_if_leq_polarity(self):
-        far, frr = ev.far_frr([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0], 0.5,
-                              ev.ACCEPT_IF_LEQ)
         assert (far, frr) == (0.0, 0.0)
 
     def test_single_class_raises(self):
@@ -199,11 +184,6 @@ class TestEqualErrorRate:
         labels[:2] = [0, 1]
         rates = ev.equal_error_rate(scores, labels)
         assert min(rates.far, rates.frr) <= rates.eer <= max(rates.far, rates.frr)
-
-    def test_accept_if_leq(self):
-        rates = ev.equal_error_rate([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0],
-                                    ev.ACCEPT_IF_LEQ)
-        assert rates.eer == 0.0
 
 
 class TestFrrAtFar:
@@ -276,7 +256,7 @@ class TestCrossApply:
         labels = rng.integers(0, 2, size=300)
         labels[:2] = [0, 1]
         rates = ev.equal_error_rate(scores, labels)
-        result = ev.cross_apply(rates.threshold, ev.ACCEPT_IF_GEQ, scores, labels)
+        result = ev.cross_apply(rates.threshold, scores, labels)
         assert (result.far, result.frr) == (rates.far, rates.frr)
         assert result.delta_far == 0.0 and result.delta_frr == 0.0
 
@@ -286,7 +266,7 @@ class TestCrossApply:
         labels[:2] = [0, 1]
         rates = ev.equal_error_rate(scores, labels)
         shifted = scores + 0.2
-        result = ev.cross_apply(rates.threshold, ev.ACCEPT_IF_GEQ, shifted, labels)
+        result = ev.cross_apply(rates.threshold, shifted, labels)
         far, frr = ev.far_frr(shifted, labels, rates.threshold)
         assert (result.far, result.frr) == (far, frr)
         assert far >= rates.far  # accepting more after the shift

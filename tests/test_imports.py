@@ -1,6 +1,12 @@
-"""Module boundaries: no module of ziskit imports another one's private names."""
+"""Module boundaries and dead code.
+
+No module of ziskit imports another one's private names, and every function,
+class and method of ziskit is named somewhere besides its own definition.
+"""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import ziskit
@@ -25,3 +31,45 @@ def test_no_private_names_imported_across_modules():
             offenders += [f"{here}:{node.lineno} imports {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert not offenders, offenders
+
+
+def _definitions(path: Path):
+    """(name, owner) of the module-level functions and classes of a file, and of
+    the methods of those classes that no base class defines; the owner of a
+    method is its class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    module = importlib.import_module(_module_name(path))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, module
+        if isinstance(node, ast.ClassDef):
+            cls = getattr(module, node.name)
+            yield from ((item.name, cls) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not any(hasattr(base, item.name) for base in cls.__mro__[1:]))
+
+
+def _names_used(path: Path) -> set[str]:
+    """Identifiers a file reads or imports, and those a string spells out whole
+    (perfbench names the functions it wraps as `module`, `attr` strings)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.]+", node.value):
+            used.update(node.value.split("."))
+    return used
+
+
+def test_every_definition_is_named_outside_its_def():
+    roots = [SRC.parents[1] / part for part in ("src", "tests", "perfbench")]
+    used = set().union(*(_names_used(path) for root in roots for path in root.rglob("*.py")))
+    unused = [f"{owner.__name__}.{name}" for path in sorted(SRC.rglob("*.py"))
+              for name, owner in _definitions(path)
+              if name not in used and not name.startswith("__")]
+    assert not unused, unused

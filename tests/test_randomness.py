@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -59,6 +62,19 @@ class TestRandomWalk:
         report = random_walk(uniform_corpus(rng, 10, 64))
         assert report.expected_pmf.sum() == pytest.approx(1.0, abs=1e-9)
         assert report.counts.sum() == 10
+
+    @pytest.mark.parametrize("length", [1, 3, 31, 496])
+    def test_pmf_is_the_rounded_exact_ratio(self, length):
+        report = random_walk([fp([1] * length)])
+        assert report.expected_pmf.tolist() == [
+            float(Fraction(comb(length, k), 2 ** length)) for k in range(length + 1)]
+
+    @pytest.mark.parametrize("length", [1, 31, 496, 1000])
+    def test_pmf_within_1e_12_of_scipy(self, length):
+        report = random_walk([fp([0] * length)])
+        np.testing.assert_allclose(report.expected_pmf,
+                                   binom.pmf(np.arange(length + 1), length, 0.5),
+                                   rtol=1e-12, atol=0)
 
 
 class TestSplit:
