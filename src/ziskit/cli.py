@@ -1,7 +1,8 @@
 """Command-line entry point: datagen, align, features, evaluate, ml, robustness.
 
 Exit codes: 0 success, 1 usage error, 2 data error. An optional JSON config
-file supplies flag defaults; explicit flags win.
+file supplies flag defaults; explicit flags win. Each flag is one `Flag` in
+`COMMANDS`, which the parser, the config reader and the README table read.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,6 +27,9 @@ from ziskit.schemes import karapanos, miettinen, shrestha, truong
 from ziskit.table import Column, flag, read_table, real, write_table
 
 SCHEMES = ("karapanos", "schurmann", "miettinen", "truong", "shrestha")
+ML_SCHEMES = ("truong", "shrestha")
+# evaluate and robustness also take any model's prediction CSV as "scores"
+EVALUATED = SCHEMES + ("scores",)
 
 RESULTS_COLUMNS = (Column("scheme"), Column("scenario"), Column("subscenario"),
                    Column("t", int), real("eer"), flag("starred"), real("threshold"),
@@ -34,8 +39,6 @@ ROBUSTNESS_COLUMNS = (Column("scheme"), Column("subscenario"), Column("t", int),
                       real("threshold"), real("far"), real("frr"), real("delta_far"),
                       real("delta_frr"))
 METRICS_COLUMNS = (Column("model_id"), real("auc"), real("eer"), real("accuracy"))
-
-DEFAULT_FAR_TARGETS = "0.001,0.005,0.01,0.05"
 
 
 class _UsageError(Exception):
@@ -63,30 +66,49 @@ def _event_band(value: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _at_least(kind: type, low: float, what: str = ""):
-    """argparse type: a finite `kind` number no smaller than `low`."""
-    need = f"at least {low} {what}".rstrip() if low > -math.inf else "a finite number"
+@dataclass(frozen=True)
+class Flag:
+    """One flag of one command. `kind` converts its text; numeric kinds (int,
+    float) take finite values in [low, high], or [low, high) if `high_open`."""
 
-    def parse(value: str):
-        number = kind(value)
-        if not (math.isfinite(number) and low <= number):
-            raise argparse.ArgumentTypeError(f"need {need}, got {value}")
-        return number
+    name: str
+    kind: Callable[[str], Any] = str
+    default: Any = None
+    low: float = -math.inf
+    high: float = math.inf
+    high_open: bool = False
+    unit: str = ""
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
 
-    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
-    return parse
+    @property
+    def numeric(self) -> bool:
+        return self.kind in (int, float)
 
+    @property
+    def bounds(self) -> str:
+        """A numeric flag's range in words, as usage errors and the README say it."""
+        if self.high < math.inf:
+            return f"a number in [{self.low}, {self.high}{')' if self.high_open else ']'}"
+        if self.low > -math.inf:
+            return f"at least {self.low} {self.unit}".rstrip()
+        return "a finite number"
 
-_fold_count = _at_least(int, 2, "folds")
-_positive_int = _at_least(int, 1)
-_non_negative_int = _at_least(int, 0)
-_finite = _at_least(float, -math.inf)
-_non_negative = _at_least(float, 0)
-# Noise levels are timestamped in whole milliseconds.
-_millisecond_or_more = _at_least(float, 0.001, "seconds")
-# Flag types that also take JSON numbers from a config file.
-NUMERIC_TYPES = (int, float, _fold_count, _positive_int, _non_negative_int, _finite,
-                 _non_negative, _millisecond_or_more)
+    def parse(self, text: str):
+        """argparse type, also applied to config values: conversion, range, choices."""
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {self.kind.__name__}: {text!r}") from None
+        # int kinds skip isfinite, which overflows on ints beyond float range
+        if self.numeric and not (
+                self.low <= value <= self.high and (self.kind is int or math.isfinite(value))
+                and not (self.high_open and value == self.high)):
+            raise argparse.ArgumentTypeError(f"need {self.bounds}, got {text}")
+        if self.choices and value not in self.choices:
+            raise argparse.ArgumentTypeError(f"choose from {', '.join(self.choices)}, got {text}")
+        return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,134 +116,54 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    parser = _Parser(prog="ziskit", description=__doc__)
-    subs = parser.add_subparsers(dest="command")
-    registry: dict[str, _Parser] = {}
-
-    def sub(name: str, handler, group=subs, prefix: str = "", **kwargs) -> _Parser:
-        sp = group.add_parser(name, **kwargs)
+def build_parser() -> tuple[_Parser, dict]:
+    """The parser, and per command {flag name: (its Flag, its argparse action)}."""
+    parsers = {"": _Parser(prog="ziskit", description=__doc__)}
+    subs = {}
+    registry: dict[str, dict[str, tuple[Flag, argparse.Action]]] = {}
+    for key, (handler, help_text, flags) in COMMANDS.items():
+        group, _, name = key.rpartition(" ")
+        if group not in subs:
+            subs[group] = parsers[group].add_subparsers(dest="command", required=True)
+        sp = parsers[key] = subs[group].add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument("--config", type=Path, help="JSON file with flag defaults")
-        registry[prefix + name] = sp
-        return sp
-
-    p = sub("datagen", _cmd_datagen, help="generate a synthetic scenario")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--duration-s", type=_positive_int, default=600)
-    p.add_argument("--groups", type=_int_list, default="3,3",
-                   help="comma-separated group sizes")
-    p.add_argument("--leakage", type=float, default=0.1)
-    p.add_argument("--event-rate", type=_non_negative, default=30.0)
-    p.add_argument("--event-band", type=_event_band, default="300,3500")
-    p.add_argument("--noise-floor-db", type=_finite, default=45.0)
-    p.add_argument("--beacon-population", type=_non_negative_int, default=12)
-    p.add_argument("--beacon-dropout", type=_finite, default=0.1)
-
-    p = sub("align", _cmd_align, help="report pairwise audio lags")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--probe-s", type=_non_negative, default=60.0)
-    p.add_argument("--maxlag-s", type=_non_negative, default=3.0)
-
-    p = sub("features", _cmd_features, help="compute per-scheme context features")
-    p.add_argument("--scheme", choices=SCHEMES, required=True)
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--t", type=_positive_int, default=10)
-    p.add_argument("--maxlag-s", type=_non_negative, default=1.0)
-    p.add_argument("--power-db", type=_finite, default=karapanos.DEFAULT_POWER_DB)
-    p.add_argument("--theta", type=_finite, default=truong.THETA_DEFAULT)
-    p.add_argument("--bits", type=_positive_int, default=16)
-    p.add_argument("--source", choices=("noise", "luminosity"), default="noise")
-    p.add_argument("--delta-rel", type=_finite, default=0.1)
-    p.add_argument("--delta-abs", type=_finite, default=10.0)
-    p.add_argument("--measurement-window-s", type=_millisecond_or_more, default=1.0)
-    p.add_argument("--with-surprisal", action="store_true",
-                   help="fit a surprisal model on the corpus and emit the column")
-
-    p = sub("fingerprint-randomness", _cmd_fingerprint_randomness,
-            help="random-walk and bit statistics")
-    p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--sub-len", type=int, default=0,
-                   help="also analyze contiguous sub-fingerprints of this length")
-
-    p = sub("evaluate", _cmd_evaluate, help="EER / FAR-FRR evaluation of features or scores")
-    p.add_argument("--scheme", choices=SCHEMES + ("scores",), required=True)
-    p.add_argument("--features", type=Path)
-    p.add_argument("--scores", type=Path, help="prediction CSV for ML schemes")
-    p.add_argument("--dataset", type=Path, help="dataset dir for ground-truth labels")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--scenario", default="scenario")
-    p.add_argument("--far-targets", type=_far_targets, default=DEFAULT_FAR_TARGETS)
-    p.add_argument("--surprisal-threshold", type=_finite, default=None)
-
-    p = sub("robustness", _cmd_robustness,
-            help="apply scenario A thresholds to scenario B scores")
-    p.add_argument("--results", type=Path, required=True, help="results.csv of scenario A")
-    p.add_argument("--scheme", choices=SCHEMES + ("scores",), required=True)
-    p.add_argument("--features", type=Path)
-    p.add_argument("--scores", type=Path)
-    p.add_argument("--dataset", type=Path)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--surprisal-threshold", type=_finite, default=None)
-
-    p = sub("ml", None, help="train or apply a colocation classifier")
-    ml_subs = p.add_subparsers()
-    pt = sub("train", _cmd_ml_train, ml_subs, "ml ")
-    pt.add_argument("--features", type=Path, required=True)
-    pt.add_argument("--scheme", choices=("truong", "shrestha"), required=True)
-    pt.add_argument("--kind", choices=("auto", "forest", "boosting"), default="auto")
-    pt.add_argument("--grid", choices=("full", "small"), default="full")
-    pt.add_argument("--seed", type=_non_negative_int, default=ensemble.DEFAULT_SEED)
-    pt.add_argument("--early-stop", type=_non_negative_int,
-                    default=ensemble.DEFAULT_EARLY_STOP_ROUNDS)
-    pt.add_argument("--folds", type=_fold_count, default=10)
-    pt.add_argument("--out", type=Path, required=True)
-    pt.add_argument("--predictions", type=Path)
-    pt.add_argument("--metrics", type=Path)
-    pp = sub("predict", _cmd_ml_predict, ml_subs, "ml ")
-    pp.add_argument("--model", type=Path, required=True)
-    pp.add_argument("--features", type=Path, required=True)
-    pp.add_argument("--scheme", choices=("truong", "shrestha"), required=True)
-    pp.add_argument("--out", type=Path, required=True)
-
-    return parser, registry
+        actions = registry[key] = {}
+        for spec in flags:
+            kwargs = dict(action="store_true") if spec.kind is bool else dict(
+                type=spec.parse, default=spec.default, choices=spec.choices,
+                required=spec.required)
+            actions[spec.name] = spec, sp.add_argument(f"--{spec.name}", help=spec.help, **kwargs)
+    return parsers[""], registry
 
 
-def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
-    """Config file values become flag defaults; explicit flags still win."""
-    if "--config" not in argv:
+def _apply_config(argv: list[str], registry: dict) -> None:
+    """Config file values become flag defaults; explicit flags still win. `--config`
+    is found as the command's parser finds it: `--config=FILE` and prefixes apply too."""
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config", type=Path)
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
         return
-    index = argv.index("--config") + 1
-    if index == len(argv):
-        raise _UsageError("argument --config: expected one argument")
-    path = Path(argv[index])
     try:
         defaults = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON or undecodable bytes
         raise ParseError(f"bad config file: {exc}", path=str(path)) from exc
     if not isinstance(defaults, dict):
         raise ParseError("config file must hold a JSON object", path=str(path))
-    parser = registry.get(" ".join(argv[:2])) or registry.get(argv[0])
-    if parser is None:
-        return
-    flags = {action.dest: action for action in parser._actions if action.option_strings}
+    command = " ".join(argv[:2]) if " ".join(argv[:2]) in registry else argv[0]
     for key, value in defaults.items():
-        action = flags.get(key.replace("-", "_"))
-        switch = action is not None and action.nargs == 0
+        spec, action = registry.get(command, {}).get(key.replace("_", "-"), (None, None))
+        switch = spec is not None and spec.kind is bool
         # Values parse like flag strings; numeric flags also take JSON numbers.
-        if action is None or isinstance(value, bool) != switch or not (
-                switch or isinstance(value, str) or action.type in NUMERIC_TYPES):
-            raise _UsageError(f"config {key}={value!r} is not a value for {parser.prog}")
+        if spec is None or isinstance(value, bool) != switch or not (
+                switch or isinstance(value, str) or spec.numeric):
+            raise _UsageError(f"config {key}={value!r} is not a value for {command}")
         try:
-            action.default = value if switch else parser._get_values(action, [str(value)])
-        except argparse.ArgumentError as exc:
+            action.default = value if switch else spec.parse(str(value))
+        except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"config {key}: {exc}") from exc
-        # a config-supplied value satisfies required flags
-        action.required = False
+        action.required = False  # a config value satisfies a required flag
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +171,6 @@ def _apply_config(argv: list[str], registry: dict[str, _Parser]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_datagen(args) -> int:
-    # The upper bound is checked here: each type in NUMERIC_TYPES takes every
-    # number above its lower bound.
-    if not 0 <= args.beacon_dropout <= 1:
-        raise _UsageError(f"argument --beacon-dropout: need a number in [0, 1], "
-                          f"got {args.beacon_dropout}")
     profile = datagen.AmbientProfile(
         event_rate_per_min=args.event_rate,
         event_band_hz=args.event_band,
@@ -326,9 +263,10 @@ def _cmd_fingerprint_randomness(args) -> int:
     return 0
 
 
-def _load_records(args, ground_truth: GroundTruth | None) -> list[EvaluationRecord]:
-    """The scheme's records; feature files are labelled with `ground_truth`."""
-    if args.scheme in ("truong", "shrestha", "scores"):
+def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
+    """The scheme's records, and the ground truth that labels feature files."""
+    ground_truth = load_dataset(args.dataset).ground_truth if args.dataset else None
+    if args.scheme in ML_SCHEMES or args.scheme not in SCHEMES:  # a prediction CSV
         if not args.scores:
             raise _UsageError(f"--scores is required for scheme {args.scheme}")
         records = pipeline.read_prediction_csv(args.scores)
@@ -343,16 +281,14 @@ def _load_records(args, ground_truth: GroundTruth | None) -> list[EvaluationReco
             surprisals=surprisals, surprisal_threshold=args.surprisal_threshold)
     if not records:
         raise ZisError("no records to evaluate")
-    return records
+    return records, ground_truth
 
 
 def _cmd_evaluate(args) -> int:
-    ground_truth = load_dataset(args.dataset).ground_truth if args.dataset else None
-    records = _load_records(args, ground_truth)
+    records, ground_truth = _load_records(args)
     sub_names = [s.name for s in ground_truth.subscenarios] if ground_truth else []
     out_rows = []
-    t_values = sorted({r.interval_len_s for r in records})
-    for t in t_values:
+    for t in sorted({r.interval_len_s for r in records}):
         at_t = [r for r in records if r.interval_len_s == t]
         for sub in [None] + sub_names:
             subset = at_t if sub is None else filter_subscenario(at_t, ground_truth, sub)
@@ -376,8 +312,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    records = _load_records(args, load_dataset(args.dataset).ground_truth
-                            if args.dataset else None)
+    records, _ = _load_records(args)
     out_rows = []
     results = read_table(args.results, RESULTS_COLUMNS)
     for scheme, _, subscenario, t, _, _, threshold, _ in results:
@@ -440,17 +375,64 @@ def _cmd_ml_predict(args) -> int:
     return 0
 
 
+# command -> (handler, help, flags); "ml train" is subcommand train of ml.
+COMMANDS: dict[str, tuple[Callable | None, str, tuple[Flag, ...]]] = {
+    "datagen": (_cmd_datagen, "generate a synthetic scenario", (
+        Flag("out", Path, required=True), Flag("seed", int, 0, low=0),
+        Flag("duration-s", int, 600, low=1),
+        Flag("groups", _int_list, "3,3", help="comma-separated group sizes"),
+        Flag("leakage", float, 0.1, low=0, high=1, high_open=True),
+        Flag("event-rate", float, 30.0, low=0), Flag("event-band", _event_band, "300,3500"),
+        Flag("noise-floor-db", float, 45.0), Flag("beacon-population", int, 12, low=0),
+        Flag("beacon-dropout", float, 0.1, low=0, high=1))),
+    "align": (_cmd_align, "report pairwise audio lags", (
+        Flag("dataset", Path, required=True), Flag("out", Path, required=True),
+        Flag("probe-s", float, 60.0, low=0), Flag("maxlag-s", float, 3.0, low=0))),
+    "features": (_cmd_features, "compute per-scheme context features", (
+        Flag("scheme", choices=SCHEMES, required=True), Flag("dataset", Path, required=True),
+        Flag("out", Path, required=True), Flag("t", int, 10, low=1),
+        Flag("maxlag-s", float, 1.0, low=0), Flag("power-db", float, karapanos.DEFAULT_POWER_DB),
+        Flag("theta", float, truong.THETA_DEFAULT), Flag("bits", int, 16, low=1),
+        Flag("source", default="noise", choices=("noise", "luminosity")),
+        Flag("delta-rel", float, 0.1), Flag("delta-abs", float, 10.0),
+        Flag("measurement-window-s", float, 1.0, low=0.001, unit="seconds"),
+        Flag("with-surprisal", bool, help="emit surprisal from a model fit on the corpus"))),
+    "fingerprint-randomness": (_cmd_fingerprint_randomness, "random-walk and bit statistics", (
+        Flag("features", Path, required=True), Flag("out", Path, required=True),
+        Flag("sub-len", int, 0, low=0, help="also analyze sub-fingerprints of this length"))),
+    "evaluate": (_cmd_evaluate, "EER / FAR-FRR evaluation of features or scores", (
+        Flag("scheme", choices=EVALUATED, required=True), Flag("features", Path),
+        Flag("scores", Path, help="prediction CSV for ML schemes"),
+        Flag("dataset", Path, help="dataset dir for ground-truth labels"),
+        Flag("out", Path, required=True), Flag("scenario", default="scenario"),
+        Flag("far-targets", _far_targets, "0.001,0.005,0.01,0.05"),
+        Flag("surprisal-threshold", float))),
+    "robustness": (_cmd_robustness, "apply scenario A thresholds to scenario B scores", (
+        Flag("results", Path, required=True, help="results.csv of scenario A"),
+        Flag("scheme", choices=EVALUATED, required=True), Flag("features", Path),
+        Flag("scores", Path), Flag("dataset", Path), Flag("out", Path, required=True),
+        Flag("surprisal-threshold", float))),
+    "ml": (None, "train or apply a colocation classifier", ()),
+    "ml train": (_cmd_ml_train, "train a model with a cross-validated search", (
+        Flag("features", Path, required=True), Flag("scheme", choices=ML_SCHEMES, required=True),
+        Flag("kind", default="auto", choices=("auto", "forest", "boosting")),
+        Flag("grid", default="full", choices=("full", "small")),
+        Flag("seed", int, ensemble.DEFAULT_SEED, low=0),
+        Flag("early-stop", int, ensemble.DEFAULT_EARLY_STOP_ROUNDS, low=0),
+        Flag("folds", int, 10, low=2, unit="folds"), Flag("out", Path, required=True),
+        Flag("predictions", Path), Flag("metrics", Path))),
+    "ml predict": (_cmd_ml_predict, "score a feature table with a trained model", (
+        Flag("model", Path, required=True), Flag("features", Path, required=True),
+        Flag("scheme", choices=ML_SCHEMES, required=True), Flag("out", Path, required=True))),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
         _apply_config(argv, registry)
         args = parser.parse_args(argv)
-        if not args.command:
-            parser.print_usage(sys.stderr)
-            return 1
-        if args.handler is None:
-            raise _UsageError("ml requires a subcommand: train or predict")
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -56,6 +56,8 @@ def karapanos_records(dataset: Dataset, t: int,
 
 def _split_pair(cell: str) -> tuple[str, str]:
     dev_a, dev_b = cell.split("|")
+    if dev_a == dev_b:
+        raise ValueError("pair must consist of two distinct devices")
     return dev_a, dev_b
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
@@ -234,8 +237,9 @@ def _reader_argv(table: str, bad: Path, files: Path, scenario: Path, out: Path):
 @pytest.mark.parametrize("table,fault", [
     *((table, fault) for table in ("score", "fingerprint", "truong", "shrestha", "prediction",
                                    "results") for fault in ("ragged_row", "non_utf8")),
-    # The tables read into EvaluationRecords hold pairs of two distinct devices.
-    ("score", "self_pair"), ("prediction", "self_pair")])
+    # Every pair table holds pairs of two distinct devices.
+    ("score", "self_pair"), ("prediction", "self_pair"), ("truong", "self_pair"),
+    ("shrestha", "self_pair")])
 def test_bad_input_table_exits_2(table, fault, valid_files, scenario_dir, tmp_path,
                                  capsys):
     lines = (valid_files / f"{table}.csv").read_bytes().split(b"\r\n")
@@ -491,14 +495,14 @@ def test_handwritten_model_predicts(valid_files, tmp_path):
 
 
 @pytest.mark.parametrize("folds, via_config", [("1", False), ("0", False), ("-3", False),
-                                               (1, True), ("0", True)])
+                                               (1, True), ("0", True), (1, "=")])
 def test_folds_below_two_is_usage_error(folds, via_config, valid_files, tmp_path, capsys):
     argv = ["ml", "train", "--scheme", "shrestha", "--grid", "small",
             "--features", str(valid_files / "shrestha.csv"), "--out", str(tmp_path / "m.json")]
     if via_config:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"folds": folds}))
-        argv += ["--config", str(config)]
+        argv += [f"--config={config}"] if via_config == "=" else ["--config", str(config)]
     else:
         argv += ["--folds", folds]
     assert main(argv) == 1
@@ -520,22 +524,106 @@ def test_every_numeric_flag_takes_a_json_number(tmp_path):
     _, registry = build_parser()
     config = tmp_path / "cfg.json"
     checked = 0
-    for name, sub in registry.items():
-        for action in sub._actions:
-            if not action.option_strings or action.type is None:
+    for name, actions in registry.items():
+        for spec, action in actions.values():
+            if spec.kind is bool:  # a switch
                 continue
             try:
-                numeric = isinstance(action.type("3"), (int, float))
+                numeric = isinstance(spec.kind("3"), (int, float))
             except (ValueError, TypeError, argparse.ArgumentTypeError):
                 numeric = False
-            # A type that parses numbers must be one the config reader accepts.
-            assert numeric == (action.type in cli.NUMERIC_TYPES), (name, action.dest)
+            # A kind that parses numbers must be one the config reader accepts.
+            assert numeric == spec.numeric, (name, spec.name)
             if numeric:
-                config.write_text(json.dumps({action.dest: 3}))
+                # a JSON number inside the flag's range
+                number = spec.low if math.isfinite(spec.low) else 3
+                config.write_text(json.dumps({spec.name.replace("-", "_"): number}))
                 _apply_config([*name.split(), "--config", str(config)], registry)
-                assert action.default == 3, (name, action.dest)
+                assert action.default == number, (name, spec.name)
                 checked += 1
     assert checked >= 20
+
+
+# Every flag of every command, as (command, spec).
+FLAGS = [(name, spec) for name, (_, _, flags) in cli.COMMANDS.items() for spec in flags]
+FLAG_IDS = [f"{name} --{spec.name}" for name, spec in FLAGS]
+
+
+def _argv_with_required(name: str, skip) -> list[str]:
+    """`name`'s argv with a valid value for each required flag but `skip`."""
+    argv = name.split()
+    for spec in cli.COMMANDS[name][2]:
+        if spec.required and spec is not skip:
+            argv.append(f"--{spec.name}={spec.choices[0] if spec.choices else 'x'}")
+    return argv
+
+
+def _assert_in_spec(spec, value) -> None:
+    if spec.kind is bool:
+        assert value in (True, False)
+    elif spec.numeric:
+        assert type(value) is spec.kind
+        assert spec.kind is int or math.isfinite(value)
+        assert spec.low <= value <= spec.high and not (spec.high_open and value == spec.high)
+    elif spec.choices:
+        assert value in spec.choices
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+def _bounds(spec) -> list:
+    """The flag's finite bounds, where off-by-one range checks show."""
+    return [bound for bound in (spec.low, spec.high) if math.isfinite(bound)] or [0]
+
+
+ARGV_TEXT = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr),
+                      st.sampled_from(["nan", "-inf", "1" + "0" * 400]))
+
+
+@pytest.mark.parametrize("name, spec", FLAGS, ids=FLAG_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flag_text_parses_into_its_range_or_is_usage_error(name, spec, data):
+    text = data.draw(st.one_of(ARGV_TEXT, st.sampled_from(_bounds(spec)).map(repr)))
+    parser, _ = build_parser()
+    try:
+        args = parser.parse_args([*_argv_with_required(name, spec), f"--{spec.name}={text}"])
+    except cli._UsageError:
+        return
+    _assert_in_spec(spec, getattr(args, spec.name.replace("-", "_")))
+
+
+JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                        st.just(10 ** 400))
+
+
+@pytest.mark.parametrize("name, spec", FLAGS, ids=FLAG_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flag_config_value_parses_into_its_range_or_is_usage_error(name, spec, data,
+                                                                    config_file):
+    value = data.draw(st.one_of(JSON_SCALAR, st.sampled_from(_bounds(spec))))
+    config_file.write_text(json.dumps({spec.name: value}))
+    parser, registry = build_parser()
+    argv = [*_argv_with_required(name, spec), f"--config={config_file}"]
+    try:
+        _apply_config(argv, registry)
+        args = parser.parse_args(argv)
+    except cli._UsageError:
+        return
+    _assert_in_spec(spec, getattr(args, spec.name.replace("-", "_")))
+
+
+def test_readme_range_table_matches_the_flag_specs():
+    table = "\n".join([
+        "| flag | kind | range |", "|---|---|---|",
+        *(f"| `{name} --{spec.name}` | {spec.kind.__name__} | {spec.bounds} |"
+          for name, spec in FLAGS if spec.numeric)]) + "\n"
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert table in readme, f"README.md's flag-range table should read:\n{table}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -570,12 +658,16 @@ def test_every_numeric_flag_takes_a_json_number(tmp_path):
     ["features", "--scheme", "miettinen", "--measurement-window-s", "0"],
     ["features", "--scheme", "miettinen", "--measurement-window-s", "-1"],
     ["ml", "train", "--scheme", "truong", "--early-stop", "-1"],
+    ["datagen", "--leakage", "5"],
+    ["datagen", "--leakage", "nan"],
+    ["fingerprint-randomness", "--sub-len", "-1"],
 ])
 def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp_path):
     dataset = ["--dataset", str(scenario_dir)]
     inputs = {"features": dataset, "align": dataset,
               "ml": ["--features", str(valid_files / "truong.csv")],
-              "evaluate": ["--features", str(valid_files / "score.csv"), *dataset]}
+              "evaluate": ["--features", str(valid_files / "score.csv"), *dataset],
+              "fingerprint-randomness": ["--features", str(valid_files / "fingerprint.csv")]}
     proc = _cold("-m", "ziskit.cli", *argv, *inputs.get(argv[0], []),
                  "--out", str(tmp_path / "out"), cwd=tmp_path, timeout=60)
     assert proc.returncode == 1, proc.stderr
