@@ -69,11 +69,17 @@ def pmap(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
+def interval_runs(pairs: Iterable[EvaluationRecord]) -> list[list[EvaluationRecord]]:
+    """Runs of consecutive pairs with one interval start; window_pairs gives
+    one run per interval."""
+    return [list(run) for _, run in groupby(pairs, key=lambda p: p.interval_start)]
+
+
 def map_pairs(pairs: Sequence[EvaluationRecord], state: Callable, score: Callable) -> list:
     """score(pair, state(device_a, start), state(device_b, start)) per pair, in order.
 
-    A run of consecutive pairs with one interval start (window_pairs gives one
-    per interval) builds each device's state once; runs go through `pmap`.
+    Each run of `interval_runs` builds each device's state once; runs go
+    through `pmap`.
     """
     def one_run(run: list[EvaluationRecord]) -> list:
         states: dict[str, object] = {}
@@ -83,8 +89,7 @@ def map_pairs(pairs: Sequence[EvaluationRecord], state: Callable, score: Callabl
                     states[device] = state(device, pair.interval_start)
         return [score(p, states[p.device_a], states[p.device_b]) for p in run]
 
-    runs = [list(run) for _, run in groupby(pairs, key=lambda p: p.interval_start)]
-    return [row for rows in pmap(one_run, runs) for row in rows]
+    return [row for rows in pmap(one_run, interval_runs(pairs)) for row in rows]
 
 
 def filter_subscenario(records: Iterable[EvaluationRecord], ground_truth: GroundTruth,

@@ -145,7 +145,9 @@ def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int) -> np.ndarray:
     """c[l] = sum_i x[i]*y[i-l] (lag -l at c[-l]) from padded spectra, last axis."""
     from scipy.fft import irfft
 
-    return irfft(fx * np.conj(fy), pad_len, axis=-1)
+    # numpy evaluates `fx * conj(fy)` as `conj(fy) * fx` only for arrays of 256 KiB
+    # and more, and with FMA the two orders differ in the last bit: fix the order.
+    return irfft(np.multiply(np.conj(fy), fx), pad_len, axis=-1)
 
 
 def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:
@@ -156,17 +158,25 @@ def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:
     return peak
 
 
-def normalized_peak(c: np.ndarray, energy_x, energy_y, maxlag: int,
-                    two_sided: bool = False):
-    """min(lag_peak(c) / sqrt(Ex * Ey), 1) along the last axis of `c`.
+def normalize_peak(peak, energy_x, energy_y):
+    """min(peak / sqrt(Ex * Ey), 1), elementwise.
 
-    Energies are sums of squares: scalars for 1-d `c`, one per row for a
-    stack. Raises UndefinedCorrelation when a normalizer is 0 (all-zero input).
+    Energies are sums of squares. Raises UndefinedCorrelation when a
+    normalizer is 0 (all-zero input).
     """
     norm = np.sqrt(energy_x * energy_y)
     if np.any(norm == 0.0):
         raise UndefinedCorrelation("all-zero input: correlation normalizer is 0")
-    return np.minimum(lag_peak(c, maxlag, two_sided) / norm, 1.0)
+    return np.minimum(peak / norm, 1.0)
+
+
+def normalized_peak(c: np.ndarray, energy_x, energy_y, maxlag: int,
+                    two_sided: bool = False):
+    """normalize_peak of lag_peak(c) along the last axis of `c`.
+
+    Energies are scalars for 1-d `c`, one per row for a stack.
+    """
+    return normalize_peak(lag_peak(c, maxlag, two_sided), energy_x, energy_y)
 
 
 def _xcorr_fft_circular(x: np.ndarray, y: np.ndarray, maxlag: int) -> np.ndarray:
@@ -277,11 +287,18 @@ def _coarse_align(x: AudioSnippet, y: AudioSnippet) -> tuple[AudioSnippet, Audio
     return x.slice_ms(start, end), y.slice_ms(start, end)
 
 
+@lru_cache(maxsize=16)
+def _hamming(n: int) -> np.ndarray:
+    window = np.hamming(n)
+    window.flags.writeable = False
+    return window
+
+
 def fft_mag_hamming(x: np.ndarray) -> np.ndarray:
     """|FFT(hamming(N) * x)| truncated to the first N//2 bins."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if n < 2:
         raise ValueError("need at least 2 samples")
-    spectrum = np.fft.fft(np.hamming(n) * x)
+    spectrum = np.fft.fft(_hamming(n) * x)
     return np.abs(spectrum[:n // 2])

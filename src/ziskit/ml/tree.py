@@ -142,11 +142,13 @@ class Tree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf value per row; every row still on a split moves down one level per pass."""
+        X = np.ascontiguousarray(X)
+        flat, d = X.ravel(), X.shape[1]
         node = np.full(X.shape[0], self.root)
         active = np.nonzero(self.feature[node] >= 0)[0]
         while active.size:
             at = node[active]
-            col = X[active, self.feature[at]]
+            col = np.take(flat, active * d + self.feature[at])
             go_left = np.where(np.isnan(col), self.missing_left[at], col < self.threshold[at])
             node[active] = np.where(go_left, self.left[at], self.right[at])
             active = active[self.feature[node[active]] >= 0]

@@ -21,7 +21,7 @@ from ziskit.core.types import (
     Label,
     SensorKind,
 )
-from ziskit.core.windowing import interval_starts, map_pairs, pmap, window_pairs
+from ziskit.core.windowing import interval_runs, interval_starts, pmap, window_pairs
 from ziskit.errors import InsufficientSamples, InvalidBand, ZisError
 from ziskit.ml.ensemble import MLDataset
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
@@ -34,24 +34,23 @@ from ziskit.table import Column, choice, flag, read_table, real, write_table
 
 def karapanos_records(dataset: Dataset, t: int,
                       cfg: karapanos.KarapanosConfig) -> list[EvaluationRecord]:
-    """Similarity score per pair-interval; band filtering is shared per device.
+    """Similarity score per pair-interval; intervals go through `pmap`.
 
-    A device-interval with missing or short audio, or recorded at a rate too
-    low for the configured bands, has no state, so its pairs are gated; so
-    are pairs of two devices recorded at different rates.
+    Each interval is scored by `karapanos.interval_similarities`, one band at
+    a time. A pair is gated when either device's audio is missing or short,
+    recorded at a rate too low for the configured bands or unlike its
+    partner's, or too quiet.
     """
-    def decompose(device: str, start: int) -> karapanos.BandedSnippet | None:
-        chunk = dataset.audio_in(device, start, start + t * 1000)
-        if chunk is None or not cfg.fits_rate(chunk.rate_hz):
-            return None
-        return karapanos.band_decompose(chunk, cfg)
+    def score_run(run: list[EvaluationRecord]) -> list[EvaluationRecord]:
+        start = run[0].interval_start
+        devices = dict.fromkeys(d for p in run for d in (p.device_a, p.device_b))
+        snippets = {d: dataset.audio_in(d, start, start + t * 1000) for d in devices}
+        scores = karapanos.interval_similarities(
+            snippets, [(p.device_a, p.device_b) for p in run], cfg)
+        return [replace(p, score=s.value) for p, s in zip(run, scores, strict=True)]
 
-    def record(pair: EvaluationRecord, a, b) -> EvaluationRecord:
-        if a is None or b is None or a.rate_hz != b.rate_hz:
-            return pair
-        return replace(pair, score=karapanos.similarity_banded(a, b, cfg, two_sided=True).value)
-
-    return map_pairs(window_pairs(dataset, t), decompose, record)
+    return [r for rows in pmap(score_run, interval_runs(window_pairs(dataset, t)))
+            for r in rows]
 
 
 def _split_pair(cell: str) -> tuple[str, str]:

@@ -4,11 +4,18 @@ Two aligned snippets are split into one-third octave bands; the similarity
 score is the mean over bands of the normalized maximum cross-correlation.
 Snippets whose average power falls at or below the device's power threshold
 are gated and produce no score.
+
+`interval_similarities` scores every pair of one interval band by band: it
+filters the stacked snippets of the interval through one band at a time, so
+it holds one band's spectra of the interval's devices, never all bands of
+every device. `band_decompose` and `similarity_banded` are the per-pair
+form, which it equals bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -90,12 +97,82 @@ def similarity_banded(a: BandedSnippet, b: BandedSnippet, cfg: KarapanosConfig,
             b.power_db <= cfg.threshold_for(b.device_id):
         return SimilarityScore(None, "power")
     c = dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len)
+    return _score(dsp.lag_peak(c, int(round(cfg.maxlag_s * a.rate_hz)), two_sided),
+                  a.norms, b.norms)
+
+
+def _score(peaks: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> SimilarityScore:
+    """Mean over bands of the normalized lag peaks."""
     try:
-        per_band = dsp.normalized_peak(c, a.norms, b.norms,
-                                       int(round(cfg.maxlag_s * a.rate_hz)), two_sided)
+        per_band = dsp.normalize_peak(peaks, norms_a, norms_b)
     except UndefinedCorrelation:
         return SimilarityScore(None, "undefined-correlation")
     return SimilarityScore(float(per_band.mean()))
+
+
+def interval_similarities(snippets: Mapping[str, AudioSnippet | None],
+                          pairs: Sequence[tuple[str, str]],
+                          cfg: KarapanosConfig) -> list[SimilarityScore]:
+    """Two-sided similarity of each pair of devices over one interval.
+
+    `snippets` holds each device's audio of the interval, None when missing
+    or short. A pair is gated "short-audio" when either snippet is None,
+    "rate" when the rates differ or lie too low for the bands, and "power"
+    as in `similarity_banded`, which every scored pair equals bit for bit.
+    """
+    power = {d: dsp.avg_power_db(x.as_float()) for d, x in snippets.items()
+             if x is not None and cfg.fits_rate(x.rate_hz)}
+
+    def gate(a: str, b: str) -> str | None:
+        x, y = snippets[a], snippets[b]
+        if x is None or y is None:
+            return "short-audio"
+        if a not in power or x.rate_hz != y.rate_hz:
+            return "rate"
+        if power[a] <= cfg.threshold_for(a) or power[b] <= cfg.threshold_for(b):
+            return "power"
+        return None
+
+    scores = [SimilarityScore(None, gate(a, b)) for a, b in pairs]
+    by_rate: dict[int, list[int]] = {}
+    for k, score in enumerate(scores):
+        if score.reason is None:
+            by_rate.setdefault(snippets[pairs[k][0]].rate_hz, []).append(k)
+    for rate, group in by_rate.items():
+        rows = {d: i for i, d in enumerate(dict.fromkeys(d for k in group for d in pairs[k]))}
+        peaks, norms = _band_peaks(np.stack([snippets[d].samples for d in rows]),
+                                   [(rows[a], rows[b]) for a, b in (pairs[k] for k in group)],
+                                   rate, cfg)
+        for k, peak in zip(group, peaks):
+            a, b = pairs[k]
+            scores[k] = _score(peak, norms[rows[a]], norms[rows[b]])
+    return scores
+
+
+def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
+                cfg: KarapanosConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided lag peaks (pairs x bands) and band energies (rows x bands) of
+    the rows of `samples` (devices x N), pairs given as row indices.
+
+    Each band is filtered, transformed and correlated before the next. The
+    spectra go row by row into one buffer, and each pair gets its own irfft:
+    stacked transforms would allocate several (devices x M) temporaries.
+    """
+    n_rows, length = samples.shape
+    maxlag = int(round(cfg.maxlag_s * rate_hz))
+    pad = dsp.fast_len(length + maxlag)
+    spectra = np.empty((n_rows, pad // 2 + 1), dtype=complex)
+    peaks = np.empty((len(pairs), len(cfg.bands)))
+    norms = np.empty((n_rows, len(cfg.bands)))
+    for j, band in enumerate(cfg.bands):
+        banded = dsp.bandpass(samples, band.f_low, band.f_high, cfg.order, rate_hz=rate_hz)
+        norms[:, j] = np.einsum("ij,ij->i", banded, banded)
+        for i, row in enumerate(banded):
+            spectra[i] = dsp.padded_spectrum(row, maxlag)[0]
+        for k, (a, b) in enumerate(pairs):
+            c = dsp.xcorr_spectra(spectra[a], spectra[b], pad)
+            peaks[k, j] = dsp.lag_peak(c, maxlag, two_sided=True)
+    return peaks, norms
 
 
 def similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> SimilarityScore:

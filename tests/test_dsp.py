@@ -184,6 +184,22 @@ class TestNormalizedPeak:
             dsp.normalized_peak(c, np.array([1.0, 0.0, 2.0]), np.ones(3), 5, two_sided=True)
 
 
+class TestXcorrSpectra:
+    # numpy computes `fx * conj(fy)` as `conj(fy) * fx` only for arrays of
+    # 16 384 or more complex elements, and the two orders can differ in the
+    # last bit; a stack of rows must still equal its rows one by one.
+    @pytest.mark.parametrize("bins", [4097, 16385])
+    def test_stacked_equals_per_row(self, rng, bins):
+        pad = 2 * (bins - 1)
+        x, y = rng.normal(size=(2, 6, pad - 100))
+        fx, _ = dsp.padded_spectrum(x, 100)
+        fy, _ = dsp.padded_spectrum(y, 100)
+        assert fx.shape == (6, bins)
+        stacked = dsp.xcorr_spectra(fx, fy, pad)
+        for i in range(6):
+            assert np.array_equal(stacked[i], dsp.xcorr_spectra(fx[i], fy[i], pad))
+
+
 class TestAvgPowerDb:
     def test_constant_100_is_40db(self):
         assert dsp.avg_power_db(np.full(1000, 100.0)) == pytest.approx(40.0)
@@ -257,6 +273,14 @@ class TestFftMagHamming:
     def test_dc_peaks_at_bin_zero(self):
         out = dsp.fft_mag_hamming(np.full(128, 5.0))
         assert np.argmax(out) == 0
+
+    def test_window_cached_read_only(self, rng):
+        x = rng.normal(size=1000)
+        expected = np.abs(np.fft.fft(np.hamming(1000) * x)[:500])
+        assert np.array_equal(dsp.fft_mag_hamming(x), expected)
+        window = dsp._hamming(1000)
+        assert window is dsp._hamming(1000)
+        assert not window.flags.writeable
 
     def test_1khz_sine_peaks_at_bin_1000(self):
         # Oracle: direct DFT of the windowed signal at the expected bin.

@@ -151,3 +151,59 @@ class TestConfig:
         cfg = karapanos.KarapanosConfig(device_thresholds={"w": 35.0})
         assert cfg.threshold_for("w") == 35.0
         assert cfg.threshold_for("other") == 40.0
+
+
+class TestIntervalSimilarities:
+    """Band-major scoring of one interval against the per-pair reference."""
+
+    def test_equals_similarity_banded_per_pair(self, rng, monkeypatch):
+        cfg = karapanos.KarapanosConfig(maxlag_s=0.05)
+        base = noise_snippet(rng, seconds=0.5).samples.astype(np.int64)
+        base_22k = noise_snippet(rng, seconds=0.5, rate=22050).samples.astype(np.int64)
+
+        def near(samples, device, rate=16000):
+            jitter = rng.integers(-200, 201, size=samples.size)
+            return AudioSnippet(np.clip(samples + jitter, -32768, 32767), rate, 0, device)
+
+        snippets = {
+            "a": near(base, "a"),
+            "b": near(base, "b"),
+            "c": noise_snippet(rng, seconds=0.5, device="c"),
+            "q": noise_snippet(rng, seconds=0.5, amplitude=20, device="q"),  # power-gated
+            "z": noise_snippet(rng, seconds=0.5, device="z"),   # one band filters to silence
+            "r1": near(base_22k, "r1", rate=22050),             # another rate: pairs
+            "r2": near(base_22k, "r2", rate=22050),             # with 16 kHz are gated
+            "low": noise_snippet(rng, seconds=0.5, rate=8000, device="low"),  # bands too high
+            "s": None,                                          # short audio
+        }
+        # No band filter turns audible noise into exact silence, so one band of
+        # z is zeroed after filtering, in the stacked and the per-pair path alike.
+        silent = cfg.bands[3]
+        z = snippets["z"].samples
+        real_bandpass = dsp.bandpass
+
+        def bandpass(x, f_low, f_high, *args, **kwargs):
+            out = real_bandpass(x, f_low, f_high, *args, **kwargs)
+            if f_low == silent.f_low and np.shape(x)[-1] == z.size:
+                out[np.all(np.asarray(x) == z, axis=-1)] = 0.0
+            return out
+
+        monkeypatch.setattr(dsp, "bandpass", bandpass)
+        pairs = [(a, b) for i, a in enumerate(snippets) for b in list(snippets)[i + 1:]]
+        got = karapanos.interval_similarities(snippets, pairs, cfg)
+        decomposed = {d: karapanos.band_decompose(x, cfg) for d, x in snippets.items()
+                      if x is not None and cfg.fits_rate(x.rate_hz)}
+        assert np.flatnonzero(decomposed["z"].norms == 0.0).tolist() == [3]
+        for (a, b), score in zip(pairs, got, strict=True):
+            if "s" in (a, b):
+                assert score == karapanos.SimilarityScore(None, "short-audio")
+            elif a not in decomposed or decomposed[a].rate_hz != snippets[b].rate_hz:
+                assert score == karapanos.SimilarityScore(None, "rate")
+            else:
+                assert score == karapanos.similarity_banded(decomposed[a], decomposed[b],
+                                                            cfg, two_sided=True)
+        reasons = {score.reason for score in got}
+        assert reasons == {None, "power", "undefined-correlation", "rate", "short-audio"}
+        scored = {pair: score.value for pair, score in zip(pairs, got) if not score.gated}
+        assert set(scored) == {("a", "b"), ("a", "c"), ("b", "c"), ("r1", "r2")}
+        assert scored["a", "b"] > scored["a", "c"]

@@ -409,3 +409,24 @@ class TestGoldenModels:
         preds = model.predict(probe)
         assert hashlib.sha256(model.to_json().encode()).hexdigest() == model_sha
         assert hashlib.sha256(preds.tobytes()).hexdigest() == predict_sha
+
+    def test_predict_matches_row_by_row_walk(self):
+        # Tree.predict gathers one flat index per active row; the walk below
+        # follows one row at a time. A Fortran-ordered probe checks that the
+        # gather does not depend on the layout of X.
+        data = tie_nan_weighted_dataset()
+        model = fit_model(data, ModelParams("boosting", 12, 4, 0.3), seed=77)
+        probe = np.asfortranarray(np.vstack([data.X, np.full((1, 4), np.nan)]))
+
+        def walk(tree, row):
+            node = tree.root
+            while tree.feature[node] >= 0:
+                value = row[tree.feature[node]]
+                go_left = tree.missing_left[node] if np.isnan(value) \
+                    else value < tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            return tree.value[node]
+
+        for tree in model.trees:
+            expected = np.array([walk(tree, row) for row in probe])
+            np.testing.assert_array_equal(tree.predict(probe), expected)

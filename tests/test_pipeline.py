@@ -1,9 +1,22 @@
+import hashlib
+import tracemalloc
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from conftest import noise_snippet, series_of, two_group_truth
-from ziskit import pipeline
-from ziskit.core.types import AudioSnippet, Dataset, Fingerprint, Label, SensorKind
+from ziskit import dsp, pipeline
+from ziskit.core.types import (
+    AudioSnippet,
+    Dataset,
+    Fingerprint,
+    GroundTruth,
+    Group,
+    Label,
+    SensorKind,
+)
 from ziskit.core.windowing import thread_count
 from ziskit.errors import ParseError
 from ziskit.schemes import karapanos, miettinen, schurmann, truong
@@ -187,24 +200,90 @@ class TestThreading:
 
     def test_device_state_built_once_per_device_interval(self, audio_dataset,
                                                          monkeypatch):
+        # Truong builds each device-interval's state once; Karapanos filters
+        # each (interval, band) once, as one stack of the interval's devices.
         monkeypatch.setenv("ZIS_THREADS", "2")
         built = []
-        for module, name in [(karapanos, "band_decompose"),
-                             (truong, "device_interval")]:
-            real_fn = getattr(module, name)
+        real_fn = truong.device_interval
 
-            def counted(*args, _real=real_fn, _name=name):
-                built.append(_name)
-                return _real(*args)
+        def counted(*args):
+            built.append("device_interval")
+            return real_fn(*args)
 
-            monkeypatch.setattr(module, name, counted)
-        pipeline.karapanos_records(audio_dataset, 5, karapanos.KarapanosConfig())
+        monkeypatch.setattr(truong, "device_interval", counted)
+        filtered = []
+        real_bandpass = dsp.bandpass
+
+        def bandpass(x, f_low, *args, **kwargs):
+            rows = np.asarray(x, dtype=np.float64)
+            filtered.append((tuple(sorted(row_digest(row) for row in rows)), f_low))
+            return real_bandpass(x, f_low, *args, **kwargs)
+
+        monkeypatch.setattr(dsp, "bandpass", bandpass)
+        cfg = karapanos.KarapanosConfig()
+        pipeline.karapanos_records(audio_dataset, 5, cfg)
         pipeline.truong_rows(audio_dataset, 5)
-        device_intervals = {(d, p.interval_start) for p in pipeline.window_pairs(
-            audio_dataset, 5) for d in (p.device_a, p.device_b)}
+        pairs = pipeline.window_pairs(audio_dataset, 5)
+        device_intervals = {(d, p.interval_start) for p in pairs
+                            for d in (p.device_a, p.device_b)}
         assert len(device_intervals) == 4 * 4  # 4 devices x 4 intervals
-        assert built.count("band_decompose") == len(device_intervals)
+        stacks = {start: tuple(sorted(row_digest(audio_dataset.audio_in(
+            d, start, start + 5000).as_float()) for d, s in device_intervals if s == start))
+            for start in {p.interval_start for p in pairs}}
+        assert Counter(filtered) == Counter(
+            (stack, band.f_low) for stack in stacks.values() for band in cfg.bands)
         assert built.count("device_interval") == len(device_intervals)
+
+    def test_karapanos_threads_agree_on_gated_devices(self, audio_dataset, rng,
+                                                      monkeypatch):
+        audio = dict(audio_dataset.audio)
+        audio["q"] = noise_snippet(rng, seconds=20.0, amplitude=20, device="q")
+        audio["low"] = noise_snippet(rng, seconds=20.0, rate=8000, device="low")
+        audio["s"] = noise_snippet(rng, seconds=12.0, device="s")  # short in [10 s, 20 s)
+        sensors = {"s": {SensorKind.TEMPERATURE: series_of(
+            [20.0] * 21, kind=SensorKind.TEMPERATURE, device="s")}}
+        truth = GroundTruth(groups=(Group("g0", ("a", "b", "q", "s"), ((0, 1_000_000),)),
+                                    Group("g1", ("c", "d", "low"), ((0, 1_000_000),))))
+        dataset = Dataset(audio=audio, sensors=sensors, ground_truth=truth)
+        cfg = karapanos.KarapanosConfig()
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZIS_THREADS", threads)
+            runs[threads] = pipeline.karapanos_records(dataset, 10, cfg)
+        assert runs["1"] == runs["2"]
+        gated = {(r.device_a, r.device_b, r.interval_start) for r in runs["1"] if r.gated}
+        assert {r for r in gated if r[2] == 0} == {
+            pair + (0,) for pair in combinations(sorted(audio), 2)
+            if {"q", "low"} & set(pair)}
+        assert ("a", "s", 10_000) in gated and ("a", "s", 0) not in gated
+        assert len(runs["1"]) == 2 * 21 and len(gated) < len(runs["1"])
+
+    def test_karapanos_peak_memory_below_device_major_state(self, audio_dataset,
+                                                           monkeypatch):
+        # Holding every band of every device of one interval takes
+        # devices x bands x (M/2+1) complex bins; band-major scoring holds one
+        # band of the interval at a time. numpy reports its buffers to
+        # tracemalloc.
+        import scipy.fft  # noqa: F401  (imported lazily by dsp; keep it out of the peak)
+        import scipy.signal  # noqa: F401
+
+        monkeypatch.setenv("ZIS_THREADS", "1")
+        cfg = karapanos.KarapanosConfig()
+        t, rate = 10, 16000
+        pad = dsp.fast_len(t * rate + int(round(cfg.maxlag_s * rate)))
+        device_major = len(audio_dataset.audio) * len(cfg.bands) * (pad // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            records = pipeline.karapanos_records(audio_dataset, t, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records and not any(r.gated for r in records)
+        assert peak < device_major
+
+
+def row_digest(row: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(row).tobytes()).hexdigest()
 
 
 def test_schurmann_pipeline_matches_direct_calls(audio_dataset):
