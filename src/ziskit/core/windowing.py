@@ -69,6 +69,29 @@ def pmap(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
+def process_map(fn: Callable, items: Sequence) -> list:
+    """Order-preserving map over worker processes honoring ZIS_THREADS.
+
+    For pure-Python numpy work, which holds the interpreter lock and so
+    gains nothing from threads. `fn` must be a module-level function, and
+    it, every item and every result must pickle. Starts
+    min(ZIS_THREADS, len(items)) workers, and no pool at all when that is 1.
+    Workers fork rather than spawn, because a spawned worker imports numpy
+    and the program again before its first task; the callers' tasks take no
+    lock that another thread of this process could hold.
+    """
+    workers = min(thread_count(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # Imported here: every command imports this module, few start a pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
+
+
 def interval_runs(pairs: Iterable[EvaluationRecord]) -> list[list[EvaluationRecord]]:
     """Runs of consecutive pairs with one interval start; window_pairs gives
     one run per interval."""

@@ -8,7 +8,10 @@ against a validation split.
 
 Model selection runs a grid search ranked by pooled out-of-fold AUC under
 stratified k-fold cross-validation, after an initial stratified 80/20
-train/validation split.
+train/validation split. The folds of one cross-validation are fitted in
+worker processes (`core.windowing.process_map`, up to ZIS_THREADS of them);
+each fold's fit draws only from its own seed and its predictions are
+gathered in fold order, so the result is exact under any worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ziskit.core.windowing import process_map
 from ziskit.errors import DegenerateLabels, IncompatibleRow, ParseError
 from ziskit.evaluation import auc
 from ziskit.ml.folds import stratified_folds
@@ -249,15 +253,26 @@ def fit_model(data: MLDataset, params: ModelParams, seed: int = DEFAULT_SEED,
                         feature_names=data.feature_names)
 
 
+def _fold_scores(task: tuple) -> np.ndarray:
+    """Held-out predictions of one cross-validation fold."""
+    data, params, seed, hold = task
+    model = fit_model(data.subset(~hold), params, seed=seed)
+    return model.predict(data.X[hold])
+
+
 def oof_predictions(data: MLDataset, params: ModelParams, seed: int = DEFAULT_SEED,
                     k: int = 10) -> np.ndarray:
-    """Out-of-fold predictions under stratified k-fold cross-validation."""
+    """Out-of-fold predictions under stratified k-fold cross-validation.
+
+    Each fold's fit is seeded alone, so the folds run through `process_map`
+    and give the same bytes under any ZIS_THREADS.
+    """
     folds = stratified_folds(data.y, k, seed)
+    holds = [folds == fold for fold in range(k)]
     scores = np.empty(data.X.shape[0])
-    for fold in range(k):
-        hold = folds == fold
-        model = fit_model(data.subset(~hold), params, seed=seed)
-        scores[hold] = model.predict(data.X[hold])
+    fold_scores = process_map(_fold_scores, [(data, params, seed, hold) for hold in holds])
+    for hold, held_out in zip(holds, fold_scores):
+        scores[hold] = held_out
     return scores
 
 

@@ -709,6 +709,20 @@ def test_ml_train_refits_only_for_predictions_or_metrics(outputs, valid_files, t
     assert len(calls) == 2 + len(outputs)
 
 
+@pytest.mark.parametrize("scheme", ["truong", "shrestha"])
+def test_ml_train_bytes_identical_for_one_and_two_workers(scheme, valid_files, tmp_path,
+                                                          monkeypatch):
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ZIS_THREADS", threads)
+        model, preds = tmp_path / f"m{threads}.json", tmp_path / f"p{threads}.csv"
+        run_ok(["ml", "train", "--scheme", scheme, "--grid", "small", "--folds", "3",
+                "--features", str(valid_files / f"{scheme}.csv"), "--out", str(model),
+                "--predictions", str(preds)])
+        outputs[threads] = (model.read_bytes(), preds.read_bytes())
+    assert outputs["1"] == outputs["2"]
+
+
 def _cold(*args: str, cwd: Path, timeout: float = 300) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
@@ -735,6 +749,14 @@ def test_cli_import_loads_no_scipy_and_commands_run_cold(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "kara.csv").read_text().splitlines()) == 1 + 6 * 2
     assert json.loads((tmp_path / "rand.json").read_text())["random_walk"]["n_fingerprints"] == 8
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # Only a multi-worker `process_map` imports the process-pool modules.
+    proc = _cold("-c", "import sys, ziskit.cli; print('multiprocessing' in sys.modules)",
+                 cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_fingerprint_randomness_loads_no_scipy(valid_files, tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ziskit.core import windowing
 from ziskit.errors import DegenerateLabels, IncompatibleRow, InfeasibleStratification
 from ziskit.evaluation import auc
+from ziskit.ml import tree as tree_module
 from ziskit.ml.ensemble import (
     GRID_SMALL,
     MLDataset,
@@ -17,6 +20,7 @@ from ziskit.ml.ensemble import (
     train,
 )
 from ziskit.ml.folds import stratified_folds
+from ziskit.ml.tree import _best_split_on_feature, _best_splits
 
 
 def auc_pair_oracle(scores, labels, weights=None):
@@ -369,13 +373,16 @@ class TestTrain:
         assert restored.to_json() == model.to_json()
 
 
-def tie_nan_weighted_dataset() -> MLDataset:
-    """Coarse values (many ties), ~15% NaN slots and integer weights."""
+def tie_weighted_dataset(with_nan: bool = True) -> MLDataset:
+    """Coarse values (many ties), integer weights and, unless `with_nan` is
+    false, ~15% NaN slots; both variants draw the same random stream."""
     rng = np.random.default_rng(2024)
     X = np.round(rng.normal(size=(150, 4)), 1)
     y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.8, size=150) > 0).astype(np.uint8)
-    X[rng.random(size=X.shape) < 0.15] = np.nan
-    X[:3] = np.nan
+    missing = rng.random(size=X.shape) < 0.15
+    if with_nan:
+        X[missing] = np.nan
+        X[:3] = np.nan
     weights = rng.integers(1, 5, size=150).astype(float)
     return MLDataset(X, y, weights)
 
@@ -384,7 +391,8 @@ class TestGoldenModels:
     # Digests recorded before tree growth became iterative; any change to
     # node order, split choice, NaN routing or per-node RNG draws moves them.
     # The early-stopped boosting model also pins importances of a truncated
-    # ensemble.
+    # ensemble. These NaN-bearing models take the per-feature split search on
+    # every column.
     @pytest.mark.parametrize("params, early_stop, model_sha, predict_sha", [
         (ModelParams("forest", 12, 6), False,
          "e266a553f7ed8a0afa3e174b3a9bb5dc87d4e681ea96bda9a6864d9df80e825f",
@@ -397,7 +405,24 @@ class TestGoldenModels:
          "8330a5cdf44a51bf56ad6a4dfd152fa51be1dd37bbc716bdcc6b28f441d50b3b"),
     ])
     def test_model_bytes_and_predictions(self, params, early_stop, model_sha, predict_sha):
-        data = tie_nan_weighted_dataset()
+        self.check_digests(tie_weighted_dataset(), params, early_stop, model_sha, predict_sha)
+
+    # Recorded before the fused split search was added; every column of
+    # this data is NaN-free, so every split takes the fused search.
+    @pytest.mark.parametrize("params, model_sha, predict_sha", [
+        (ModelParams("forest", 12, 6),
+         "6da25068ec2f377458c98865950580d8874b5810f14a049688838efb05edbd4b",
+         "e42c0ae571b79f073fe09512682c9fa91f5269df8d5e8839233c880c2055b4e4"),
+        (ModelParams("boosting", 12, 4, 0.3),
+         "94c954a80ebf1f9222e51c20004de614ca27550b0bd9d6c7bd30548fc477857c",
+         "bad57b4e26c28f5e553f8861179a31c6cc81bc30478cd0b1779d308dad1e4d36"),
+    ])
+    def test_nan_free_model_bytes_and_predictions(self, params, model_sha, predict_sha):
+        data = tie_weighted_dataset(with_nan=False)
+        self.check_digests(data, params, False, model_sha, predict_sha)
+
+    @staticmethod
+    def check_digests(data, params, early_stop, model_sha, predict_sha):
         fit_rows = np.arange(110) if early_stop else np.arange(150)
         valid = data.subset(np.arange(110, 150)) if early_stop else None
         model = fit_model(data.subset(fit_rows), params, seed=77, valid=valid,
@@ -414,7 +439,7 @@ class TestGoldenModels:
         # Tree.predict gathers one flat index per active row; the walk below
         # follows one row at a time. A Fortran-ordered probe checks that the
         # gather does not depend on the layout of X.
-        data = tie_nan_weighted_dataset()
+        data = tie_weighted_dataset()
         model = fit_model(data, ModelParams("boosting", 12, 4, 0.3), seed=77)
         probe = np.asfortranarray(np.vstack([data.X, np.full((1, 4), np.nan)]))
 
@@ -430,3 +455,153 @@ class TestGoldenModels:
         for tree in model.trees:
             expected = np.array([walk(tree, row) for row in probe])
             np.testing.assert_array_equal(tree.predict(probe), expected)
+
+
+def per_feature_splits(block, g, h):
+    """The per-feature search, one column at a time: the fused search's oracle."""
+    return [_best_split_on_feature(block[:, j], g, h) for j in range(block.shape[1])]
+
+
+class TestFusedSplitSearch:
+    """`_best_splits` equals `_best_split_on_feature` column by column, bit for bit."""
+
+    @staticmethod
+    def check(block, g, h):
+        block, g, h = (np.asarray(a, dtype=np.float64) for a in (block, g, h))
+        got = _best_splits(block, g, h)
+        assert got == per_feature_splits(block, g, h)
+        return got
+
+    def test_tie_heavy_integer_columns(self, rng):
+        found = 0
+        for _ in range(300):
+            n, c = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+            block = rng.integers(0, rng.integers(1, 6), size=(n, c))
+            w = rng.integers(1, 5, size=n).astype(float)
+            y = rng.integers(0, 2, size=n)
+            # Forest targets, then boosting gradients and hessians.
+            found += sum(s is not None for s in self.check(block, w * y, w))
+            p = rng.uniform(0.05, 0.95, size=n)
+            self.check(block, w * (y - p), w * p * (1 - p))
+        assert found > 100
+
+    def test_float_weights_and_values(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            block = np.round(rng.normal(size=(n, 3)), int(rng.integers(0, 3)))
+            w = rng.uniform(0.1, 3.0, size=n)
+            self.check(block, w * rng.integers(0, 2, size=n), w)
+
+    def test_all_equal_columns_never_split(self, rng):
+        block = np.column_stack([np.full(20, 1.5), rng.integers(0, 3, size=20),
+                                 np.zeros(20)])
+        y = (block[:, 1] > 0).astype(float)
+        got = self.check(block, y, np.ones(20))
+        assert got[0] is None and got[2] is None and got[1] is not None
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows(self, n):
+        assert self.check(np.zeros((n, 3)), np.ones(n), np.ones(n)) == [None] * 3
+
+    def test_no_cut_reaches_min_gain(self, rng):
+        block = rng.integers(0, 5, size=(30, 3))
+        h = rng.integers(1, 4, size=30).astype(float)
+        # A pure node (zero gradient) and one with a constant gradient share.
+        assert self.check(block, np.zeros(30), h) == [None] * 3
+        assert self.check(block, 0.5 * h, h) == [None] * 3
+
+    def test_equal_hessian_cut_sends_missing_left(self):
+        # The best cut leaves hl == hr, so missing rows would go left; the
+        # second column's best cut has hl < hr.
+        block = np.array([[0, 0], [1, 1], [2, 1], [3, 1], [4, 1], [5, 1]], dtype=float)
+        y = np.array([0, 0, 0, 1, 1, 1], dtype=float)
+        (gain, cut, left), (gain2, cut2, left2) = self.check(block, y, np.ones(6))
+        assert (cut, left) == (2.5, True)
+        assert (cut2, left2) == (0.5, False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_blocks(self, data):
+        n = data.draw(st.integers(0, 12))
+        c = data.draw(st.integers(1, 4))
+        block = data.draw(st.lists(st.integers(-2, 2), min_size=n * c, max_size=n * c))
+        g = data.draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n))
+        h = data.draw(st.lists(st.floats(0, 4), min_size=n, max_size=n))
+        self.check(np.reshape(block, (n, c)), g, h)
+
+    @pytest.mark.parametrize("params", [ModelParams("forest", 8, 6),
+                                        ModelParams("boosting", 8, 4, 0.3)])
+    def test_fit_with_mixed_columns_matches_per_feature_search(self, params, monkeypatch):
+        # Columns 1 and 3 hold NaN and keep the per-feature search; 0 and 2
+        # take the fused one. Patching the per-feature search in for the
+        # fused one must not move a byte of the model.
+        data = tie_weighted_dataset(with_nan=False)
+        X = data.X.copy()
+        X[::7, 1] = np.nan
+        X[::11, 3] = np.nan
+        data = MLDataset(X, data.y, data.weights)
+        fused = fit_model(data, params, seed=5).to_json()
+        monkeypatch.setattr(tree_module, "_best_splits", per_feature_splits)
+        assert fit_model(data, params, seed=5).to_json() == fused
+
+
+class TestProcessParallelFolds:
+    """Fold fits run through `process_map`; ZIS_THREADS never changes a byte."""
+
+    @pytest.mark.parametrize("kind", ["forest", "boosting"])
+    @pytest.mark.parametrize("with_nan", [True, False])
+    def test_one_and_two_workers_agree(self, kind, with_nan, monkeypatch):
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        data = tie_weighted_dataset(with_nan)
+        params = ModelParams(kind, 8, 4, 0.3)
+        results = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZIS_THREADS", threads)
+            scores = oof_predictions(data, params, seed=3, k=5)
+            model = train(data, grid=(params,), seed=3, cv_folds=5)
+            results[threads] = (scores, model.to_json())
+        assert pools == [2, 2]
+        np.testing.assert_array_equal(results["1"][0], results["2"][0])
+        assert results["1"][1] == results["2"][1]
+
+    def test_serial_paths_build_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("ZIS_THREADS", "1")
+        oof_predictions(separable_dataset(40), ModelParams("forest", 3, 3), k=4)
+        monkeypatch.setenv("ZIS_THREADS", "8")
+        assert windowing.process_map(abs, [-3]) == [3]
+        assert windowing.process_map(abs, []) == []
+
+    def test_workers_capped_by_task_count(self, monkeypatch):
+        # A stand-in executor records its size and maps in this process.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("ZIS_THREADS", "64")
+        assert windowing.process_map(abs, [-1, 2, -3]) == [1, 2, 3]
+        monkeypatch.delenv("ZIS_THREADS")
+        windowing.process_map(abs, list(range(100)))
+        assert sizes == [3, windowing.thread_count()]
