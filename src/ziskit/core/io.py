@@ -1,9 +1,16 @@
-"""Dataset ingestion: manifest-driven loading of WAV/CSV/JSONL/JSON files."""
+"""Dataset ingestion: manifest-driven loading of WAV/CSV/JSONL/JSON files.
+
+WAV files are read and written with the standard library's `wave` and
+numpy, so loading a dataset imports no scipy module.
+"""
 
 from __future__ import annotations
 
 import json
+import struct
+import wave
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from ziskit.errors import InvariantViolation, MissingInput, ParseError
 from ziskit.table import Column, read_table, real
 
 MANIFEST_NAME = "manifest.json"
+_WAVE_FORMAT_PCM = 1  # integer PCM; 3 is IEEE float, 0xFFFE WAVE_FORMAT_EXTENSIBLE
 
 
 def _require(path: Path) -> Path:
@@ -30,22 +38,59 @@ def _require(path: Path) -> Path:
 
 
 def read_wav(path: Path, device_id: str, start_ms: int = 0) -> AudioSnippet:
-    from scipy.io import wavfile
+    """Read a mono 16-bit PCM WAV file.
 
+    Anything else, a malformed or truncated header included, raises ParseError
+    naming the file. WAVE_FORMAT_EXTENSIBLE is refused on every Python version
+    (`wave` reads it only from 3.12 on). A data chunk shorter than its header
+    declares yields the whole samples it holds.
+    """
     _require(path)
-    rate, data = wavfile.read(str(path))
-    if data.dtype != np.int16:
-        raise ParseError(f"expected 16-bit PCM, got {data.dtype}", path=str(path))
-    if data.ndim != 1:
+    try:
+        with open(path, "rb") as fh, wave.open(fh) as wav:
+            width, channels, rate = wav.getsampwidth(), wav.getnchannels(), wav.getframerate()
+            frames = wav.readframes(wav.getnframes())
+            tag = _format_tag(fh)
+        if tag != _WAVE_FORMAT_PCM:
+            raise wave.Error(f"unknown format: {tag}")
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # `wave` raises a bare EOFError on a short header and a bare RuntimeError
+        # on a chunk that runs past the end of the RIFF chunk.
+        raise ParseError(f"bad WAV file: {str(exc) or 'truncated or malformed header'}",
+                         path=str(path)) from exc
+    if width != 2:
+        raise ParseError(f"expected 16-bit PCM, got {8 * width}-bit", path=str(path))
+    if channels != 1:
         raise ParseError("expected mono audio", path=str(path))
-    return AudioSnippet(samples=data, rate_hz=int(rate), start_time=start_ms, device_id=device_id)
+    samples = np.frombuffer(frames, dtype=np.int16, count=len(frames) // 2)
+    try:
+        return AudioSnippet(samples=samples, rate_hz=rate, start_time=start_ms,
+                            device_id=device_id)
+    except InvariantViolation as exc:  # a sample rate of 0
+        raise InvariantViolation(f"{path}: {exc}") from exc
+
+
+def _format_tag(fh: BinaryIO) -> int:
+    """The format tag of the 'fmt ' chunk of a RIFF file `wave` has opened.
+
+    `wave` found that chunk, so every chunk header on the way is whole.
+    """
+    fh.seek(12)  # past "RIFF", the RIFF size and "WAVE"
+    while True:
+        name, size = struct.unpack("<4sI", fh.read(8))
+        if name == b"fmt ":
+            return struct.unpack("<H", fh.read(2))[0]
+        fh.seek(size + size % 2, 1)  # chunks are padded to even length
 
 
 def write_wav(path: Path, snippet: AudioSnippet) -> None:
-    from scipy.io import wavfile
-
+    """Write mono 16-bit PCM; the bytes equal those of scipy.io.wavfile.write."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    wavfile.write(str(path), snippet.rate_hz, snippet.samples)
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(snippet.rate_hz)
+        wav.writeframes(np.ascontiguousarray(snippet.samples, dtype=np.int16))
 
 
 SENSOR_COLUMNS = (Column("timestamp_ms", int), real("value"))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ziskit import dsp
 from ziskit.core.types import (
     Dataset,
     EvaluationRecord,
@@ -49,6 +50,10 @@ def karapanos_records(dataset: Dataset, t: int,
             snippets, [(p.device_a, p.device_b) for p in run], cfg)
         return [replace(p, score=s.value) for p, s in zip(run, scores, strict=True)]
 
+    for rate in {x.rate_hz for x in dataset.audio.values()}:
+        if cfg.fits_rate(rate):
+            dsp.design_bandpass(((b.f_low, b.f_high) for b in cfg.bands), cfg.order, rate)
+            dsp.import_fft()
     return [r for rows in pmap(score_run, interval_runs(window_pairs(dataset, t)))
             for r in rows]
 
@@ -108,6 +113,9 @@ def schurmann_fingerprints(dataset: Dataset, t: int,
         except (InsufficientSamples, InvalidBand):  # short audio, or bands above Nyquist
             return None
 
+    for rate in {x.rate_hz for x in dataset.audio.values()}:
+        if cfg.fits_rate(rate):
+            dsp.design_bandpass(cfg.band_edges(rate), cfg.filter_order, rate)
     return [fp for fp in pmap(one, jobs) if fp is not None]
 
 
@@ -199,6 +207,8 @@ TRUONG_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN,
 
 def truong_rows(dataset: Dataset, t: int, theta: float = truong.THETA_DEFAULT
                 ) -> list[truong.TruongFeatureVector]:
+    if dataset.audio:
+        dsp.import_fft()
     return truong.build_dataset(window_pairs(dataset, t), dataset, t, theta=theta)
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,23 @@ def two_group_truth(until_ms=1_000_000) -> GroundTruth:
         Group("g0", ("a", "b"), ((0, until_ms),)),
         Group("g1", ("c", "d"), ((0, until_ms),)),
     ))
+
+
+# KSDATAFORMAT_SUBTYPE_PCM, the sub-format GUID of integer PCM in WAVE_FORMAT_EXTENSIBLE.
+PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+def wav_bytes(data: bytes, *, tag: int = 1, channels: int = 1, bits: int = 16,
+              rate: int = 16000) -> bytes:
+    """A RIFF/WAVE file of one 'fmt ' chunk and one 'data' chunk holding `data`.
+
+    Tag 1 is integer PCM, 3 IEEE float, 0xFFFE WAVE_FORMAT_EXTENSIBLE (here
+    with the PCM sub-format).
+    """
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    if tag == 0xFFFE:
+        fmt += struct.pack("<HHI", 22, bits, 4) + PCM_SUBFORMAT
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
+from conftest import wav_bytes
 from ziskit import cli
 from ziskit.cli import _apply_config, build_parser, main
 from ziskit.schemes import truong
@@ -296,6 +297,47 @@ def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp
         argv += ["--features", str(valid_files / "score.csv")]
     assert main([command, *argv]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def _bad_wav(fault: str, audio: np.ndarray) -> bytes:
+    pcm16 = audio.astype("<i2").tobytes()
+    if fault == "text":
+        return b"not a WAV file\n"
+    if fault == "truncated_header":
+        return wav_bytes(pcm16)[:30]
+    if fault == "stereo":
+        return wav_bytes(pcm16, channels=2)
+    if fault in ("pcm8", "pcm32"):
+        bits = int(fault[3:])
+        return wav_bytes(audio.astype(f"<i{bits // 8}").tobytes(), bits=bits)
+    if fault == "rate0":
+        return wav_bytes(pcm16, rate=0)
+    if fault == "float":
+        return wav_bytes(audio.astype("<f4").tobytes(), tag=3, bits=32)
+    return wav_bytes(pcm16, tag=0xFFFE)  # 16-bit PCM in WAVE_FORMAT_EXTENSIBLE
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("text", "does not start with RIFF"),
+    ("truncated_header", "truncated or malformed header"),
+    ("stereo", "expected mono audio"),
+    ("pcm8", "expected 16-bit PCM, got 8-bit"),
+    ("pcm32", "expected 16-bit PCM, got 32-bit"),
+    ("rate0", "rate_hz must be positive"),
+    ("float", "unknown format: 3"),
+    # Python's `wave` reads the extensible format only from 3.12 on; refused on all.
+    ("extensible", "unknown format: 65534")])
+def test_bad_wav_exits_2_naming_the_file(fault, message, scenario_dir, tmp_path):
+    dataset = tmp_path / "scen"
+    shutil.copytree(scenario_dir, dataset)
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    wav = dataset / manifest["devices"][0]["audio"]["path"]
+    wav.write_bytes(_bad_wav(fault, np.arange(-800, 800, 10)))
+    proc = _cold("-m", "ziskit.cli", "features", "--scheme", "miettinen", "--dataset",
+                 str(dataset), "--out", str(tmp_path / "fp.csv"), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr and str(wav) in proc.stderr
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -749,6 +791,61 @@ def test_cli_import_loads_no_scipy_and_commands_run_cold(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "kara.csv").read_text().splitlines()) == 1 + 6 * 2
     assert json.loads((tmp_path / "rand.json").read_text())["random_walk"]["n_fingerprints"] == 8
+
+
+# Runs `main(sys.argv[1:])` and prints its exit code, the scipy modules loaded
+# and those first imported outside the main thread.
+_SCIPY_PROBE = """
+import json, sys, threading
+off_main = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy' and threading.current_thread() is not threading.main_thread():
+            off_main.append(name)
+sys.meta_path.insert(0, Spy())
+from ziskit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),
+                  sorted(set(off_main))]))
+"""
+
+
+def test_each_command_loads_only_the_scipy_it_uses(tmp_path, monkeypatch):
+    # WAV files are read with `wave`: only the band filters load scipy.signal
+    # and only the FFTs scipy.fft, and no command loads scipy.io. Pipelines
+    # import scipy before `pmap` starts its threads: a first import inside a
+    # worker thread raised the peak RSS of `features karapanos`.
+    monkeypatch.setenv("ZIS_THREADS", "2")
+    no_scipy, no_io = ("scipy",), ("scipy.io",)
+    dataset = ["--dataset", "scen"]
+    steps = [
+        (["datagen", "--out", "scen", "--seed", "3", "--duration-s", "20",
+          "--groups", "2,2"], no_io),
+        (["features", "--scheme", "karapanos", *dataset, "--out", "kara.csv"], no_io),
+        (["features", "--scheme", "schurmann", *dataset, "--out", "fp.csv"], no_io),
+        (["features", "--scheme", "truong", *dataset, "--out", "tr.csv"],
+         ("scipy.io", "scipy.signal")),
+        (["features", "--scheme", "shrestha", *dataset, "--out", "shr.csv"], no_scipy),
+        (["features", "--scheme", "miettinen", *dataset, "--out", "mi.csv"], no_scipy),
+        (["ml", "train", "--scheme", "shrestha", "--features", "shr.csv", "--grid", "small",
+          "--folds", "3", "--out", "model.json"], no_scipy),
+        (["ml", "predict", "--scheme", "shrestha", "--features", "shr.csv",
+          "--model", "model.json", "--out", "pred.csv"], no_scipy),
+        (["evaluate", "--scheme", "karapanos", "--features", "kara.csv", *dataset,
+          "--out", "ev_kara"], no_scipy),
+        (["evaluate", "--scheme", "scores", "--scores", "pred.csv", "--out", "ev_pred"],
+         no_scipy),
+        (["robustness", "--results", "ev_kara/results.csv", "--scheme", "karapanos",
+          "--features", "kara.csv", *dataset, "--out", "robust.csv"], no_scipy),
+    ]
+    for argv, banned in steps:
+        proc = _cold("-c", _SCIPY_PROBE, *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, off_main = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, (argv, proc.stderr)
+        assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] \
+            == [], argv
+        assert off_main == [], argv
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

@@ -1,10 +1,15 @@
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import series_of
-from ziskit.core.io import load_dataset, read_sensor_csv, write_sensor_csv
+from conftest import series_of, wav_bytes
+from ziskit.core.io import load_dataset, read_sensor_csv, read_wav, write_sensor_csv, write_wav
 from ziskit.core.types import (
     AudioSnippet,
     BeaconScan,
@@ -125,6 +130,51 @@ class TestLoadDataset:
         with pytest.raises(ParseError) as err:
             load_dataset(tmp_path, manifest)
         assert err.value.line == 2
+
+
+class TestWav:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=arrays(np.int16, st.integers(0, 3001)),
+           rate=st.sampled_from([8000, 16000, 44100]))
+    @example(samples=np.array([], dtype=np.int16), rate=16000)
+    @example(samples=np.array([-32768], dtype=np.int16), rate=8000)
+    @example(samples=np.array([32767, -32768, 0, -1, 1], dtype=np.int16), rate=44100)
+    def test_matches_scipy_and_round_trips(self, samples, rate, tmp_path):
+        from scipy.io import wavfile
+
+        path = tmp_path / "a.wav"
+        write_wav(path, AudioSnippet(samples, rate, 0, "d"))
+        oracle = io.BytesIO()
+        wavfile.write(oracle, rate, samples)
+        assert path.read_bytes() == oracle.getvalue()
+        snippet = read_wav(path, "d", 250)
+        scipy_rate, scipy_samples = wavfile.read(path)
+        assert snippet.rate_hz == scipy_rate == rate
+        assert snippet.samples.dtype == np.int16
+        np.testing.assert_array_equal(snippet.samples, scipy_samples)
+        np.testing.assert_array_equal(snippet.samples, samples)
+        assert (snippet.start_time, snippet.device_id) == (250, "d")
+
+    def test_chunks_before_fmt_are_skipped(self, tmp_path):
+        from scipy.io import wavfile
+
+        samples = np.arange(-50, 50, dtype=np.int16)
+        whole = wav_bytes(samples.astype("<i2").tobytes())
+        # An odd-sized chunk is followed by one pad byte.
+        body = whole[8:12] + b"JUNK" + struct.pack("<I", 3) + b"abc\0" + whole[12:]
+        path = tmp_path / "junk.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        np.testing.assert_array_equal(read_wav(path, "d").samples, samples)
+        np.testing.assert_array_equal(wavfile.read(path)[1], samples)
+
+    @pytest.mark.parametrize("kept_bytes", [500, 501])
+    def test_short_data_chunk_reads_the_samples_present(self, kept_bytes, tmp_path):
+        samples = np.arange(-500, 500, dtype=np.int16)
+        whole = wav_bytes(samples.astype("<i2").tobytes())
+        path = tmp_path / "short.wav"
+        path.write_bytes(whole[:len(whole) - samples.nbytes + kept_bytes])
+        np.testing.assert_array_equal(read_wav(path, "d").samples, samples[:250])
 
 
 def _sensor_dataset(gt: GroundTruth, devices: list[str], n: int = 20,
