@@ -153,7 +153,7 @@ class TrainedModel:
     def from_json(cls, text: str | bytes, path: str | None = None) -> "TrainedModel":
         """Parse `to_json` output; ParseError (naming `path`) on a malformed model."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_constant=_reject_constant)
             params = ModelParams(**doc["params"])
             if params.kind not in ("forest", "boosting"):
                 raise ValueError(f"unknown model kind {params.kind!r}")
@@ -171,6 +171,11 @@ class TrainedModel:
             )
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"bad model file: {exc!r}", path=path) from exc
+
+
+def _reject_constant(token: str):
+    """`json.loads` hook for NaN, Infinity and -Infinity, which no model holds."""
+    raise ValueError(f"non-finite number {token}")
 
 
 def _tree_params(params: ModelParams, n_features: int) -> TreeParams:

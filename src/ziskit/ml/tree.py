@@ -10,9 +10,10 @@ they are routed to the child that received the larger share of training
 weight, and the same side is used at prediction time.
 
 Split search costs numpy calls more than arithmetic, so each node scores
-all of its NaN-free candidate columns in one fused 2-D pass (`_best_splits`)
-that equals the per-feature search (`_best_split_on_feature`) bit for bit;
-columns holding NaN anywhere in the fit's data keep the per-feature search.
+all of its candidate columns in one sorted 2-D pass (`_best_splits`): NaN
+sorts last, so a column's observed values are a prefix of its running sums,
+and only a node whose rows hold NaN pays for the missing-value terms. The
+node splits on the first column of highest gain.
 """
 
 from __future__ import annotations
@@ -32,57 +33,18 @@ class TreeParams:
     mtry: int | None = None
 
 
-def _best_split_on_feature(col: np.ndarray, g: np.ndarray, h: np.ndarray
-                           ) -> tuple[float, float, bool] | None:
-    """Best (gain, threshold, missing_left) for one feature, or None."""
-    miss = np.isnan(col)
-    vals = col[~miss]
-    if vals.size < 2:
-        return None
-    g_obs, h_obs = g[~miss], h[~miss]
-    g_miss = float(g[miss].sum())
-    h_miss = float(h[miss].sum())
-    order = np.argsort(vals, kind="stable")
-    vs = vals[order]
-    cg = np.cumsum(g_obs[order])
-    ch = np.cumsum(h_obs[order])
-    cut = np.nonzero(vs[:-1] < vs[1:])[0]
-    if cut.size == 0:
-        return None
-    g_tot = cg[-1] + g_miss
-    h_tot = ch[-1] + h_miss
-    gl, hl = cg[cut], ch[cut]
-    gr, hr = cg[-1] - gl, ch[-1] - hl
-    # Missing rows follow the heavier child (ties go left).
-    to_left = hl >= hr
-    gl_eff = gl + np.where(to_left, g_miss, 0.0)
-    hl_eff = hl + np.where(to_left, h_miss, 0.0)
-    gr_eff = gr + np.where(to_left, 0.0, g_miss)
-    hr_eff = hr + np.where(to_left, 0.0, h_miss)
-    parent = g_tot * g_tot / max(h_tot, _MIN_HESSIAN)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (gl_eff * gl_eff / np.maximum(hl_eff, _MIN_HESSIAN)
-                + gr_eff * gr_eff / np.maximum(hr_eff, _MIN_HESSIAN) - parent)
-    gain = np.where((hl_eff <= 0) | (hr_eff <= 0), -np.inf, gain)
-    best = int(np.argmax(gain))
-    if not np.isfinite(gain[best]) or gain[best] <= _MIN_GAIN:
-        return None
-    threshold = 0.5 * (vs[cut[best]] + vs[cut[best] + 1])
-    return float(gain[best]), float(threshold), bool(to_left[best])
-
-
 def _best_splits(block: np.ndarray, g: np.ndarray, h: np.ndarray
-                 ) -> list[tuple[float, float, bool] | None]:
-    """`_best_split_on_feature` of every column of a NaN-free (n, c) block.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best split of every column of an (n, c) block in one sorted pass.
 
-    One sort, one pair of running sums and one gain matrix serve all
-    columns. With nothing missing, the missing-row terms of the per-feature
-    search add zero, so each column's gains, argmax, threshold and
-    `missing_left` are bit-for-bit those of the per-feature search.
+    Returns per-column arrays (gain, threshold, missing_left); gain is -inf
+    where a column has no cut between two distinct observed values that
+    gains more than `_MIN_GAIN`. A stable sort puts NaN last in row order,
+    so each column's observed rows are a prefix of its running sums.
     """
     n, c = block.shape
     if n < 2:
-        return [None] * c
+        return np.full(c, -np.inf), np.zeros(c), np.ones(c, dtype=bool)
     cols = np.arange(c)
     order = np.argsort(block, axis=0, kind="stable")
     vs = block[order, cols]
@@ -90,20 +52,37 @@ def _best_splits(block: np.ndarray, g: np.ndarray, h: np.ndarray
     ch = np.cumsum(h[order], axis=0)
     g_tot, h_tot = cg[-1], ch[-1]
     gl, hl = cg[:-1], ch[:-1]
+    nan_cols = np.isnan(vs[-1]).nonzero()[0]
+    if nan_cols.size:
+        last = n - 1 - np.isnan(vs).sum(axis=0)
+        g_tot, h_tot = cg[last, cols], ch[last, cols]
     gr, hr = g_tot - gl, h_tot - hl
+    to_left = hl >= hr
+    if nan_cols.size:
+        # Missing rows join the heavier child (ties go left). Their mass is
+        # summed one column at a time, in row order, as a 1-D masked sum is;
+        # adding the zero mass of a NaN-free column changes no gain.
+        g_miss, h_miss = np.zeros(c), np.zeros(c)
+        for j in nan_cols.tolist():
+            tail = order[last[j] + 1:, j]
+            g_miss[j], h_miss[j] = g[tail].sum(), h[tail].sum()
+        gl = gl + np.where(to_left, g_miss, 0.0)
+        hl = hl + np.where(to_left, h_miss, 0.0)
+        gr = gr + np.where(to_left, 0.0, g_miss)
+        hr = hr + np.where(to_left, 0.0, h_miss)
+        g_tot, h_tot = g_tot + g_miss, h_tot + h_miss
     parent = g_tot * g_tot / np.maximum(h_tot, _MIN_HESSIAN)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = (gl * gl / np.maximum(hl, _MIN_HESSIAN)
                 + gr * gr / np.maximum(hr, _MIN_HESSIAN) - parent)
-    # Only cuts between distinct values with weight on both sides count.
-    gain[(vs[:-1] == vs[1:]) | (hl <= 0) | (hr <= 0)] = -np.inf
+    # Only cuts between distinct observed values (NaN compares false) with
+    # weight on both sides count.
+    gain[~(vs[:-1] < vs[1:]) | (hl <= 0) | (hr <= 0)] = -np.inf
     best = gain.argmax(axis=0)
     top = gain[best, cols]
     found = np.isfinite(top) & (top > _MIN_GAIN)
     threshold = 0.5 * (vs[best, cols] + vs[best + 1, cols])
-    to_left = hl[best, cols] >= hr[best, cols]
-    return [(t, cut, left) if ok else None for ok, t, cut, left
-            in zip(found.tolist(), top.tolist(), threshold.tolist(), to_left.tolist())]
+    return np.where(found, top, -np.inf), threshold, to_left[best, cols]
 
 
 @dataclass
@@ -136,7 +115,6 @@ class Tree:
         """
         n_feat = X.shape[1]
         sample = params.mtry is not None and params.mtry < n_feat
-        nan_free = ~np.isnan(X).any(axis=0)
         nodes = []   # (feature, threshold, missing_left, value) per node
         left, right = [], []
         gains = np.zeros(n_feat)
@@ -151,16 +129,13 @@ class Tree:
             best = None
             if depth < params.max_depth:
                 candidates = (np.sort(rng.choice(n_feat, size=params.mtry, replace=False))
-                              if sample else range(n_feat))
-                g_rows, h_rows = g[rows], h[rows]
-                fused = [f for f in candidates if nan_free[f]]
-                splits = (dict(zip(fused, _best_splits(X[rows][:, fused], g_rows, h_rows)))
-                          if fused else {})
-                for f in candidates:
-                    found = (splits[f] if nan_free[f]
-                             else _best_split_on_feature(X[rows, f], g_rows, h_rows))
-                    if found is not None and (best is None or found[0] > best[0]):
-                        best = (*found, int(f))
+                              if sample else np.arange(n_feat))
+                gain, cut, miss_left = _best_splits(X[rows][:, candidates], g[rows], h[rows])
+                # The first maximum: candidates are scored in ascending order.
+                i = int(gain.argmax())
+                if gain[i] > -np.inf:
+                    best = (float(gain[i]), float(cut[i]), bool(miss_left[i]),
+                            int(candidates[i]))
             if best is None:
                 h_sum = max(float(h[rows].sum()), _MIN_HESSIAN)
                 nodes.append((-1, 0.0, True, float(g[rows].sum()) / h_sum))

@@ -125,8 +125,11 @@ def miettinen_fingerprints(dataset: Dataset, cfg: miettinen.MiettinenConfig,
     out: list[Fingerprint] = []
     if source == "noise":
         for device in sorted(dataset.audio):
-            series = miettinen.noise_levels(dataset.audio[device],
-                                            cfg.measurement_window_s)
+            try:
+                series = miettinen.noise_levels(dataset.audio[device],
+                                                cfg.measurement_window_s)
+            except InsufficientSamples:  # shorter than one measurement window
+                continue
             out.extend(miettinen.iter_fingerprints(series, cfg))
     elif source == "luminosity":
         for device in sorted(dataset.sensors):

@@ -499,7 +499,28 @@ def test_schurmann_skips_only_a_device_at_8khz(scenario_dir, tmp_path):
     assert rows["other"] == [r for r in rows["native"] if r["device_id"] != device]
 
 
-def _truong_model(kind: str = "forest", left: tuple = (1, -1, -1)) -> bytes:
+def test_miettinen_drops_only_a_too_short_device(scenario_dir, tmp_path):
+    # 0.25 s of audio holds no 1 s measurement window.
+    other = tmp_path / "scen"
+    shutil.copytree(scenario_dir, other)
+    manifest = json.loads((other / "manifest.json").read_text())
+    device = manifest["devices"][0]["id"]
+    wav = other / manifest["devices"][0]["audio"]["path"]
+    rate, samples = wavfile.read(wav)
+    wavfile.write(wav, rate, samples[:rate // 4])
+    rows = {}
+    for name, dataset in [("native", scenario_dir), ("other", other)]:
+        out = tmp_path / f"{name}.csv"
+        run_ok(["features", "--scheme", "miettinen", "--dataset", str(dataset),
+                "--out", str(out), "--t", "2", "--bits", "4"])
+        with open(out, newline="") as fh:
+            rows[name] = list(csv.DictReader(fh))
+    assert any(r["device_id"] == device for r in rows["native"])
+    assert rows["other"] == [r for r in rows["native"] if r["device_id"] != device]
+
+
+def _truong_model(kind: str = "forest", left: tuple = (1, -1, -1),
+                  value: tuple = (0.0, 0.0, 1.0)) -> bytes:
     """A one-split model over the truong features; the defaults make it valid."""
     n = len(truong.ALL_FEATURES)
     return json.dumps({
@@ -509,14 +530,16 @@ def _truong_model(kind: str = "forest", left: tuple = (1, -1, -1)) -> bytes:
         "feature_names": None, "feature_importances": [1.0 / n] * n,
         "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
                    "missing_left": [1, 1, 1], "left": list(left), "right": [2, -1, -1],
-                   "value": [0.0, 0.0, 1.0], "root": 0}]}).encode()
+                   "value": list(value), "root": 0}]}).encode()
 
 
 @pytest.mark.parametrize("content", [b"not json", b'{"kind":"forest"}', b"\xffnot utf-8",
                                      _truong_model(left=(0, -1, -1)),
-                                     _truong_model(kind="tree")],
+                                     _truong_model(kind="tree"),
+                                     _truong_model(value=(0.0, math.nan, 1.0)),
+                                     _truong_model(value=(0.0, 0.0, math.inf))],
                          ids=["not_json", "no_params", "non_utf8", "cyclic_tree",
-                              "unknown_kind"])
+                              "unknown_kind", "nan_leaf", "infinite_leaf"])
 def test_bad_model_file_exits_2(content, valid_files, tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_bytes(content)

@@ -20,7 +20,7 @@ from ziskit.ml.ensemble import (
     train,
 )
 from ziskit.ml.folds import stratified_folds
-from ziskit.ml.tree import _best_split_on_feature, _best_splits
+from ziskit.ml.tree import _MIN_GAIN, _MIN_HESSIAN, Tree, TreeParams, _best_splits
 
 
 def auc_pair_oracle(scores, labels, weights=None):
@@ -391,8 +391,8 @@ class TestGoldenModels:
     # Digests recorded before tree growth became iterative; any change to
     # node order, split choice, NaN routing or per-node RNG draws moves them.
     # The early-stopped boosting model also pins importances of a truncated
-    # ensemble. These NaN-bearing models take the per-feature split search on
-    # every column.
+    # ensemble. These models were recorded while NaN-bearing columns took a
+    # per-feature split search; one sorted pass over all columns must match.
     @pytest.mark.parametrize("params, early_stop, model_sha, predict_sha", [
         (ModelParams("forest", 12, 6), False,
          "e266a553f7ed8a0afa3e174b3a9bb5dc87d4e681ea96bda9a6864d9df80e825f",
@@ -407,8 +407,8 @@ class TestGoldenModels:
     def test_model_bytes_and_predictions(self, params, early_stop, model_sha, predict_sha):
         self.check_digests(tie_weighted_dataset(), params, early_stop, model_sha, predict_sha)
 
-    # Recorded before the fused split search was added; every column of
-    # this data is NaN-free, so every split takes the fused search.
+    # Recorded before splits were searched in one 2-D pass; every column of
+    # this data is NaN-free.
     @pytest.mark.parametrize("params, model_sha, predict_sha", [
         (ModelParams("forest", 12, 6),
          "6da25068ec2f377458c98865950580d8874b5810f14a049688838efb05edbd4b",
@@ -457,26 +457,79 @@ class TestGoldenModels:
             np.testing.assert_array_equal(tree.predict(probe), expected)
 
 
+def _best_split_on_feature(col: np.ndarray, g: np.ndarray, h: np.ndarray
+                           ) -> tuple[float, float, bool] | None:
+    """Best (gain, threshold, missing_left) for one feature, or None."""
+    miss = np.isnan(col)
+    vals = col[~miss]
+    if vals.size < 2:
+        return None
+    g_obs, h_obs = g[~miss], h[~miss]
+    g_miss = float(g[miss].sum())
+    h_miss = float(h[miss].sum())
+    order = np.argsort(vals, kind="stable")
+    vs = vals[order]
+    cg = np.cumsum(g_obs[order])
+    ch = np.cumsum(h_obs[order])
+    cut = np.nonzero(vs[:-1] < vs[1:])[0]
+    if cut.size == 0:
+        return None
+    g_tot = cg[-1] + g_miss
+    h_tot = ch[-1] + h_miss
+    gl, hl = cg[cut], ch[cut]
+    gr, hr = cg[-1] - gl, ch[-1] - hl
+    # Missing rows follow the heavier child (ties go left).
+    to_left = hl >= hr
+    gl_eff = gl + np.where(to_left, g_miss, 0.0)
+    hl_eff = hl + np.where(to_left, h_miss, 0.0)
+    gr_eff = gr + np.where(to_left, 0.0, g_miss)
+    hr_eff = hr + np.where(to_left, 0.0, h_miss)
+    parent = g_tot * g_tot / max(h_tot, _MIN_HESSIAN)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = (gl_eff * gl_eff / np.maximum(hl_eff, _MIN_HESSIAN)
+                + gr_eff * gr_eff / np.maximum(hr_eff, _MIN_HESSIAN) - parent)
+    gain = np.where((hl_eff <= 0) | (hr_eff <= 0), -np.inf, gain)
+    best = int(np.argmax(gain))
+    if not np.isfinite(gain[best]) or gain[best] <= _MIN_GAIN:
+        return None
+    threshold = 0.5 * (vs[cut[best]] + vs[cut[best] + 1])
+    return float(gain[best]), float(threshold), bool(to_left[best])
+
+
 def per_feature_splits(block, g, h):
-    """The per-feature search, one column at a time: the fused search's oracle."""
-    return [_best_split_on_feature(block[:, j], g, h) for j in range(block.shape[1])]
+    """The per-feature search on every column, returned as `_best_splits` returns it."""
+    found = [_best_split_on_feature(block[:, j], g, h) or (-np.inf, 0.0, True)
+             for j in range(block.shape[1])]
+    gain, threshold, missing_left = (np.array(a) for a in zip(*found))
+    return gain, threshold, missing_left.astype(bool)
 
 
-class TestFusedSplitSearch:
+def with_nan(rng, block, frac):
+    """A float copy of `block` with about `frac` of its cells NaN."""
+    block = np.array(block, dtype=np.float64)
+    block[rng.random(size=block.shape) < frac] = np.nan
+    return block
+
+
+class TestSplitSearch:
     """`_best_splits` equals `_best_split_on_feature` column by column, bit for bit."""
 
     @staticmethod
     def check(block, g, h):
         block, g, h = (np.asarray(a, dtype=np.float64) for a in (block, g, h))
-        got = _best_splits(block, g, h)
-        assert got == per_feature_splits(block, g, h)
+        gain, threshold, missing_left = _best_splits(block, g, h)
+        got = [(t, cut, left) if t > -np.inf else None for t, cut, left
+               in zip(gain.tolist(), threshold.tolist(), missing_left.tolist())]
+        assert got == [_best_split_on_feature(block[:, j], g, h)
+                       for j in range(block.shape[1])]
         return got
 
     def test_tie_heavy_integer_columns(self, rng):
         found = 0
         for _ in range(300):
             n, c = int(rng.integers(2, 40)), int(rng.integers(1, 5))
-            block = rng.integers(0, rng.integers(1, 6), size=(n, c))
+            block = with_nan(rng, rng.integers(0, rng.integers(1, 6), size=(n, c)),
+                             rng.choice([0.0, 0.2, 0.5]))
             w = rng.integers(1, 5, size=n).astype(float)
             y = rng.integers(0, 2, size=n)
             # Forest targets, then boosting gradients and hessians.
@@ -486,9 +539,10 @@ class TestFusedSplitSearch:
         assert found > 100
 
     def test_float_weights_and_values(self, rng):
-        for _ in range(100):
+        for _ in range(200):
             n = int(rng.integers(2, 60))
-            block = np.round(rng.normal(size=(n, 3)), int(rng.integers(0, 3)))
+            block = with_nan(rng, np.round(rng.normal(size=(n, 3)), int(rng.integers(0, 3))),
+                             rng.choice([0.0, 0.3]))
             w = rng.uniform(0.1, 3.0, size=n)
             self.check(block, w * rng.integers(0, 2, size=n), w)
 
@@ -499,9 +553,17 @@ class TestFusedSplitSearch:
         got = self.check(block, y, np.ones(20))
         assert got[0] is None and got[2] is None and got[1] is not None
 
+    def test_all_nan_and_single_observed_columns_never_split(self):
+        y = np.array([0, 0, 0, 1, 1, 1], dtype=float)
+        one_seen = np.full(6, np.nan)
+        one_seen[4] = 2.0
+        block = np.column_stack([np.full(6, np.nan), one_seen, y])
+        assert [s is None for s in self.check(block, y, np.ones(6))] == [True, True, False]
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_rows(self, n):
         assert self.check(np.zeros((n, 3)), np.ones(n), np.ones(n)) == [None] * 3
+        assert self.check(np.full((n, 2), np.nan), np.ones(n), np.ones(n)) == [None] * 2
 
     def test_no_cut_reaches_min_gain(self, rng):
         block = rng.integers(0, 5, size=(30, 3))
@@ -509,6 +571,7 @@ class TestFusedSplitSearch:
         # A pure node (zero gradient) and one with a constant gradient share.
         assert self.check(block, np.zeros(30), h) == [None] * 3
         assert self.check(block, 0.5 * h, h) == [None] * 3
+        assert self.check(with_nan(rng, block, 0.3), 0.5 * h, h) == [None] * 3
 
     def test_equal_hessian_cut_sends_missing_left(self):
         # The best cut leaves hl == hr, so missing rows would go left; the
@@ -519,12 +582,29 @@ class TestFusedSplitSearch:
         assert (cut, left) == (2.5, True)
         assert (cut2, left2) == (0.5, False)
 
+    def test_missing_rows_join_the_heavier_child(self):
+        # Column 0: three observed rows on each side of the best cut, so the
+        # two missing (negative) rows go left and the split stays pure.
+        # Column 1's only cut leaves one observed row on the left, so the
+        # missing rows go right.
+        nan = np.nan
+        block = np.array([[0, 0], [1, 1], [2, 1], [3, 1], [4, 1], [5, 1],
+                          [nan, nan], [nan, nan]])
+        y = np.array([0, 0, 0, 1, 1, 1, 0, 0], dtype=float)
+        (_, cut, left), (_, cut2, left2) = self.check(block, y, np.ones(8))
+        assert (cut, left) == (2.5, True)
+        assert (cut2, left2) == (0.5, False)
+        # Missing rows shift the gain: the same observed rows score differently.
+        observed = self.check(block[:6], y[:6], np.ones(6))
+        assert observed[0][0] != self.check(block, y, np.ones(8))[0][0]
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_hypothesis_blocks(self, data):
         n = data.draw(st.integers(0, 12))
         c = data.draw(st.integers(1, 4))
-        block = data.draw(st.lists(st.integers(-2, 2), min_size=n * c, max_size=n * c))
+        cells = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, np.nan])
+        block = data.draw(st.lists(cells, min_size=n * c, max_size=n * c))
         g = data.draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n))
         h = data.draw(st.lists(st.floats(0, 4), min_size=n, max_size=n))
         self.check(np.reshape(block, (n, c)), g, h)
@@ -532,9 +612,8 @@ class TestFusedSplitSearch:
     @pytest.mark.parametrize("params", [ModelParams("forest", 8, 6),
                                         ModelParams("boosting", 8, 4, 0.3)])
     def test_fit_with_mixed_columns_matches_per_feature_search(self, params, monkeypatch):
-        # Columns 1 and 3 hold NaN and keep the per-feature search; 0 and 2
-        # take the fused one. Patching the per-feature search in for the
-        # fused one must not move a byte of the model.
+        # Columns 1 and 3 hold NaN, 0 and 2 do not. Patching the per-feature
+        # search in for the 2-D one must not move a byte of the model.
         data = tie_weighted_dataset(with_nan=False)
         X = data.X.copy()
         X[::7, 1] = np.nan
@@ -543,6 +622,25 @@ class TestFusedSplitSearch:
         fused = fit_model(data, params, seed=5).to_json()
         monkeypatch.setattr(tree_module, "_best_splits", per_feature_splits)
         assert fit_model(data, params, seed=5).to_json() == fused
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 3, 8])
+    def test_one_search_per_node_above_max_depth(self, max_depth, monkeypatch):
+        calls = []
+
+        def counting(block, g, h):
+            calls.append(block.shape)
+            return _best_splits(block, g, h)
+
+        monkeypatch.setattr(tree_module, "_best_splits", counting)
+        data = tie_weighted_dataset()
+        y = data.y.astype(float)
+        tree = Tree.fit(data.X, y * data.weights, data.weights, TreeParams(max_depth, 2),
+                        np.random.default_rng(1))
+        depth = np.zeros(tree.feature.size, dtype=int)
+        for node in np.flatnonzero(tree.feature >= 0):
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+        assert len(calls) == np.count_nonzero(depth < max_depth)
+        assert all(shape[1] == 2 for shape in calls)
 
 
 class TestProcessParallelFolds:

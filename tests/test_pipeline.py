@@ -145,6 +145,21 @@ class TestFingerprintPipeline:
         fps = pipeline.miettinen_fingerprints(audio_dataset, cfg, source="noise")
         assert len(fps) == 8  # 20 s per device -> two 4-bit fingerprints each
 
+    def test_miettinen_drops_only_a_device_shorter_than_one_window(self, audio_dataset):
+        # 0.25 s of audio holds no 1 s noise-level window: that device gets
+        # no fingerprints, as a series too short for one tile gets none.
+        cfg = miettinen.MiettinenConfig(snapshot_s=2, bits=4)
+        short = AudioSnippet(audio_dataset.audio["a"].samples[:4000], 16000, 0, "a")
+        with_short = Dataset(audio={**audio_dataset.audio, "a": short},
+                             ground_truth=audio_dataset.ground_truth)
+        without = Dataset(audio={d: x for d, x in audio_dataset.audio.items() if d != "a"},
+                          ground_truth=audio_dataset.ground_truth)
+        fps = pipeline.miettinen_fingerprints(with_short, cfg)
+        expected = pipeline.miettinen_fingerprints(without, cfg)
+        assert len(expected) == 6
+        assert [(fp.device_id, fp.interval_start, fp.to_hex()) for fp in fps] == \
+            [(fp.device_id, fp.interval_start, fp.to_hex()) for fp in expected]
+
     def test_unknown_source_rejected(self, audio_dataset):
         cfg = miettinen.MiettinenConfig(snapshot_s=2, bits=4)
         with pytest.raises(ValueError):
@@ -193,9 +208,12 @@ class TestThreading:
         for threads in ("1", "2"):
             monkeypatch.setenv("ZIS_THREADS", threads)
             kara, rows = tmp_path / f"kara{threads}.csv", tmp_path / f"truong{threads}.csv"
+            fps = tmp_path / f"schurmann{threads}.csv"
             pipeline.write_score_csv(kara, pipeline.karapanos_records(audio_dataset, 5, cfg))
             pipeline.write_truong_csv(rows, pipeline.truong_rows(audio_dataset, 5))
-            outputs[threads] = (kara.read_bytes(), rows.read_bytes())
+            pipeline.write_fingerprint_csv(fps, pipeline.schurmann_fingerprints(audio_dataset, 5),
+                                           5)
+            outputs[threads] = (kara.read_bytes(), rows.read_bytes(), fps.read_bytes())
         assert outputs["1"] == outputs["2"]
 
     def test_device_state_built_once_per_device_interval(self, audio_dataset,
