@@ -176,8 +176,8 @@ def write_ground_truth(path: Path, gt: GroundTruth) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_dataset(root_path: str | Path, manifest: dict | str | Path | None = None) -> Dataset:
-    """Load and validate a dataset described by a manifest.
+def load_dataset(root_path: str | Path) -> Dataset:
+    """Load and validate the dataset that `manifest.json` under `root_path` describes.
 
     The manifest maps device ids to relative file paths:
 
@@ -187,21 +187,17 @@ def load_dataset(root_path: str | Path, manifest: dict | str | Path | None = Non
                       "beacons": "beacons/d00.jsonl"}],
          "ground_truth": "ground_truth.json"}
 
-    `manifest` may be the parsed dict, a path to a manifest JSON, or None to
-    read `manifest.json` under `root_path`. An empty manifest yields an empty
-    Dataset; a malformed one raises ParseError naming it.
+    An empty manifest yields an empty Dataset; a malformed one raises
+    ParseError naming it.
     """
     root = Path(root_path)
-    if manifest is None:
-        manifest = root / MANIFEST_NAME
-    where = str(_require(Path(manifest))) if isinstance(manifest, (str, Path)) else None
+    manifest_path = _require(root / MANIFEST_NAME)
     try:
-        if where is not None:
-            manifest = json.loads(Path(where).read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         devices = [_device_files(root, dev) for dev in manifest.get("devices", [])]
         gt_path = root / manifest["ground_truth"] if "ground_truth" in manifest else None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON or bytes too
-        raise ParseError(f"bad manifest: {exc!r}", path=where) from exc
+        raise ParseError(f"bad manifest: {exc!r}", path=str(manifest_path)) from exc
 
     audio: dict[str, AudioSnippet] = {}
     sensors: dict[str, dict[SensorKind, SensorSeries]] = {}

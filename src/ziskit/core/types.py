@@ -262,10 +262,6 @@ class EvaluationRecord:
         """No score: the pair-interval is not scored yet, or was gated."""
         return self.score is None
 
-    @property
-    def pair_id(self) -> str:
-        return f"{self.device_a}|{self.device_b}"
-
 
 @dataclass(frozen=True)
 class Fingerprint:

@@ -276,27 +276,6 @@ def align(x: AudioSnippet, y: AudioSnippet, probe_len_s: float,
     return AlignmentResult(lag_samples=lag, trimmed_len=n - abs(lag))
 
 
-def apply_alignment(x: AudioSnippet, y: AudioSnippet,
-                    result: AlignmentResult) -> tuple[AudioSnippet, AudioSnippet]:
-    """Shift-and-trim both snippets to the aligned common length."""
-    x2, y2 = _coarse_align(x, y)
-    lag, n = result.lag_samples, result.trimmed_len
-    xs, ys = x2.samples, y2.samples
-    if lag >= 0:
-        xa, ya = xs[:n], ys[lag:lag + n]
-        y_start = y2.start_time + int(round(lag * 1000 / y2.rate_hz))
-        return (
-            AudioSnippet(xa, x2.rate_hz, x2.start_time, x2.device_id),
-            AudioSnippet(ya, y2.rate_hz, y_start, y2.device_id),
-        )
-    xa, ya = xs[-lag:-lag + n], ys[:n]
-    x_start = x2.start_time + int(round(-lag * 1000 / x2.rate_hz))
-    return (
-        AudioSnippet(xa, x2.rate_hz, x_start, x2.device_id),
-        AudioSnippet(ya, y2.rate_hz, y2.start_time, y2.device_id),
-    )
-
-
 def _coarse_align(x: AudioSnippet, y: AudioSnippet) -> tuple[AudioSnippet, AudioSnippet]:
     if x.rate_hz != y.rate_hz:
         raise InvariantViolation("snippets must share a sampling rate")

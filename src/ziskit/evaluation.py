@@ -140,20 +140,6 @@ def auc(scores, labels, weights=None) -> float:
     return float(np.sum(pos * (neg_below + 0.5 * neg)) / (w_pos * w_neg))
 
 
-def class_overlap(scores, labels, bins: int = 100) -> float:
-    """Overlap coefficient of the two class score histograms on a shared grid."""
-    scores, labels = _validate(scores, labels)
-    lo, hi = float(scores.min()), float(scores.max())
-    if lo == hi:
-        return 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    hist_pos, _ = np.histogram(scores[labels == 1], bins=edges)
-    hist_neg, _ = np.histogram(scores[labels == 0], bins=edges)
-    freq_pos = hist_pos / hist_pos.sum()
-    freq_neg = hist_neg / hist_neg.sum()
-    return float(np.minimum(freq_pos, freq_neg).sum())
-
-
 @dataclass(frozen=True)
 class CrossApplyResult:
     far: float

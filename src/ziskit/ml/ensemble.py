@@ -17,7 +17,8 @@ gathered in fold order, so the result is exact under any worker count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,17 +154,17 @@ class TrainedModel:
     def from_json(cls, text: str | bytes, path: str | None = None) -> "TrainedModel":
         """Parse `to_json` output; ParseError (naming `path`) on a malformed model."""
         try:
-            doc = json.loads(text, parse_constant=_reject_constant)
+            doc = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
             params = ModelParams(**doc["params"])
             if params.kind not in ("forest", "boosting"):
                 raise ValueError(f"unknown model kind {params.kind!r}")
             n_features = int(doc["n_features"])
             return cls(
-                params=params,
+                params=replace(params, learning_rate=_finite_float(params.learning_rate)),
                 trees=[Tree.from_dict(t, n_features) for t in doc["trees"]],
                 n_features=n_features,
-                prior=float(doc["prior"]),
-                base_score=float(doc["base_score"]),
+                prior=_finite_float(doc["prior"]),
+                base_score=_finite_float(doc["base_score"]),
                 seed=int(doc["seed"]),
                 feature_importances=np.asarray(doc["feature_importances"], dtype=np.float64),
                 cv_auc=doc["cv_auc"],
@@ -173,9 +174,17 @@ class TrainedModel:
             raise ParseError(f"bad model file: {exc!r}", path=path) from exc
 
 
-def _reject_constant(token: str):
-    """`json.loads` hook for NaN, Infinity and -Infinity, which no model holds."""
-    raise ValueError(f"non-finite number {token}")
+def _finite_float(literal) -> float:
+    """float(literal), refusing NaN and the infinities, which no model holds.
+
+    It is the `json.loads` hook for number literals with a fraction or exponent
+    (one that overflows, such as 1e999, would read as infinity) and for NaN,
+    Infinity and -Infinity, and it converts a model's scalar parameters.
+    """
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal}")
+    return value
 
 
 def _tree_params(params: ModelParams, n_features: int) -> TreeParams:

@@ -188,7 +188,8 @@ class Tree:
     @classmethod
     def from_dict(cls, doc: dict, n_features: int) -> "Tree":
         """Rebuild a tree; ValueError unless every split's feature is in range
-        and its children come after it, which also keeps `predict` finite."""
+        and its children come after it, which also keeps `predict` finite, and
+        every threshold and value is finite."""
         tree = cls(
             feature=np.asarray(doc["feature"], dtype=np.int32),
             threshold=np.asarray(doc["threshold"], dtype=np.float64),
@@ -206,4 +207,7 @@ class Tree:
                 or not 0 <= tree.root < n or np.any(tree.feature >= n_features)
                 or np.any(children <= np.tile(split, 2)) or np.any(children >= n)):
             raise ValueError("tree arrays are inconsistent")
+        # float64 conversion also parses quoted numbers such as "inf".
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+            raise ValueError("tree thresholds and values must be finite")
         return tree

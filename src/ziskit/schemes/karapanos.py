@@ -2,7 +2,7 @@
 
 Two aligned snippets are split into one-third octave bands; the similarity
 score is the mean over bands of the normalized maximum cross-correlation.
-Snippets whose average power falls at or below the device's power threshold
+Snippets whose average power falls at or below the power threshold
 are gated and produce no score.
 
 `interval_similarities` scores every pair of one interval band by band: it
@@ -14,7 +14,7 @@ form, which it equals bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,8 +24,6 @@ from ziskit.core.types import AudioSnippet
 from ziskit.errors import UndefinedCorrelation
 
 DEFAULT_POWER_DB = 40.0
-# Published device-class adjustments for quieter built-in microphones.
-DEVICE_CLASS_POWER_DB = {"smartphone": 38.0, "watch": 35.0}
 
 
 @dataclass(frozen=True)
@@ -36,11 +34,6 @@ class KarapanosConfig:
     bands: tuple[dsp.OctaveBandSpec, ...] = dsp.THIRD_OCTAVE_BANDS
     order: int = 20
     power_threshold_db: float = DEFAULT_POWER_DB
-    # Per-device overrides, e.g. {"phone-3": 38.0}.
-    device_thresholds: dict[str, float] = field(default_factory=dict)
-
-    def threshold_for(self, device_id: str) -> float:
-        return self.device_thresholds.get(device_id, self.power_threshold_db)
 
     def fits_rate(self, rate_hz: int) -> bool:
         """Whether every configured band lies below the Nyquist frequency."""
@@ -93,8 +86,7 @@ def similarity_banded(a: BandedSnippet, b: BandedSnippet, cfg: KarapanosConfig,
     """
     if a.spectra.shape != b.spectra.shape or a.pad_len != b.pad_len:
         raise ValueError("banded snippets are not comparable")
-    if a.power_db <= cfg.threshold_for(a.device_id) or \
-            b.power_db <= cfg.threshold_for(b.device_id):
+    if min(a.power_db, b.power_db) <= cfg.power_threshold_db:
         return SimilarityScore(None, "power")
     c = dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len)
     return _score(dsp.lag_peak(c, int(round(cfg.maxlag_s * a.rate_hz)), two_sided),
@@ -129,7 +121,7 @@ def interval_similarities(snippets: Mapping[str, AudioSnippet | None],
             return "short-audio"
         if a not in power or x.rate_hz != y.rate_hz:
             return "rate"
-        if power[a] <= cfg.threshold_for(a) or power[b] <= cfg.threshold_for(b):
+        if min(power[a], power[b]) <= cfg.power_threshold_db:
             return "power"
         return None
 

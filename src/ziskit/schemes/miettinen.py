@@ -1,10 +1,10 @@
-"""Context fingerprints from noise levels or luminosity, plus surprisal gating.
+"""Context fingerprints from noise levels or luminosity, and their surprisal.
 
 Bits encode whether consecutive snapshot averages changed by more than both a
 relative and an absolute threshold. The luminosity pipeline fingerprints raw
 readings; the audio pipeline first reduces samples to windowed noise levels.
 A surprisal model estimates how predictable a fingerprint is for its time of
-day and can gate low-information fingerprints.
+day; `pipeline.fingerprint_records` gates the low-information ones.
 """
 
 from __future__ import annotations
@@ -149,13 +149,6 @@ class SurprisalModel:
         }
         return cls(n_bits=n_bits, table=table)
 
-    @classmethod
-    def uniform(cls, n_bits: int) -> "SurprisalModel":
-        """P = 0.5 everywhere; covers every hour and partition."""
-        table = {(part, hour): np.full(n_bits, 0.5)
-                 for part in ("weekday", "weekend") for hour in range(24)}
-        return cls(n_bits=n_bits, table=table)
-
     def probabilities_for(self, fingerprint: Fingerprint) -> np.ndarray:
         key = (day_partition(fingerprint.interval_start),
                hour_of_day(fingerprint.interval_start))
@@ -171,20 +164,3 @@ def surprisal(fingerprint: Fingerprint, model: SurprisalModel) -> float:
     p_one = model.probabilities_for(fingerprint)
     p_bit = np.where(fingerprint.bits == 1, p_one, 1.0 - p_one)
     return float(np.sum(-np.log2(np.clip(p_bit, _P_FLOOR, 1.0))))
-
-
-def surprisal_gate(fingerprint: Fingerprint, model: SurprisalModel,
-                   t_err: int, margin: float) -> bool:
-    """True iff the fingerprint's surprisal strictly exceeds t_err + margin."""
-    if t_err < 0:
-        raise ValueError("t_err must be non-negative")
-    return surprisal(fingerprint, model) > t_err + margin
-
-
-def surprisal_threshold(t_err: int, margin: float) -> float:
-    return t_err + margin
-
-
-def fingerprint_from_audio(x: AudioSnippet, cfg: MiettinenConfig) -> Fingerprint:
-    """Noise-level pipeline: windowed mean absolute amplitudes, then bits."""
-    return context_fingerprint(noise_levels(x, cfg.measurement_window_s), cfg)

@@ -27,10 +27,6 @@ class SchurmannConfig:
     band_width_hz: int = 250
     filter_order: int = 20
 
-    @property
-    def fingerprint_bits(self) -> int:
-        return (self.n_frames - 1) * (self.n_bands - 1)
-
     def frame_len(self, rate_hz: int) -> int:
         # Fractional frame boundaries round down; the remainder is dropped.
         return (rate_hz * self.interval_s) // self.n_frames

@@ -169,23 +169,3 @@ def compress_instances(rows: list[ShresthaFeatureVector]) -> list[ShresthaFeatur
             grouped[key] = replace(row, d_temperature=d_t, d_humidity=d_h,
                                    d_altitude=d_a)
     return list(grouped.values())
-
-
-def expand_instances(rows: list[ShresthaFeatureVector]) -> list[ShresthaFeatureVector]:
-    """Inverse of compression: repeat each row `weight` times with weight 1."""
-    out = []
-    for row in rows:
-        out.extend([replace(row, weight=1)] * row.weight)
-    return out
-
-
-def ambiguity_fraction(rows: list[ShresthaFeatureVector]) -> float:
-    """Weighted fraction of rows whose feature values occur under both labels."""
-    if not rows:
-        return 0.0
-    by_key: dict[tuple, set[Label]] = {}
-    for row in rows:
-        by_key.setdefault(row.feature_key(), set()).add(row.label)
-    ambiguous = sum(row.weight for row in rows if len(by_key[row.feature_key()]) > 1)
-    total = sum(row.weight for row in rows)
-    return ambiguous / total

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import expand_instances, uniform_surprisal_model
 from ziskit import dsp, evaluation, pipeline, randomness
 from ziskit.cli import main
 from ziskit.core.io import load_dataset
@@ -39,7 +40,8 @@ def criterion(number: int, description: str):
 # --------------------------------------------------------------------------
 
 def test_criterion_1_dsp_oracle_equivalence():
-    with criterion(1, "FFT max_xcorr_norm matches direct O(N*lag) sum, 1e-6 rel, <30 s"):
+    with criterion(1, "FFT max_xcorr_norm and the two-sided production core match direct "
+                      "O(N*lag) sums, 1e-6 rel, <30 s"):
         rng = np.random.default_rng(100)
         n, maxlag = 16000, 1600
         # The budget is CPU time of this process, which a co-tenant sharing
@@ -53,6 +55,14 @@ def test_criterion_1_dsp_oracle_equivalence():
             direct /= np.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
             fft_val = dsp.max_xcorr_norm(x, y, maxlag, method="fft")
             assert abs(fft_val - direct) <= 1e-6 * direct
+            # The production core, as `features karapanos` scores: padded spectra,
+            # one correlation, the peak over lags [-maxlag, maxlag].
+            direct_two = max(max(abs(float(np.dot(a[l:], b[:n - l]))) for l in range(maxlag + 1))
+                             for a, b in ((x, y), (y, x)))
+            fx, pad = dsp.padded_spectrum(x, maxlag)
+            fy, _ = dsp.padded_spectrum(y, maxlag)
+            peak = float(dsp.lag_peak(dsp.xcorr_spectra(fx, fy, pad), maxlag, two_sided=True))
+            assert abs(peak - direct_two) <= 1e-6 * direct_two
         elapsed = time.process_time() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s of CPU"
 
@@ -62,13 +72,18 @@ def test_criterion_1_dsp_oracle_equivalence():
 # --------------------------------------------------------------------------
 
 def test_criterion_2_karapanos_identity_and_scale():
-    with criterion(2, "similarity(x,x)=1 within 1e-9; scale invariance for a,b in {0.5,2}"):
+    with criterion(2, "similarity(x,x)=1 within 1e-9; scale invariance for a,b in {0.5,2}; "
+                      "both for the per-pair reference and interval_similarities"):
         rng = np.random.default_rng(200)
         cfg = karapanos.KarapanosConfig()
         for _ in range(20):
             samples = 2 * rng.integers(-2000, 2001, size=2 * RATE, dtype=np.int64)
             x = AudioSnippet(samples.astype(np.int16), RATE, 0, "a")
             score = karapanos.similarity(x, x, cfg)
+            assert not score.gated
+            assert abs(score.value - 1.0) <= 1e-9
+            twin = AudioSnippet(x.samples, RATE, 0, "b")
+            [score] = karapanos.interval_similarities({"a": x, "b": twin}, [("a", "b")], cfg)
             assert not score.gated
             assert abs(score.value - 1.0) <= 1e-9
         for _ in range(5):
@@ -84,6 +99,15 @@ def test_criterion_2_karapanos_identity_and_scale():
                     AudioSnippet((sy * beta).astype(np.int16), RATE, 0, "b"),
                     cfg1).value
                 assert abs(got - ref) <= 1e-9
+            scaled = [{"a": AudioSnippet((sx * alpha).astype(np.int16), RATE, 0, "a"),
+                       "b": AudioSnippet((sy * beta).astype(np.int16), RATE, 0, "b")}
+                      for alpha, beta in [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5),
+                                          (2.0, 2.0)]]
+            base, *others = [karapanos.interval_similarities(snippets, [("a", "b")], cfg1)[0]
+                             for snippets in scaled]
+            assert not base.gated
+            for got in others:
+                assert abs(got.value - base.value) <= 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +168,7 @@ def test_criterion_4_miettinen_bit_rule_and_surprisal():
         for length in (8, 128, 496):
             rng = np.random.default_rng(length)
             fp = Fingerprint(rng.integers(0, 2, size=length).astype(np.uint8), "d", 0)
-            model = miettinen.SurprisalModel.uniform(length)
+            model = uniform_surprisal_model(length)
             assert miettinen.surprisal(fp, model) == pytest.approx(float(length), abs=1e-12)
 
 
@@ -193,7 +217,7 @@ def test_criterion_6_shrestha_altitude_and_compression():
             for _ in range(10_000)]
         compressed = shrestha.compress_instances(rows)
         assert sum(r.weight for r in compressed) == 10_000
-        expanded = shrestha.expand_instances(compressed)
+        expanded = expand_instances(compressed)
 
         def key(row):
             return (row.d_temperature, row.d_humidity, row.d_altitude, row.label.value)

@@ -533,13 +533,38 @@ def _truong_model(kind: str = "forest", left: tuple = (1, -1, -1),
                    "value": list(value), "root": 0}]}).encode()
 
 
+def _edited_model(old: bytes, new: bytes, **kwargs) -> bytes:
+    """`_truong_model` with `old` replaced by `new`: json.dumps cannot write a
+    literal that overflows or a quoted number."""
+    model = _truong_model(**kwargs)
+    assert model.count(old) == 1
+    return model.replace(old, new)
+
+
+_LR = b'"learning_rate": 0.3'
+_EDITED_MODELS = {
+    "overflowing_leaf": _edited_model(b"0.25", b"1e999", value=(0.0, 0.0, 0.25)),
+    "string_inf_leaf": _edited_model(b"0.25", b'"inf"', value=(0.0, 0.0, 0.25)),
+    "string_nan_threshold": _edited_model(b'"threshold": [0.5', b'"threshold": ["nan"'),
+    "overflowing_prior": _edited_model(b'"prior": 0.5', b'"prior": 1e999'),
+    "string_nan_prior": _edited_model(b'"prior": 0.5', b'"prior": "nan"'),
+    "overflowing_learning_rate": _edited_model(_LR, b'"learning_rate": 1e999',
+                                               kind="boosting", value=(0.0, 0.0, 0.0)),
+    "huge_int_learning_rate": _edited_model(_LR, b'"learning_rate": 1' + b"0" * 400,
+                                            kind="boosting", value=(0.0, 0.0, 0.0)),
+    "string_learning_rate": _edited_model(_LR, b'"learning_rate": "fast"',
+                                          kind="boosting", value=(0.0, 0.0, 0.0)),
+}
+
+
 @pytest.mark.parametrize("content", [b"not json", b'{"kind":"forest"}', b"\xffnot utf-8",
                                      _truong_model(left=(0, -1, -1)),
                                      _truong_model(kind="tree"),
                                      _truong_model(value=(0.0, math.nan, 1.0)),
-                                     _truong_model(value=(0.0, 0.0, math.inf))],
+                                     _truong_model(value=(0.0, 0.0, math.inf)),
+                                     *_EDITED_MODELS.values()],
                          ids=["not_json", "no_params", "non_utf8", "cyclic_tree",
-                              "unknown_kind", "nan_leaf", "infinite_leaf"])
+                              "unknown_kind", "nan_leaf", "infinite_leaf", *_EDITED_MODELS])
 def test_bad_model_file_exits_2(content, valid_files, tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_bytes(content)

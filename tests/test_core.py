@@ -83,7 +83,8 @@ class TestTypeInvariants:
 
 class TestLoadDataset:
     def test_empty_manifest_gives_empty_dataset(self, tmp_path):
-        dataset = load_dataset(tmp_path, manifest={})
+        (tmp_path / "manifest.json").write_text("{}")
+        dataset = load_dataset(tmp_path)
         assert dataset.device_ids() == []
 
     def test_decreasing_timestamps_rejected(self, tmp_path):
@@ -94,8 +95,9 @@ class TestLoadDataset:
 
     def test_missing_file(self, tmp_path):
         manifest = {"devices": [{"id": "d", "sensors": {"temperature": "nope.csv"}}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(MissingInput):
-            load_dataset(tmp_path, manifest)
+            load_dataset(tmp_path)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -127,8 +129,9 @@ class TestLoadDataset:
         path = tmp_path / "b.jsonl"
         path.write_text('{"t": 1, "kind": "wifi", "obs": []}\nnot-json\n')
         manifest = {"devices": [{"id": "d", "beacons": "b.jsonl"}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ParseError) as err:
-            load_dataset(tmp_path, manifest)
+            load_dataset(tmp_path)
         assert err.value.line == 2
 
 

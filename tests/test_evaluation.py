@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from ziskit import evaluation as ev
 from ziskit.core.types import EvaluationRecord, Label
@@ -224,30 +222,6 @@ class TestFrrAtFar:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
             ev.frr_at_far([0.1, 0.9], [0, 1], far_targets=[0.0])
-
-
-class TestClassOverlap:
-    def test_identical_distributions(self, rng):
-        scores = np.concatenate([rng.random(500), rng.random(500)])
-        labels = np.array([1] * 500 + [0] * 500)
-        scores[:500] = scores[500:]  # literally identical samples
-        assert ev.class_overlap(scores, labels) == pytest.approx(1.0, abs=0.02)
-
-    def test_disjoint_supports(self, rng):
-        scores = np.concatenate([rng.uniform(0, 0.4, 300), rng.uniform(0.6, 1.0, 300)])
-        labels = np.array([1] * 300 + [0] * 300)
-        assert ev.class_overlap(scores, labels) == 0.0
-
-    def test_gaussian_overlap_matches_analytic(self, rng):
-        # Overlap of N(0,1) and N(d,1) is 2*Phi(-d/2); quadrature confirms.
-        d = 1.5
-        analytic = 2 * norm.cdf(-d / 2)
-        quad_val, _ = quad(lambda x: np.minimum(norm.pdf(x), norm.pdf(x - d)),
-                           -10, 10 + d)
-        assert quad_val == pytest.approx(analytic, abs=1e-9)
-        scores = np.concatenate([rng.normal(0, 1, 20000), rng.normal(d, 1, 20000)])
-        labels = np.array([1] * 20000 + [0] * 20000)
-        assert ev.class_overlap(scores, labels) == pytest.approx(analytic, abs=0.03)
 
 
 class TestCrossApply:

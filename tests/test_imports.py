@@ -1,7 +1,8 @@
 """Module boundaries and dead code.
 
 No module of ziskit imports another one's private names, and every function,
-class and method of ziskit is named somewhere besides its own definition.
+class and method of ziskit is named in `src/` or `perfbench/` besides its own
+definition, unless it is one of the ORACLES.
 """
 
 import ast
@@ -12,6 +13,10 @@ from pathlib import Path
 import ziskit
 
 SRC = Path(ziskit.__file__).parent
+
+# References that only tests call, as the oracles of the production path; they
+# move into tests/ with the rest of the per-pair reference (ROADMAP item 2).
+ORACLES = ("ziskit.dsp.max_xcorr_norm", "ziskit.schemes.karapanos.similarity")
 
 
 def _module_name(path: Path) -> str:
@@ -67,9 +72,9 @@ def _names_used(path: Path) -> set[str]:
 
 
 def test_every_definition_is_named_outside_its_def():
-    roots = [SRC.parents[1] / part for part in ("src", "tests", "perfbench")]
+    roots = [SRC.parents[1] / part for part in ("src", "perfbench")]
     used = set().union(*(_names_used(path) for root in roots for path in root.rglob("*.py")))
     unused = [f"{owner.__name__}.{name}" for path in sorted(SRC.rglob("*.py"))
               for name, owner in _definitions(path)
               if name not in used and not name.startswith("__")]
-    assert not unused, unused
+    assert sorted(unused) == sorted(ORACLES), unused

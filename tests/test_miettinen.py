@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import noise_snippet, series_of
+from conftest import noise_snippet, series_of, two_group_truth
+from reference import uniform_surprisal_model
+from ziskit import pipeline
 from ziskit.core.types import AudioSnippet, Fingerprint, SensorKind
 from ziskit.errors import InsufficientSamples, ModelGap
 from ziskit.schemes import miettinen
@@ -27,6 +29,22 @@ def snapshot_series(averages, period_s=10, readings_per_snapshot=5, start=0):
 
 def make_fp(bits, start=0):
     return Fingerprint(np.array(bits, dtype=np.uint8), "d", start)
+
+
+def gated(surprisals, threshold):
+    """Whether `pipeline.fingerprint_records` gates each surprisal at `threshold`.
+
+    Fingerprint i of device a carries surprisals[i]; it pairs with a co-timed
+    fingerprint of device b that carries none.
+    """
+    fps, values = [], []
+    for i, s in enumerate(surprisals):
+        fps += [Fingerprint(np.zeros(1, dtype=np.uint8), d, i * 1000) for d in "ab"]
+        values += [s, None]
+    records = pipeline.fingerprint_records(fps, [1] * len(fps), two_group_truth(),
+                                           surprisals=values, surprisal_threshold=threshold)
+    assert len(records) == len(surprisals)
+    return [r.gated for r in records]
 
 
 class TestNoiseLevels:
@@ -123,7 +141,7 @@ class TestContextFingerprint:
 
 class TestSurprisal:
     def test_uniform_model_gives_length_bits(self):
-        model = miettinen.SurprisalModel.uniform(16)
+        model = uniform_surprisal_model(16)
         fp = make_fp([0, 1] * 8)
         assert miettinen.surprisal(fp, model) == pytest.approx(16.0)
 
@@ -159,23 +177,24 @@ class TestSurprisal:
             miettinen.surprisal(make_fp([1, 0, 1, 0], start=0), model)
 
     def test_gate_strictly_exceeds(self):
-        model = miettinen.SurprisalModel.uniform(8)
-        fp = make_fp([1] * 8)  # surprisal exactly 8 bits
-        assert miettinen.surprisal_gate(fp, model, t_err=4, margin=3.9)
-        assert not miettinen.surprisal_gate(fp, model, t_err=8, margin=0.0)
-        assert not miettinen.surprisal_gate(fp, model, t_err=4, margin=4.0)
+        # A pair is scored only when the surprisal strictly exceeds the
+        # threshold t_err + margin.
+        model = uniform_surprisal_model(8)
+        s = miettinen.surprisal(make_fp([1] * 8), model)  # exactly 8 bits
+        assert gated([s], 4 + 3.9) == [False]
+        assert gated([s], 8 + 0.0) == [True]
+        assert gated([s], 4 + 4.0) == [True]
+        assert gated([np.nextafter(s, np.inf)], s) == [False]
 
     def test_gate_margin_monotone_exclusion(self, rng):
-        # Sweep oracle: the excluded fraction never decreases with margin.
-        model = miettinen.SurprisalModel.uniform(32)
+        # Sweep oracle: the gated fraction never decreases with the threshold.
         fps = [make_fp(rng.integers(0, 2, size=32)) for _ in range(200)]
-        fractions = []
-        for margin in np.linspace(0, 40, 21):
-            rejected = sum(
-                not miettinen.surprisal_gate(fp, model, t_err=0, margin=float(margin))
-                for fp in fps)
-            fractions.append(rejected / len(fps))
+        model = miettinen.SurprisalModel.fit(fps)  # surprisals spread around 32 bits
+        surprisals = [miettinen.surprisal(fp, model) for fp in fps]
+        fractions = [float(np.mean(gated(surprisals, float(threshold))))
+                     for threshold in np.linspace(0, 40, 21)]
         assert fractions == sorted(fractions)
+        assert fractions[0] == 0.0 and fractions[-1] == 1.0
 
     def test_fit_uses_add_one_smoothing(self):
         fps = [make_fp([1, 0], start=0), make_fp([1, 0], start=0)]
@@ -209,5 +228,5 @@ def test_fingerprint_from_audio_pipeline(rng):
     loud = (rng.integers(-2000, 2001, size=16000 * 4)).astype(np.int16)
     samples = np.concatenate([quiet, loud])
     x = AudioSnippet(samples, 16000, 0, "d")
-    fp = miettinen.fingerprint_from_audio(x, cfg)
+    fp = miettinen.context_fingerprint(miettinen.noise_levels(x, cfg.measurement_window_s), cfg)
     assert fp.bits.tolist() == [0, 1, 0]

@@ -77,9 +77,9 @@ class TestKarapanosRecords:
         path = tmp_path / "scores.csv"
         pipeline.write_score_csv(path, records)
         back = pipeline.read_score_csv(path, audio_dataset.ground_truth)
-        assert [(r.pair_id, r.interval_start, r.score, r.gated, r.label)
+        assert [(r.device_a, r.device_b, r.interval_start, r.score, r.gated, r.label)
                 for r in back] == \
-            [(r.pair_id, r.interval_start, r.score, r.gated, r.label)
+            [(r.device_a, r.device_b, r.interval_start, r.score, r.gated, r.label)
              for r in records]
 
 

@@ -46,7 +46,8 @@ class TestAudioFingerprint:
     def test_496_bits_by_default(self, rng):
         x = noise_snippet(rng, seconds=10.0)
         fp = schurmann.audio_fingerprint(x)
-        assert len(fp) == 496 == schurmann.SchurmannConfig().fingerprint_bits
+        cfg = schurmann.SchurmannConfig()
+        assert len(fp) == 496 == (cfg.n_frames - 1) * (cfg.n_bands - 1)
 
     def test_stationary_tone_gives_all_zero_bits(self):
         # Frame length 4000 holds exactly 25 periods of 100 Hz, so every

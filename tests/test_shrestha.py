@@ -3,6 +3,7 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import series_of, two_group_truth
+from reference import expand_instances
 from ziskit import pipeline
 from ziskit.core.types import Dataset, Label, SensorKind
 from ziskit.errors import InvalidPressure
@@ -102,7 +103,7 @@ class TestCompression:
                          round(float(rng.uniform(0, 50)), 4),
                          Label.COLOCATED if rng.random() < 0.5 else Label.NON_COLOCATED)
                 for _ in range(500)]
-        expanded = shrestha.expand_instances(shrestha.compress_instances(rows))
+        expanded = expand_instances(shrestha.compress_instances(rows))
 
         def key(row):
             return (row.d_temperature, row.d_humidity, row.d_altitude, row.label)
@@ -119,46 +120,6 @@ class TestCompression:
         rows = [make_row(1.0, None, 2.0)] * 4
         out = shrestha.compress_instances(rows)
         assert len(out) == 1 and out[0].weight == 4 and out[0].d_humidity is None
-
-
-class TestAmbiguity:
-    def test_no_duplicates_zero(self):
-        rows = [make_row(float(i), 0.0, 0.0) for i in range(10)]
-        assert shrestha.ambiguity_fraction(rows) == 0.0
-
-    def test_everything_ambiguous(self):
-        rows = [make_row(1.0, 1.0, 1.0, Label.COLOCATED),
-                make_row(1.0, 1.0, 1.0, Label.NON_COLOCATED)] * 3
-        assert shrestha.ambiguity_fraction(rows) == 1.0
-
-    def test_hand_corpus_fraction(self):
-        rows = [make_row(float(i), 0.0, 0.0, Label.COLOCATED) for i in range(8)]
-        rows += [make_row(0.0, 0.0, 0.0, Label.NON_COLOCATED),
-                 make_row(99.0, 0.0, 0.0, Label.NON_COLOCATED)]
-        # feature value 0.0 appears under both labels: 2 of 10 rows
-        assert shrestha.ambiguity_fraction(rows) == pytest.approx(0.2)
-
-    def test_weighted_fraction(self):
-        rows = [make_row(1.0, 0.0, 0.0, Label.COLOCATED, weight=3),
-                make_row(1.0, 0.0, 0.0, Label.NON_COLOCATED, weight=1),
-                make_row(2.0, 0.0, 0.0, Label.COLOCATED, weight=4)]
-        assert shrestha.ambiguity_fraction(rows) == pytest.approx(0.5)
-
-    def test_lower_bounds_twice_optimal_error(self, rng):
-        # Oracle: the best fixed labeling per feature value errs on the
-        # minority label of each group.
-        for _ in range(20):
-            rows = [make_row(float(rng.integers(0, 4)), 0.0, 0.0,
-                             Label.COLOCATED if rng.random() < 0.5
-                             else Label.NON_COLOCATED)
-                    for _ in range(40)]
-            groups: dict = {}
-            for row in rows:
-                groups.setdefault(row.feature_key(), []).append(row.label)
-            optimal_errors = sum(
-                min(labels.count(Label.COLOCATED), labels.count(Label.NON_COLOCATED))
-                for labels in groups.values())
-            assert shrestha.ambiguity_fraction(rows) >= 2 * optimal_errors / len(rows) - 1e-12
 
 
 class TestBuildDataset:
