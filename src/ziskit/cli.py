@@ -179,9 +179,8 @@ def _cmd_datagen(args) -> int:
         beacon_dropout=args.beacon_dropout,
         leakage=args.leakage,
     )
-    cfg = datagen.ScenarioConfig(
-        seed=args.seed, duration_s=args.duration_s,
-        groups=tuple(datagen.GroupSpec(size, profile) for size in args.groups))
+    cfg = datagen.ScenarioConfig(seed=args.seed, duration_s=args.duration_s,
+                                 groups=tuple(args.groups), profile=profile)
     datagen.generate(cfg, args.out)
     print(f"wrote scenario to {args.out}")
     return 0
@@ -284,25 +283,34 @@ def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
     return records, ground_truth
 
 
+def _subscenarios(ground_truth: GroundTruth | None) -> list[str]:
+    """The subscenario names of results rows: "full", then the ground truth's."""
+    return ["full", *(s.name for s in ground_truth.subscenarios)] if ground_truth else ["full"]
+
+
+def _subscenario_records(records: list[EvaluationRecord], ground_truth: GroundTruth | None,
+                         name: str) -> list[EvaluationRecord]:
+    """The records a results row of subscenario `name` covers; "full" covers all."""
+    return records if name == "full" else filter_subscenario(records, ground_truth, name)
+
+
 def _cmd_evaluate(args) -> int:
     records, ground_truth = _load_records(args)
-    sub_names = [s.name for s in ground_truth.subscenarios] if ground_truth else []
     out_rows = []
     for t in sorted({r.interval_len_s for r in records}):
         at_t = [r for r in records if r.interval_len_s == t]
-        for sub in [None] + sub_names:
-            subset = at_t if sub is None else filter_subscenario(at_t, ground_truth, sub)
+        for sub in _subscenarios(ground_truth):
+            subset = _subscenario_records(at_t, ground_truth, sub)
             scores, labels = evaluation.usable_scores(subset)
             avail = evaluation.availability(subset)
             try:
                 rates = evaluation.equal_error_rate(scores, labels)
             except (DegenerateLabels, ValueError):
                 continue
-            sub_name = sub or "full"
-            out_rows.append((args.scheme, args.scenario, sub_name, t, rates.eer,
+            out_rows.append((args.scheme, args.scenario, sub, t, rates.eer,
                              rates.starred, rates.threshold, avail))
             curve = evaluation.frr_at_far(scores, labels, far_targets=args.far_targets)
-            write_table(args.out / "curves" / f"{args.scheme}_{sub_name}_t{t}.csv",
+            write_table(args.out / "curves" / f"{args.scheme}_{sub}_t{t}.csv",
                         CURVE_COLUMNS, curve)
     if not out_rows:
         raise ZisError("no records with both classes present")
@@ -312,12 +320,18 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    records, _ = _load_records(args)
+    """Each results row's threshold applied to the records of its t and subscenario;
+    a row of a subscenario that the ground truth (if any) lacks is skipped."""
+    records, ground_truth = _load_records(args)
+    known = _subscenarios(ground_truth)
     out_rows = []
     results = read_table(args.results, RESULTS_COLUMNS)
     for scheme, _, subscenario, t, _, _, threshold, _ in results:
-        at_t = [r for r in records if r.interval_len_s == t]
-        scores, labels = evaluation.usable_scores(at_t)
+        if subscenario not in known:
+            continue
+        subset = _subscenario_records([r for r in records if r.interval_len_s == t],
+                                      ground_truth, subscenario)
+        scores, labels = evaluation.usable_scores(subset)
         if scores.size == 0:
             continue
         try:

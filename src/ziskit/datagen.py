@@ -2,12 +2,15 @@
 
 Each group shares one ambient audio process (band-limited noise with a slowly
 wandering level plus distinct bursts), one random walk per sensor modality,
-and one beacon population. Devices add private gains, offsets, dropout and
-measurement noise. The cross-group leakage coefficient scales how much of a
-foreign group's context a device observes: audio events leak at amplitude
-`leakage`, foreign beacons appear with probability scaled by `leakage` and
-attenuated by (1 - leakage) * 25 dB, and sensor walks blend a common
-component with weight `leakage`.
+and one beacon population; every group draws them from the one
+AmbientProfile of the scenario. Devices add private gains, offsets, dropout
+and measurement noise. Audio is sampled at RATE_HZ, sensors every
+SENSOR_PERIOD_MS and beacon scans every BEACON_PERIOD_S, from START_EPOCH_MS
+on. The cross-group leakage coefficient scales how much of a foreign group's
+context a device observes: audio events leak at amplitude `leakage`, foreign
+beacons appear with probability scaled by `leakage` and attenuated by
+(1 - leakage) * 25 dB, and sensor walks blend a common component with weight
+`leakage`.
 
 Outputs use the toolkit's on-disk formats (WAV, CSV, JSONL, ground truth and
 manifest JSON) and are byte-identical for a fixed seed.
@@ -16,7 +19,7 @@ manifest JSON) and are byte-identical for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +37,15 @@ from ziskit.core.types import (
 from ziskit.errors import InvariantViolation
 
 RATE_HZ = 16000
+SENSOR_PERIOD_MS = 500
+BEACON_PERIOD_S = 10
 START_EPOCH_MS = 1_600_000_000_000
 FOREIGN_BEACON_ATTENUATION_DB = 25.0
 
-_SENSOR_DEFAULT_BASE = {"temperature": 22.0, "humidity": 40.0,
-                        "pressure": 1005.0, "luminosity": 300.0}
-_SENSOR_DEFAULT_VOLATILITY = {"temperature": 0.05, "humidity": 0.12,
-                              "pressure": 0.02, "luminosity": 6.0}
+_SENSOR_BASE = {"temperature": 22.0, "humidity": 40.0,
+                "pressure": 1005.0, "luminosity": 300.0}
+_SENSOR_VOLATILITY = {"temperature": 0.05, "humidity": 0.12,
+                      "pressure": 0.02, "luminosity": 6.0}
 _SENSOR_OFFSET_STD = {"temperature": 0.5, "humidity": 1.2,
                       "pressure": 0.15, "luminosity": 15.0}
 _SENSOR_JITTER_STD = {"temperature": 0.02, "humidity": 0.05,
@@ -49,62 +54,45 @@ _SENSOR_JITTER_STD = {"temperature": 0.02, "humidity": 0.05,
 
 @dataclass(frozen=True)
 class AmbientProfile:
-    """Ambient context of one group."""
+    """Ambient context of every group."""
 
     event_rate_per_min: float = 30.0
     event_band_hz: tuple[float, float] = (300.0, 3500.0)
     noise_floor_db: float = 45.0
-    sensor_base: dict[str, float] = field(default_factory=lambda: dict(_SENSOR_DEFAULT_BASE))
-    sensor_volatility: dict[str, float] = field(
-        default_factory=lambda: dict(_SENSOR_DEFAULT_VOLATILITY))
-    # Scale factors on per-device sensor offsets / measurement jitter;
-    # zero makes colocated devices byte-identical.
-    sensor_offset_scale: float = 1.0
-    sensor_jitter_scale: float = 1.0
-    audio_noise_scale: float = 1.0
     beacon_population: int = 12
     beacon_dropout: float = 0.1
     leakage: float = 0.1
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    size: int
-    profile: AmbientProfile = AmbientProfile()
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
     duration_s: int
-    groups: tuple[GroupSpec, ...]
-    rate_hz: int = RATE_HZ
-    sensor_period_ms: int = 500
-    beacon_period_s: int = 10
-    start_epoch_ms: int = START_EPOCH_MS
+    groups: tuple[int, ...]  # devices per group
+    profile: AmbientProfile = AmbientProfile()
 
     def __post_init__(self):
         if len(self.groups) < 2:
             raise InvariantViolation("need at least 2 groups for non-colocated pairs")
-        for spec in self.groups:
-            if not 0 <= spec.profile.leakage < 1:
-                raise InvariantViolation("leakage must lie in [0, 1)")
-            if spec.size < 1:
-                raise InvariantViolation("groups must contain at least one device")
+        if not 0 <= self.profile.leakage < 1:
+            raise InvariantViolation("leakage must lie in [0, 1)")
+        if min(self.groups) < 1:
+            raise InvariantViolation("groups must contain at least one device")
 
 
 def _group_event_signal(rng: np.random.Generator, profile: AmbientProfile,
-                        n_samples: int, rate_hz: int) -> np.ndarray:
+                        n_samples: int) -> np.ndarray:
     """Shared ambient audio of one group: enveloped band noise plus bursts."""
     from scipy.signal import butter, sosfilt
 
+    # Its own order-2 float32 filter, not dsp.bandpass: the scenario bytes depend on it.
     lo, hi = profile.event_band_hz
-    sos = butter(2, [lo, hi], btype="bandpass", fs=rate_hz, output="sos")
+    sos = butter(2, [lo, hi], btype="bandpass", fs=RATE_HZ, output="sos")
     carrier = sosfilt(sos, rng.standard_normal(n_samples).astype(np.float32))
     carrier /= max(float(carrier.std()), 1e-12)
 
     # Slow level wander: mean-reverting walk in log-amplitude, 5 s blocks.
-    block = 5 * rate_hz
+    block = 5 * RATE_HZ
     n_blocks = max(2, n_samples // block + 2)
     log_level = np.empty(n_blocks)
     log_level[0] = rng.normal(0.0, 0.5)
@@ -115,10 +103,10 @@ def _group_event_signal(rng: np.random.Generator, profile: AmbientProfile,
     envelope = np.interp(np.arange(n_samples), block_pos, np.exp(log_level[:n_blocks]))
 
     # Distinct audio events on top of the ambient level.
-    n_events = rng.poisson(profile.event_rate_per_min * n_samples / rate_hz / 60.0)
+    n_events = rng.poisson(profile.event_rate_per_min * n_samples / RATE_HZ / 60.0)
     bursts = np.zeros(n_samples, dtype=np.float32)
     for _ in range(n_events):
-        dur = int(rng.uniform(0.3, 1.5) * rate_hz)
+        dur = int(rng.uniform(0.3, 1.5) * RATE_HZ)
         start = int(rng.uniform(0, max(1, n_samples - dur)))
         amp = rng.uniform(2.0, 6.0)
         window = 0.5 * (1 - np.cos(2 * np.pi * np.arange(dur) / dur))
@@ -130,11 +118,9 @@ def _group_event_signal(rng: np.random.Generator, profile: AmbientProfile,
 
 
 def _device_audio(rng: np.random.Generator, group_idx: int,
-                  events: list[np.ndarray], profiles: list[AmbientProfile]
-                  ) -> np.ndarray:
-    profile = profiles[group_idx]
+                  events: list[np.ndarray], profile: AmbientProfile) -> np.ndarray:
     gain = rng.uniform(0.8, 1.25)
-    noise_rms = 10.0 ** (profile.noise_floor_db / 20.0) * profile.audio_noise_scale
+    noise_rms = 10.0 ** (profile.noise_floor_db / 20.0)
     signal = gain * events[group_idx].astype(np.float64)
     for other, event in enumerate(events):
         if other == group_idx:
@@ -146,60 +132,54 @@ def _device_audio(rng: np.random.Generator, group_idx: int,
 
 
 def _sensor_walks(rng: np.random.Generator, n_groups: int, n_steps: int,
-                  profiles: list[AmbientProfile]) -> dict[str, np.ndarray]:
+                  leakage: float) -> dict[str, np.ndarray]:
     """Per (kind, group) fluctuation walks blended with a common component."""
     walks: dict[str, np.ndarray] = {}
-    for kind in _SENSOR_DEFAULT_BASE:
-        vol = max(p.sensor_volatility.get(kind, _SENSOR_DEFAULT_VOLATILITY[kind])
-                  for p in profiles)
+    for kind, vol in _SENSOR_VOLATILITY.items():
         common = np.cumsum(rng.normal(0.0, vol, size=n_steps))
         per_group = np.empty((n_groups, n_steps))
         for g in range(n_groups):
-            own_vol = profiles[g].sensor_volatility.get(
-                kind, _SENSOR_DEFAULT_VOLATILITY[kind])
-            own = np.cumsum(rng.normal(0.0, own_vol, size=n_steps))
-            lam = profiles[g].leakage
-            per_group[g] = (1.0 - lam) * own + lam * common
+            own = np.cumsum(rng.normal(0.0, vol, size=n_steps))
+            per_group[g] = (1.0 - leakage) * own + leakage * common
         walks[kind] = per_group
     return walks
 
 
 def _device_sensor_series(rng: np.random.Generator, device: str, group_idx: int,
-                          kind: str, walks: dict[str, np.ndarray],
-                          profile: AmbientProfile, cfg: ScenarioConfig) -> SensorSeries:
+                          kind: str, walks: dict[str, np.ndarray]) -> SensorSeries:
     n_steps = walks[kind].shape[1]
-    base = profile.sensor_base.get(kind, _SENSOR_DEFAULT_BASE[kind])
-    offset = rng.normal(0.0, _SENSOR_OFFSET_STD[kind]) * profile.sensor_offset_scale
-    jitter = rng.normal(0.0, _SENSOR_JITTER_STD[kind], size=n_steps) * profile.sensor_jitter_scale
-    values = base + walks[kind][group_idx] + offset + jitter
+    offset = rng.normal(0.0, _SENSOR_OFFSET_STD[kind])
+    jitter = rng.normal(0.0, _SENSOR_JITTER_STD[kind], size=n_steps)
+    values = _SENSOR_BASE[kind] + walks[kind][group_idx] + offset + jitter
     if kind == "luminosity":
         values = np.maximum(values, 0.0)
     elif kind == "humidity":
         values = np.clip(values, 0.0, 100.0)
     elif kind == "pressure":
         values = np.maximum(values, 1.0)
-    times = cfg.start_epoch_ms + np.arange(n_steps, dtype=np.int64) * cfg.sensor_period_ms
+    times = START_EPOCH_MS + np.arange(n_steps, dtype=np.int64) * SENSOR_PERIOD_MS
     return SensorSeries(SensorKind(kind), times, values, device)
 
 
 def _beacon_tables(rng: np.random.Generator, n_groups: int,
-                   profiles: list[AmbientProfile]) -> dict[str, dict[str, float]]:
+                   beacon_population: int) -> dict[str, dict[str, float]]:
     """Base RSSI per beacon identifier, keyed by kind."""
     tables: dict[str, dict[str, float]] = {"wifi": {}, "ble": {}}
     for kind in ("wifi", "ble"):
         for g in range(n_groups):
-            for i in range(profiles[g].beacon_population):
+            for i in range(beacon_population):
                 tables[kind][f"{kind}-g{g}-{i:02d}"] = float(rng.uniform(-80.0, -45.0))
     return tables
 
 
 def _device_scans(rng: np.random.Generator, device: str, group_idx: int,
-                  tables: dict[str, dict[str, float]], profile: AmbientProfile,
-                  cfg: ScenarioConfig) -> list[BeaconScan]:
+                  tables: dict[str, dict[str, float]], cfg: ScenarioConfig
+                  ) -> list[BeaconScan]:
+    profile = cfg.profile
     scans: list[BeaconScan] = []
-    n_scans = cfg.duration_s // cfg.beacon_period_s
+    n_scans = cfg.duration_s // BEACON_PERIOD_S
     for k in range(n_scans):
-        t = cfg.start_epoch_ms + k * cfg.beacon_period_s * 1000 + 500
+        t = START_EPOCH_MS + k * BEACON_PERIOD_S * 1000 + 500
         for kind in ("wifi", "ble"):
             obs: dict[str, float] = {}
             for ident, base in tables[kind].items():
@@ -221,57 +201,57 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     """Write a full synthetic dataset; returns the manifest dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profiles = [spec.profile for spec in cfg.groups]
+    profile = cfg.profile
     n_groups = len(cfg.groups)
-    n_samples = cfg.duration_s * cfg.rate_hz
-    n_steps = cfg.duration_s * 1000 // cfg.sensor_period_ms
+    n_samples = cfg.duration_s * RATE_HZ
+    n_steps = cfg.duration_s * 1000 // SENSOR_PERIOD_MS
 
     root_ss = np.random.SeedSequence(cfg.seed)
     ss_events, ss_sensors, ss_beacons, ss_devices = root_ss.spawn(4)
     event_rngs = [np.random.default_rng(s) for s in ss_events.spawn(n_groups)]
-    events = [_group_event_signal(event_rngs[g], profiles[g], n_samples, cfg.rate_hz)
-              for g in range(n_groups)]
-    walks = _sensor_walks(np.random.default_rng(ss_sensors), n_groups, n_steps, profiles)
-    tables = _beacon_tables(np.random.default_rng(ss_beacons), n_groups, profiles)
+    events = [_group_event_signal(event_rngs[g], profile, n_samples) for g in range(n_groups)]
+    walks = _sensor_walks(np.random.default_rng(ss_sensors), n_groups, n_steps,
+                          profile.leakage)
+    tables = _beacon_tables(np.random.default_rng(ss_beacons), n_groups,
+                            profile.beacon_population)
 
     devices: list[tuple[str, int]] = []
-    for g, spec in enumerate(cfg.groups):
-        for i in range(spec.size):
+    for g, size in enumerate(cfg.groups):
+        for i in range(size):
             devices.append((f"g{g}d{i}", g))
     device_sss = ss_devices.spawn(len(devices))
 
     manifest: dict = {"devices": [], "ground_truth": "ground_truth.json"}
     for (device, g), dev_ss in zip(devices, device_sss):
         rng = np.random.default_rng(dev_ss)
-        profile = profiles[g]
-        samples = _device_audio(rng, g, events, profiles)
-        snippet = AudioSnippet(samples, cfg.rate_hz, cfg.start_epoch_ms, device)
+        samples = _device_audio(rng, g, events, profile)
+        snippet = AudioSnippet(samples, RATE_HZ, START_EPOCH_MS, device)
         zio.write_wav(out / "audio" / f"{device}.wav", snippet)
         entry: dict = {
             "id": device,
-            "audio": {"path": f"audio/{device}.wav", "start_ms": cfg.start_epoch_ms},
+            "audio": {"path": f"audio/{device}.wav", "start_ms": START_EPOCH_MS},
             "sensors": {},
             "beacons": f"beacons/{device}.jsonl",
         }
-        for kind in _SENSOR_DEFAULT_BASE:
-            series = _device_sensor_series(rng, device, g, kind, walks, profile, cfg)
+        for kind in _SENSOR_BASE:
+            series = _device_sensor_series(rng, device, g, kind, walks)
             rel = f"sensors/{device}_{kind}.csv"
             zio.write_sensor_csv(out / rel, series)
             entry["sensors"][kind] = rel
         zio.write_beacons_jsonl(out / f"beacons/{device}.jsonl",
-                                _device_scans(rng, device, g, tables, profile, cfg))
+                                _device_scans(rng, device, g, tables, cfg))
         manifest["devices"].append(entry)
 
-    end = cfg.start_epoch_ms + cfg.duration_s * 1000
-    half = cfg.start_epoch_ms + cfg.duration_s * 500
+    end = START_EPOCH_MS + cfg.duration_s * 1000
+    half = START_EPOCH_MS + cfg.duration_s * 500
     gt = GroundTruth(
         groups=tuple(
             Group(f"g{g}", tuple(d for d, gg in devices if gg == g),
-                  ((cfg.start_epoch_ms, end),))
+                  ((START_EPOCH_MS, end),))
             for g in range(n_groups)
         ),
         subscenarios=(
-            Subscenario("first_half", ((cfg.start_epoch_ms, half),)),
+            Subscenario("first_half", ((START_EPOCH_MS, half),)),
             Subscenario("second_half", ((half, end),)),
         ),
     )

@@ -1,10 +1,11 @@
 """Signal-processing primitives shared by the audio schemes.
 
-Band-pass filtering uses Butterworth designs realized as cascaded
-second-order sections; a direct-form transfer function of order 20 is
-numerically unstable for narrow bands at 16 kHz. Every cross-correlation
-runs through one FFT core (padded_spectrum, xcorr_spectra, lag_peak); the
-direct sum of xcorr_lags(method="direct") is its reference to 1e-6 relative.
+Band-pass filtering uses Butterworth designs of total order FILTER_ORDER,
+the order both audio schemes use, realized as cascaded second-order
+sections; a direct-form transfer function of order 20 is numerically
+unstable for narrow bands at 16 kHz. Every cross-correlation runs through
+one FFT core (padded_spectrum, xcorr_spectra, lag_peak); the direct sum of
+xcorr_lags(method="direct") is its reference to 1e-6 relative.
 
 scipy is imported inside the functions that call it, here and in the other
 modules the CLI imports, so commands that never filter or transform audio
@@ -23,6 +24,10 @@ import numpy as np
 
 from ziskit.core.types import AudioSnippet
 from ziskit.errors import InsufficientProbe, InvalidBand, InvariantViolation, UndefinedCorrelation
+
+
+# Total order of every band-pass filter: FILTER_ORDER // 2 Butterworth sections.
+FILTER_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -92,13 +97,14 @@ def fast_len(n: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _bandpass_sos(f_low: float, f_high: float, order: int, rate_hz: int) -> np.ndarray:
+def _bandpass_sos(f_low: float, f_high: float, rate_hz: int) -> np.ndarray:
     from scipy.signal import butter
 
-    return butter(order // 2, [f_low, f_high], btype="bandpass", fs=rate_hz, output="sos")
+    return butter(FILTER_ORDER // 2, [f_low, f_high], btype="bandpass", fs=rate_hz,
+                  output="sos")
 
 
-def design_bandpass(edges: Iterable[tuple[float, float]], order: int, rate_hz: int) -> None:
+def design_bandpass(edges: Iterable[tuple[float, float]], rate_hz: int) -> None:
     """Design, and cache for `bandpass`, the filters of the (f_low, f_high) `edges`.
 
     Pipelines call it, and `import_fft`, before `pmap` starts its worker
@@ -107,7 +113,7 @@ def design_bandpass(edges: Iterable[tuple[float, float]], order: int, rate_hz: i
     karapanos` on a 16-device scenario from 296 MB to 300-315 MB.
     """
     for f_low, f_high in edges:
-        _bandpass_sos(float(f_low), float(f_high), int(order), int(rate_hz))
+        _bandpass_sos(float(f_low), float(f_high), int(rate_hz))
 
 
 def import_fft() -> None:
@@ -115,29 +121,25 @@ def import_fft() -> None:
     import scipy.fft  # noqa: F401
 
 
-def bandpass(x: np.ndarray, f_low: float, f_high: float, order: int = 20, *,
-             rate_hz: int) -> np.ndarray:
-    """Zero-state Butterworth band-pass of total order `order` along the last axis.
+def bandpass(x: np.ndarray, f_low: float, f_high: float, *, rate_hz: int) -> np.ndarray:
+    """Zero-state Butterworth band-pass of total order FILTER_ORDER along the last axis.
 
     Output has the shape of the input.
     """
     data = np.asarray(x, dtype=np.float64)
-    if order <= 0 or order % 2:
-        raise ValueError(f"filter order must be a positive even integer, got {order}")
     if not 0 < f_low < f_high < rate_hz / 2:
         raise InvalidBand(f"band [{f_low}, {f_high}] outside (0, {rate_hz / 2})")
     from scipy.signal import sosfilt
 
-    sos = _bandpass_sos(float(f_low), float(f_high), int(order), int(rate_hz))
+    sos = _bandpass_sos(float(f_low), float(f_high), int(rate_hz))
     return sosfilt(sos, data, axis=-1)
 
 
-def bandpass_bank(data: np.ndarray, bands: tuple[OctaveBandSpec, ...], rate_hz: int,
-                  order: int = 20) -> np.ndarray:
+def bandpass_bank(data: np.ndarray, bands: tuple[OctaveBandSpec, ...],
+                  rate_hz: int) -> np.ndarray:
     """Filter `data` (..., N) through every band; returns (n_bands, ..., N)."""
     data = np.asarray(data, dtype=np.float64)
-    return np.stack([bandpass(data, b.f_low, b.f_high, order=order, rate_hz=rate_hz)
-                     for b in bands])
+    return np.stack([bandpass(data, b.f_low, b.f_high, rate_hz=rate_hz) for b in bands])
 
 
 def avg_power_db(x: np.ndarray) -> float:

@@ -39,8 +39,8 @@ def karapanos_records(dataset: Dataset, t: int,
 
     Each interval is scored by `karapanos.interval_similarities`, one band at
     a time. A pair is gated when either device's audio is missing or short,
-    recorded at a rate too low for the configured bands or unlike its
-    partner's, or too quiet.
+    recorded at a rate too low for the bands or unlike its partner's, or too
+    quiet.
     """
     def score_run(run: list[EvaluationRecord]) -> list[EvaluationRecord]:
         start = run[0].interval_start
@@ -51,8 +51,8 @@ def karapanos_records(dataset: Dataset, t: int,
         return [replace(p, score=s.value) for p, s in zip(run, scores, strict=True)]
 
     for rate in {x.rate_hz for x in dataset.audio.values()}:
-        if cfg.fits_rate(rate):
-            dsp.design_bandpass(((b.f_low, b.f_high) for b in cfg.bands), cfg.order, rate)
+        if karapanos.fits_rate(rate):
+            dsp.design_bandpass(((b.f_low, b.f_high) for b in dsp.THIRD_OCTAVE_BANDS), rate)
             dsp.import_fft()
     return [r for rows in pmap(score_run, interval_runs(window_pairs(dataset, t)))
             for r in rows]
@@ -98,10 +98,7 @@ def read_score_csv(path: Path, ground_truth: GroundTruth) -> list[EvaluationReco
 # Fingerprint schemes: per-device fingerprints, compared pairwise
 # ---------------------------------------------------------------------------
 
-def schurmann_fingerprints(dataset: Dataset, t: int,
-                           cfg: schurmann.SchurmannConfig | None = None
-                           ) -> list[Fingerprint]:
-    cfg = cfg or schurmann.SchurmannConfig(interval_s=t)
+def schurmann_fingerprints(dataset: Dataset, t: int) -> list[Fingerprint]:
     starts = interval_starts(dataset, t)
     jobs = [(device, start) for device in sorted(dataset.audio) for start in starts]
 
@@ -109,13 +106,13 @@ def schurmann_fingerprints(dataset: Dataset, t: int,
         device, start = job
         chunk = dataset.audio[device].slice_ms(start, start + t * 1000)
         try:
-            return schurmann.audio_fingerprint(chunk, cfg)
+            return schurmann.audio_fingerprint(chunk, t)
         except (InsufficientSamples, InvalidBand):  # short audio, or bands above Nyquist
             return None
 
     for rate in {x.rate_hz for x in dataset.audio.values()}:
-        if cfg.fits_rate(rate):
-            dsp.design_bandpass(cfg.band_edges(rate), cfg.filter_order, rate)
+        if schurmann.fits_rate(rate):
+            dsp.design_bandpass(schurmann.band_edges(rate), rate)
     return [fp for fp in pmap(one, jobs) if fp is not None]
 
 

@@ -1,6 +1,8 @@
 """Audio similarity scoring: per-band normalized maximum cross-correlation.
 
-Two aligned snippets are split into one-third octave bands; the similarity
+Two aligned snippets are split into the twenty one-third octave bands from
+50 Hz to 4 kHz of Sound-Proof (Karapanos et al., USENIX Security 2015),
+`dsp.THIRD_OCTAVE_BANDS`, each filtered at `dsp.FILTER_ORDER`; the similarity
 score is the mean over bands of the normalized maximum cross-correlation.
 Snippets whose average power falls at or below the power threshold
 are gated and produce no score.
@@ -31,13 +33,12 @@ class KarapanosConfig:
     """Parameters of the sound similarity computation."""
 
     maxlag_s: float = 1.0
-    bands: tuple[dsp.OctaveBandSpec, ...] = dsp.THIRD_OCTAVE_BANDS
-    order: int = 20
     power_threshold_db: float = DEFAULT_POWER_DB
 
-    def fits_rate(self, rate_hz: int) -> bool:
-        """Whether every configured band lies below the Nyquist frequency."""
-        return all(band.f_high < rate_hz / 2 for band in self.bands)
+
+def fits_rate(rate_hz: int) -> bool:
+    """Whether every band lies below the Nyquist frequency."""
+    return all(band.f_high < rate_hz / 2 for band in dsp.THIRD_OCTAVE_BANDS)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,9 @@ class BandedSnippet:
 
 
 def band_decompose(x: AudioSnippet, cfg: KarapanosConfig) -> BandedSnippet:
-    """Filter a snippet through every configured band and cache its spectra."""
+    """Filter a snippet through every band and cache its spectra."""
     data = x.as_float()
-    banded = dsp.bandpass_bank(data, cfg.bands, x.rate_hz, order=cfg.order)
+    banded = dsp.bandpass_bank(data, dsp.THIRD_OCTAVE_BANDS, x.rate_hz)
     spectra, pad = dsp.padded_spectrum(banded, int(round(cfg.maxlag_s * x.rate_hz)))
     return BandedSnippet(
         device_id=x.device_id,
@@ -113,7 +114,7 @@ def interval_similarities(snippets: Mapping[str, AudioSnippet | None],
     as in `similarity_banded`, which every scored pair equals bit for bit.
     """
     power = {d: dsp.avg_power_db(x.as_float()) for d, x in snippets.items()
-             if x is not None and cfg.fits_rate(x.rate_hz)}
+             if x is not None and fits_rate(x.rate_hz)}
 
     def gate(a: str, b: str) -> str | None:
         x, y = snippets[a], snippets[b]
@@ -154,10 +155,10 @@ def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
     maxlag = int(round(cfg.maxlag_s * rate_hz))
     pad = dsp.fast_len(length + maxlag)
     spectra = np.empty((n_rows, pad // 2 + 1), dtype=complex)
-    peaks = np.empty((len(pairs), len(cfg.bands)))
-    norms = np.empty((n_rows, len(cfg.bands)))
-    for j, band in enumerate(cfg.bands):
-        banded = dsp.bandpass(samples, band.f_low, band.f_high, cfg.order, rate_hz=rate_hz)
+    peaks = np.empty((len(pairs), len(dsp.THIRD_OCTAVE_BANDS)))
+    norms = np.empty((n_rows, len(dsp.THIRD_OCTAVE_BANDS)))
+    for j, band in enumerate(dsp.THIRD_OCTAVE_BANDS):
+        banded = dsp.bandpass(samples, band.f_low, band.f_high, rate_hz=rate_hz)
         norms[:, j] = np.einsum("ij,ij->i", banded, banded)
         for i, row in enumerate(banded):
             spectra[i] = dsp.padded_spectrum(row, maxlag)[0]
@@ -170,7 +171,7 @@ def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
 def similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> SimilarityScore:
     """Similarity score between two aligned equal-length snippets.
 
-    Mean over the configured bands of the normalized maximum cross-correlation
+    Mean over the bands of the normalized maximum cross-correlation
     with lags in [0, maxlag]; gated when either input has insufficient power.
     """
     if x.samples.size != y.samples.size or x.samples.size == 0:

@@ -16,8 +16,9 @@ import pytest
 from reference import expand_instances, uniform_surprisal_model
 from ziskit import dsp, evaluation, pipeline, randomness
 from ziskit.cli import main
-from ziskit.core.io import load_dataset
+from ziskit.core.io import load_dataset, read_ground_truth
 from ziskit.core.types import AudioSnippet, Fingerprint, Label
+from ziskit.core.windowing import filter_subscenario
 from ziskit.evaluation import auc
 from ziskit.ml.ensemble import GRID_SMALL, MLDataset, ModelParams, fit_model, oof_predictions, train
 from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
@@ -114,23 +115,24 @@ def test_criterion_2_karapanos_identity_and_scale():
 # 3. Schurmann formula oracle
 # --------------------------------------------------------------------------
 
-def _naive_schurmann(x: AudioSnippet, cfg: schurmann.SchurmannConfig) -> np.ndarray:
+def _naive_schurmann(x: AudioSnippet, interval_s: int) -> np.ndarray:
     from scipy.signal import lfilter
 
-    d = (x.rate_hz * cfg.interval_s) // cfg.n_frames
+    n_frames, n_bands = schurmann.N_FRAMES, schurmann.N_BANDS
+    d = (x.rate_hz * interval_s) // n_frames
     data = x.as_float()
-    energies = np.zeros((cfg.n_frames, cfg.n_bands))
-    for i in range(cfg.n_frames):
+    energies = np.zeros((n_frames, n_bands))
+    for i in range(n_frames):
         frame = data[i * d:(i + 1) * d]
-        for j, (lo, hi) in enumerate(cfg.band_edges(x.rate_hz)):
-            sos = dsp._bandpass_sos(lo, hi, cfg.filter_order, x.rate_hz)
+        for j, (lo, hi) in enumerate(schurmann.band_edges(x.rate_hz)):
+            sos = dsp._bandpass_sos(lo, hi, x.rate_hz)
             filtered = frame
             for section in sos:
                 filtered = lfilter(section[:3], section[3:], filtered)
             energies[i, j] = float(filtered @ filtered)
     bits = []
-    for i in range(cfg.n_frames - 1):
-        for j in range(cfg.n_bands - 1):
+    for i in range(n_frames - 1):
+        for j in range(n_bands - 1):
             delta = (energies[i + 1, j] - energies[i + 1, j + 1]) \
                 - (energies[i, j] - energies[i, j + 1])
             bits.append(1 if delta > 0 else 0)
@@ -140,13 +142,12 @@ def _naive_schurmann(x: AudioSnippet, cfg: schurmann.SchurmannConfig) -> np.ndar
 def test_criterion_3_schurmann_oracle_bit_for_bit():
     with criterion(3, "pipeline fingerprints match the naive per-equation oracle; 496 bits"):
         rng = np.random.default_rng(300)
-        cfg = schurmann.SchurmannConfig(interval_s=10)
         for _ in range(20):
             samples = rng.integers(-4000, 4001, size=10 * RATE, dtype=np.int64)
             x = AudioSnippet(samples.astype(np.int16), RATE, 0, "d")
-            got = schurmann.audio_fingerprint(x, cfg)
+            got = schurmann.audio_fingerprint(x, 10)
             assert len(got) == 496
-            np.testing.assert_array_equal(got.bits, _naive_schurmann(x, cfg))
+            np.testing.assert_array_equal(got.bits, _naive_schurmann(x, 10))
 
 
 # --------------------------------------------------------------------------
@@ -406,16 +407,17 @@ def _records_for(scheme: str, info: dict) -> list:
 @pytest.mark.slow
 def test_criterion_11_robustness_self_application(e2e):
     with criterion(11, "cross_apply(A=B) reproduces each stored EER operating point"):
-        checked = 0
+        checked = []
         for tag in ("low", "high"):
+            truth = read_ground_truth(e2e[tag]["scenario"] / "ground_truth.json")
             for scheme, eval_dir in e2e[tag]["evals"].items():
                 records = _records_for(scheme, e2e[tag])
                 with open(eval_dir / "results.csv") as fh:
                     rows = list(csv.DictReader(fh))
                 for row in rows:
-                    if row["subscenario"] != "full":
-                        continue
                     subset = [r for r in records if r.interval_len_s == int(row["t"])]
+                    if row["subscenario"] != "full":
+                        subset = filter_subscenario(subset, truth, row["subscenario"])
                     scores, labels = evaluation.usable_scores(subset)
                     native = evaluation.equal_error_rate(scores, labels)
                     stored_thr = float(row["threshold"])
@@ -425,5 +427,6 @@ def test_criterion_11_robustness_self_application(e2e):
                     assert float(row["eer"]) == native.eer
                     assert bool(int(row["starred"])) == native.starred
                     assert result.delta_far == 0.0 and result.delta_frr == 0.0
-                    checked += 1
-        assert checked == 6  # 3 schemes x 2 scenarios
+                    checked.append(row["subscenario"])
+        assert checked.count("full") == 6  # 3 schemes x 2 scenarios
+        assert checked.count("first_half") == checked.count("second_half") == 6

@@ -179,6 +179,42 @@ def test_robustness_self_application(scenario_dir, tmp_path):
     # A = B: deltas vanish
     assert float(full[0]["delta_far"]) == 0.0
     assert float(full[0]["delta_frr"]) == 0.0
+    # on every row: each is applied within its own subscenario
+    assert {r["subscenario"] for r in rows} == {"full", "first_half", "second_half"}
+    assert all(float(r["delta_far"]) == 0.0 == float(r["delta_frr"]) for r in rows), rows
+
+
+def test_robustness_applies_each_row_within_its_subscenario(scenario_dir, valid_files,
+                                                            tmp_path):
+    """Self-application of overlapping scores gives zero deltas on every row; without
+    --dataset, or for a subscenario the ground truth lacks, a row is skipped."""
+    from dataclasses import replace
+
+    from ziskit import pipeline
+    from ziskit.core.io import load_dataset
+
+    records = pipeline.read_score_csv(valid_files / "score.csv",
+                                      load_dataset(scenario_dir).ground_truth)
+    rng = np.random.default_rng(5)
+    preds = tmp_path / "preds.csv"
+    pipeline.write_prediction_csv(preds, [replace(r, score=float(rng.random()))
+                                          for r in records])
+    run_ok(["evaluate", "--scheme", "scores", "--scores", str(preds),
+            "--dataset", str(scenario_dir), "--out", str(tmp_path / "eval")])
+    results = tmp_path / "eval" / "results.csv"
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_bytes(results.read_bytes().replace(b"first_half", b"elsewhere"))
+    dataset = ["--dataset", str(scenario_dir)]
+    for results_csv, flags, kept in [(results, dataset, {"full", "first_half", "second_half"}),
+                                     (results, [], {"full"}),
+                                     (renamed, dataset, {"full", "second_half"})]:
+        robust = tmp_path / "robust.csv"
+        run_ok(["robustness", "--results", str(results_csv), "--scheme", "scores",
+                "--scores", str(preds), *flags, "--out", str(robust)])
+        with open(robust) as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["subscenario"] for r in rows} == kept
+        assert all(float(r["delta_far"]) == 0.0 == float(r["delta_frr"]) for r in rows), rows
 
 
 def test_align_report(scenario_dir, tmp_path):

@@ -118,8 +118,7 @@ class TestLoadDataset:
         # Oracle: device count after load equals the generator config.
         from ziskit import datagen
 
-        cfg = datagen.ScenarioConfig(seed=3, duration_s=10, groups=(
-            datagen.GroupSpec(2), datagen.GroupSpec(1)))
+        cfg = datagen.ScenarioConfig(seed=3, duration_s=10, groups=(2, 1))
         datagen.generate(cfg, tmp_path / "scen")
         dataset = load_dataset(tmp_path / "scen")
         assert len(dataset.device_ids()) == 3

@@ -2,10 +2,12 @@
 
 No module of ziskit imports another one's private names, and every function,
 class and method of ziskit is named in `src/` or `perfbench/` besides its own
-definition, unless it is one of the ORACLES.
+definition, unless it is one of the ORACLES. Every defaulted field of a
+configuration dataclass is set by some call in `src/` or `perfbench/`.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -71,10 +73,38 @@ def _names_used(path: Path) -> set[str]:
     return used
 
 
+def _callers():
+    return [path for part in ("src", "perfbench") for path in (SRC.parents[1] / part).rglob("*.py")]
+
+
 def test_every_definition_is_named_outside_its_def():
-    roots = [SRC.parents[1] / part for part in ("src", "perfbench")]
-    used = set().union(*(_names_used(path) for root in roots for path in root.rglob("*.py")))
+    used = set().union(*(_names_used(path) for path in _callers()))
     unused = [f"{owner.__name__}.{name}" for path in sorted(SRC.rglob("*.py"))
               for name, owner in _definitions(path)
               if name not in used and not name.startswith("__")]
     assert sorted(unused) == sorted(ORACLES), unused
+
+
+def test_every_config_field_is_set_by_a_caller():
+    """A field that keeps its default in every call is a constant, not a setting."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in _callers():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    unset = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = importlib.import_module(_module_name(path))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(node, ast.ClassDef)
+                    and node.name.endswith(("Config", "Profile", "Params"))):
+                continue
+            fields = dataclasses.fields(getattr(module, node.name))
+            set_by_calls = {name for call in calls.get(node.name, [])
+                            for name in (*(f.name for f in fields[:len(call.args)]),
+                                         *(kw.arg for kw in call.keywords))}
+            unset += [f"{node.name}.{f.name}" for f in fields if f.name not in set_by_calls
+                      and (f.default is not dataclasses.MISSING
+                           or f.default_factory is not dataclasses.MISSING)]
+    assert not unset, f"{len(unset)} fields keep their default in every call: {unset}"

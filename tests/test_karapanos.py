@@ -21,8 +21,8 @@ def oracle_similarity(x: AudioSnippet, y: AudioSnippet,
     """Independent path: scipy filtering plus direct-sum lag search."""
     maxlag = int(round(cfg.maxlag_s * x.rate_hz))
     values = []
-    for band in cfg.bands:
-        sos = dsp._bandpass_sos(band.f_low, band.f_high, cfg.order, x.rate_hz)
+    for band in dsp.THIRD_OCTAVE_BANDS:
+        sos = dsp._bandpass_sos(band.f_low, band.f_high, x.rate_hz)
         fx = sosfilt(sos, x.as_float())
         fy = sosfilt(sos, y.as_float())
         norm = np.sqrt(np.dot(fx, fx) * np.dot(fy, fy))
@@ -128,7 +128,7 @@ class TestSimilarity:
 class TestConfig:
     def test_default_band_count(self):
         cfg = karapanos.KarapanosConfig()
-        assert len(cfg.bands) == 20
+        assert len(dsp.THIRD_OCTAVE_BANDS) == 20
         assert cfg.maxlag_s == 1.0
         assert cfg.power_threshold_db == 40.0
 
@@ -158,7 +158,7 @@ class TestIntervalSimilarities:
         }
         # No band filter turns audible noise into exact silence, so one band of
         # z is zeroed after filtering, in the stacked and the per-pair path alike.
-        silent = cfg.bands[3]
+        silent = dsp.THIRD_OCTAVE_BANDS[3]
         z = snippets["z"].samples
         real_bandpass = dsp.bandpass
 
@@ -172,7 +172,7 @@ class TestIntervalSimilarities:
         pairs = [(a, b) for i, a in enumerate(snippets) for b in list(snippets)[i + 1:]]
         got = karapanos.interval_similarities(snippets, pairs, cfg)
         decomposed = {d: karapanos.band_decompose(x, cfg) for d, x in snippets.items()
-                      if x is not None and cfg.fits_rate(x.rate_hz)}
+                      if x is not None and karapanos.fits_rate(x.rate_hz)}
         assert np.flatnonzero(decomposed["z"].norms == 0.0).tolist() == [3]
         for (a, b), score in zip(pairs, got, strict=True):
             if "s" in (a, b):

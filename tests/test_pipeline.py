@@ -249,7 +249,7 @@ class TestThreading:
             d, start, start + 5000).as_float()) for d, s in device_intervals if s == start))
             for start in {p.interval_start for p in pairs}}
         assert Counter(filtered) == Counter(
-            (stack, band.f_low) for stack in stacks.values() for band in cfg.bands)
+            (stack, band.f_low) for stack in stacks.values() for band in dsp.THIRD_OCTAVE_BANDS)
         assert built.count("device_interval") == len(device_intervals)
 
     def test_karapanos_threads_agree_on_gated_devices(self, audio_dataset, rng,
@@ -289,7 +289,8 @@ class TestThreading:
         cfg = karapanos.KarapanosConfig()
         t, rate = 10, 16000
         pad = dsp.fast_len(t * rate + int(round(cfg.maxlag_s * rate)))
-        device_major = len(audio_dataset.audio) * len(cfg.bands) * (pad // 2 + 1) * 16
+        device_major = (len(audio_dataset.audio) * len(dsp.THIRD_OCTAVE_BANDS)
+                        * (pad // 2 + 1) * 16)
         tracemalloc.start()
         try:
             records = pipeline.karapanos_records(audio_dataset, t, cfg)
@@ -305,10 +306,8 @@ def row_digest(row: np.ndarray) -> str:
 
 
 def test_schurmann_pipeline_matches_direct_calls(audio_dataset):
-    cfg = schurmann.SchurmannConfig(interval_s=10)
-    fps = pipeline.schurmann_fingerprints(audio_dataset, 10, cfg)
-    direct = schurmann.audio_fingerprint(
-        audio_dataset.audio["a"].slice_ms(0, 10_000), cfg)
+    fps = pipeline.schurmann_fingerprints(audio_dataset, 10)
+    direct = schurmann.audio_fingerprint(audio_dataset.audio["a"].slice_ms(0, 10_000), 10)
     pipe_a0 = next(fp for fp in fps
                    if fp.device_id == "a" and fp.interval_start == 0)
     np.testing.assert_array_equal(pipe_a0.bits, direct.bits)

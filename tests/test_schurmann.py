@@ -10,25 +10,26 @@ from ziskit.errors import IncompatibleFingerprints, InsufficientSamples, Invalid
 from ziskit.schemes import schurmann
 
 
-def oracle_fingerprint(x: AudioSnippet, cfg: schurmann.SchurmannConfig) -> np.ndarray:
+def oracle_fingerprint(x: AudioSnippet, interval_s: int) -> np.ndarray:
     """Naive reimplementation: explicit frame loop, per-band cascade filtering,
     E = F^T F, then the sign rule, one bit at a time."""
+    n_frames, n_bands = schurmann.N_FRAMES, schurmann.N_BANDS
     rate = x.rate_hz
-    d = (rate * cfg.interval_s) // cfg.n_frames
+    d = (rate * interval_s) // n_frames
     data = x.as_float()
-    assert data.size >= cfg.n_frames * d
-    energies = np.zeros((cfg.n_frames, cfg.n_bands))
-    for i in range(cfg.n_frames):
+    assert data.size >= n_frames * d
+    energies = np.zeros((n_frames, n_bands))
+    for i in range(n_frames):
         frame = data[i * d:(i + 1) * d]
-        for j, (lo, hi) in enumerate(cfg.band_edges(rate)):
-            sos = _bandpass_sos(lo, hi, cfg.filter_order, rate)
+        for j, (lo, hi) in enumerate(schurmann.band_edges(rate)):
+            sos = _bandpass_sos(lo, hi, rate)
             filtered = frame
             for section in sos:  # cascade of second-order sections
                 filtered = lfilter(section[:3], section[3:], filtered)
             energies[i, j] = float(filtered @ filtered)
     bits = []
-    for i in range(cfg.n_frames - 1):
-        for j in range(cfg.n_bands - 1):
+    for i in range(n_frames - 1):
+        for j in range(n_bands - 1):
             delta = (energies[i + 1, j] - energies[i + 1, j + 1]) \
                 - (energies[i, j] - energies[i, j + 1])
             bits.append(1 if delta > 0 else 0)
@@ -37,27 +38,25 @@ def oracle_fingerprint(x: AudioSnippet, cfg: schurmann.SchurmannConfig) -> np.nd
 
 class TestAudioFingerprint:
     def test_matches_naive_oracle_bit_for_bit(self, rng):
-        cfg = schurmann.SchurmannConfig(interval_s=1)
         for _ in range(3):
             x = noise_snippet(rng, seconds=1.0)
-            got = schurmann.audio_fingerprint(x, cfg)
-            np.testing.assert_array_equal(got.bits, oracle_fingerprint(x, cfg))
+            got = schurmann.audio_fingerprint(x, 1)
+            np.testing.assert_array_equal(got.bits, oracle_fingerprint(x, 1))
 
     def test_496_bits_by_default(self, rng):
         x = noise_snippet(rng, seconds=10.0)
-        fp = schurmann.audio_fingerprint(x)
-        cfg = schurmann.SchurmannConfig()
-        assert len(fp) == 496 == (cfg.n_frames - 1) * (cfg.n_bands - 1)
+        fp = schurmann.audio_fingerprint(x, 10)
+        assert len(fp) == 496 == (schurmann.N_FRAMES - 1) * (schurmann.N_BANDS - 1)
 
     def test_stationary_tone_gives_all_zero_bits(self):
-        # Frame length 4000 holds exactly 25 periods of 100 Hz, so every
-        # frame is identical and all energy differences vanish.
-        cfg = schurmann.SchurmannConfig(interval_s=1, n_frames=4)
+        # At a 17 s interval a frame is 16000 samples, exactly 100 periods of
+        # 100 Hz; the tone is one such frame tiled 17 times, so every frame is
+        # identical and all energy differences vanish.
         rate = 16000
         t = np.arange(rate) / rate
-        x = AudioSnippet((3000 * np.sin(2 * np.pi * 100 * t)).astype(np.int16),
-                         rate, 0, "d")
-        fp = schurmann.audio_fingerprint(x, cfg)
+        frame = (3000 * np.sin(2 * np.pi * 100 * t)).astype(np.int16)
+        x = AudioSnippet(np.tile(frame, schurmann.N_FRAMES), rate, 0, "d")
+        fp = schurmann.audio_fingerprint(x, 17)
         assert not np.any(fp.bits)
 
     def test_low_rate_raises_before_any_filter(self, rng, monkeypatch):
@@ -71,31 +70,26 @@ class TestAudioFingerprint:
         monkeypatch.setattr(dsp, "bandpass", counting_bandpass)
         x = AudioSnippet(rng.integers(-3000, 3000, size=80_000).astype(np.int16), 8000, 0, "d")
         with pytest.raises(InvalidBand):
-            schurmann.audio_fingerprint(x)
+            schurmann.audio_fingerprint(x, 10)
         assert calls == []
 
     def test_amplitude_scale_invariance(self, rng):
-        cfg = schurmann.SchurmannConfig(interval_s=1)
         base = 2 * rng.integers(-800, 801, size=16000, dtype=np.int64)
-        ref = schurmann.audio_fingerprint(
-            AudioSnippet(base.astype(np.int16), 16000, 0, "d"), cfg)
+        ref = schurmann.audio_fingerprint(AudioSnippet(base.astype(np.int16), 16000, 0, "d"), 1)
         for alpha in (0.5, 2, 10):
             scaled = AudioSnippet((base * alpha).astype(np.int16), 16000, 0, "d")
-            got = schurmann.audio_fingerprint(scaled, cfg)
+            got = schurmann.audio_fingerprint(scaled, 1)
             np.testing.assert_array_equal(got.bits, ref.bits)
 
     def test_too_short_snippet(self, rng):
-        cfg = schurmann.SchurmannConfig(interval_s=10)
         with pytest.raises(InsufficientSamples):
-            schurmann.audio_fingerprint(noise_snippet(rng, seconds=1.0), cfg)
+            schurmann.audio_fingerprint(noise_snippet(rng, seconds=1.0), 10)
 
     def test_frame_len_rounds_down(self):
-        cfg = schurmann.SchurmannConfig(interval_s=10)
-        assert cfg.frame_len(16000) == 9411  # 160000 / 17 rounded down
+        assert schurmann.frame_len(16000, 10) == 9411  # 160000 / 17 rounded down
 
     def test_band_edges(self):
-        cfg = schurmann.SchurmannConfig()
-        edges = cfg.band_edges(16000)
+        edges = schurmann.band_edges(16000)
         assert edges[0] == (1.0, 250.0)
         assert edges[1] == (251.0, 500.0)
         assert edges[-1] == (7751.0, 7999.0)
@@ -106,19 +100,18 @@ class TestAudioFingerprint:
         # every band. A pass-through design keeps each call cheap.
         monkeypatch.setattr(dsp, "_bandpass_sos",
                             lambda *args: np.array([[1.0, 0, 0, 1.0, 0, 0]]))
-        cfg = schurmann.SchurmannConfig()
 
         def every_band_filters(rate: int) -> bool:
             try:
-                for lo, hi in cfg.band_edges(rate):
-                    dsp.bandpass(np.zeros(1), lo, hi, cfg.filter_order, rate_hz=rate)
+                for lo, hi in schurmann.band_edges(rate):
+                    dsp.bandpass(np.zeros(1), lo, hi, rate_hz=rate)
             except InvalidBand:
                 return False
             return True
 
         # 250 Hz steps from 4 to 48 kHz, and every rate where the top band closes.
         for rate in [*range(4000, 48001, 250), *range(15490, 15521)]:
-            assert cfg.fits_rate(rate) == every_band_filters(rate), rate
+            assert schurmann.fits_rate(rate) == every_band_filters(rate), rate
 
 
 class TestFingerprintSimilarity:
