@@ -21,7 +21,7 @@ from ziskit import datagen, dsp, evaluation, pipeline, randomness
 from ziskit.core.io import load_dataset
 from ziskit.core.types import EvaluationRecord, GroundTruth
 from ziskit.core.windowing import filter_subscenario
-from ziskit.errors import DegenerateLabels, ParseError, ZisError
+from ziskit.errors import DegenerateLabels, IncompatibleFingerprints, ParseError, ZisError
 from ziskit.ml import ensemble
 from ziskit.schemes import karapanos, miettinen, shrestha, truong
 from ziskit.table import Column, flag, read_table, real, write_table
@@ -130,10 +130,9 @@ def build_parser() -> tuple[_Parser, dict]:
         sp.add_argument("--config", type=Path, help="JSON file with flag defaults")
         actions = registry[key] = {}
         for spec in flags:
-            kwargs = dict(action="store_true") if spec.kind is bool else dict(
-                type=spec.parse, default=spec.default, choices=spec.choices,
-                required=spec.required)
-            actions[spec.name] = spec, sp.add_argument(f"--{spec.name}", help=spec.help, **kwargs)
+            actions[spec.name] = spec, sp.add_argument(
+                f"--{spec.name}", type=spec.parse, default=spec.default, choices=spec.choices,
+                required=spec.required, help=spec.help)
     return parsers[""], registry
 
 
@@ -154,13 +153,11 @@ def _apply_config(argv: list[str], registry: dict) -> None:
     command = " ".join(argv[:2]) if " ".join(argv[:2]) in registry else argv[0]
     for key, value in defaults.items():
         spec, action = registry.get(command, {}).get(key.replace("_", "-"), (None, None))
-        switch = spec is not None and spec.kind is bool
         # Values parse like flag strings; numeric flags also take JSON numbers.
-        if spec is None or isinstance(value, bool) != switch or not (
-                switch or isinstance(value, str) or spec.numeric):
+        if spec is None or not (isinstance(value, str) or spec.numeric):
             raise _UsageError(f"config {key}={value!r} is not a value for {command}")
         try:
-            action.default = value if switch else spec.parse(str(value))
+            action.default = spec.parse(str(value))
         except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"config {key}: {exc}") from exc
         action.required = False  # a config value satisfies a required flag
@@ -223,12 +220,7 @@ def _cmd_features(args) -> int:
             snapshot_s=args.t, bits=args.bits, delta_rel=args.delta_rel,
             delta_abs=args.delta_abs, measurement_window_s=args.measurement_window_s)
         fingerprints = pipeline.miettinen_fingerprints(dataset, cfg, source=args.source)
-        surprisals = None
-        if args.with_surprisal and fingerprints:
-            model = miettinen.SurprisalModel.fit(fingerprints)
-            surprisals = [miettinen.surprisal(fp, model) for fp in fingerprints]
-        pipeline.write_fingerprint_csv(args.out, fingerprints,
-                                       args.bits * args.t, surprisals=surprisals)
+        pipeline.write_fingerprint_csv(args.out, fingerprints, args.bits * args.t)
     elif args.scheme == "truong":
         rows = pipeline.truong_rows(dataset, args.t, theta=args.theta)
         pipeline.write_truong_csv(args.out, rows)
@@ -240,7 +232,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fingerprint_randomness(args) -> int:
-    fingerprints, _, _ = pipeline.read_fingerprint_csv(args.features)
+    fingerprints, _ = pipeline.read_fingerprint_csv(args.features)
     if not fingerprints:
         raise ZisError("no records in fingerprint file")
     walk = randomness.random_walk(fingerprints)
@@ -263,7 +255,8 @@ def _cmd_fingerprint_randomness(args) -> int:
 
 
 def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
-    """The scheme's records, and the ground truth that labels feature files."""
+    """The scheme's records, and the ground truth that labels feature files. The
+    surprisal gate's model is fit on the fingerprint file's own fingerprints."""
     ground_truth = load_dataset(args.dataset).ground_truth if args.dataset else None
     if args.scheme in ML_SCHEMES or args.scheme not in SCHEMES:  # a prediction CSV
         if not args.scores:
@@ -274,7 +267,14 @@ def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
     elif args.scheme == "karapanos":
         records = pipeline.read_score_csv(args.features, ground_truth)
     else:
-        fingerprints, surprisals, spans = pipeline.read_fingerprint_csv(args.features)
+        fingerprints, spans = pipeline.read_fingerprint_csv(args.features)
+        surprisals = None
+        if args.surprisal_threshold is not None and fingerprints:
+            try:
+                model = miettinen.SurprisalModel.fit(fingerprints)
+            except IncompatibleFingerprints as exc:
+                raise ParseError(str(exc), path=str(args.features)) from exc
+            surprisals = [miettinen.surprisal(fp, model) for fp in fingerprints]
         records = pipeline.fingerprint_records(
             fingerprints, spans, ground_truth,
             surprisals=surprisals, surprisal_threshold=args.surprisal_threshold)
@@ -409,8 +409,7 @@ COMMANDS: dict[str, tuple[Callable | None, str, tuple[Flag, ...]]] = {
         Flag("theta", float, truong.THETA_DEFAULT), Flag("bits", int, 16, low=1),
         Flag("source", default="noise", choices=("noise", "luminosity")),
         Flag("delta-rel", float, 0.1), Flag("delta-abs", float, 10.0),
-        Flag("measurement-window-s", float, 1.0, low=0.001, unit="seconds"),
-        Flag("with-surprisal", bool, help="emit surprisal from a model fit on the corpus"))),
+        Flag("measurement-window-s", float, 1.0, low=0.001, unit="seconds"))),
     "fingerprint-randomness": (_cmd_fingerprint_randomness, "random-walk and bit statistics", (
         Flag("features", Path, required=True), Flag("out", Path, required=True),
         Flag("sub-len", int, 0, low=0, help="also analyze sub-fingerprints of this length"))),

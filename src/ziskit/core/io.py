@@ -157,7 +157,10 @@ def read_ground_truth(path: Path) -> GroundTruth:
         )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad ground truth: {exc}", path=str(path)) from exc
-    return GroundTruth(groups=groups, subscenarios=subs)
+    try:
+        return GroundTruth(groups=groups, subscenarios=subs)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{path}: {exc}") from exc
 
 
 def write_ground_truth(path: Path, gt: GroundTruth) -> None:
@@ -187,8 +190,9 @@ def load_dataset(root_path: str | Path) -> Dataset:
                       "beacons": "beacons/d00.jsonl"}],
          "ground_truth": "ground_truth.json"}
 
-    An empty manifest yields an empty Dataset; a malformed one raises
-    ParseError naming it.
+    A device id is any text that UTF-8 encodes, without `|`, the pair
+    separator of the pair tables. An empty manifest yields an empty Dataset;
+    a malformed one raises ParseError naming it.
     """
     root = Path(root_path)
     manifest_path = _require(root / MANIFEST_NAME)
@@ -217,9 +221,13 @@ def _device_files(root: Path, dev: dict) -> tuple:
     """(id, (wav, start_ms) or None, [(kind, csv)], jsonl or None) of a manifest device."""
     if not isinstance(dev["id"], str):
         raise TypeError(f"device id {dev['id']!r} is not a string")
+    if "|" in dev["id"]:  # pair tables write a pair as `devA|devB`
+        raise ValueError(f"device id {dev['id']!r} contains '|'")
+    dev["id"].encode("utf-8")  # tables are UTF-8: a lone surrogate raises a ValueError
     wav = dev.get("audio")
     if wav is not None:
-        wav = {"path": wav} if isinstance(wav, str) else wav
+        if not isinstance(wav, dict):
+            raise TypeError(f"audio of device {dev['id']!r} is not an object")
         wav = (root / wav["path"], int(wav.get("start_ms", 0)))
     sensor_files = [(SensorKind(kind), root / rel) for kind, rel in dev.get("sensors", {}).items()]
     jsonl = root / dev["beacons"] if "beacons" in dev else None

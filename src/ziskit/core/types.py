@@ -182,6 +182,11 @@ class GroundTruth:
             for g in self.groups
         )
         object.__setattr__(self, "groups", norm_groups)
+        names = [s.name for s in self.subscenarios]
+        # "full" names the whole-timeline row of results.csv and its curve file.
+        if "full" in names or len(set(names)) != len(names):
+            raise InvariantViolation(
+                f"subscenario names must be unique and not 'full', got {names}")
         norm_subs = []
         for s in self.subscenarios:
             merged = _merge_ranges(list(s.ranges))
@@ -287,11 +292,18 @@ class Fingerprint:
     @classmethod
     def from_hex(cls, hex_bits: str, n_bits: int, device_id: str,
                  interval_start: int) -> "Fingerprint":
-        raw = np.frombuffer(bytes.fromhex(hex_bits), dtype=np.uint8)
-        unpacked = np.unpackbits(raw)
-        if unpacked.size < n_bits:
+        """The inverse of `to_hex`: `n_bits` >= 1 bits in exactly the whole bytes
+        they need, with the pad bits after them 0."""
+        if n_bits < 1:
+            raise InvariantViolation(f"need at least 1 bit, got {n_bits}")
+        width = 2 * -(-n_bits // 8)
+        # isalnum() excludes the whitespace that bytes.fromhex would skip.
+        if len(hex_bits) != width or not hex_bits.isalnum():
             raise InvariantViolation(
-                f"hex string holds {unpacked.size} bits, need {n_bits}")
+                f"{n_bits} bits take {width} hex digits, got {hex_bits!r}")
+        unpacked = np.unpackbits(np.frombuffer(bytes.fromhex(hex_bits), dtype=np.uint8))
+        if unpacked[n_bits:].any():
+            raise InvariantViolation(f"pad bits after bit {n_bits} are not 0")
         return cls(unpacked[:n_bits], device_id, interval_start)
 
 

@@ -98,23 +98,6 @@ def interval_runs(pairs: Iterable[EvaluationRecord]) -> list[list[EvaluationReco
     return [list(run) for _, run in groupby(pairs, key=lambda p: p.interval_start)]
 
 
-def map_pairs(pairs: Sequence[EvaluationRecord], state: Callable, score: Callable) -> list:
-    """score(pair, state(device_a, start), state(device_b, start)) per pair, in order.
-
-    Each run of `interval_runs` builds each device's state once; runs go
-    through `pmap`.
-    """
-    def one_run(run: list[EvaluationRecord]) -> list:
-        states: dict[str, object] = {}
-        for pair in run:
-            for device in (pair.device_a, pair.device_b):
-                if device not in states:
-                    states[device] = state(device, pair.interval_start)
-        return [score(p, states[p.device_a], states[p.device_b]) for p in run]
-
-    return [row for rows in pmap(one_run, interval_runs(pairs)) for row in rows]
-
-
 def filter_subscenario(records: Iterable[EvaluationRecord], ground_truth: GroundTruth,
                        name: str) -> list[EvaluationRecord]:
     """Records whose interval lies fully inside any range of the subscenario."""

@@ -139,32 +139,20 @@ def miettinen_fingerprints(dataset: Dataset, cfg: miettinen.MiettinenConfig,
 
 
 FINGERPRINT_COLUMNS = (Column("device_id"), INTERVAL_START, INTERVAL_LEN,
-                       Column("hex_bits"))
-SURPRISAL = real("surprisal_bits", optional=True)
+                       Column("hex_bits"), Column("n_bits", int))
 
 
-def write_fingerprint_csv(path: Path, fingerprints: list[Fingerprint], t: int,
-                          surprisals: list[float] | None = None) -> None:
-    rows = [(fp.device_id, fp.interval_start, t, fp.to_hex()) for fp in fingerprints]
-    if surprisals is None:
-        write_table(path, FINGERPRINT_COLUMNS, rows)
-    else:
-        write_table(path, (*FINGERPRINT_COLUMNS, SURPRISAL),
-                    ((*row, s) for row, s in zip(rows, surprisals, strict=True)))
+def write_fingerprint_csv(path: Path, fingerprints: list[Fingerprint], t: int) -> None:
+    write_table(path, FINGERPRINT_COLUMNS,
+                ((fp.device_id, fp.interval_start, t, fp.to_hex(), len(fp))
+                 for fp in fingerprints))
 
 
-def read_fingerprint_csv(path: Path
-                         ) -> tuple[list[Fingerprint], list[float | None], list[int]]:
-    """Fingerprints plus optional surprisal column and per-row interval lengths.
-
-    The length is the hex width, so a fingerprint whose bit count is not a
-    multiple of 8 reads back zero-padded.
-    """
-    def row(device, start, t, hex_bits, surprisal):
-        return Fingerprint.from_hex(hex_bits, len(hex_bits) * 4, device, start), surprisal, t
-
-    rows = list(read_table(path, (*FINGERPRINT_COLUMNS, SURPRISAL), row))
-    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+def read_fingerprint_csv(path: Path) -> tuple[list[Fingerprint], list[int]]:
+    """Fingerprints of `n_bits` bits each, and each row's interval length."""
+    rows = list(read_table(path, FINGERPRINT_COLUMNS, lambda device, start, t, hex_bits, n:
+                           (Fingerprint.from_hex(hex_bits, n, device, start), t)))
+    return [fp for fp, _ in rows], [t for _, t in rows]
 
 
 def fingerprint_records(fingerprints: list[Fingerprint], spans: list[int],

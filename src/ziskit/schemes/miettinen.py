@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ziskit.core.types import AudioSnippet, Fingerprint, SensorKind, SensorSeries
-from ziskit.errors import InsufficientSamples, InvariantViolation, ModelGap
+from ziskit.errors import (
+    IncompatibleFingerprints,
+    InsufficientSamples,
+    InvariantViolation,
+    ModelGap,
+)
 
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
@@ -140,7 +145,9 @@ class SurprisalModel:
         groups: dict[tuple[str, int], list[np.ndarray]] = {}
         for fp in fingerprints:
             if len(fp) != n_bits:
-                raise ValueError("fingerprints must share one length")
+                raise IncompatibleFingerprints(
+                    f"fingerprints must share one length: {fp.device_id!r} at "
+                    f"{fp.interval_start} ms has {len(fp)} bits, the first has {n_bits}")
             key = (day_partition(fp.interval_start), hour_of_day(fp.interval_start))
             groups.setdefault(key, []).append(fp.bits)
         table = {

@@ -17,7 +17,7 @@ import numpy as np
 
 from ziskit import dsp
 from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, EvaluationRecord, Label
-from ziskit.core.windowing import map_pairs
+from ziskit.core.windowing import interval_runs, pmap
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
 
 THETA_DEFAULT = -100.0
@@ -210,8 +210,15 @@ def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
 
 def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
                   theta: float = THETA_DEFAULT) -> list[TruongFeatureVector]:
-    """One labeled feature vector per pair-interval, in the order of `pairs`."""
-    return map_pairs(pairs,
-                     lambda device, start: device_interval(dataset, device, start,
-                                                           start + t * 1000),
-                     lambda pair, a, b: pair_features(pair, a, b, theta))
+    """One labeled feature vector per pair-interval, in the order of `pairs`.
+
+    Each run of `interval_runs` builds each device's state once; runs go
+    through `pmap`.
+    """
+    def one_run(run: list[EvaluationRecord]) -> list[TruongFeatureVector]:
+        start = run[0].interval_start
+        states = {d: device_interval(dataset, d, start, start + t * 1000)
+                  for d in dict.fromkeys(d for p in run for d in (p.device_a, p.device_b))}
+        return [pair_features(p, states[p.device_a], states[p.device_b], theta) for p in run]
+
+    return [row for rows in pmap(one_run, interval_runs(pairs)) for row in rows]

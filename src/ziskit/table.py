@@ -22,14 +22,12 @@ from ziskit.errors import InvariantViolation, ParseError
 @dataclass(frozen=True)
 class Column:
     """None is written as an empty cell. An empty cell reads as None in a
-    `nullable` column; an `optional` one may also be absent from the header.
-    Elsewhere the cell goes to `parse`, which rejects it for numbers."""
+    `nullable` column; elsewhere it goes to `parse`, which rejects it for numbers."""
 
     name: str
     parse: Callable[[str], Any] = str
     format: Callable[[Any], str] = str
     nullable: bool = False
-    optional: bool = False
 
 
 def _real(value) -> str:
@@ -43,12 +41,11 @@ def _finite(cell: str) -> float:
     return value
 
 
-def real(name: str, nullable: bool = False, optional: bool = False,
-         finite: bool = False) -> Column:
+def real(name: str, nullable: bool = False, finite: bool = False) -> Column:
     """Floats are written as `repr(float(v))`, the shortest exact form.
 
     A `finite` column rejects nan and +-inf cells."""
-    return Column(name, _finite if finite else float, _real, nullable or optional, optional)
+    return Column(name, _finite if finite else float, _real, nullable)
 
 
 def flag(name: str) -> Column:
@@ -87,17 +84,15 @@ def read_table(path: Path, columns: Sequence[Column],
             if header is None:
                 return
             where = {name: i for i, name in enumerate(header)}
-            missing = [c.name for c in columns if c.name not in where and not c.optional]
+            missing = [c.name for c in columns if c.name not in where]
             if missing:
                 raise ValueError(f"missing column(s) {', '.join(missing)}")
-            # An absent optional column reads the empty cell appended to each row.
-            plan = [(where.get(c.name, len(header)), c.nullable, c.parse) for c in columns]
+            plan = [(where[c.name], c.nullable, c.parse) for c in columns]
             for cells in reader:
                 if not cells:
                     continue
                 if len(cells) != len(header):
                     raise ValueError(f"{len(cells)} cells, header has {len(header)}")
-                cells.append("")
                 yield make(*[None if nullable and not cells[i] else parse(cells[i])
                              for i, nullable, parse in plan])
         except UnicodeDecodeError as exc:  # raised before the line is counted

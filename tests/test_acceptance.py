@@ -398,7 +398,7 @@ def _records_for(scheme: str, info: dict) -> list:
         return pipeline.read_score_csv(info["features"]["karapanos"],
                                        dataset.ground_truth)
     if scheme == "schurmann":
-        fps, surprisals, spans = pipeline.read_fingerprint_csv(
+        fps, spans = pipeline.read_fingerprint_csv(
             info["features"]["schurmann"])
         return pipeline.fingerprint_records(fps, spans, dataset.ground_truth)
     return pipeline.read_prediction_csv(info["predictions"])

@@ -115,15 +115,50 @@ def test_fingerprint_randomness_report(scenario_dir, tmp_path):
 
 
 def test_miettinen_features_with_surprisal(scenario_dir, tmp_path):
+    """The surprisal gate of `evaluate` fits its model on the fingerprint file:
+    it gates exactly the pairs that a model fit on the computed fingerprints gates."""
+    from ziskit import pipeline
+    from ziskit.core.io import load_dataset
+    from ziskit.schemes import miettinen
+
     fps = tmp_path / "miet.csv"
-    run_ok(["features", "--scheme", "miettinen", "--dataset", str(scenario_dir),
-            "--out", str(fps), "--t", "5", "--bits", "8",
-            "--delta-rel", "0.05", "--delta-abs", "5", "--with-surprisal"])
+    argv = ["features", "--scheme", "miettinen", "--dataset", str(scenario_dir),
+            "--out", str(fps), "--t", "2", "--bits", "8", "--delta-rel", "0.05",
+            "--delta-abs", "5"]
+    run_ok(argv)
     with open(fps) as fh:
         header = fh.readline().strip()
-        assert header == "device_id,interval_start_ms,t,hex_bits,surprisal_bits"
+        assert header == "device_id,interval_start_ms,t,hex_bits,n_bits"
+    assert main([*argv, "--with-surprisal"]) == 1
+
+    dataset = load_dataset(scenario_dir)
+    fingerprints = pipeline.miettinen_fingerprints(dataset, miettinen.MiettinenConfig(
+        snapshot_s=2, bits=8, delta_rel=0.05, delta_abs=5))
+    model = miettinen.SurprisalModel.fit(fingerprints)
+    surprisals = [miettinen.surprisal(fp, model) for fp in fingerprints]
+    threshold = float(np.median(surprisals))
+    expected = pipeline.fingerprint_records(fingerprints, [16] * len(fingerprints),
+                                            dataset.ground_truth, surprisals, threshold)
+    assert any(r.gated for r in expected) and not all(r.gated for r in expected)
+    # The expected records, evaluated as a score file, give the same rows and curves.
+    scores = tmp_path / "expected.csv"
+    pipeline.write_score_csv(scores, expected)
     run_ok(["evaluate", "--scheme", "miettinen", "--features", str(fps),
-            "--dataset", str(scenario_dir), "--out", str(tmp_path / "eval_miet")])
+            "--dataset", str(scenario_dir), "--out", str(tmp_path / "gated"),
+            "--surprisal-threshold", repr(threshold)])
+    run_ok(["evaluate", "--scheme", "karapanos", "--features", str(scores),
+            "--dataset", str(scenario_dir), "--out", str(tmp_path / "expected")])
+    results = {}
+    for out in ("gated", "expected"):
+        with open(tmp_path / out / "results.csv") as fh:
+            results[out] = [{**row, "scheme": None} for row in csv.DictReader(fh)]
+    assert results["gated"] == results["expected"]
+    assert 0 < float(results["gated"][0]["availability"]) < 1
+    assert sorted(p.name.split("_", 1)[1] for p in (tmp_path / "gated" / "curves").iterdir()) \
+        == sorted(p.name.split("_", 1)[1] for p in (tmp_path / "expected" / "curves").iterdir())
+    for curve in (tmp_path / "gated" / "curves").iterdir():
+        twin = tmp_path / "expected" / "curves" / curve.name.replace("miettinen", "karapanos")
+        assert curve.read_bytes() == twin.read_bytes()
 
 
 def test_ml_train_predict_cycle(scenario_dir, tmp_path):
@@ -276,7 +311,9 @@ def _reader_argv(table: str, bad: Path, files: Path, scenario: Path, out: Path):
                                    "results") for fault in ("ragged_row", "non_utf8")),
     # Every pair table holds pairs of two distinct devices.
     ("score", "self_pair"), ("prediction", "self_pair"), ("truong", "self_pair"),
-    ("shrestha", "self_pair")])
+    ("shrestha", "self_pair"),
+    # A fingerprint row holds exactly its n_bits >= 1 bits, here 496 in 124 hex digits.
+    ("fingerprint", "n_bits_0"), ("fingerprint", "hex_width"), ("fingerprint", "pad_bits")])
 def test_bad_input_table_exits_2(table, fault, valid_files, scenario_dir, tmp_path,
                                  capsys):
     lines = (valid_files / f"{table}.csv").read_bytes().split(b"\r\n")
@@ -284,17 +321,24 @@ def test_bad_input_table_exits_2(table, fault, valid_files, scenario_dir, tmp_pa
         lines[1] += b",extra"
     elif fault == "non_utf8":
         lines[1] = b"\xff" + lines[1]
-    else:  # the row's pair becomes its first device twice
+    elif fault == "self_pair":  # the row's pair becomes its first device twice
         pair, rest = lines[1].split(b",", 1)
         device = pair.split(b"|")[0]
         lines[1] = device + b"|" + device + b"," + rest
+    else:
+        *cells, hex_bits, n_bits = lines[1].split(b",")
+        lines[1] = b",".join([*cells, *{"n_bits_0": (hex_bits, b"0"),
+                                        "hex_width": (hex_bits + b"00", n_bits),
+                                        "pad_bits": (b"f" * 124, b"495")}[fault]])
     bad = tmp_path / f"bad_{table}.csv"
     bad.write_bytes(b"\r\n".join(lines))
     code = main(_reader_argv(table, bad, valid_files, scenario_dir, tmp_path / "out"))
     assert code == 2
     err = capsys.readouterr().err
     assert f"{bad}:2)" in err
-    assert fault != "self_pair" or "two distinct devices" in err
+    assert {"self_pair": "two distinct devices", "n_bits_0": "need at least 1 bit",
+            "hex_width": "496 bits take 124 hex digits",
+            "pad_bits": "pad bits after bit 495 are not 0"}.get(fault, "") in err
 
 
 def _break_dataset_file(fault: str, dataset: Path) -> Path:
@@ -314,6 +358,10 @@ def _break_dataset_file(fault: str, dataset: Path) -> Path:
         device["sensors"]["smell"] = device["sensors"]["temperature"]
     elif fault == "start_ms":
         device["audio"]["start_ms"] = "abc"
+    elif fault == "audio_string":
+        device["audio"] = device["audio"]["path"]
+    elif fault in ("pipe_id", "surrogate_id"):  # pair tables write a pair as devA|devB
+        device["id"] = "a|x" if fault == "pipe_id" else "a\ud800"
     else:
         manifest["devices"] = 5
     (dataset / "manifest.json").write_text(json.dumps(manifest))
@@ -322,7 +370,8 @@ def _break_dataset_file(fault: str, dataset: Path) -> Path:
 
 @pytest.mark.parametrize("command", ["features", "evaluate"])
 @pytest.mark.parametrize("fault", ["list", "no_id", "sensor_kind", "start_ms", "devices_int",
-                                   "manifest_bytes", "sensor_bytes", "beacon_bytes"])
+                                   "manifest_bytes", "sensor_bytes", "beacon_bytes",
+                                   "audio_string", "pipe_id", "surrogate_id"])
 def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp_path,
                                   capsys):
     dataset = tmp_path / "scen"
@@ -333,6 +382,42 @@ def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp
         argv += ["--features", str(valid_files / "score.csv")]
     assert main([command, *argv]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [("full", "second_half"), ("first_half", "first_half")])
+def test_evaluate_rejects_subscenario_full_or_twice(names, scenario_dir, valid_files,
+                                                    tmp_path, capsys):
+    """`full` names the whole-timeline results row, and a name names one row."""
+    dataset = tmp_path / "scen"
+    shutil.copytree(scenario_dir, dataset)
+    truth = json.loads((dataset / "ground_truth.json").read_text())
+    assert [s["name"] for s in truth["subscenarios"]] == ["first_half", "second_half"]
+    for sub, name in zip(truth["subscenarios"], names):
+        sub["name"] = name
+    (dataset / "ground_truth.json").write_text(json.dumps(truth))
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--scheme", "karapanos", "--features",
+                 str(valid_files / "score.csv"), "--dataset", str(dataset),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{dataset / 'ground_truth.json'}: subscenario names must be unique and not 'full'" \
+        in err
+    assert not out.exists()
+
+
+def test_surprisal_gate_on_mixed_bit_counts_exits_2(valid_files, scenario_dir, tmp_path,
+                                                   capsys):
+    """A surprisal model covers one fingerprint length."""
+    lines = (valid_files / "fingerprint.csv").read_bytes().split(b"\r\n")
+    device, start, t, _, _ = lines[2].split(b",")
+    lines[2] = b",".join([device, start, t, b"a0", b"3"])
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_bytes(b"\r\n".join(lines))
+    argv = _reader_argv("fingerprint", mixed, valid_files, scenario_dir, tmp_path / "out")
+    assert main([*argv, "--surprisal-threshold", "10"]) == 2
+    err = capsys.readouterr().err
+    assert f"({mixed})" in err and "has 3 bits, the first has 496" in err
+    assert "Traceback" not in err
 
 
 def _bad_wav(fault: str, audio: np.ndarray) -> bytes:
@@ -652,8 +737,6 @@ def test_every_numeric_flag_takes_a_json_number(tmp_path):
     checked = 0
     for name, actions in registry.items():
         for spec, action in actions.values():
-            if spec.kind is bool:  # a switch
-                continue
             try:
                 numeric = isinstance(spec.kind("3"), (int, float))
             except (ValueError, TypeError, argparse.ArgumentTypeError):
@@ -685,9 +768,7 @@ def _argv_with_required(name: str, skip) -> list[str]:
 
 
 def _assert_in_spec(spec, value) -> None:
-    if spec.kind is bool:
-        assert value in (True, False)
-    elif spec.numeric:
+    if spec.numeric:
         assert type(value) is spec.kind
         assert spec.kind is int or math.isfinite(value)
         assert spec.low <= value <= spec.high and not (spec.high_open and value == spec.high)

@@ -136,7 +136,7 @@ GOLDEN_DIGESTS = {
         "features_karapanos.csv":
             "50f56f8cad8fb47c7e933a050570e07722239dafa4d02db419c50b618f54376c",
         "features_schurmann.csv":
-            "51549b33f074337a2761385362233f17e96edb373b810268197e0acb7e7a682f",
+            "3a9e6a2d3985ecdb1c9915b2cc71909a2a05327f17eaa50e69c587bbe9371db6",
     },
     2: {
         "audio/g0d0.wav":
@@ -182,7 +182,7 @@ GOLDEN_DIGESTS = {
         "features_karapanos.csv":
             "8b2e1df3f37b0d2a62353710e7a2d6a4e1589c04df4989d467b7d838b0e02a82",
         "features_schurmann.csv":
-            "657edfb133064734f08f5318d28237c5195497dbc7cf1227ab2be998cb032ca3",
+            "41ccd40a31470a74928568251553bcd8eb26296a549d47dc45d5c0dd4f558808",
     },
 }
 

@@ -1,16 +1,22 @@
 import hashlib
+import tempfile
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import noise_snippet, series_of, two_group_truth
 from ziskit import dsp, pipeline
 from ziskit.core.types import (
     AudioSnippet,
     Dataset,
+    EvaluationRecord,
     Fingerprint,
     GroundTruth,
     Group,
@@ -19,7 +25,7 @@ from ziskit.core.types import (
 )
 from ziskit.core.windowing import thread_count
 from ziskit.errors import ParseError
-from ziskit.schemes import karapanos, miettinen, schurmann, truong
+from ziskit.schemes import karapanos, miettinen, schurmann, shrestha, truong
 
 
 @pytest.fixture
@@ -93,19 +99,16 @@ class TestFingerprintPipeline:
         fps = pipeline.schurmann_fingerprints(audio_dataset, 10)
         path = tmp_path / "fp.csv"
         pipeline.write_fingerprint_csv(path, fps, 10)
-        back, surprisals, spans = pipeline.read_fingerprint_csv(path)
+        back, spans = pipeline.read_fingerprint_csv(path)
         assert spans == [10] * len(fps)
-        assert surprisals == [None] * len(fps)
         for orig, rec in zip(fps, back):
             np.testing.assert_array_equal(orig.bits, rec.bits)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the reader takes the length "
-                       "from the hex width, so 20 bits read back as 24")
     def test_fingerprint_csv_keeps_bit_count(self, tmp_path):
         fp = Fingerprint(np.array([1, 0, 1, 1] * 5, dtype=np.uint8), "d", 0)
         path = tmp_path / "fp.csv"
         pipeline.write_fingerprint_csv(path, [fp], 10)
-        back, _, _ = pipeline.read_fingerprint_csv(path)
+        back, _ = pipeline.read_fingerprint_csv(path)
         np.testing.assert_array_equal(back[0].bits, fp.bits)
 
     def test_fingerprint_records_labeling(self, audio_dataset):
@@ -318,7 +321,7 @@ TABLES = {
     "score": (lambda path: pipeline.read_score_csv(path, two_group_truth()),
               "pair_id,interval_start_ms,t,score,gated", "a|b,0,10,0.5,0"),
     "fingerprint": (pipeline.read_fingerprint_csv,
-                    "device_id,interval_start_ms,t,hex_bits", "a,0,10,a5"),
+                    "device_id,interval_start_ms,t,hex_bits,n_bits", "a,0,10,a5,8"),
     "truong": (pipeline.read_truong_csv,
                ",".join(["pair_id", "interval_start_ms", "t", *truong.ALL_FEATURES,
                          "label"]),
@@ -368,3 +371,83 @@ def test_score_column_rejects_non_finite_cells(table, cell, tmp_path):
     with pytest.raises(ParseError, match="non-finite") as info:
         read(bad)
     assert (info.value.path, info.value.line) == (str(bad), 3)
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("a5,0", "at least 1 bit"), ("a5b6,8", "take 2 hex digits"), ("a,4", "take 2 hex digits"),
+    ("a5,4", "pad bits"), ("a1,7", "pad bits"), (" a5 ,16", "take 4 hex digits"),
+    ("zz,8", "non-hexadecimal")])
+def test_fingerprint_row_needs_n_bits_in_exactly_its_hex_digits(cell, message, tmp_path):
+    read, header, good = TABLES["fingerprint"]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(f"{header}\r\n{good}\r\na,0,10,{cell}\r\n".encode())
+    with pytest.raises(ParseError, match=message) as info:
+        read(bad)
+    assert (info.value.path, info.value.line) == (str(bad), 3)
+
+
+# Every pipeline table reads back the rows it was written from. Device ids are
+# the text that `load_dataset` accepts: UTF-8 encodable, without `|`.
+DEVICE_IDS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="|"))
+PAIRS = st.lists(DEVICE_IDS, min_size=2, max_size=2, unique=True)
+FLOATS = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+TIMES = st.integers(-2 ** 40, 2 ** 40)
+LENGTHS = st.integers(0, 10 ** 6)
+LABELS = st.sampled_from(Label)
+RECORDS = st.lists(st.builds(lambda pair, *rest: EvaluationRecord(*pair, *rest),
+                             PAIRS, TIMES, LENGTHS, LABELS, FLOATS), max_size=8)
+
+
+def _round_trip(write, read, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write(path, rows)
+        return read(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=RECORDS)
+def test_score_table_round_trips(records):
+    # The table stores no label: the reader takes it from the ground truth.
+    devices = tuple({d for r in records for d in (r.device_a, r.device_b)})
+    truth = GroundTruth(groups=(Group("g", devices, ((-2 ** 50, 2 ** 50),)),))
+    records = [replace(r, label=Label.COLOCATED) for r in records]
+    assert _round_trip(pipeline.write_score_csv,
+                       lambda path: pipeline.read_score_csv(path, truth), records) == records
+
+
+@settings(max_examples=50, deadline=None)
+@given(fps=st.lists(st.builds(lambda bits, *rest: Fingerprint(np.array(bits, dtype=np.uint8),
+                                                                *rest),
+                              st.lists(st.integers(0, 1), min_size=1, max_size=600),
+                              DEVICE_IDS, TIMES), max_size=6),
+       t=LENGTHS)
+def test_fingerprint_table_round_trips(fps, t):
+    back, spans = _round_trip(lambda path, rows: pipeline.write_fingerprint_csv(path, rows, t),
+                              pipeline.read_fingerprint_csv, fps)
+    assert [(fp.device_id, fp.interval_start, fp.bits.tolist()) for fp in back] == \
+        [(fp.device_id, fp.interval_start, fp.bits.tolist()) for fp in fps]
+    assert spans == [t] * len(fps)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.builds(lambda pair, *rest: truong.TruongFeatureVector(*pair, *rest),
+                               PAIRS, TIMES, LENGTHS, *[FLOATS] * len(truong.ALL_FEATURES),
+                               LABELS), max_size=6))
+def test_truong_table_round_trips(rows):
+    assert _round_trip(pipeline.write_truong_csv, pipeline.read_truong_csv, rows) == rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.builds(lambda pair, *rest: shrestha.ShresthaFeatureVector(*pair, *rest),
+                               PAIRS, TIMES, FLOATS, FLOATS, FLOATS, LABELS,
+                               st.integers(1, 10 ** 6)), max_size=6))
+def test_shrestha_table_round_trips(rows):
+    assert _round_trip(pipeline.write_shrestha_csv, pipeline.read_shrestha_csv, rows) == rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=RECORDS)
+def test_prediction_table_round_trips(records):
+    assert _round_trip(pipeline.write_prediction_csv, pipeline.read_prediction_csv,
+                       records) == records
