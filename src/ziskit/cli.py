@@ -19,7 +19,7 @@ import numpy as np
 
 from ziskit import datagen, dsp, evaluation, pipeline, randomness
 from ziskit.core.io import load_dataset
-from ziskit.core.types import EvaluationRecord, GroundTruth
+from ziskit.core.types import EvaluationRecord, Fingerprint, GroundTruth, common_length
 from ziskit.core.windowing import filter_subscenario
 from ziskit.errors import DegenerateLabels, IncompatibleFingerprints, ParseError, ZisError
 from ziskit.ml import ensemble
@@ -231,8 +231,20 @@ def _cmd_features(args) -> int:
     return 0
 
 
+def _read_fingerprints(path: Path) -> tuple[list[Fingerprint], list[int]]:
+    """`pipeline.read_fingerprint_csv`, with every fingerprint of one length;
+    a ParseError names the first that differs."""
+    fingerprints, spans = pipeline.read_fingerprint_csv(path)
+    if fingerprints:
+        try:
+            common_length(fingerprints)
+        except IncompatibleFingerprints as exc:
+            raise ParseError(str(exc), path=str(path)) from exc
+    return fingerprints, spans
+
+
 def _cmd_fingerprint_randomness(args) -> int:
-    fingerprints, _ = pipeline.read_fingerprint_csv(args.features)
+    fingerprints, _ = _read_fingerprints(args.features)
     if not fingerprints:
         raise ZisError("no records in fingerprint file")
     walk = randomness.random_walk(fingerprints)
@@ -267,13 +279,10 @@ def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
     elif args.scheme == "karapanos":
         records = pipeline.read_score_csv(args.features, ground_truth)
     else:
-        fingerprints, spans = pipeline.read_fingerprint_csv(args.features)
+        fingerprints, spans = _read_fingerprints(args.features)
         surprisals = None
         if args.surprisal_threshold is not None and fingerprints:
-            try:
-                model = miettinen.SurprisalModel.fit(fingerprints)
-            except IncompatibleFingerprints as exc:
-                raise ParseError(str(exc), path=str(args.features)) from exc
+            model = miettinen.SurprisalModel.fit(fingerprints)
             surprisals = [miettinen.surprisal(fp, model) for fp in fingerprints]
         records = pipeline.fingerprint_records(
             fingerprints, spans, ground_truth,

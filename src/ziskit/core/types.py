@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ziskit.errors import InvariantViolation
+from ziskit.errors import IncompatibleFingerprints, InvariantViolation
 
 INT16_MIN = -32768
 INT16_MAX = 32767
@@ -305,6 +305,18 @@ class Fingerprint:
         if unpacked[n_bits:].any():
             raise InvariantViolation(f"pad bits after bit {n_bits} are not 0")
         return cls(unpacked[:n_bits], device_id, interval_start)
+
+
+def common_length(fingerprints: list[Fingerprint]) -> int:
+    """The bit count of the first fingerprint, which every other one must share;
+    IncompatibleFingerprints names the first that does not."""
+    n_bits = len(fingerprints[0])
+    for fp in fingerprints:
+        if len(fp) != n_bits:
+            raise IncompatibleFingerprints(
+                f"fingerprints must share one length: {fp.device_id!r} at "
+                f"{fp.interval_start} ms has {len(fp)} bits, the first has {n_bits}")
+    return n_bits
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from ziskit.core.windowing import process_map
 from ziskit.errors import DegenerateLabels, IncompatibleRow, ParseError
 from ziskit.evaluation import auc
 from ziskit.ml.folds import stratified_folds
-from ziskit.ml.tree import Tree, TreeParams
+from ziskit.ml.tree import Tree, TreeParams, grow_trees
 
 DEFAULT_SEED = 1619
 DEFAULT_EARLY_STOP_ROUNDS = 5
@@ -226,7 +226,7 @@ def fit_model(data: MLDataset, params: ModelParams, seed: int = DEFAULT_SEED,
     if params.kind == "forest":
         g = data.weights * data.y.astype(np.float64)
         h = data.weights.copy()
-        trees = [Tree.fit(data.X, g, h, tparams, child) for child in rng.spawn(params.n_trees)]
+        trees = grow_trees(data.X, g, h, tparams, rng.spawn(params.n_trees))
         return TrainedModel(params=params, trees=trees, n_features=d, prior=prior,
                             base_score=0.0, seed=seed,
                             feature_importances=_normalized_gains(trees, d),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ziskit.core.types import Fingerprint
-from ziskit.errors import IncompatibleFingerprints, InvalidSplit
+from ziskit.core.types import Fingerprint, common_length
+from ziskit.errors import InvalidSplit
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,7 @@ class MarkovReport:
 def _bit_matrix(fingerprints: list[Fingerprint]) -> np.ndarray:
     if not fingerprints:
         raise ValueError("need at least one fingerprint")
-    n_bits = len(fingerprints[0])
-    for fp in fingerprints:
-        if len(fp) != n_bits:
-            raise IncompatibleFingerprints("fingerprints of mixed lengths")
+    common_length(fingerprints)
     return np.stack([fp.bits for fp in fingerprints]).astype(np.int64)
 
 

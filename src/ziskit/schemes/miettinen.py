@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ziskit.core.types import AudioSnippet, Fingerprint, SensorKind, SensorSeries
-from ziskit.errors import (
-    IncompatibleFingerprints,
-    InsufficientSamples,
-    InvariantViolation,
-    ModelGap,
+from ziskit.core.types import (
+    AudioSnippet,
+    Fingerprint,
+    SensorKind,
+    SensorSeries,
+    common_length,
 )
+from ziskit.errors import InsufficientSamples, InvariantViolation, ModelGap
 
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
@@ -141,13 +142,9 @@ class SurprisalModel:
         """Estimate per-position probabilities with add-one smoothing."""
         if not fingerprints:
             raise ValueError("cannot fit a surprisal model on an empty corpus")
-        n_bits = len(fingerprints[0])
+        n_bits = common_length(fingerprints)
         groups: dict[tuple[str, int], list[np.ndarray]] = {}
         for fp in fingerprints:
-            if len(fp) != n_bits:
-                raise IncompatibleFingerprints(
-                    f"fingerprints must share one length: {fp.device_id!r} at "
-                    f"{fp.interval_start} ms has {len(fp)} bits, the first has {n_bits}")
             key = (day_partition(fp.interval_start), hour_of_day(fp.interval_start))
             groups.setdefault(key, []).append(fp.bits)
         table = {

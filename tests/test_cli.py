@@ -405,19 +405,43 @@ def test_evaluate_rejects_subscenario_full_or_twice(names, scenario_dir, valid_f
     assert not out.exists()
 
 
-def test_surprisal_gate_on_mixed_bit_counts_exits_2(valid_files, scenario_dir, tmp_path,
-                                                   capsys):
-    """A surprisal model covers one fingerprint length."""
+def _mixed_bit_counts(valid_files: Path, tmp_path: Path) -> tuple[Path, str]:
+    """A copy of the 496-bit fingerprint file whose second row holds 3 bits,
+    and how an error names that fingerprint."""
     lines = (valid_files / "fingerprint.csv").read_bytes().split(b"\r\n")
     device, start, t, _, _ = lines[2].split(b",")
     lines[2] = b",".join([device, start, t, b"a0", b"3"])
     mixed = tmp_path / "mixed.csv"
     mixed.write_bytes(b"\r\n".join(lines))
+    return mixed, f"{device.decode()!r} at {start.decode()} ms has 3 bits"
+
+
+def test_surprisal_gate_on_mixed_bit_counts_exits_2(valid_files, scenario_dir, tmp_path,
+                                                   capsys):
+    """A surprisal model covers one fingerprint length."""
+    mixed, _ = _mixed_bit_counts(valid_files, tmp_path)
     argv = _reader_argv("fingerprint", mixed, valid_files, scenario_dir, tmp_path / "out")
     assert main([*argv, "--surprisal-threshold", "10"]) == 2
     err = capsys.readouterr().err
     assert f"({mixed})" in err and "has 3 bits, the first has 496" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fingerprint-randomness"])
+def test_mixed_bit_counts_name_the_file_and_fingerprint(command, valid_files, scenario_dir,
+                                                        tmp_path, capsys):
+    """Fingerprints of one file are compared or counted bit by bit, so they
+    share one length; the error names the file and the first that differs."""
+    mixed, odd = _mixed_bit_counts(valid_files, tmp_path)
+    out = tmp_path / "out"
+    argv = (_reader_argv("fingerprint", mixed, valid_files, scenario_dir, out)
+            if command == "evaluate" else
+            [command, "--features", str(mixed), "--out", str(out / "randomness.json")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{odd}, the first has 496 ({mixed})" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _bad_wav(fault: str, audio: np.ndarray) -> bytes:

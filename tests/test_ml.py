@@ -1,11 +1,13 @@
 import concurrent.futures
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import fit_tree_per_node
 from ziskit.core import windowing
 from ziskit.errors import DegenerateLabels, IncompatibleRow, InfeasibleStratification
 from ziskit.evaluation import auc
@@ -20,7 +22,7 @@ from ziskit.ml.ensemble import (
     train,
 )
 from ziskit.ml.folds import stratified_folds
-from ziskit.ml.tree import _MIN_GAIN, _MIN_HESSIAN, Tree, TreeParams, _best_splits
+from ziskit.ml.tree import _MIN_GAIN, _MIN_HESSIAN, Tree, TreeParams, _best_splits, grow_trees
 
 
 def auc_pair_oracle(scores, labels, weights=None):
@@ -496,10 +498,14 @@ def _best_split_on_feature(col: np.ndarray, g: np.ndarray, h: np.ndarray
     return float(gain[best]), float(threshold), bool(to_left[best])
 
 
-def per_feature_splits(block, g, h):
-    """The per-feature search on every column, returned as `_best_splits` returns it."""
-    found = [_best_split_on_feature(block[:, j], g, h) or (-np.inf, 0.0, True)
-             for j in range(block.shape[1])]
+def per_feature_splits(block, g, h, n_rows=None):
+    """The per-feature search on each column alone, over its node's real rows,
+    returned as `_best_splits` returns it."""
+    m, c = block.shape
+    n_rows = np.full(c, m) if n_rows is None else n_rows
+    g, h = (np.broadcast_to(a.reshape(m, -1), block.shape) for a in (g, h))
+    found = [_best_split_on_feature(block[:n, j], g[:n, j], h[:n, j]) or (-np.inf, 0.0, True)
+             for j, n in enumerate(n_rows.tolist())]
     gain, threshold, missing_left = (np.array(a) for a in zip(*found))
     return gain, threshold, missing_left.astype(bool)
 
@@ -609,6 +615,41 @@ class TestSplitSearch:
         h = data.draw(st.lists(st.floats(0, 4), min_size=n, max_size=n))
         self.check(np.reshape(block, (n, c)), g, h)
 
+    @pytest.mark.parametrize("nan_frac", [0.0, 0.3])
+    def test_padded_block_scores_each_node_as_its_own_block(self, rng, nan_frac):
+        # Nodes of 0, 1, 2 and 90 real rows (and some between), each with its
+        # own rows and candidate columns, side by side in one block padded
+        # below each node's rows with NaN and g = h = 0.
+        values = rng.integers(0, 6, size=(90, 4))
+        X = with_nan(rng, values, nan_frac)
+        w = rng.integers(1, 5, size=90).astype(float)
+        y = (values[:, 0] + values[:, 1] + rng.integers(0, 4, size=90) > 6).astype(float)
+        p = rng.uniform(0.05, 0.95, size=90)
+        found = 0
+        for _ in range(20):
+            nodes = [(np.sort(rng.choice(90, size=n, replace=False)),
+                      np.sort(rng.choice(4, size=int(rng.integers(1, 5)), replace=False)))
+                     for n in (0, 1, 2, 90, *rng.integers(3, 90, size=4))]
+            for g, h in ((w * y, w), (w * (y - p), w * p * (1 - p))):
+                block, g_block, h_block, n_rows, alone = [], [], [], [], []
+                for rows, candidates in nodes:
+                    pad = 90 - rows.size
+                    for f in candidates:
+                        block.append(np.append(X[rows, f], np.full(pad, np.nan)))
+                        g_block.append(np.append(g[rows], np.zeros(pad)))
+                        h_block.append(np.append(h[rows], np.zeros(pad)))
+                        n_rows.append(rows.size)
+                    alone.append(_best_splits(X[rows][:, candidates], g[rows], h[rows]))
+                got = _best_splits(np.column_stack(block), np.column_stack(g_block),
+                                   np.column_stack(h_block), np.array(n_rows))
+                expected = [np.concatenate(parts) for parts in zip(*alone)]
+                np.testing.assert_array_equal(got[0], expected[0])
+                split = np.isfinite(expected[0])
+                for a, b in zip(got[1:], expected[1:]):
+                    assert a[split].tolist() == b[split].tolist()
+                found += split.sum()
+        assert found > 200
+
     @pytest.mark.parametrize("params", [ModelParams("forest", 8, 6),
                                         ModelParams("boosting", 8, 4, 0.3)])
     def test_fit_with_mixed_columns_matches_per_feature_search(self, params, monkeypatch):
@@ -625,22 +666,100 @@ class TestSplitSearch:
 
     @pytest.mark.parametrize("max_depth", [0, 1, 3, 8])
     def test_one_search_per_node_above_max_depth(self, max_depth, monkeypatch):
-        calls = []
+        # Searches are batched, so count the nodes a search scores: the rows
+        # and the candidate columns of each. A forest tree (mtry 2) grows
+        # node by node, a tree that tries every column level by level.
+        scored = []
 
-        def counting(block, g, h):
-            calls.append(block.shape)
-            return _best_splits(block, g, h)
+        def counting(Xp, gp, hp, rows, candidates):
+            scored.extend((tuple(r.tolist()), c.size) for r, c in zip(rows, candidates))
+            return node_splits(Xp, gp, hp, rows, candidates)
 
-        monkeypatch.setattr(tree_module, "_best_splits", counting)
+        node_splits = tree_module._node_splits
+        monkeypatch.setattr(tree_module, "_node_splits", counting)
         data = tie_weighted_dataset()
         y = data.y.astype(float)
-        tree = Tree.fit(data.X, y * data.weights, data.weights, TreeParams(max_depth, 2),
-                        np.random.default_rng(1))
-        depth = np.zeros(tree.feature.size, dtype=int)
-        for node in np.flatnonzero(tree.feature >= 0):
-            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
-        assert len(calls) == np.count_nonzero(depth < max_depth)
-        assert all(shape[1] == 2 for shape in calls)
+        for mtry in (2, None):
+            scored.clear()
+            tree = Tree.fit(data.X, y * data.weights, data.weights,
+                            TreeParams(max_depth, mtry), np.random.default_rng(1))
+            # Each node's training rows and depth; preorder puts parents first.
+            depth = np.zeros(tree.feature.size, dtype=int)
+            reach = {tree.root: np.arange(data.X.shape[0])}
+            for node in np.flatnonzero(tree.feature >= 0):
+                rows = reach[node]
+                col = data.X[rows, tree.feature[node]]
+                go_left = np.where(np.isnan(col), tree.missing_left[node],
+                                   col < tree.threshold[node])
+                reach[tree.left[node]], reach[tree.right[node]] = rows[go_left], rows[~go_left]
+                depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+            width = 4 if mtry is None else mtry
+            expected = [(tuple(reach[node].tolist()), width)
+                        for node in np.flatnonzero(depth < max_depth)]
+            assert sorted(scored) == sorted(expected)
+
+
+class TestGrowTrees:
+    """`grow_trees` grows every tree as the per-node depth-first reference
+    does: the same draws, splits, node numbers and gain sums."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_node_reference(self, data):
+        n = data.draw(st.integers(1, 90))
+        d = data.draw(st.integers(1, 4))
+        # No NaN, about one cell in seven, or one in three.
+        nan_share = data.draw(st.sampled_from([0, 1, 3]))
+        values = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.5] + [np.nan] * nan_share
+        X = np.reshape(data.draw(st.lists(st.sampled_from(values), min_size=n * d,
+                                          max_size=n * d)), (n, d))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), float)
+        w = np.array(data.draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n)))
+        if data.draw(st.booleans()):   # boosting: logistic-loss gradients
+            p = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+            g, h, mtry = w * (y - p), np.maximum(w * p * (1 - p), 1e-12), None
+        else:
+            g, h, mtry = w * y, w, data.draw(st.integers(1, d))
+        params = TreeParams(data.draw(st.integers(0, 8)), mtry)
+        seed, k = data.draw(st.integers(0, 2 ** 32 - 1)), data.draw(st.integers(1, 5))
+        grown = grow_trees(X, g, h, params, np.random.default_rng(seed).spawn(k))
+        assert len(grown) == k
+        for tree, rng in zip(grown, np.random.default_rng(seed).spawn(k)):
+            expected = fit_tree_per_node(X, g, h, params, rng)
+            assert json.dumps(tree.to_dict()) == json.dumps(expected.to_dict())
+            assert tree.feature_gains.tobytes() == expected.feature_gains.tobytes()
+
+
+class TestModelJson:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_identity(self, data):
+        n = data.draw(st.integers(8, 40))
+        d = data.draw(st.integers(1, 3))
+        cells = st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.0, np.nan])
+        X = np.reshape(data.draw(st.lists(cells, min_size=n * d, max_size=n * d)), (n, d))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[:2] = (0, 1)
+        w = data.draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+        names = data.draw(st.none() | st.lists(st.text(max_size=4), min_size=d, max_size=d))
+        dataset = MLDataset(X, y, w, tuple(names) if names else None)
+        kind = data.draw(st.sampled_from(["forest", "boosting"]))
+        params = ModelParams(kind, data.draw(st.integers(1, 8)), data.draw(st.integers(0, 8)),
+                             data.draw(st.floats(0.01, 1.0)))
+        valid = None
+        if kind == "boosting" and data.draw(st.booleans()):   # early stopping
+            valid = dataset.subset(np.arange(n - 6, n))
+            dataset = dataset.subset(np.arange(n - 6))
+            dataset.require_both_classes()
+        model = fit_model(dataset, params, seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+                          valid=valid, early_stop_rounds=data.draw(st.integers(1, 3)))
+        if data.draw(st.booleans()):
+            model.cv_auc = data.draw(st.floats(0.0, 1.0))
+        text = model.to_json()
+        restored = TrainedModel.from_json(text)
+        assert restored.to_json() == text
+        probe = np.vstack([X, np.full((1, d), np.nan)])
+        np.testing.assert_array_equal(restored.predict(probe), model.predict(probe))
 
 
 class TestProcessParallelFolds:
