@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ziskit import dsp
 from ziskit.core import io as zio
 from ziskit.core.types import (
     AudioSnippet,
@@ -83,12 +84,10 @@ class ScenarioConfig:
 def _group_event_signal(rng: np.random.Generator, profile: AmbientProfile,
                         n_samples: int) -> np.ndarray:
     """Shared ambient audio of one group: enveloped band noise plus bursts."""
-    from scipy.signal import butter, sosfilt
-
     # Its own order-2 float32 filter, not dsp.bandpass: the scenario bytes depend on it.
     lo, hi = profile.event_band_hz
-    sos = butter(2, [lo, hi], btype="bandpass", fs=RATE_HZ, output="sos")
-    carrier = sosfilt(sos, rng.standard_normal(n_samples).astype(np.float32))
+    sos = dsp.butter_bandpass_sos(2, lo, hi, RATE_HZ)
+    carrier = dsp.sosfilt(sos, rng.standard_normal(n_samples).astype(np.float32))
     carrier /= max(float(carrier.std()), 1e-12)
 
     # Slow level wander: mean-reverting walk in log-amplitude, 5 s blocks.

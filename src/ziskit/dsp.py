@@ -7,17 +7,25 @@ unstable for narrow bands at 16 kHz. Every cross-correlation runs through
 one FFT core (padded_spectrum, xcorr_spectra, lag_peak); the direct sum of
 xcorr_lags(method="direct") is its reference to 1e-6 relative.
 
-scipy is imported inside the functions that call it, here and in the other
-modules the CLI imports, so commands that never filter or transform audio
-do not pay for loading it: scipy.signal for the band filters (here and in
-datagen) and scipy.fft for the FFTs. WAV files are read and written without
-scipy (`core.io`).
+The band filters need no scipy.signal package, whose import also loads
+scipy.stats, scipy.interpolate and scipy.optimize. `butter_bandpass_sos` is a numpy port of scipy's Butterworth band-pass design
+with equal coefficients bit for bit, and `sosfilt` runs scipy's compiled
+cascade, loaded alone from its file (`_sosfilt_kernel`), with equal output
+bit for bit. scipy is loaded inside the functions that use it, here and in
+the other modules the CLI imports, so commands that never filter or transform
+audio do not pay for it: the `_sosfilt` kernel for the band filters (here and
+in datagen) and scipy.fft for the FFTs. WAV files are read and written
+without scipy (`core.io`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -96,22 +104,127 @@ def fast_len(n: int) -> int:
     return best
 
 
+# Relative tolerance of scipy's `_cplxreal` for equal real parts of poles.
+_PAIR_TOL = 100 * np.finfo(np.float64).eps
+
+
+def butter_bandpass_sos(order: int, f_low: float, f_high: float, rate_hz: float) -> np.ndarray:
+    """Butterworth band-pass from a low-pass prototype of even `order`, as
+    `order` second-order sections (order x 6).
+
+    Equal bit for bit to scipy.signal.butter(order, [f_low, f_high],
+    btype="bandpass", fs=rate_hz, output="sos") of scipy 1.17: it runs scipy's
+    operations in scipy's order (buttap, lp2bp_zpk, bilinear_zpk, then
+    zpk2sos with "nearest" pairing). An even order makes every pole complex and
+    leaves the zeros at exactly +1 and -1, `order` of each, so none of scipy's
+    branches for real poles is needed; an odd order raises ValueError. Raises
+    InvalidBand unless 0 < f_low < f_high < 1 once the edges are divided by the
+    Nyquist frequency, where scipy raises ValueError.
+    """
+    if order < 2 or order % 2:
+        raise ValueError(f"Butterworth order must be even and positive, got {order}")
+    wn = np.asarray([f_low, f_high], dtype=np.float64) / (float(rate_hz) / 2)
+    if not 0 < wn[0] < wn[1] < 1:
+        raise InvalidBand(f"band [{f_low}, {f_high}] outside (0, {rate_hz / 2}) or empty")
+    # Analog prototype poles, edges pre-warped at fs = 2, low-pass to band-pass.
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    fs = 2.0
+    warped = 2 * fs * np.tan(np.pi * wn / fs)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    p = p * bw / 2
+    p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
+    # Bilinear transform; the `order` analog zeros sit at the origin.
+    fs2 = 2.0 * fs
+    k = bw**order * np.real(np.prod(fs2 - np.zeros(order, dtype=complex)) / np.prod(fs2 - p))
+    p = _upper_poles((fs2 + p) / (fs2 - p))
+    z = np.repeat([-1.0, 1.0], order)
+    # Pair the pole nearest the unit circle with its two nearest zeros, last
+    # section first.
+    sos = np.zeros((order, 6))
+    for section in range(order - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        pole = p[i]
+        p = np.delete(p, i)
+        zeros = []
+        for _ in range(2):
+            j = np.argsort(np.abs(z - pole))[0]
+            zeros.append(z[j])
+            z = np.delete(z, j)
+        sos[section, :3] = np.poly(zeros)
+        sos[section, 3:] = np.poly([pole, pole.conj()])
+    sos[0, :3] *= k
+    return sos
+
+
+def _upper_poles(p: np.ndarray) -> np.ndarray:
+    """scipy's `_cplxreal` of conjugate pairs only: one pole of each pair, with
+    positive imaginary part, sorted by real part and then by |imaginary part|."""
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    upper, lower = p[p.imag > 0], p[p.imag < 0]
+    # Runs of equal real parts (within _PAIR_TOL) are sorted by |imaginary part|.
+    same_real = np.diff(upper.real) <= _PAIR_TOL * abs(upper[:-1])
+    diffs = np.diff(np.concatenate(([0], same_real, [0])))
+    for start, stop in zip(np.nonzero(diffs > 0)[0], np.nonzero(diffs < 0)[0] + 1):
+        for run in (upper[start:stop], lower[start:stop]):
+            run[...] = run[np.lexsort([abs(run.imag)])]
+    return (upper + lower.conj()) / 2
+
+
+@cache
+def _sosfilt_kernel():
+    """scipy's compiled `_sosfilt(sos, x, zi)`, loaded from its file so that the
+    scipy.signal package `__init__` never runs.
+
+    The module registers itself as scipy.signal._sosfilt, which a later
+    `import scipy.signal` then reuses, and an earlier one has already loaded.
+    """
+    name = "scipy.signal._sosfilt"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        paths = [] if scipy_spec is None else [
+            path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+            if (path := Path(scipy_spec.origin).parent / "signal" / f"_sosfilt{suffix}").is_file()]
+        if not paths:
+            raise ImportError(f"scipy's compiled {name} kernel is not installed", name=name)
+        loader = importlib.machinery.ExtensionFileLoader(name, str(paths[0]))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, paths[0], loader=loader))
+        loader.exec_module(module)
+    return module._sosfilt
+
+
+def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero-state cascade of the second-order sections `sos` along the last axis.
+
+    Equal bit for bit to scipy.signal.sosfilt(sos, x): the same compiled loop,
+    on a C-ordered copy of `x` as (rows, N) in the dtype of `sos` and `x`.
+    """
+    kernel = _sosfilt_kernel()
+    x = np.asarray(x)
+    dtype = np.result_type(sos, x)
+    out = np.array(x.reshape(-1, x.shape[-1]), dtype, order="C")
+    kernel(sos.astype(dtype, copy=False), out, np.zeros((out.shape[0], len(sos), 2), dtype))
+    return out.reshape(x.shape)
+
+
 @lru_cache(maxsize=256)
 def _bandpass_sos(f_low: float, f_high: float, rate_hz: int) -> np.ndarray:
-    from scipy.signal import butter
-
-    return butter(FILTER_ORDER // 2, [f_low, f_high], btype="bandpass", fs=rate_hz,
-                  output="sos")
+    return butter_bandpass_sos(FILTER_ORDER // 2, f_low, f_high, rate_hz)
 
 
 def design_bandpass(edges: Iterable[tuple[float, float]], rate_hz: int) -> None:
-    """Design, and cache for `bandpass`, the filters of the (f_low, f_high) `edges`.
+    """Design, and cache for `bandpass`, the filters of the (f_low, f_high) `edges`,
+    and load the `sosfilt` kernel.
 
     Pipelines call it, and `import_fft`, before `pmap` starts its worker
-    threads, so that scipy.signal and scipy.fft load in the calling thread:
-    a first import inside a worker thread raised the peak RSS of `features
+    threads, so that the kernel and scipy.fft load in the calling thread: a
+    first import inside a worker thread raised the peak RSS of `features
     karapanos` on a 16-device scenario from 296 MB to 300-315 MB.
     """
+    _sosfilt_kernel()
     for f_low, f_high in edges:
         _bandpass_sos(float(f_low), float(f_high), int(rate_hz))
 
@@ -129,10 +242,7 @@ def bandpass(x: np.ndarray, f_low: float, f_high: float, *, rate_hz: int) -> np.
     data = np.asarray(x, dtype=np.float64)
     if not 0 < f_low < f_high < rate_hz / 2:
         raise InvalidBand(f"band [{f_low}, {f_high}] outside (0, {rate_hz / 2})")
-    from scipy.signal import sosfilt
-
-    sos = _bandpass_sos(float(f_low), float(f_high), int(rate_hz))
-    return sosfilt(sos, data, axis=-1)
+    return sosfilt(_bandpass_sos(float(f_low), float(f_high), int(rate_hz)), data)
 
 
 def bandpass_bank(data: np.ndarray, bands: tuple[OctaveBandSpec, ...],
@@ -163,13 +273,19 @@ def padded_spectrum(x: np.ndarray, maxlag: int) -> tuple[np.ndarray, int]:
     return rfft(x, pad, axis=-1), pad
 
 
-def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int) -> np.ndarray:
-    """c[l] = sum_i x[i]*y[i-l] (lag -l at c[-l]) from padded spectra, last axis."""
+def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """c[l] = sum_i x[i]*y[i-l] (lag -l at c[-l]) from padded spectra, last axis.
+
+    `out`, an array of the spectra's shape and dtype, holds the spectral
+    product and is overwritten; without it the product is a new array.
+    """
     from scipy.fft import irfft
 
     # numpy evaluates `fx * conj(fy)` as `conj(fy) * fx` only for arrays of 256 KiB
     # and more, and with FMA the two orders differ in the last bit: fix the order.
-    return irfft(np.multiply(np.conj(fy), fx), pad_len, axis=-1)
+    product = np.multiply(np.conjugate(fy, out=out), fx, out=out)
+    return irfft(product, pad_len, axis=-1, overwrite_x=True)
 
 
 def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:

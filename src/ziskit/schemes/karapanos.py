@@ -148,13 +148,15 @@ def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
     the rows of `samples` (devices x N), pairs given as row indices.
 
     Each band is filtered, transformed and correlated before the next. The
-    spectra go row by row into one buffer, and each pair gets its own irfft:
-    stacked transforms would allocate several (devices x M) temporaries.
+    spectra go row by row into one buffer, and each pair gets its own irfft
+    of a product formed in one reused buffer: stacked transforms would
+    allocate several (devices x M) temporaries.
     """
     n_rows, length = samples.shape
     maxlag = int(round(cfg.maxlag_s * rate_hz))
     pad = dsp.fast_len(length + maxlag)
     spectra = np.empty((n_rows, pad // 2 + 1), dtype=complex)
+    product = np.empty(pad // 2 + 1, dtype=complex)
     peaks = np.empty((len(pairs), len(dsp.THIRD_OCTAVE_BANDS)))
     norms = np.empty((n_rows, len(dsp.THIRD_OCTAVE_BANDS)))
     for j, band in enumerate(dsp.THIRD_OCTAVE_BANDS):
@@ -163,7 +165,7 @@ def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
         for i, row in enumerate(banded):
             spectra[i] = dsp.padded_spectrum(row, maxlag)[0]
         for k, (a, b) in enumerate(pairs):
-            c = dsp.xcorr_spectra(spectra[a], spectra[b], pad)
+            c = dsp.xcorr_spectra(spectra[a], spectra[b], pad, out=product)
             peaks[k, j] = dsp.lag_peak(c, maxlag, two_sided=True)
     return peaks, norms
 

@@ -1,6 +1,8 @@
 import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import series_of, wav_bytes
-from ziskit.core.io import load_dataset, read_sensor_csv, read_wav, write_sensor_csv, write_wav
+from ziskit.core.io import (
+    load_dataset,
+    read_beacons_jsonl,
+    read_ground_truth,
+    read_sensor_csv,
+    read_wav,
+    write_beacons_jsonl,
+    write_ground_truth,
+    write_sensor_csv,
+    write_wav,
+)
 from ziskit.core.types import (
     AudioSnippet,
     BeaconScan,
@@ -302,8 +314,6 @@ def test_fingerprint_hex_round_trip(rng):
 
 
 def test_ground_truth_json_round_trip(tmp_path):
-    from ziskit.core.io import read_ground_truth, write_ground_truth
-
     gt = GroundTruth(
         groups=(Group("g0", ("a", "b"), ((0, 50), (60, 100))),),
         subscenarios=(Subscenario("s", ((0, 30),)),))
@@ -312,3 +322,61 @@ def test_ground_truth_json_round_trip(tmp_path):
     back = read_ground_truth(path)
     assert back == gt
     json.loads(path.read_text())  # stays valid JSON
+
+
+def _rewrite(write, read, value) -> tuple[bytes, bytes, object]:
+    """Bytes of `value` written, of what reading them back writes, and that value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        write(first, value)
+        back = read(first)
+        write(second, back)
+        return first.read_bytes(), second.read_bytes(), back
+
+
+TIMES_MS = st.integers(-2 ** 40, 2 ** 40)
+RANGES = st.lists(st.tuples(TIMES_MS, st.integers(1, 2 ** 30)).map(lambda r: (r[0], r[0] + r[1])),
+                  min_size=1, max_size=4)
+
+
+@st.composite
+def ground_truths(draw) -> GroundTruth:
+    # Groups share no member, so no device is in two groups at once; the
+    # subscenario ranges of one name only touch, never overlap.
+    devices = draw(st.lists(st.text(max_size=6), max_size=8, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(0, len(devices)), max_size=3)) | {0, len(devices)})
+    groups = tuple(Group(draw(st.text(max_size=6)), tuple(devices[a:b]), tuple(draw(RANGES)))
+                   for a, b in zip(cuts, cuts[1:]))
+    names = draw(st.lists(st.text(max_size=6).filter(lambda n: n != "full"),
+                          max_size=3, unique=True))
+    subs = []
+    for name in names:
+        edges = sorted(draw(st.sets(TIMES_MS, min_size=2, max_size=7)))
+        step = draw(st.sampled_from([1, 2]))
+        subs.append(Subscenario(name, tuple(zip(edges[:-1:step], edges[1::step]))))
+    return GroundTruth(groups=groups, subscenarios=tuple(subs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gt=ground_truths())
+def test_ground_truth_json_rewrites_identically(gt):
+    first, second, back = _rewrite(write_ground_truth, read_ground_truth, gt)
+    assert second == first
+    assert back == gt
+
+
+SCANS = st.lists(st.builds(
+    BeaconScan, kind=st.sampled_from(["wifi", "ble"]), time=TIMES_MS,
+    observations=st.dictionaries(st.text(max_size=8), st.floats(allow_nan=False,
+                                                                 allow_infinity=False),
+                                 max_size=5),
+    device_id=st.just("d")), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scans=SCANS)
+def test_beacon_jsonl_rewrites_identically(scans):
+    first, second, back = _rewrite(write_beacons_jsonl,
+                                   lambda path: read_beacons_jsonl(path, "d"), scans)
+    assert second == first
+    assert back == scans

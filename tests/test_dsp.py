@@ -1,14 +1,22 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import sosfreqz
 
 from conftest import noise_snippet
 from reference import apply_alignment
-from ziskit import dsp
+from ziskit import datagen, dsp
 from ziskit.core.types import AudioSnippet
 from ziskit.errors import InsufficientProbe, InvalidBand, InvariantViolation, UndefinedCorrelation
+from ziskit.schemes import karapanos, schurmann
 
 RATE = 16000
 
@@ -83,6 +91,105 @@ class TestBandpass:
     def test_band_energy_non_negative(self, rng):
         out = dsp.bandpass(rng.normal(size=2000), 250, 500, rate_hz=RATE)
         assert float(out @ out) >= 0.0
+
+
+# Common audio rates; each scheme's bands are designed at those its fits_rate accepts.
+RATES = (8000, 11025, 16000, 22050, 32000, 44100, 48000, 96000)
+
+
+def scipy_butter(order, f_low, f_high, rate_hz):
+    return scipy.signal.butter(order, [f_low, f_high], btype="bandpass", fs=rate_hz,
+                               output="sos")
+
+
+class TestButterBandpassSos:
+    """The numpy port equals scipy.signal.butter bit for bit."""
+
+    def test_every_band_the_program_designs(self):
+        designs = [(2, *datagen.AmbientProfile().event_band_hz, datagen.RATE_HZ)]
+        for rate in RATES:
+            if karapanos.fits_rate(rate):
+                designs += [(dsp.FILTER_ORDER // 2, b.f_low, b.f_high, rate)
+                            for b in dsp.THIRD_OCTAVE_BANDS]
+            if schurmann.fits_rate(rate):
+                designs += [(dsp.FILTER_ORDER // 2, lo, hi, rate)
+                            for lo, hi in schurmann.band_edges(rate)]
+        # Karapanos's bands fit from 11025 Hz on, Schurmann's from 16000 Hz on.
+        assert len(designs) == 1 + 7 * 20 + 6 * 32
+        for design in designs:
+            assert np.array_equal(dsp.butter_bandpass_sos(*design), scipy_butter(*design)), design
+
+    @given(order=st.sampled_from([2, 10]), rate=st.integers(8000, 96000), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_on_drawn_bands(self, order, rate, data):
+        # Edges that meet once divided by the Nyquist frequency raise in both.
+        top = rate / 2 - 1
+        f_low = data.draw(st.floats(1.0, top, exclude_max=True), label="f_low")
+        f_high = data.draw(st.floats(f_low, top, exclude_min=True), label="f_high")
+        try:
+            expected = scipy_butter(order, f_low, f_high, rate)
+        except ValueError:
+            with pytest.raises(InvalidBand):
+                dsp.butter_bandpass_sos(order, f_low, f_high, rate)
+            return
+        sos = dsp.butter_bandpass_sos(order, f_low, f_high, rate)
+        assert sos.shape == (order, 6)
+        assert np.array_equal(sos, expected)
+
+    @pytest.mark.parametrize("order", [1, 3, 9, 0])
+    def test_odd_or_zero_order_raises(self, order):
+        with pytest.raises(ValueError, match="even"):
+            dsp.butter_bandpass_sos(order, 300.0, 3500.0, RATE)
+
+    def test_band_outside_nyquist_raises(self):
+        with pytest.raises(InvalidBand):
+            dsp.butter_bandpass_sos(2, 300.0, 8000.0, RATE)
+
+
+class TestSosfilt:
+    """`dsp.sosfilt` runs scipy's compiled loop: equal to scipy.signal.sosfilt."""
+
+    @pytest.mark.parametrize("shape", [(3001,), (4, 1500), (2, 3, 700)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_scipy(self, shape, dtype, rng):
+        # This module imports scipy.signal first, which loads the kernel.
+        sos = dsp.butter_bandpass_sos(dsp.FILTER_ORDER // 2, 400.0, 800.0, RATE)
+        x = rng.normal(scale=1000.0, size=shape).astype(dtype)
+        out = dsp.sosfilt(sos, x)
+        ref = scipy.signal.sosfilt(sos, x)
+        assert out.dtype == ref.dtype == np.float64 and out.shape == shape
+        assert np.array_equal(out, ref)
+        # Input in Fortran order is filtered as its C-ordered copy.
+        assert np.array_equal(dsp.sosfilt(sos, np.asfortranarray(x)), ref)
+
+    def test_kernel_loads_alone_then_scipy_signal_reuses_it(self, tmp_path):
+        # A fresh process loads the kernel before any scipy.signal import: no
+        # other scipy.signal module loads, and scipy.signal.sosfilt, imported
+        # after it, gives the same bits.
+        probe = """
+import json, sys
+import numpy as np
+from ziskit import dsp
+sos = dsp.butter_bandpass_sos(10, 1781.797, 2244.924, 16000)
+xs = [np.random.default_rng(3).normal(size=s) for s in [(2000,), (3, 900), (2, 2, 500)]]
+xs.append(xs[1].astype(np.float32))
+outs = [dsp.sosfilt(sos, x) for x in xs]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+import scipy.signal
+print(json.dumps([loaded, all(np.array_equal(o, scipy.signal.sosfilt(sos, x))
+                              for o, x in zip(outs, xs))]))
+"""
+        src = str(Path(dsp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded, equal = json.loads(proc.stdout.splitlines()[-1])
+        assert [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats",
+                                                   "scipy.interpolate", "scipy.optimize"))] \
+            == ["scipy.signal._sosfilt"]
+        assert equal
 
 
 class TestMaxXcorrNorm:
