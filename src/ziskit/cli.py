@@ -18,7 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ziskit import datagen, dsp, evaluation, pipeline, randomness
-from ziskit.core.io import load_dataset
+from ziskit.core.io import load_dataset, load_ground_truth
 from ziskit.core.types import EvaluationRecord, Fingerprint, GroundTruth, common_length
 from ziskit.core.windowing import filter_subscenario
 from ziskit.errors import DegenerateLabels, IncompatibleFingerprints, ParseError, ZisError
@@ -269,7 +269,7 @@ def _cmd_fingerprint_randomness(args) -> int:
 def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
     """The scheme's records, and the ground truth that labels feature files. The
     surprisal gate's model is fit on the fingerprint file's own fingerprints."""
-    ground_truth = load_dataset(args.dataset).ground_truth if args.dataset else None
+    ground_truth = load_ground_truth(args.dataset) if args.dataset else None
     if args.scheme in ML_SCHEMES or args.scheme not in SCHEMES:  # a prediction CSV
         if not args.scores:
             raise _UsageError(f"--scores is required for scheme {args.scheme}")

@@ -113,7 +113,7 @@ def write_sensor_csv(path: Path, series: SensorSeries) -> None:
             fh.write(f"{int(t)},{float(v)!r}\n")
 
 
-def read_beacons_jsonl(path: Path, device_id: str) -> list[BeaconScan]:
+def read_beacons_jsonl(path: Path) -> list[BeaconScan]:
     _require(path)
     scans = []
     with open(path, "rb") as fh:
@@ -126,8 +126,7 @@ def read_beacons_jsonl(path: Path, device_id: str) -> list[BeaconScan]:
                 obs = {o["id"]: float(o["rssi"]) for o in rec["obs"]}
                 if len(obs) != len(rec["obs"]):
                     raise InvariantViolation("duplicate beacon identifiers in one scan")
-                scans.append(BeaconScan(kind=rec["kind"], time=int(rec["t"]),
-                                        observations=obs, device_id=device_id))
+                scans.append(BeaconScan(kind=rec["kind"], time=int(rec["t"]), observations=obs))
             except (KeyError, ValueError, TypeError) as exc:  # UnicodeDecodeError too
                 raise ParseError(f"bad scan record: {exc}", path=str(path), line=lineno) from exc
     return scans
@@ -195,14 +194,7 @@ def load_dataset(root_path: str | Path) -> Dataset:
     a malformed one raises ParseError naming it.
     """
     root = Path(root_path)
-    manifest_path = _require(root / MANIFEST_NAME)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        devices = [_device_files(root, dev) for dev in manifest.get("devices", [])]
-        gt_path = root / manifest["ground_truth"] if "ground_truth" in manifest else None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON or bytes too
-        raise ParseError(f"bad manifest: {exc!r}", path=str(manifest_path)) from exc
-
+    devices, gt_path = _read_manifest(root)
     audio: dict[str, AudioSnippet] = {}
     sensors: dict[str, dict[SensorKind, SensorSeries]] = {}
     beacons: dict[str, list[BeaconScan]] = {}
@@ -212,9 +204,28 @@ def load_dataset(root_path: str | Path) -> Dataset:
         for kind, path in sensor_files:
             sensors.setdefault(dev_id, {})[kind] = read_sensor_csv(path, kind, dev_id)
         if jsonl is not None:
-            beacons[dev_id] = read_beacons_jsonl(jsonl, dev_id)
+            beacons[dev_id] = read_beacons_jsonl(jsonl)
     gt = read_ground_truth(gt_path) if gt_path is not None else GroundTruth(groups=())
     return Dataset(audio=audio, sensors=sensors, beacons=beacons, ground_truth=gt)
+
+
+def load_ground_truth(root_path: str | Path) -> GroundTruth:
+    """The ground truth of the dataset under `root_path`. The manifest is checked
+    as `load_dataset` checks it, and no audio, sensor or beacon file is opened."""
+    _, gt_path = _read_manifest(Path(root_path))
+    return read_ground_truth(gt_path) if gt_path is not None else GroundTruth(groups=())
+
+
+def _read_manifest(root: Path) -> tuple[list[tuple], Path | None]:
+    """The `_device_files` of each manifest device, and the ground truth path."""
+    manifest_path = _require(root / MANIFEST_NAME)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        devices = [_device_files(root, dev) for dev in manifest.get("devices", [])]
+        gt_path = root / manifest["ground_truth"] if "ground_truth" in manifest else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON or bytes too
+        raise ParseError(f"bad manifest: {exc!r}", path=str(manifest_path)) from exc
+    return devices, gt_path
 
 
 def _device_files(root: Path, dev: dict) -> tuple:

@@ -111,10 +111,6 @@ class SensorSeries:
     def __len__(self) -> int:
         return int(self.timestamps_ms.size)
 
-    def slice_ms(self, start_ms: int, end_ms: int) -> "SensorSeries":
-        i0, i1 = np.searchsorted(self.timestamps_ms, [start_ms, end_ms])
-        return SensorSeries(self.kind, self.timestamps_ms[i0:i1], self.values[i0:i1], self.device_id)
-
 
 @dataclass(frozen=True)
 class BeaconScan:
@@ -123,7 +119,6 @@ class BeaconScan:
     kind: str
     time: int
     observations: dict[str, float]
-    device_id: str
 
     def __post_init__(self):
         if self.kind not in ("wifi", "ble"):

@@ -171,7 +171,7 @@ def _beacon_tables(rng: np.random.Generator, n_groups: int,
     return tables
 
 
-def _device_scans(rng: np.random.Generator, device: str, group_idx: int,
+def _device_scans(rng: np.random.Generator, group_idx: int,
                   tables: dict[str, dict[str, float]], cfg: ScenarioConfig
                   ) -> list[BeaconScan]:
     profile = cfg.profile
@@ -192,7 +192,7 @@ def _device_scans(rng: np.random.Generator, device: str, group_idx: int,
                 noise = rng.normal(0.0, 2.0)
                 if seen:
                     obs[ident] = round(float(base - atten + noise), 1)
-            scans.append(BeaconScan(kind=kind, time=t, observations=obs, device_id=device))
+            scans.append(BeaconScan(kind=kind, time=t, observations=obs))
     return scans
 
 
@@ -238,7 +238,7 @@ def generate(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             zio.write_sensor_csv(out / rel, series)
             entry["sensors"][kind] = rel
         zio.write_beacons_jsonl(out / f"beacons/{device}.jsonl",
-                                _device_scans(rng, device, g, tables, cfg))
+                                _device_scans(rng, g, tables, cfg))
         manifest["devices"].append(entry)
 
     end = START_EPOCH_MS + cfg.duration_s * 1000

@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -215,22 +214,18 @@ def _bandpass_sos(f_low: float, f_high: float, rate_hz: int) -> np.ndarray:
     return butter_bandpass_sos(FILTER_ORDER // 2, f_low, f_high, rate_hz)
 
 
-def design_bandpass(edges: Iterable[tuple[float, float]], rate_hz: int) -> None:
-    """Design, and cache for `bandpass`, the filters of the (f_low, f_high) `edges`,
-    and load the `sosfilt` kernel.
+def load_sosfilt() -> None:
+    """Load the `sosfilt` kernel in the calling thread.
 
     Pipelines call it, and `import_fft`, before `pmap` starts its worker
-    threads, so that the kernel and scipy.fft load in the calling thread: a
-    first import inside a worker thread raised the peak RSS of `features
-    karapanos` on a 16-device scenario from 296 MB to 300-315 MB.
+    threads: a first import inside a worker thread raised the peak RSS of
+    `features karapanos` on a 16-device scenario from 296 MB to 300-315 MB.
     """
     _sosfilt_kernel()
-    for f_low, f_high in edges:
-        _bandpass_sos(float(f_low), float(f_high), int(rate_hz))
 
 
 def import_fft() -> None:
-    """Import scipy.fft in the calling thread; see `design_bandpass`."""
+    """Import scipy.fft in the calling thread; see `load_sosfilt`."""
     import scipy.fft  # noqa: F401
 
 

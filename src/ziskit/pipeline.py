@@ -50,10 +50,9 @@ def karapanos_records(dataset: Dataset, t: int,
             snippets, [(p.device_a, p.device_b) for p in run], cfg)
         return [replace(p, score=s.value) for p, s in zip(run, scores, strict=True)]
 
-    for rate in {x.rate_hz for x in dataset.audio.values()}:
-        if karapanos.fits_rate(rate):
-            dsp.design_bandpass(((b.f_low, b.f_high) for b in dsp.THIRD_OCTAVE_BANDS), rate)
-            dsp.import_fft()
+    if any(karapanos.fits_rate(x.rate_hz) for x in dataset.audio.values()):
+        dsp.load_sosfilt()
+        dsp.import_fft()
     return [r for rows in pmap(score_run, interval_runs(window_pairs(dataset, t)))
             for r in rows]
 
@@ -110,9 +109,8 @@ def schurmann_fingerprints(dataset: Dataset, t: int) -> list[Fingerprint]:
         except (InsufficientSamples, InvalidBand):  # short audio, or bands above Nyquist
             return None
 
-    for rate in {x.rate_hz for x in dataset.audio.values()}:
-        if schurmann.fits_rate(rate):
-            dsp.design_bandpass(schurmann.band_edges(rate), rate)
+    if any(schurmann.fits_rate(x.rate_hz) for x in dataset.audio.values()):
+        dsp.load_sosfilt()
     return [fp for fp in pmap(one, jobs) if fp is not None]
 
 

@@ -57,22 +57,6 @@ def noise_levels(x: AudioSnippet, m_w: float = 1.0) -> SensorSeries:
     return SensorSeries(SensorKind.NOISE, times, data.mean(axis=1), x.device_id)
 
 
-def snapshot_averages(series: SensorSeries, snapshot_s: int, n_snapshots: int,
-                      offset: int = 0) -> np.ndarray:
-    """Averages of consecutive snapshot_s windows starting at snapshot `offset`."""
-    if len(series) == 0:
-        raise InsufficientSamples("empty series")
-    t0 = int(series.timestamps_ms[0]) + offset * snapshot_s * 1000
-    step = snapshot_s * 1000
-    averages = np.empty(n_snapshots)
-    for i in range(n_snapshots):
-        window = series.slice_ms(t0 + i * step, t0 + (i + 1) * step)
-        if len(window) == 0:
-            raise InsufficientSamples(f"snapshot {offset + i} contains no measurements")
-        averages[i] = float(window.values.mean())
-    return averages
-
-
 def _change_bits(averages: np.ndarray, delta_rel: float, delta_abs: float) -> np.ndarray:
     prev = averages[:-1]
     cur = averages[1:]
@@ -85,39 +69,30 @@ def _change_bits(averages: np.ndarray, delta_rel: float, delta_abs: float) -> np
     return (abs_ok & rel_ok).astype(np.uint8)
 
 
-def context_fingerprint(series: SensorSeries, cfg: MiettinenConfig,
-                        offset: int = 0) -> Fingerprint:
-    """Fingerprint of cfg.bits bits from cfg.bits + 1 consecutive snapshots.
-
-    The first snapshot only serves as the predecessor of bit 0. `offset`
-    shifts the snapshot grid by whole periods.
-    """
-    period = cfg.snapshot_s
-    span_ms = int(series.timestamps_ms[-1] - series.timestamps_ms[0]) + 1 if len(series) else 0
-    # The final snapshot window must have started; emptiness of any window is
-    # checked during averaging.
-    needed_ms = (offset + cfg.bits) * period * 1000
-    if span_ms <= needed_ms:
-        raise InsufficientSamples(
-            f"series spans {span_ms} ms, need more than {needed_ms} ms for "
-            f"{cfg.bits} bits")
-    averages = snapshot_averages(series, period, cfg.bits + 1, offset=offset)
-    start = int(series.timestamps_ms[0]) + (offset + 1) * period * 1000
-    return Fingerprint(_change_bits(averages, cfg.delta_rel, cfg.delta_abs), series.device_id,
-                       start)
-
-
 def iter_fingerprints(series: SensorSeries, cfg: MiettinenConfig) -> list[Fingerprint]:
-    """Consecutive fingerprints tiling the series (adjacent tiles share one snapshot)."""
-    out = []
-    offset = 0
-    while True:
-        try:
-            out.append(context_fingerprint(series, cfg, offset=offset))
-        except InsufficientSamples:
-            # The series ends, or a trailing snapshot window holds no readings.
-            return out
-        offset += cfg.bits
+    """Consecutive fingerprints of cfg.bits bits, each from cfg.bits + 1 snapshot means.
+
+    Snapshot k is the mean of the readings in [t0 + k*w, t0 + (k+1)*w), where
+    t0 is the first timestamp, for every k whose window starts at or before
+    the last reading. Adjacent fingerprints share one snapshot, whose mean
+    is the predecessor of the next one's bit 0. Tiling stops at the first
+    fingerprint that would hold an empty snapshot.
+    """
+    t = series.timestamps_ms
+    if not t.size:
+        return []
+    step = cfg.snapshot_s * 1000
+    first = int(t[0])
+    # With more windows than readings, one of the first len(t) is empty.
+    n_windows = min((int(t[-1]) - first) // step + 1, t.size)
+    edges = np.searchsorted(t, first + step * np.arange(n_windows + 1))
+    empty = np.flatnonzero(edges[1:] == edges[:-1])
+    n_full = int(empty[0]) if empty.size else n_windows  # windows before the first empty one
+    means = np.array([float(series.values[a:b].mean())
+                      for a, b in zip(edges[:n_full], edges[1:n_full + 1])])
+    return [Fingerprint(_change_bits(means[lo:lo + cfg.bits + 1], cfg.delta_rel, cfg.delta_abs),
+                        series.device_id, first + (lo + 1) * step)
+            for lo in range(0, n_full - cfg.bits, cfg.bits)]
 
 
 def hour_of_day(epoch_ms: int) -> int:

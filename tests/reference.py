@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 
 from ziskit import dsp
-from ziskit.core.types import AudioSnippet
+from ziskit.core.types import AudioSnippet, Fingerprint, SensorSeries
+from ziskit.errors import InsufficientSamples
 from ziskit.ml.tree import _MIN_HESSIAN, Tree, TreeParams, _best_splits
-from ziskit.schemes.miettinen import SurprisalModel
+from ziskit.schemes.miettinen import MiettinenConfig, SurprisalModel, _change_bits
 from ziskit.schemes.shrestha import ShresthaFeatureVector
 
 
@@ -48,6 +49,66 @@ def uniform_surprisal_model(n_bits: int) -> SurprisalModel:
     table = {(part, hour): np.full(n_bits, 0.5)
              for part in ("weekday", "weekend") for hour in range(24)}
     return SurprisalModel(n_bits=n_bits, table=table)
+
+
+def slice_series_ms(series: SensorSeries, start_ms: int, end_ms: int) -> SensorSeries:
+    """The readings of `series` in [start_ms, end_ms), as a validated series."""
+    i0, i1 = np.searchsorted(series.timestamps_ms, [start_ms, end_ms])
+    return SensorSeries(series.kind, series.timestamps_ms[i0:i1], series.values[i0:i1],
+                        series.device_id)
+
+
+def snapshot_averages(series: SensorSeries, snapshot_s: int, n_snapshots: int,
+                      offset: int = 0) -> np.ndarray:
+    """Averages of consecutive snapshot_s windows starting at snapshot `offset`."""
+    if len(series) == 0:
+        raise InsufficientSamples("empty series")
+    t0 = int(series.timestamps_ms[0]) + offset * snapshot_s * 1000
+    step = snapshot_s * 1000
+    averages = np.empty(n_snapshots)
+    for i in range(n_snapshots):
+        window = slice_series_ms(series, t0 + i * step, t0 + (i + 1) * step)
+        if len(window) == 0:
+            raise InsufficientSamples(f"snapshot {offset + i} contains no measurements")
+        averages[i] = float(window.values.mean())
+    return averages
+
+
+def context_fingerprint(series: SensorSeries, cfg: MiettinenConfig,
+                        offset: int = 0) -> Fingerprint:
+    """Fingerprint of cfg.bits bits from cfg.bits + 1 consecutive snapshots.
+
+    The first snapshot only serves as the predecessor of bit 0. `offset`
+    shifts the snapshot grid by whole periods.
+    """
+    period = cfg.snapshot_s
+    span_ms = int(series.timestamps_ms[-1] - series.timestamps_ms[0]) + 1 if len(series) else 0
+    # The final snapshot window must have started; emptiness of any window is
+    # checked during averaging.
+    needed_ms = (offset + cfg.bits) * period * 1000
+    if span_ms <= needed_ms:
+        raise InsufficientSamples(
+            f"series spans {span_ms} ms, need more than {needed_ms} ms for "
+            f"{cfg.bits} bits")
+    averages = snapshot_averages(series, period, cfg.bits + 1, offset=offset)
+    start = int(series.timestamps_ms[0]) + (offset + 1) * period * 1000
+    return Fingerprint(_change_bits(averages, cfg.delta_rel, cfg.delta_abs), series.device_id,
+                       start)
+
+
+def iter_fingerprints_per_offset(series: SensorSeries,
+                                 cfg: MiettinenConfig) -> list[Fingerprint]:
+    """Consecutive fingerprints tiling the series (adjacent tiles share one
+    snapshot), each built alone at its snapshot offset."""
+    out = []
+    offset = 0
+    while True:
+        try:
+            out.append(context_fingerprint(series, cfg, offset=offset))
+        except InsufficientSamples:
+            # The series ends, or a trailing snapshot window holds no readings.
+            return out
+        offset += cfg.bits
 
 
 def fit_tree_per_node(X: np.ndarray, g: np.ndarray, h: np.ndarray, params: TreeParams,

@@ -164,7 +164,7 @@ def test_criterion_4_miettinen_bit_rule_and_surprisal():
         for averages, expected in [([100.0, 120.0], 1), ([100.0, 109.0], 0),
                                    ([100.0, 111.0], 1)]:
             series = series_of(averages, kind=SensorKind.LUMINOSITY, step_ms=1000)
-            fp = miettinen.context_fingerprint(series, cfg)
+            fp = miettinen.iter_fingerprints(series, cfg)[0]
             assert fp.bits.tolist() == [expected], averages
         for length in (8, 128, 496):
             rng = np.random.default_rng(length)

@@ -347,9 +347,13 @@ def _break_dataset_file(fault: str, dataset: Path) -> Path:
     device = manifest["devices"][0]
     if fault.endswith("_bytes"):
         name = {"manifest_bytes": "manifest.json", "beacon_bytes": device["beacons"],
-                "sensor_bytes": device["sensors"]["temperature"]}[fault]
+                "sensor_bytes": device["sensors"]["temperature"],
+                "truth_bytes": manifest["ground_truth"]}[fault]
         (dataset / name).write_bytes(b"\xff" + (dataset / name).read_bytes())
         return dataset / name
+    if fault == "no_truth":
+        (dataset / manifest["ground_truth"]).unlink()
+        return dataset / manifest["ground_truth"]
     if fault == "list":
         manifest = [manifest]
     elif fault == "no_id":
@@ -371,7 +375,8 @@ def _break_dataset_file(fault: str, dataset: Path) -> Path:
 @pytest.mark.parametrize("command", ["features", "evaluate"])
 @pytest.mark.parametrize("fault", ["list", "no_id", "sensor_kind", "start_ms", "devices_int",
                                    "manifest_bytes", "sensor_bytes", "beacon_bytes",
-                                   "audio_string", "pipe_id", "surrogate_id"])
+                                   "audio_string", "pipe_id", "surrogate_id",
+                                   "truth_bytes", "no_truth"])
 def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp_path,
                                   capsys):
     dataset = tmp_path / "scen"
@@ -380,6 +385,10 @@ def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp
     argv = ["--scheme", "karapanos", "--dataset", str(dataset), "--out", str(tmp_path / "out")]
     if command == "evaluate":
         argv += ["--features", str(valid_files / "score.csv")]
+    # evaluate reads only the manifest and the ground truth it names.
+    if command == "evaluate" and fault in ("sensor_bytes", "beacon_bytes"):
+        assert main([command, *argv]) == 0
+        return
     assert main([command, *argv]) == 2
     assert str(bad) in capsys.readouterr().err
 
@@ -577,20 +586,28 @@ def test_bad_config_value_is_usage_error(values, explicit, scenario_dir, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_evaluate_loads_dataset_once(valid_files, scenario_dir, tmp_path, monkeypatch):
-    import ziskit.cli as cli
-
-    calls = []
-    real_load = cli.load_dataset
-
-    def counting_load(path):
-        calls.append(path)
-        return real_load(path)
-
-    monkeypatch.setattr(cli, "load_dataset", counting_load)
-    run_ok(["evaluate", "--scheme", "karapanos", "--features", str(valid_files / "score.csv"),
-            "--dataset", str(scenario_dir), "--out", str(tmp_path / "eval")])
-    assert calls == [scenario_dir]
+@pytest.mark.parametrize("scheme, table", [("karapanos", "score"),
+                                           ("schurmann", "fingerprint")])
+def test_evaluate_and_robustness_read_only_the_ground_truth(scheme, table, valid_files,
+                                                            scenario_dir, tmp_path):
+    # Both commands read the manifest and the ground truth it names, and no
+    # audio, sensor or beacon file: their outputs stay the same without them.
+    bare = tmp_path / "scen"
+    shutil.copytree(scenario_dir, bare)
+    for modality in ("audio", "sensors", "beacons"):
+        shutil.rmtree(bare / modality)
+    outputs = {}
+    for name, dataset in [("full", scenario_dir), ("bare", bare)]:
+        out = tmp_path / name
+        features = ["--scheme", scheme, "--features", str(valid_files / f"{table}.csv"),
+                    "--dataset", str(dataset)]
+        run_ok(["evaluate", *features, "--out", str(out / "eval")])
+        run_ok(["robustness", "--results", str(out / "eval" / "results.csv"), *features,
+                "--out", str(out / "robust.csv")])
+        outputs[name] = {p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+    assert Path("robust.csv") in outputs["full"]
+    assert outputs["bare"] == outputs["full"]
 
 
 @pytest.mark.parametrize("rate", [8000, 32000])

@@ -68,7 +68,7 @@ class TestTypeInvariants:
 
     def test_beacon_rejects_nan_rssi(self):
         with pytest.raises(InvariantViolation):
-            BeaconScan("wifi", 0, {"x": float("nan")}, "d")
+            BeaconScan("wifi", 0, {"x": float("nan")})
 
     def test_ground_truth_rejects_double_membership(self):
         with pytest.raises(InvariantViolation):
@@ -369,14 +369,43 @@ SCANS = st.lists(st.builds(
     BeaconScan, kind=st.sampled_from(["wifi", "ble"]), time=TIMES_MS,
     observations=st.dictionaries(st.text(max_size=8), st.floats(allow_nan=False,
                                                                  allow_infinity=False),
-                                 max_size=5),
-    device_id=st.just("d")), max_size=6)
+                                 max_size=5)), max_size=6)
 
 
 @settings(max_examples=100, deadline=None)
 @given(scans=SCANS)
 def test_beacon_jsonl_rewrites_identically(scans):
-    first, second, back = _rewrite(write_beacons_jsonl,
-                                   lambda path: read_beacons_jsonl(path, "d"), scans)
+    first, second, back = _rewrite(write_beacons_jsonl, read_beacons_jsonl, scans)
     assert second == first
     assert back == scans
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Every kind's readings within its invariants.
+SENSOR_VALUES = {
+    SensorKind.TEMPERATURE: FINITE,
+    SensorKind.NOISE: FINITE,
+    SensorKind.PRESSURE: st.floats(0.0, exclude_min=True, allow_infinity=False),
+    SensorKind.HUMIDITY: st.floats(0.0, 100.0),
+    SensorKind.LUMINOSITY: st.floats(0.0, allow_infinity=False),
+}
+
+
+@st.composite
+def sensor_series(draw) -> SensorSeries:
+    kind = draw(st.sampled_from(SensorKind))
+    times = sorted(draw(st.sets(TIMES_MS, max_size=8)))
+    values = draw(st.lists(SENSOR_VALUES[kind], min_size=len(times), max_size=len(times)))
+    return SensorSeries(kind, np.array(times, dtype=np.int64), np.array(values), "d")
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=sensor_series())
+def test_sensor_csv_rewrites_identically(series):
+    first, second, back = _rewrite(write_sensor_csv,
+                                   lambda path: read_sensor_csv(path, series.kind, "d"), series)
+    assert second == first
+    assert back.kind is series.kind
+    np.testing.assert_array_equal(back.timestamps_ms, series.timestamps_ms)
+    np.testing.assert_array_equal(back.values, series.values)
+    assert np.signbit(back.values).tolist() == np.signbit(series.values).tolist()

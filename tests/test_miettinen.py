@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import noise_snippet, series_of, two_group_truth
-from reference import uniform_surprisal_model
+from reference import iter_fingerprints_per_offset, uniform_surprisal_model
 from ziskit import pipeline
-from ziskit.core.types import AudioSnippet, Fingerprint, SensorKind
+from ziskit.core.types import AudioSnippet, Fingerprint, SensorKind, SensorSeries
 from ziskit.errors import InsufficientSamples, ModelGap
 from ziskit.schemes import miettinen
 
@@ -80,7 +82,7 @@ class TestContextFingerprint:
         series = snapshot_series([100.0, 120.0, 109.0 * 120 / 109, 109.0])
         # snapshots: 100 -> 120 (rel .2 > .1, abs 20 > 10) = 1
         series = snapshot_series([100.0, 120.0, 129.0, 140.0])
-        fp = miettinen.context_fingerprint(series, cfg)
+        fp = miettinen.iter_fingerprints(series, cfg)[0]
         # 100->120: rel .2, abs 20 -> 1 ; 120->129: rel .075 -> 0 ;
         # 129->140: rel .0853, abs 11 -> 0
         assert fp.bits.tolist() == [1, 0, 0]
@@ -94,33 +96,24 @@ class TestContextFingerprint:
             ([200.0, 215.0], 0),   # abs 15 > 10 but rel 0.075 <= 0.1
         ]
         for averages, expected in cases:
-            fp = miettinen.context_fingerprint(snapshot_series(averages), cfg)
+            fp = miettinen.iter_fingerprints(snapshot_series(averages), cfg)[0]
             assert fp.bits.tolist() == [expected], averages
 
     def test_constant_series_all_zero(self):
         cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=5)
-        fp = miettinen.context_fingerprint(snapshot_series([42.0] * 6), cfg)
+        fp = miettinen.iter_fingerprints(snapshot_series([42.0] * 6), cfg)[0]
         assert not np.any(fp.bits)
 
     def test_zero_predecessor_uses_absolute_term(self):
         cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=2)
-        fp = miettinen.context_fingerprint(snapshot_series([0.0, 11.0, 11.0]), cfg)
+        fp = miettinen.iter_fingerprints(snapshot_series([0.0, 11.0, 11.0]), cfg)[0]
         assert fp.bits.tolist() == [1, 0]
-        fp2 = miettinen.context_fingerprint(snapshot_series([0.0, 9.0, 9.0]), cfg)
+        fp2 = miettinen.iter_fingerprints(snapshot_series([0.0, 9.0, 9.0]), cfg)[0]
         assert fp2.bits.tolist() == [0, 0]
 
     def test_insufficient_span(self):
         cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=8)
-        with pytest.raises(InsufficientSamples):
-            miettinen.context_fingerprint(snapshot_series([1.0, 2.0, 3.0]), cfg)
-
-    def test_offset_shifts_bits(self):
-        averages = [100.0, 120.0, 100.0, 100.0, 120.0, 100.0]
-        cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=2)
-        first = miettinen.context_fingerprint(snapshot_series(averages), cfg, offset=0)
-        shifted = miettinen.context_fingerprint(snapshot_series(averages), cfg, offset=1)
-        assert first.bits.tolist() == [1, 1]
-        assert shifted.bits.tolist() == [1, 0]
+        assert miettinen.iter_fingerprints(snapshot_series([1.0, 2.0, 3.0]), cfg) == []
 
     def test_iter_fingerprints_tiles_series(self):
         averages = [100.0] * 9
@@ -135,8 +128,53 @@ class TestContextFingerprint:
         series = series_of([100.0, 120.0, 135.0], kind=SensorKind.LUMINOSITY,
                            step_ms=10_000)
         cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=2)
-        fp = miettinen.context_fingerprint(series, cfg)
+        fp = miettinen.iter_fingerprints(series, cfg)[0]
         assert fp.bits.tolist() == [1, 1]
+
+
+CONFIGS = st.builds(miettinen.MiettinenConfig, snapshot_s=st.integers(1, 7),
+                    bits=st.integers(1, 5), delta_rel=st.sampled_from([0.0, 0.1]),
+                    delta_abs=st.sampled_from([0.0, 5.0, 10.0]))
+# Runs of one level make whole snapshots of zeros, the predecessor that the
+# relative threshold cannot judge.
+RUNS = st.lists(st.tuples(st.sampled_from([0.0, 7.0, 100.0]) | st.floats(0.0, 1e4),
+                          st.integers(1, 8)), min_size=1, max_size=10)
+
+
+@st.composite
+def luminosity_series(draw) -> SensorSeries:
+    values = [level for level, n in draw(RUNS) for _ in range(n)]
+    # Gaps up to several snapshots leave windows empty; a rare huge gap ends
+    # the tiling far from the last reading.
+    gaps = draw(st.lists(st.integers(1, 20_000) | st.just(10 ** 12),
+                         min_size=len(values) - 1, max_size=len(values) - 1))
+    times = draw(st.integers(-10 ** 12, 10 ** 12)) + np.cumsum([0, *gaps])
+    return SensorSeries(SensorKind.LUMINOSITY, times, values, "lum")
+
+
+@st.composite
+def noise_series(draw) -> SensorSeries:
+    # Measurement windows longer than a snapshot leave snapshots empty.
+    rate = 40
+    chunks = draw(st.lists(st.tuples(st.just(0) | st.integers(0, 3000), st.integers(1, 120)),
+                           min_size=1, max_size=12))
+    samples = np.concatenate([np.resize(np.arange(-amp, amp + 1), n) for amp, n in chunks])
+    x = AudioSnippet(samples.astype(np.int16), rate, draw(st.integers(0, 10 ** 9)), "noise")
+    m_w = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    return miettinen.noise_levels(x, m_w) if samples.size >= m_w * rate else series_of([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=luminosity_series() | noise_series(), cfg=CONFIGS)
+@example(series=series_of([0.0, 0.0, 11.0, 11.0, 0.0, 20.0], step_ms=1000),
+         cfg=miettinen.MiettinenConfig(snapshot_s=1, bits=2, delta_abs=10.0))
+@example(series=series_of([5.0, 6.0, 7.0, 8.0], step_ms=1500),
+         cfg=miettinen.MiettinenConfig(snapshot_s=1, bits=1))
+def test_iter_fingerprints_equals_per_offset_reference(series, cfg):
+    got = miettinen.iter_fingerprints(series, cfg)
+    want = iter_fingerprints_per_offset(series, cfg)
+    assert [(fp.interval_start, fp.device_id, fp.bits.tolist()) for fp in got] == \
+        [(fp.interval_start, fp.device_id, fp.bits.tolist()) for fp in want]
 
 
 class TestSurprisal:
@@ -228,5 +266,5 @@ def test_fingerprint_from_audio_pipeline(rng):
     loud = (rng.integers(-2000, 2001, size=16000 * 4)).astype(np.int16)
     samples = np.concatenate([quiet, loud])
     x = AudioSnippet(samples, 16000, 0, "d")
-    fp = miettinen.context_fingerprint(miettinen.noise_levels(x, cfg.measurement_window_s), cfg)
+    fp = miettinen.iter_fingerprints(miettinen.noise_levels(x, cfg.measurement_window_s), cfg)[0]
     assert fp.bits.tolist() == [0, 1, 0]

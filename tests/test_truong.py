@@ -86,8 +86,8 @@ class TestBeaconFeatures:
 
     def test_aggregate_averages_scans(self):
         scans = [
-            BeaconScan("wifi", 0, {"A": -50.0, "B": -70.0}, "d"),
-            BeaconScan("wifi", 1000, {"A": -60.0}, "d"),
+            BeaconScan("wifi", 0, {"A": -50.0, "B": -70.0}),
+            BeaconScan("wifi", 1000, {"A": -60.0}),
         ]
         aggregate = truong.BeaconAggregate.from_scans(scans, "wifi")
         assert aggregate.means == {"A": -55.0, "B": -70.0}
@@ -191,8 +191,8 @@ def _beacon_dataset(rng, shared: bool):
         scans = []
         for k in range(2):
             obs = {ident: -50.0 for ident in populations[grp]}
-            scans.append(BeaconScan("wifi", k * 10_000 + 100, obs, dev))
-            scans.append(BeaconScan("ble", k * 10_000 + 100, obs, dev))
+            scans.append(BeaconScan("wifi", k * 10_000 + 100, obs))
+            scans.append(BeaconScan("ble", k * 10_000 + 100, obs))
         beacons[dev] = scans
     return Dataset(audio=audio, beacons=beacons, ground_truth=gt)
 
