@@ -341,8 +341,6 @@ def _cmd_robustness(args) -> int:
         subset = _subscenario_records([r for r in records if r.interval_len_s == t],
                                       ground_truth, subscenario)
         scores, labels = evaluation.usable_scores(subset)
-        if scores.size == 0:
-            continue
         try:
             result = evaluation.cross_apply(threshold, scores, labels)
         except DegenerateLabels:

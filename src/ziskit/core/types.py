@@ -95,7 +95,7 @@ class SensorSeries:
         v = np.asarray(self.values, dtype=np.float64)
         if t.shape != v.shape or t.ndim != 1:
             raise InvariantViolation("timestamps and values must be equal-length 1-d arrays")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise InvariantViolation(f"{self.kind.value} timestamps not strictly increasing")
         if not np.all(np.isfinite(v)):
             raise InvariantViolation(f"{self.kind.value} readings contain non-finite values")

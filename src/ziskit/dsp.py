@@ -234,10 +234,9 @@ def bandpass(x: np.ndarray, f_low: float, f_high: float, *, rate_hz: int) -> np.
 
     Output has the shape of the input.
     """
-    data = np.asarray(x, dtype=np.float64)
     if not 0 < f_low < f_high < rate_hz / 2:
         raise InvalidBand(f"band [{f_low}, {f_high}] outside (0, {rate_hz / 2})")
-    return sosfilt(_bandpass_sos(float(f_low), float(f_high), int(rate_hz)), data)
+    return sosfilt(_bandpass_sos(float(f_low), float(f_high), int(rate_hz)), x)
 
 
 def bandpass_bank(data: np.ndarray, bands: tuple[OctaveBandSpec, ...],

@@ -52,7 +52,7 @@ def noise_levels(x: AudioSnippet, m_w: float = 1.0) -> SensorSeries:
     if win <= 0 or x.samples.size < win:
         raise InsufficientSamples(f"need at least {win} samples for one window")
     n_win = x.samples.size // win
-    data = np.abs(x.as_float()[:n_win * win]).reshape(n_win, win)
+    data = np.abs(x.samples[:n_win * win].reshape(n_win, win), dtype=np.float64)
     times = x.start_time + np.arange(n_win, dtype=np.int64) * int(round(m_w * 1000))
     return SensorSeries(SensorKind.NOISE, times, data.mean(axis=1), x.device_id)
 

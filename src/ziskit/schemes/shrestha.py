@@ -8,12 +8,13 @@ rows are compressed into weighted instances before training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from ziskit.core.types import Dataset, EvaluationRecord, Label, SensorKind
+from ziskit.core.types import Dataset, EvaluationRecord, Label, SensorKind, SensorSeries
 from ziskit.errors import InvalidPressure
 
 STANDARD_PRESSURE_HPA = 1013.25
@@ -29,15 +30,6 @@ def pressure_to_altitude(p_hpa: float) -> float:
     if p_hpa <= 0:
         raise InvalidPressure(f"pressure must be positive, got {p_hpa}")
     return (1.0 - (p_hpa / STANDARD_PRESSURE_HPA) ** 0.190284) * 145366.45 * 0.3048
-
-
-@dataclass(frozen=True)
-class SampleTriple:
-    """One device's time-matched readings; None marks a missing modality."""
-
-    temperature: float | None
-    humidity: float | None
-    pressure: float | None
 
 
 @dataclass(frozen=True)
@@ -64,90 +56,66 @@ class ShresthaFeatureVector:
         return EvaluationRecord(self.device_a, self.device_b, self.timestamp_ms, 0, self.label)
 
 
-def _abs_diff(a: float | None, b: float | None) -> float | None:
-    if a is None or b is None:
-        return None
-    return abs(a - b)
-
-
-def difference_features(a: SampleTriple, b: SampleTriple, label: Label,
-                        device_a: str = "a", device_b: str = "b",
-                        timestamp_ms: int = 0) -> ShresthaFeatureVector:
-    """Absolute per-modality differences; pressure becomes altitude first."""
-    alt_a = None if a.pressure is None else pressure_to_altitude(a.pressure)
-    alt_b = None if b.pressure is None else pressure_to_altitude(b.pressure)
-    return ShresthaFeatureVector(
-        device_a=device_a,
-        device_b=device_b,
-        timestamp_ms=timestamp_ms,
-        d_temperature=_abs_diff(a.temperature, b.temperature),
-        d_humidity=_abs_diff(a.humidity, b.humidity),
-        d_altitude=_abs_diff(alt_a, alt_b),
-        label=label,
-    )
-
-
-def _nearest_value(timestamps: np.ndarray, values: np.ndarray, t: int,
-                   tolerance_ms: int) -> float | None:
-    if timestamps.size == 0:
-        return None
-    pos = int(np.searchsorted(timestamps, t))
-    best, best_dt = None, tolerance_ms + 1
-    for idx in (pos - 1, pos):
-        if 0 <= idx < timestamps.size:
-            dt = abs(int(timestamps[idx]) - t)
-            if dt < best_dt:
-                best, best_dt = float(values[idx]), dt
-    return best
-
-
 _MODALITIES = (SensorKind.TEMPERATURE, SensorKind.HUMIDITY, SensorKind.PRESSURE)
 
 
-def _triple_at(dataset: Dataset, device: str, t: int) -> SampleTriple:
-    slots = {}
+def _readings(sensors: dict[SensorKind, SensorSeries]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A device's (timestamps, values) per modality, pressure as altitude;
+    empty where the device lacks the modality."""
+    out = []
     for kind in _MODALITIES:
-        series = dataset.sensors.get(device, {}).get(kind)
+        series = sensors.get(kind)
         if series is None:
-            slots[kind] = None
+            out.append((np.empty(0, dtype=np.int64), np.empty(0)))
+        elif kind is SensorKind.PRESSURE:
+            out.append((series.timestamps_ms,
+                        np.array([pressure_to_altitude(p) for p in series.values.tolist()])))
         else:
-            slots[kind] = _nearest_value(series.timestamps_ms, series.values, t,
-                                         MATCH_TOLERANCE_MS)
-    return SampleTriple(temperature=slots[SensorKind.TEMPERATURE],
-                        humidity=slots[SensorKind.HUMIDITY],
-                        pressure=slots[SensorKind.PRESSURE])
+            out.append((series.timestamps_ms, series.values))
+    return out
 
 
-def _anchor_times(dataset: Dataset, device: str) -> np.ndarray:
-    stamps = [dataset.sensors.get(device, {}).get(k).timestamps_ms
-              for k in _MODALITIES
-              if dataset.sensors.get(device, {}).get(k) is not None]
-    if not stamps:
-        return np.array([], dtype=np.int64)
-    return np.unique(np.concatenate(stamps))
+def _nearest(timestamps: np.ndarray, values: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """The value of each anchor's nearest reading, the earlier one on a tie;
+    NaN where no reading lies within MATCH_TOLERANCE_MS."""
+    if timestamps.size == 0:
+        return np.full(anchors.size, np.nan)
+    pos = np.searchsorted(timestamps, anchors)
+    before = np.maximum(pos - 1, 0)
+    after = np.minimum(pos, timestamps.size - 1)
+    # Gaps in uint64 are exact for any int64 times; a missing neighbour (the
+    # clamped index at either end) gets the largest gap.
+    u, t = anchors.view(np.uint64), timestamps.view(np.uint64)
+    never = np.iinfo(np.uint64).max
+    gap_before = np.where(pos > 0, u - t[before], never)
+    gap_after = np.where(pos < timestamps.size, t[after] - u, never)
+    nearest = values[np.where(gap_after < gap_before, after, before)]
+    return np.where(np.minimum(gap_before, gap_after) <= MATCH_TOLERANCE_MS, nearest, np.nan)
 
 
 def build_dataset(dataset: Dataset) -> list[ShresthaFeatureVector]:
-    """One row per device pair per matched reading time."""
+    """One row per device pair per reading time of the first device.
+
+    Each modality's difference is |A - B| of the two devices' nearest
+    readings, or None where either has none; rows with no difference and
+    anchors of mixed ground truth are dropped.
+    """
     gt = dataset.ground_truth
     devices = sorted(d for d in dataset.device_ids() if dataset.sensors.get(d))
+    readings = {d: _readings(dataset.sensors[d]) for d in devices}
     rows: list[ShresthaFeatureVector] = []
     for i, dev_a in enumerate(devices):
+        anchors = np.unique(np.concatenate([t for t, _ in readings[dev_a]]))
+        own = np.stack([_nearest(t, v, anchors) for t, v in readings[dev_a]], axis=1)
         for dev_b in devices[i + 1:]:
-            anchors = _anchor_times(dataset, dev_a)
-            for t in anchors:
-                t = int(t)
+            other = np.stack([_nearest(t, v, anchors) for t, v in readings[dev_b]], axis=1)
+            diffs = np.abs(own - other)
+            for k in np.flatnonzero(~np.isnan(diffs).all(axis=1)).tolist():
+                t = int(anchors[k])
                 label = gt.label_for(dev_a, dev_b, t, t + 1)
-                if label is None:
-                    continue
-                triple_a = _triple_at(dataset, dev_a, t)
-                triple_b = _triple_at(dataset, dev_b, t)
-                row = difference_features(triple_a, triple_b, label,
-                                          dev_a, dev_b, t)
-                if (row.d_temperature is None and row.d_humidity is None
-                        and row.d_altitude is None):
-                    continue
-                rows.append(row)
+                if label is not None:
+                    d_t, d_h, d_a = (None if math.isnan(d) else d for d in diffs[k].tolist())
+                    rows.append(ShresthaFeatureVector(dev_a, dev_b, t, d_t, d_h, d_a, label))
     return rows
 
 

@@ -3,16 +3,17 @@ test compares the production path against, and no command runs it."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ziskit import dsp
-from ziskit.core.types import AudioSnippet, Fingerprint, SensorSeries
+from ziskit.core.types import AudioSnippet, Dataset, Fingerprint, Label, SensorKind, SensorSeries
 from ziskit.errors import InsufficientSamples
 from ziskit.ml.tree import _MIN_HESSIAN, Tree, TreeParams, _best_splits
 from ziskit.schemes.miettinen import MiettinenConfig, SurprisalModel, _change_bits
-from ziskit.schemes.shrestha import ShresthaFeatureVector
+from ziskit.schemes.shrestha import (MATCH_TOLERANCE_MS, ShresthaFeatureVector,
+                                     pressure_to_altitude)
 
 
 def apply_alignment(x: AudioSnippet, y: AudioSnippet,
@@ -42,6 +43,103 @@ def expand_instances(rows: list[ShresthaFeatureVector]) -> list[ShresthaFeatureV
     for row in rows:
         out.extend([replace(row, weight=1)] * row.weight)
     return out
+
+
+@dataclass(frozen=True)
+class SampleTriple:
+    """One device's time-matched readings; None marks a missing modality."""
+
+    temperature: float | None
+    humidity: float | None
+    pressure: float | None
+
+
+def _abs_diff(a: float | None, b: float | None) -> float | None:
+    if a is None or b is None:
+        return None
+    return abs(a - b)
+
+
+def difference_features(a: SampleTriple, b: SampleTriple, label: Label,
+                        device_a: str = "a", device_b: str = "b",
+                        timestamp_ms: int = 0) -> ShresthaFeatureVector:
+    """Absolute per-modality differences; pressure becomes altitude first."""
+    alt_a = None if a.pressure is None else pressure_to_altitude(a.pressure)
+    alt_b = None if b.pressure is None else pressure_to_altitude(b.pressure)
+    return ShresthaFeatureVector(
+        device_a=device_a,
+        device_b=device_b,
+        timestamp_ms=timestamp_ms,
+        d_temperature=_abs_diff(a.temperature, b.temperature),
+        d_humidity=_abs_diff(a.humidity, b.humidity),
+        d_altitude=_abs_diff(alt_a, alt_b),
+        label=label,
+    )
+
+
+def _nearest_value(timestamps: np.ndarray, values: np.ndarray, t: int,
+                   tolerance_ms: int) -> float | None:
+    if timestamps.size == 0:
+        return None
+    pos = int(np.searchsorted(timestamps, t))
+    best, best_dt = None, tolerance_ms + 1
+    for idx in (pos - 1, pos):
+        if 0 <= idx < timestamps.size:
+            dt = abs(int(timestamps[idx]) - t)
+            if dt < best_dt:
+                best, best_dt = float(values[idx]), dt
+    return best
+
+
+_MODALITIES = (SensorKind.TEMPERATURE, SensorKind.HUMIDITY, SensorKind.PRESSURE)
+
+
+def _triple_at(dataset: Dataset, device: str, t: int) -> SampleTriple:
+    slots = {}
+    for kind in _MODALITIES:
+        series = dataset.sensors.get(device, {}).get(kind)
+        if series is None:
+            slots[kind] = None
+        else:
+            slots[kind] = _nearest_value(series.timestamps_ms, series.values, t,
+                                         MATCH_TOLERANCE_MS)
+    return SampleTriple(temperature=slots[SensorKind.TEMPERATURE],
+                        humidity=slots[SensorKind.HUMIDITY],
+                        pressure=slots[SensorKind.PRESSURE])
+
+
+def _anchor_times(dataset: Dataset, device: str) -> np.ndarray:
+    stamps = [dataset.sensors.get(device, {}).get(k).timestamps_ms
+              for k in _MODALITIES
+              if dataset.sensors.get(device, {}).get(k) is not None]
+    if not stamps:
+        return np.array([], dtype=np.int64)
+    return np.unique(np.concatenate(stamps))
+
+
+def build_dataset_per_anchor(dataset: Dataset) -> list[ShresthaFeatureVector]:
+    """One row per device pair per matched reading time, each anchor's
+    readings looked up on their own."""
+    gt = dataset.ground_truth
+    devices = sorted(d for d in dataset.device_ids() if dataset.sensors.get(d))
+    rows: list[ShresthaFeatureVector] = []
+    for i, dev_a in enumerate(devices):
+        for dev_b in devices[i + 1:]:
+            anchors = _anchor_times(dataset, dev_a)
+            for t in anchors:
+                t = int(t)
+                label = gt.label_for(dev_a, dev_b, t, t + 1)
+                if label is None:
+                    continue
+                triple_a = _triple_at(dataset, dev_a, t)
+                triple_b = _triple_at(dataset, dev_b, t)
+                row = difference_features(triple_a, triple_b, label,
+                                          dev_a, dev_b, t)
+                if (row.d_temperature is None and row.d_humidity is None
+                        and row.d_altitude is None):
+                    continue
+                rows.append(row)
+    return rows
 
 
 def uniform_surprisal_model(n_bits: int) -> SurprisalModel:

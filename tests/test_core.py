@@ -58,6 +58,11 @@ class TestTypeInvariants:
             SensorSeries(SensorKind.TEMPERATURE, np.array([2, 1]),
                          np.array([1.0, 2.0]), "d")
 
+    def test_sensor_accepts_timestamps_further_apart_than_int64(self):
+        # 2**63 apart: a difference of the two would wrap.
+        series = SensorSeries(SensorKind.TEMPERATURE, [-2 ** 62, 2 ** 62], [1.0, 2.0], "d")
+        assert series.timestamps_ms.tolist() == [-2 ** 62, 2 ** 62]
+
     def test_sensor_rejects_negative_pressure(self):
         with pytest.raises(InvariantViolation):
             SensorSeries(SensorKind.PRESSURE, np.array([1]), np.array([-3.0]), "d")
@@ -394,7 +399,7 @@ SENSOR_VALUES = {
 @st.composite
 def sensor_series(draw) -> SensorSeries:
     kind = draw(st.sampled_from(SensorKind))
-    times = sorted(draw(st.sets(TIMES_MS, max_size=8)))
+    times = sorted(draw(st.sets(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=8)))
     values = draw(st.lists(SENSOR_VALUES[kind], min_size=len(times), max_size=len(times)))
     return SensorSeries(kind, np.array(times, dtype=np.int64), np.array(values), "d")
 

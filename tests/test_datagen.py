@@ -201,3 +201,37 @@ def test_golden_scenario_digests(seed, tmp_path):
                      "--out", str(out)]) == 0
         digests[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == GOLDEN_DIGESTS[seed]
+
+
+# sha256 of the feature CSVs that test_golden_scenario_digests leaves out,
+# on the same 10 s two-group scenario.
+GOLDEN_FEATURE_DIGESTS = {
+    1: {
+        "shrestha": "790810ba0dd312ad8dcdbe8bfaa6bcda096ef6421f15f44e88660631a21040ee",
+        "truong": "5ddc3166a82a659ed0b029e442efeeb64912caab7e3626dc009d7c88ba0af5a3",
+        "miettinen": "2bdf7e923057aca364a2b88d06f0b36b76b5c2c6f348f38eba54a50d280b2640",
+    },
+    2: {
+        "shrestha": "e0d224312b91089b201c28e9db05de1ff4d523ec432236521d8bee63ed20e20b",
+        "truong": "c6693ed6a69b8a40a36a60161079028bf8d617e678357118ff03e7df031941bc",
+        "miettinen": "7098bf316ad6f75a95c54228f4ccd12ebce0403ba314a72a824033c93b2f18a3",
+    },
+}
+# A 1 s interval and 4-bit fingerprints, so a 10 s scenario yields some.
+_FEATURE_ARGS = {"shrestha": [], "truong": [], "miettinen": ["--t", "1", "--bits", "4"]}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_FEATURE_DIGESTS))
+def test_golden_feature_digests(seed, tmp_path):
+    from ziskit.cli import main
+
+    scen = tmp_path / "scen"
+    assert main(["datagen", "--out", str(scen), "--seed", str(seed),
+                 "--duration-s", "10", "--groups", "2,1"]) == 0
+    digests = {}
+    for scheme, extra in _FEATURE_ARGS.items():
+        out = tmp_path / f"features_{scheme}.csv"
+        assert main(["features", "--scheme", scheme, "--dataset", str(scen),
+                     "--out", str(out), *extra]) == 0
+        digests[scheme] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == GOLDEN_FEATURE_DIGESTS[seed]

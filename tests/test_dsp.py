@@ -88,6 +88,11 @@ class TestBandpass:
             + b * dsp.bandpass(y, 400, 800, rate_hz=RATE)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(lhs)))
 
+    def test_int16_input_filters_as_its_float64_cast(self, rng):
+        x = rng.integers(-32768, 32768, size=(3, 2000)).astype(np.int16)
+        assert np.array_equal(dsp.bandpass(x, 400, 800, rate_hz=RATE),
+                              dsp.bandpass(x.astype(np.float64), 400, 800, rate_hz=RATE))
+
     def test_band_energy_non_negative(self, rng):
         out = dsp.bandpass(rng.normal(size=2000), 250, 500, rate_hz=RATE)
         assert float(out @ out) >= 0.0

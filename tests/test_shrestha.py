@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import series_of, two_group_truth
-from reference import expand_instances
+from reference import SampleTriple, build_dataset_per_anchor, difference_features, expand_instances
 from ziskit import pipeline
-from ziskit.core.types import Dataset, Label, SensorKind
+from ziskit.core.types import Dataset, GroundTruth, Group, Label, SensorKind, SensorSeries
 from ziskit.errors import InvalidPressure
 from ziskit.schemes import shrestha
 
@@ -39,22 +41,22 @@ class TestPressureToAltitude:
 
 class TestDifferenceFeatures:
     def test_identical_samples(self):
-        t = shrestha.SampleTriple(22.0, 40.0, 1000.0)
-        row = shrestha.difference_features(t, t, Label.COLOCATED)
+        t = SampleTriple(22.0, 40.0, 1000.0)
+        row = difference_features(t, t, Label.COLOCATED)
         assert (row.d_temperature, row.d_humidity, row.d_altitude) == (0.0, 0.0, 0.0)
 
     def test_hand_differences(self):
-        a = shrestha.SampleTriple(22.5, 40.0, 1000.0)
-        b = shrestha.SampleTriple(20.0, 45.0, 1000.0)
-        row = shrestha.difference_features(a, b, Label.COLOCATED)
+        a = SampleTriple(22.5, 40.0, 1000.0)
+        b = SampleTriple(20.0, 45.0, 1000.0)
+        row = difference_features(a, b, Label.COLOCATED)
         assert row.d_temperature == pytest.approx(2.5)
         assert row.d_humidity == pytest.approx(5.0)
         assert row.d_altitude == pytest.approx(0.0)
 
     def test_missing_humidity_slot(self):
-        a = shrestha.SampleTriple(22.5, None, 1000.0)
-        b = shrestha.SampleTriple(20.0, 45.0, 1000.0)
-        row = shrestha.difference_features(a, b, Label.NON_COLOCATED)
+        a = SampleTriple(22.5, None, 1000.0)
+        b = SampleTriple(20.0, 45.0, 1000.0)
+        row = difference_features(a, b, Label.NON_COLOCATED)
         assert row.d_humidity is None
         assert row.d_temperature == pytest.approx(2.5)
         assert row.d_altitude == pytest.approx(0.0)
@@ -62,13 +64,13 @@ class TestDifferenceFeatures:
     def test_symmetry_and_triangle_bound(self, rng):
         for _ in range(30):
             temps = rng.uniform(10, 30, size=3)
-            a = shrestha.SampleTriple(float(temps[0]), 40.0, 1000.0)
-            b = shrestha.SampleTriple(float(temps[1]), 40.0, 1000.0)
-            c = shrestha.SampleTriple(float(temps[2]), 40.0, 1000.0)
-            ab = shrestha.difference_features(a, b, Label.COLOCATED).d_temperature
-            ba = shrestha.difference_features(b, a, Label.COLOCATED).d_temperature
-            ac = shrestha.difference_features(a, c, Label.COLOCATED).d_temperature
-            cb = shrestha.difference_features(c, b, Label.COLOCATED).d_temperature
+            a = SampleTriple(float(temps[0]), 40.0, 1000.0)
+            b = SampleTriple(float(temps[1]), 40.0, 1000.0)
+            c = SampleTriple(float(temps[2]), 40.0, 1000.0)
+            ab = difference_features(a, b, Label.COLOCATED).d_temperature
+            ba = difference_features(b, a, Label.COLOCATED).d_temperature
+            ac = difference_features(a, c, Label.COLOCATED).d_temperature
+            cb = difference_features(c, b, Label.COLOCATED).d_temperature
             assert ab == ba >= 0
             assert ab <= ac + cb + 1e-12
 
@@ -180,3 +182,72 @@ class TestBuildDataset:
         assert np.isnan(X[1, 1])
         assert w.tolist() == [5.0, 1.0]
         assert names == shrestha.FEATURE_NAMES
+
+
+# Readings of every kind within its invariants.
+READINGS = {
+    SensorKind.TEMPERATURE: st.floats(-20.0, 45.0),
+    SensorKind.HUMIDITY: st.floats(0.0, 100.0),
+    SensorKind.PRESSURE: st.floats(850.0, 1100.0),
+    SensorKind.LUMINOSITY: st.floats(0.0, 1e4),
+}
+
+
+@st.composite
+def sensor_datasets(draw) -> Dataset:
+    # Readings on a 250 or 500 ms grid put anchors exactly 1 000 ms from a
+    # reading, often with one on either side; devices may lack kinds, hold
+    # empty series or only luminosity.
+    step = draw(st.sampled_from([250, 500]))
+    base = draw(st.integers(-10 ** 12, 10 ** 12))
+    grid = st.integers(0, 20).map(lambda k: base + k * step)
+    devices = draw(st.lists(st.sampled_from("abcde"), min_size=2, max_size=4, unique=True))
+    sensors = {}
+    for dev in devices:
+        sensors[dev] = {}
+        # A device holds each kind in three draws of four; one series in five is empty.
+        for kind in [kind for kind in READINGS if draw(st.integers(0, 3))]:
+            times = [] if draw(st.integers(0, 4)) == 0 else sorted(draw(
+                st.sets(grid, min_size=1, max_size=12)))
+            values = draw(st.lists(READINGS[kind], min_size=len(times), max_size=len(times)))
+            sensors[dev][kind] = SensorSeries(kind, times, values, dev)
+    # Two groups, each present in every other span between a few cuts, and
+    # devices in neither: a pair's label changes over time and is None where
+    # a device is ungrouped.
+    group_of = {dev: draw(st.sampled_from([0, 1, None])) for dev in devices}
+    groups = []
+    for i in (0, 1):
+        cuts = [base - step, *sorted(draw(st.sets(grid, max_size=3))), base + 21 * step]
+        groups.append(Group(f"g{i}", tuple(d for d in devices if group_of[d] == i),
+                            tuple(zip(cuts[::2], cuts[1::2]))))
+    return Dataset(sensors=sensors, ground_truth=GroundTruth(groups=tuple(groups)))
+
+
+def _tie_dataset() -> Dataset:
+    """b's readings lie 1 000 ms either side of a's anchor, with other values."""
+    gt = two_group_truth()
+    sensors = {
+        "a": {kind: SensorSeries(kind, [1000], [value], "a")
+              for kind, value in ((SensorKind.TEMPERATURE, 20.0), (SensorKind.PRESSURE, 1000.0))},
+        "b": {kind: SensorSeries(kind, [0, 2000], values, "b")
+              for kind, values in ((SensorKind.TEMPERATURE, [21.0, 25.0]),
+                                   (SensorKind.PRESSURE, [990.0, 950.0]))},
+    }
+    return Dataset(sensors=sensors, ground_truth=gt)
+
+
+def _far_apart_dataset() -> Dataset:
+    """a's reading is 2**63 ms after b's: an int64 difference would wrap."""
+    gt = GroundTruth(groups=(Group("g0", ("a", "b"), ((-2 ** 62, 2 ** 62 + 1),)),))
+    kind = SensorKind.TEMPERATURE
+    sensors = {dev: {kind: SensorSeries(kind, [t], [20.0], dev)}
+               for dev, t in (("a", 2 ** 62), ("b", -2 ** 62))}
+    return Dataset(sensors=sensors, ground_truth=gt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dataset=sensor_datasets())
+@example(dataset=_tie_dataset())
+@example(dataset=_far_apart_dataset())
+def test_build_dataset_equals_per_anchor_reference(dataset):
+    assert shrestha.build_dataset(dataset) == build_dataset_per_anchor(dataset)
