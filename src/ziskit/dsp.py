@@ -8,14 +8,18 @@ one FFT core (padded_spectrum, xcorr_spectra, lag_peak); the direct sum of
 xcorr_lags(method="direct") is its reference to 1e-6 relative.
 
 The band filters need no scipy.signal package, whose import also loads
-scipy.stats, scipy.interpolate and scipy.optimize. `butter_bandpass_sos` is a numpy port of scipy's Butterworth band-pass design
-with equal coefficients bit for bit, and `sosfilt` runs scipy's compiled
-cascade, loaded alone from its file (`_sosfilt_kernel`), with equal output
-bit for bit. scipy is loaded inside the functions that use it, here and in
-the other modules the CLI imports, so commands that never filter or transform
-audio do not pay for it: the `_sosfilt` kernel for the band filters (here and
-in datagen) and scipy.fft for the FFTs. WAV files are read and written
-without scipy (`core.io`).
+scipy.stats, scipy.interpolate and scipy.optimize, and the FFTs need no
+scipy.fft package, whose import also loads scipy.special.
+`butter_bandpass_sos` is a numpy port of scipy's Butterworth band-pass design
+with equal coefficients bit for bit. `sosfilt` runs scipy's compiled cascade
+and `padded_spectrum`/`xcorr_spectra` run scipy's compiled pocketfft
+transforms, each kernel loaded alone from its file (`_scipy_kernel`), with
+output equal bit for bit to scipy.signal.sosfilt and scipy.fft.rfft/irfft.
+A kernel is loaded when a function first uses it, here and in the other
+modules the CLI imports, so commands that never filter or transform audio do
+not pay for it: the `_sosfilt` kernel for the band filters (here and in
+datagen) and the pocketfft kernel for the FFTs. WAV files are read and
+written without scipy (`core.io`).
 """
 
 from __future__ import annotations
@@ -171,28 +175,34 @@ def _upper_poles(p: np.ndarray) -> np.ndarray:
     return (upper + lower.conj()) / 2
 
 
-@cache
-def _sosfilt_kernel():
-    """scipy's compiled `_sosfilt(sos, x, zi)`, loaded from its file so that the
-    scipy.signal package `__init__` never runs.
+# The compiled scipy modules the program runs, each loaded by `_scipy_kernel`.
+_SOSFILT = "scipy.signal._sosfilt"
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
-    The module registers itself as scipy.signal._sosfilt, which a later
-    `import scipy.signal` then reuses, and an earlier one has already loaded.
+
+@cache
+def _scipy_kernel(name: str):
+    """scipy's compiled module `name`, loaded from its file so that no scipy
+    package `__init__` runs.
+
+    The module is registered in sys.modules as `name`, which a later import of
+    its package then reuses, and an earlier one has already loaded.
     """
-    name = "scipy.signal._sosfilt"
     module = sys.modules.get(name)
     if module is None:
-        scipy_spec = importlib.util.find_spec("scipy")
-        paths = [] if scipy_spec is None else [
+        root, *package, stem = name.split(".")
+        spec = importlib.util.find_spec(root)
+        paths = [] if spec is None else [
             path for suffix in importlib.machinery.EXTENSION_SUFFIXES
-            if (path := Path(scipy_spec.origin).parent / "signal" / f"_sosfilt{suffix}").is_file()]
+            if (path := Path(spec.origin).parent.joinpath(*package, stem + suffix)).is_file()]
         if not paths:
             raise ImportError(f"scipy's compiled {name} kernel is not installed", name=name)
         loader = importlib.machinery.ExtensionFileLoader(name, str(paths[0]))
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_file_location(name, paths[0], loader=loader))
         loader.exec_module(module)
-    return module._sosfilt
+        sys.modules[name] = module
+    return module
 
 
 def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -201,7 +211,7 @@ def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     Equal bit for bit to scipy.signal.sosfilt(sos, x): the same compiled loop,
     on a C-ordered copy of `x` as (rows, N) in the dtype of `sos` and `x`.
     """
-    kernel = _sosfilt_kernel()
+    kernel = _scipy_kernel(_SOSFILT)._sosfilt
     x = np.asarray(x)
     dtype = np.result_type(sos, x)
     out = np.array(x.reshape(-1, x.shape[-1]), dtype, order="C")
@@ -217,16 +227,16 @@ def _bandpass_sos(f_low: float, f_high: float, rate_hz: int) -> np.ndarray:
 def load_sosfilt() -> None:
     """Load the `sosfilt` kernel in the calling thread.
 
-    Pipelines call it, and `import_fft`, before `pmap` starts its worker
+    Pipelines call it, and `load_fft`, before `pmap` starts its worker
     threads: a first import inside a worker thread raised the peak RSS of
     `features karapanos` on a 16-device scenario from 296 MB to 300-315 MB.
     """
-    _sosfilt_kernel()
+    _scipy_kernel(_SOSFILT)
 
 
-def import_fft() -> None:
-    """Import scipy.fft in the calling thread; see `load_sosfilt`."""
-    import scipy.fft  # noqa: F401
+def load_fft() -> None:
+    """Load the pocketfft kernel in the calling thread; see `load_sosfilt`."""
+    _scipy_kernel(_POCKETFFT)
 
 
 def bandpass(x: np.ndarray, f_low: float, f_high: float, *, rate_hz: int) -> np.ndarray:
@@ -257,14 +267,35 @@ def avg_power_db(x: np.ndarray) -> float:
     return 10.0 * np.log10(mean_sq)
 
 
+def _as_float(x: np.ndarray) -> np.ndarray:
+    """scipy.fft's `_asfarray`: float16 to float32, other non-float dtypes to
+    float64, and floats in native byte order in aligned memory."""
+    if x.dtype == np.float16:
+        return np.asarray(x, np.float32)
+    if x.dtype.kind not in "fc":
+        return np.asarray(x, np.float64)
+    return np.array(x, x.dtype.newbyteorder("="), copy=None if x.flags.aligned else True)
+
+
+def _fit_last_axis(x: np.ndarray, n: int) -> np.ndarray:
+    """scipy.fft's `_fix_shape_1d` on the last axis: truncated to n, or
+    zero-padded to n in a copy."""
+    if x.shape[-1] >= n:
+        return x[..., :n]
+    padded = np.zeros((*x.shape[:-1], n), x.dtype)
+    padded[..., :x.shape[-1]] = x
+    return padded
+
+
 def padded_spectrum(x: np.ndarray, maxlag: int) -> tuple[np.ndarray, int]:
     """rfft along the last axis at M = fast_len(N + maxlag), and M.
 
-    At M, circular correlation is exact for every lag in [-maxlag, maxlag]."""
-    from scipy.fft import rfft
-
+    At M, circular correlation is exact for every lag in [-maxlag, maxlag].
+    Equal bit for bit, and in dtype, to scipy.fft.rfft(x, M, axis=-1)."""
     pad = fast_len(x.shape[-1] + maxlag)
-    return rfft(x, pad, axis=-1), pad
+    spectrum = _scipy_kernel(_POCKETFFT).r2c(
+        _fit_last_axis(_as_float(x), pad), axes=(-1,), forward=True, inorm=0, nthreads=1)
+    return spectrum, pad
 
 
 def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int, *,
@@ -272,14 +303,16 @@ def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int, *,
     """c[l] = sum_i x[i]*y[i-l] (lag -l at c[-l]) from padded spectra, last axis.
 
     `out`, an array of the spectra's shape and dtype, holds the spectral
-    product and is overwritten; without it the product is a new array.
+    product and is overwritten; without it the product is a new array. Equal
+    bit for bit, and in dtype, to scipy.fft.irfft of the product at pad_len.
     """
-    from scipy.fft import irfft
-
     # numpy evaluates `fx * conj(fy)` as `conj(fy) * fx` only for arrays of 256 KiB
     # and more, and with FMA the two orders differ in the last bit: fix the order.
     product = np.multiply(np.conjugate(fy, out=out), fx, out=out)
-    return irfft(product, pad_len, axis=-1, overwrite_x=True)
+    # Norm code 2 scales the inverse by 1 / pad_len.
+    return _scipy_kernel(_POCKETFFT).c2r(
+        _fit_last_axis(_as_float(product), pad_len // 2 + 1), axes=(-1,), lastsize=pad_len,
+        forward=False, inorm=2, nthreads=1)
 
 
 def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:

@@ -52,7 +52,7 @@ def karapanos_records(dataset: Dataset, t: int,
 
     if any(karapanos.fits_rate(x.rate_hz) for x in dataset.audio.values()):
         dsp.load_sosfilt()
-        dsp.import_fft()
+        dsp.load_fft()
     return [r for rows in pmap(score_run, interval_runs(window_pairs(dataset, t)))
             for r in rows]
 
@@ -194,7 +194,7 @@ TRUONG_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN,
 def truong_rows(dataset: Dataset, t: int, theta: float = truong.THETA_DEFAULT
                 ) -> list[truong.TruongFeatureVector]:
     if dataset.audio:
-        dsp.import_fft()
+        dsp.load_fft()
     return truong.build_dataset(window_pairs(dataset, t), dataset, t, theta=theta)
 
 

@@ -60,8 +60,9 @@ def noise_levels(x: AudioSnippet, m_w: float = 1.0) -> SensorSeries:
 def _change_bits(averages: np.ndarray, delta_rel: float, delta_abs: float) -> np.ndarray:
     prev = averages[:-1]
     cur = averages[1:]
-    abs_ok = np.abs(cur - prev) > delta_abs
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An overflowing change is inf, which exceeds either threshold.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        abs_ok = np.abs(cur - prev) > delta_abs
         rel = np.abs(cur / prev - 1.0)
     # Zero predecessor: the relative change is unbounded, so only the
     # absolute threshold decides.

@@ -1018,24 +1018,24 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'sci
 
 def test_each_command_loads_only_the_scipy_it_uses(tmp_path, monkeypatch):
     # WAV files are read with `wave`, and no command loads scipy.io. The band
-    # filters load only scipy's compiled sosfilt kernel (`dsp.sosfilt`), never
-    # the scipy.signal package, whose __init__ pulls in scipy.stats,
-    # scipy.interpolate and scipy.optimize; only the FFTs load scipy.fft.
-    # Pipelines import scipy before `pmap` starts its threads: a first import
-    # inside a worker thread raised the peak RSS of `features karapanos`.
+    # filters load only scipy's compiled sosfilt kernel and the FFTs only its
+    # compiled pocketfft kernel (`dsp._scipy_kernel`), never the scipy.signal
+    # package, whose __init__ pulls in scipy.stats, scipy.interpolate and
+    # scipy.optimize, nor the scipy.fft package, which pulls in scipy.special.
+    # Pipelines load the kernels before `pmap` starts its threads: a first
+    # import inside a worker thread raised the peak RSS of `features karapanos`.
     monkeypatch.setenv("ZIS_THREADS", "2")
-    no_scipy, no_io = ("scipy",), ("scipy.io",)
-    kernel = "scipy.signal._sosfilt"
-    kernel_only = ("scipy.io", "scipy.signal", "scipy.stats", "scipy.interpolate",
-                   "scipy.optimize")
+    sosfilt, fft = "scipy.signal._sosfilt", "scipy.fft._pocketfft.pypocketfft"
+    no_scipy = set()
     dataset = ["--dataset", "scen"]
     steps = [
         (["datagen", "--out", "scen", "--seed", "3", "--duration-s", "20",
-          "--groups", "2,2"], kernel_only),
-        (["features", "--scheme", "karapanos", *dataset, "--out", "kara.csv"], kernel_only),
-        (["features", "--scheme", "schurmann", *dataset, "--out", "fp.csv"], kernel_only),
-        (["features", "--scheme", "truong", *dataset, "--out", "tr.csv"],
-         ("scipy.io", "scipy.signal")),
+          "--groups", "2,2"], {sosfilt}),
+        (["features", "--scheme", "karapanos", *dataset, "--out", "kara.csv"], {sosfilt, fft}),
+        (["features", "--scheme", "schurmann", *dataset, "--out", "fp.csv"], {sosfilt}),
+        (["features", "--scheme", "truong", *dataset, "--out", "tr.csv"], {fft}),
+        (["align", *dataset, "--probe-s", "10", "--maxlag-s", "1", "--out", "lags.json"],
+         {fft}),
         (["features", "--scheme", "shrestha", *dataset, "--out", "shr.csv"], no_scipy),
         (["features", "--scheme", "miettinen", *dataset, "--out", "mi.csv"], no_scipy),
         (["ml", "train", "--scheme", "shrestha", "--features", "shr.csv", "--grid", "small",
@@ -1049,15 +1049,18 @@ def test_each_command_loads_only_the_scipy_it_uses(tmp_path, monkeypatch):
         (["robustness", "--results", "ev_kara/results.csv", "--scheme", "karapanos",
           "--features", "kara.csv", *dataset, "--out", "robust.csv"], no_scipy),
     ]
-    for argv, banned in steps:
+    for argv, kernels in steps:
         proc = _cold("-c", _SCIPY_PROBE, *argv, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         code, loaded, off_main = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0, (argv, proc.stderr)
-        allowed = {kernel} if banned is kernel_only else set()
-        assert [m for m in loaded if m not in allowed
-                and any(m == b or m.startswith(b + ".") for b in banned)] == [], argv
-        assert (kernel in loaded) == (banned is kernel_only), argv
+        # The Cython sosfilt kernel also imports the top-level scipy package
+        # (scipy._lib and scipy.version), and no other scipy subpackage module.
+        subpackages = [m for m in loaded if "." in m and m != "scipy.version"
+                       and not m.split(".")[1].startswith("_")]
+        assert subpackages == sorted(kernels), argv
+        if sosfilt not in kernels:
+            assert loaded == sorted(kernels), argv
         assert off_main == [], argv
 
 

@@ -1,3 +1,4 @@
+import importlib.machinery
 import json
 import os
 import subprocess
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import sosfreqz
 
@@ -184,17 +186,120 @@ import scipy.signal
 print(json.dumps([loaded, all(np.array_equal(o, scipy.signal.sosfilt(sos, x))
                               for o, x in zip(outs, xs))]))
 """
-        src = str(Path(dsp.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        loaded, equal = json.loads(proc.stdout.splitlines()[-1])
+        loaded, equal = run_probe(probe, tmp_path)
         assert [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats",
                                                    "scipy.interpolate", "scipy.optimize"))] \
             == ["scipy.signal._sosfilt"]
         assert equal
+
+
+def run_probe(probe: str, cwd: Path):
+    """The JSON last line that `probe` prints in a fresh Python process."""
+    src = str(Path(dsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", ["scipy.signal._sosfilt", "scipy.fft._pocketfft.pypocketfft"])
+def test_missing_kernel_file_raises_import_error(name, monkeypatch):
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    dsp._scipy_kernel.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=name) as err:
+            dsp._scipy_kernel(name)
+        assert err.value.name == name
+    finally:
+        dsp._scipy_kernel.cache_clear()
+
+
+def program_fft_sizes() -> list[tuple[int, int]]:
+    """(N, maxlag) of every padded_spectrum call the program makes at 8, 16,
+    44.1, 48 and 96 kHz: Karapanos over t = 1-30 s at maxlag_s 1 s, Truong's
+    full-lag correlation over the same t, and `align`'s default 60 s probe at
+    3 s maxlag."""
+    sizes = set()
+    for rate in (8000, 16000, 44100, 48000, 96000):
+        for t in range(1, 31):
+            sizes.add((t * rate, rate))
+            sizes.add((t * rate, t * rate - 1))
+        sizes.add((60 * rate, 3 * rate))
+    return sorted(sizes)
+
+
+FFT_SIZES = program_fft_sizes()
+
+
+class TestFftCore:
+    """padded_spectrum and xcorr_spectra run scipy's pocketfft kernel alone:
+    equal, in bits and dtype, to scipy.fft.rfft and irfft at the same pad."""
+
+    @given(size=st.sampled_from(FFT_SIZES),
+           dtype=st.sampled_from([np.int16, np.float32, np.float64]),
+           rows=st.sampled_from([0, 2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(size=FFT_SIZES[0], dtype=np.int16, rows=3, seed=0)
+    @example(size=max(FFT_SIZES, key=lambda s: dsp.fast_len(sum(s))), dtype=np.float32,
+             rows=0, seed=0)
+    @settings(max_examples=12, deadline=None)
+    def test_equals_scipy_fft_at_program_sizes(self, size, dtype, rows, seed):
+        n, maxlag = size
+        # Stacks only below 2**20 samples a row, to keep a draw's memory small.
+        shape = (rows, n) if rows and n < 2 ** 20 else (n,)
+        gen = np.random.default_rng(seed)
+        x = gen.integers(-2 ** 15, 2 ** 15, shape).astype(dtype)
+        y = gen.integers(-2 ** 15, 2 ** 15, shape).astype(dtype)
+        fx, pad = dsp.padded_spectrum(x, maxlag)
+        fy, _ = dsp.padded_spectrum(y, maxlag)
+        assert pad == dsp.fast_len(n + maxlag)
+        for ours, ref in ((fx, scipy.fft.rfft(x, pad, axis=-1)),
+                          (fy, scipy.fft.rfft(y, pad, axis=-1))):
+            assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+        ref = scipy.fft.irfft(np.multiply(np.conjugate(fy), fx), pad, axis=-1)
+        c = dsp.xcorr_spectra(fx, fy, pad)
+        assert c.dtype == ref.dtype and np.array_equal(c, ref)
+
+    def test_wrapper_converts_as_scipy_does(self, rng):
+        x = rng.normal(scale=1000.0, size=999)
+        for variant in (x.astype(np.float16), x.astype(">f8"), x.astype(np.int32),
+                        np.lib.stride_tricks.as_strided(np.repeat(x, 2), (999,), (16,))):
+            ours, pad = dsp.padded_spectrum(variant, 10)
+            ref = scipy.fft.rfft(variant, pad, axis=-1)
+            assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+            c = dsp.xcorr_spectra(ours, ours, pad)
+            ref = scipy.fft.irfft(np.multiply(np.conjugate(ours), ours), pad, axis=-1)
+            assert c.dtype == ref.dtype and np.array_equal(c, ref)
+
+    @pytest.mark.parametrize("kernel_first", [True, False])
+    def test_kernel_and_scipy_fft_share_one_module(self, tmp_path, kernel_first):
+        # Loaded first, the kernel comes alone, and a later `import scipy.fft`
+        # reuses its module object; loaded after scipy.fft, it is scipy's.
+        probe = f"""
+import json, sys
+import numpy as np
+from ziskit import dsp
+loaded = []
+if {kernel_first}:
+    dsp.load_fft()
+    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+import scipy.fft
+dsp.load_fft()
+name = "scipy.fft._pocketfft.pypocketfft"
+kernel = dsp._scipy_kernel(name)
+x = np.random.default_rng(5).normal(size=(2, 4000))
+fx, pad = dsp.padded_spectrum(x, 400)
+print(json.dumps([loaded, sys.modules[name] is kernel,
+                  scipy.fft._pocketfft.basic.pfft is kernel,
+                  np.array_equal(fx, scipy.fft.rfft(x, pad)),
+                  np.array_equal(dsp.xcorr_spectra(fx, fx, pad),
+                                 scipy.fft.irfft(np.conjugate(fx) * fx, pad))]))
+"""
+        loaded, *same = run_probe(probe, tmp_path)
+        assert loaded == (["scipy.fft._pocketfft.pypocketfft"] if kernel_first else [])
+        assert same == [True] * 4
 
 
 class TestMaxXcorrNorm:

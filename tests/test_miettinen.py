@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +112,16 @@ class TestContextFingerprint:
         assert fp.bits.tolist() == [1, 0]
         fp2 = miettinen.iter_fingerprints(snapshot_series([0.0, 9.0, 9.0]), cfg)[0]
         assert fp2.bits.tolist() == [0, 0]
+
+    def test_overflowing_change_sets_bit_without_warning(self):
+        cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 1e300 / 1e-300 and 1e308 - -1e308 overflow to inf.
+            bits = [miettinen.iter_fingerprints(
+                snapshot_series(averages, readings_per_snapshot=1), cfg)[0].bits.tolist()
+                for averages in ([1e-300, 1e300, 1e300], [-1e308, 1e308, 1e308])]
+        assert bits == [[1, 0], [1, 0]]
 
     def test_insufficient_span(self):
         cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=8)

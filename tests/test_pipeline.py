@@ -285,8 +285,8 @@ class TestThreading:
         # devices x bands x (M/2+1) complex bins; band-major scoring holds one
         # band of the interval at a time. numpy reports its buffers to
         # tracemalloc.
-        import scipy.fft  # noqa: F401  (imported lazily by dsp; keep it out of the peak)
-        import scipy.signal  # noqa: F401
+        dsp.load_sosfilt()  # loaded lazily by dsp; keep the kernels out of the peak
+        dsp.load_fft()
 
         monkeypatch.setenv("ZIS_THREADS", "1")
         cfg = karapanos.KarapanosConfig()
