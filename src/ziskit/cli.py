@@ -460,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ZisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

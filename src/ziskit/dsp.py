@@ -4,8 +4,9 @@ Band-pass filtering uses Butterworth designs of total order FILTER_ORDER,
 the order both audio schemes use, realized as cascaded second-order
 sections; a direct-form transfer function of order 20 is numerically
 unstable for narrow bands at 16 kHz. Every cross-correlation runs through
-one FFT core (padded_spectrum, xcorr_spectra, lag_peak); the direct sum of
-xcorr_lags(method="direct") is its reference to 1e-6 relative.
+one FFT core (padded_spectrum, xcorr_spectra, lag_peak), which searches lags
+[-maxlag, maxlag]; the direct-sum reference in tests/reference.py checks it
+to 1e-6 relative.
 
 The band filters need no scipy.signal package, whose import also loads
 scipy.stats, scipy.interpolate and scipy.optimize, and the FFTs need no
@@ -315,10 +316,10 @@ def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int, *,
         forward=False, inorm=2, nthreads=1)
 
 
-def lag_peak(c: np.ndarray, maxlag: int, two_sided: bool = False) -> np.ndarray:
-    """max |c| over lags [0, maxlag], or [-maxlag, maxlag], along the last axis."""
+def lag_peak(c: np.ndarray, maxlag: int) -> np.ndarray:
+    """max |c| over lags [-maxlag, maxlag] along the last axis."""
     peak = np.abs(c[..., :maxlag + 1]).max(axis=-1)
-    if two_sided and maxlag:
+    if maxlag:  # c[..., -0:] would be the whole array
         peak = np.maximum(peak, np.abs(c[..., -maxlag:]).max(axis=-1))
     return peak
 
@@ -335,15 +336,6 @@ def normalize_peak(peak, energy_x, energy_y):
     return np.minimum(peak / norm, 1.0)
 
 
-def normalized_peak(c: np.ndarray, energy_x, energy_y, maxlag: int,
-                    two_sided: bool = False):
-    """normalize_peak of lag_peak(c) along the last axis of `c`.
-
-    Energies are scalars for 1-d `c`, one per row for a stack.
-    """
-    return normalize_peak(lag_peak(c, maxlag, two_sided), energy_x, energy_y)
-
-
 def _xcorr_fft_circular(x: np.ndarray, y: np.ndarray, maxlag: int) -> np.ndarray:
     """Circular FFT correlation padded so lags [-maxlag, maxlag] are exact."""
     fx, pad = padded_spectrum(x, maxlag)
@@ -351,47 +343,19 @@ def _xcorr_fft_circular(x: np.ndarray, y: np.ndarray, maxlag: int) -> np.ndarray
     return xcorr_spectra(fx, fy, pad)
 
 
-def xcorr_lags(x: np.ndarray, y: np.ndarray, maxlag: int, method: str = "fft") -> np.ndarray:
-    """Raw cross-correlation C(l) = sum_i x[i]*y[i-l] for l in [0, maxlag]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size or x.size == 0:
-        raise ValueError("signals must be nonempty and of equal length")
-    if not 0 <= maxlag <= x.size - 1:
-        raise ValueError(f"maxlag must lie in [0, {x.size - 1}]")
-    if method == "direct":
-        n = x.size
-        return np.array([np.dot(x[l:], y[:n - l]) for l in range(maxlag + 1)])
-    if method == "fft":
-        return _xcorr_fft_circular(x, y, maxlag)[:maxlag + 1]
-    raise ValueError(f"unknown method {method!r}")
-
-
-def max_xcorr_norm(x: np.ndarray, y: np.ndarray, maxlag: int,
-                   method: str = "fft") -> float:
-    """Normalized maximum cross-correlation over lags [0, maxlag], in [0, 1].
-
-    max over l of |C_xy(l)| / sqrt(C_xx(0) * C_yy(0)). Raises
-    UndefinedCorrelation when either signal is all-zero.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    c = xcorr_lags(x, y, maxlag, method=method)
-    return float(normalized_peak(c, np.dot(x, x), np.dot(y, y), maxlag))
-
-
 def max_xcorr_norm_two_sided(x: np.ndarray, y: np.ndarray, maxlag: int) -> float:
-    """Normalized maximum over lags [-maxlag, maxlag].
+    """Normalized maximum cross-correlation over lags [-maxlag, maxlag], in [0, 1].
 
-    Equals max(max_xcorr_norm(x, y, maxlag), max_xcorr_norm(y, x, maxlag))
-    at the cost of a single FFT pass.
+    max over l of |C_xy(l)| / sqrt(C_xx(0) * C_yy(0)), with C_xy(l) =
+    sum_i x[i]*y[i-l], from a single FFT pass. Raises UndefinedCorrelation
+    when either signal is all-zero.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size == 0:
         raise ValueError("signals must be nonempty and of equal length")
     c = _xcorr_fft_circular(x, y, maxlag)
-    return float(normalized_peak(c, np.dot(x, x), np.dot(y, y), maxlag, two_sided=True))
+    return float(normalize_peak(lag_peak(c, maxlag), np.dot(x, x), np.dot(y, y)))
 
 
 def align(x: AudioSnippet, y: AudioSnippet, probe_len_s: float,

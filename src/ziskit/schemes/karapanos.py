@@ -78,19 +78,15 @@ def band_decompose(x: AudioSnippet, cfg: KarapanosConfig) -> BandedSnippet:
     )
 
 
-def similarity_banded(a: BandedSnippet, b: BandedSnippet, cfg: KarapanosConfig,
-                      two_sided: bool = False) -> SimilarityScore:
-    """Similarity between two pre-decomposed snippets.
-
-    two_sided extends the lag search to [-maxlag, maxlag], which equals the
-    maximum of the score over both argument orders.
-    """
+def similarity_banded(a: BandedSnippet, b: BandedSnippet,
+                      cfg: KarapanosConfig) -> SimilarityScore:
+    """Similarity between two pre-decomposed snippets, over lags [-maxlag, maxlag]."""
     if a.spectra.shape != b.spectra.shape or a.pad_len != b.pad_len:
         raise ValueError("banded snippets are not comparable")
     if min(a.power_db, b.power_db) <= cfg.power_threshold_db:
         return SimilarityScore(None, "power")
     c = dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len)
-    return _score(dsp.lag_peak(c, int(round(cfg.maxlag_s * a.rate_hz)), two_sided),
+    return _score(dsp.lag_peak(c, int(round(cfg.maxlag_s * a.rate_hz))),
                   a.norms, b.norms)
 
 
@@ -166,17 +162,6 @@ def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
             spectra[i] = dsp.padded_spectrum(row, maxlag)[0]
         for k, (a, b) in enumerate(pairs):
             c = dsp.xcorr_spectra(spectra[a], spectra[b], pad, out=product)
-            peaks[k, j] = dsp.lag_peak(c, maxlag, two_sided=True)
+            peaks[k, j] = dsp.lag_peak(c, maxlag)
     return peaks, norms
-
-
-def similarity(x: AudioSnippet, y: AudioSnippet, cfg: KarapanosConfig) -> SimilarityScore:
-    """Similarity score between two aligned equal-length snippets.
-
-    Mean over the bands of the normalized maximum cross-correlation
-    with lags in [0, maxlag]; gated when either input has insufficient power.
-    """
-    if x.samples.size != y.samples.size or x.samples.size == 0:
-        raise ValueError("snippets must be aligned to equal nonzero length")
-    return similarity_banded(band_decompose(x, cfg), band_decompose(y, cfg), cfg)
 

@@ -89,8 +89,13 @@ def iter_fingerprints(series: SensorSeries, cfg: MiettinenConfig) -> list[Finger
     edges = np.searchsorted(t, first + step * np.arange(n_windows + 1))
     empty = np.flatnonzero(edges[1:] == edges[:-1])
     n_full = int(empty[0]) if empty.size else n_windows  # windows before the first empty one
-    means = np.array([float(series.values[a:b].mean())
-                      for a, b in zip(edges[:n_full], edges[1:n_full + 1])])
+    windows = list(zip(edges[:n_full], edges[1:n_full + 1]))
+    with np.errstate(over="ignore"):
+        means = np.array([float(series.values[a:b].mean()) for a, b in windows])
+        # Finite readings whose sum overflows: scale each before summing.
+        for k in np.flatnonzero(~np.isfinite(means)):
+            a, b = windows[k]
+            means[k] = (series.values[a:b] / (b - a)).sum()
     return [Fingerprint(_change_bits(means[lo:lo + cfg.bits + 1], cfg.delta_rel, cfg.delta_abs),
                         series.device_id, first + (lo + 1) * step)
             for lo in range(0, n_full - cfg.bits, cfg.bits)]

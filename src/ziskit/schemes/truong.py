@@ -121,7 +121,7 @@ def audio_distances(a: AudioState, b: AudioState) -> AudioDistances:
     if a.size != b.size:
         raise ValueError("snippets must be aligned, equal length, and non-trivial")
     c = dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len)
-    max_xcorr = float(dsp.normalized_peak(c, a.sum_sq, b.sum_sq, a.size - 1, two_sided=True))
+    max_xcorr = float(dsp.normalize_peak(dsp.lag_peak(c, a.size - 1), a.sum_sq, b.sum_sq))
     if a.unit_spectrum is None or b.unit_spectrum is None:
         raise UndefinedCorrelation("zero spectrum")
     freq_distance = float(np.linalg.norm(a.unit_spectrum - b.unit_spectrum))

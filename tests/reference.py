@@ -11,6 +11,7 @@ from ziskit import dsp
 from ziskit.core.types import AudioSnippet, Dataset, Fingerprint, Label, SensorKind, SensorSeries
 from ziskit.errors import InsufficientSamples
 from ziskit.ml.tree import _MIN_HESSIAN, Tree, TreeParams, _best_splits
+from ziskit.schemes import karapanos
 from ziskit.schemes.miettinen import MiettinenConfig, SurprisalModel, _change_bits
 from ziskit.schemes.shrestha import (MATCH_TOLERANCE_MS, ShresthaFeatureVector,
                                      pressure_to_altitude)
@@ -35,6 +36,54 @@ def apply_alignment(x: AudioSnippet, y: AudioSnippet,
         AudioSnippet(xa, x2.rate_hz, x_start, x2.device_id),
         AudioSnippet(ya, y2.rate_hz, y2.start_time, y2.device_id),
     )
+
+
+def xcorr_lags(x: np.ndarray, y: np.ndarray, maxlag: int, method: str = "fft") -> np.ndarray:
+    """Raw cross-correlation C(l) = sum_i x[i]*y[i-l] for l in [0, maxlag], by the
+    direct O(N * maxlag) sum or through the FFT core of `dsp`."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size != y.size or x.size == 0:
+        raise ValueError("signals must be nonempty and of equal length")
+    if not 0 <= maxlag <= x.size - 1:
+        raise ValueError(f"maxlag must lie in [0, {x.size - 1}]")
+    if method == "direct":
+        n = x.size
+        return np.array([np.dot(x[l:], y[:n - l]) for l in range(maxlag + 1)])
+    if method == "fft":
+        return dsp._xcorr_fft_circular(x, y, maxlag)[:maxlag + 1]
+    raise ValueError(f"unknown method {method!r}")
+
+
+def max_xcorr_norm(x: np.ndarray, y: np.ndarray, maxlag: int, method: str = "fft") -> float:
+    """Normalized maximum cross-correlation over lags [0, maxlag] only, in [0, 1].
+
+    max over l of |C_xy(l)| / sqrt(C_xx(0) * C_yy(0)). Raises
+    UndefinedCorrelation when either signal is all-zero.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    c = xcorr_lags(x, y, maxlag, method=method)
+    return float(dsp.normalize_peak(np.abs(c[..., :maxlag + 1]).max(-1),
+                                    np.dot(x, x), np.dot(y, y)))
+
+
+def similarity(x: AudioSnippet, y: AudioSnippet,
+               cfg: karapanos.KarapanosConfig) -> karapanos.SimilarityScore:
+    """Karapanos similarity of two aligned equal-length snippets over lags
+    [0, maxlag] only, from their per-band decompositions.
+
+    Mean over the bands of the normalized maximum cross-correlation; gated
+    when either input has insufficient power.
+    """
+    if x.samples.size != y.samples.size or x.samples.size == 0:
+        raise ValueError("snippets must be aligned to equal nonzero length")
+    a, b = karapanos.band_decompose(x, cfg), karapanos.band_decompose(y, cfg)
+    if min(a.power_db, b.power_db) <= cfg.power_threshold_db:
+        return karapanos.SimilarityScore(None, "power")
+    c = dsp.xcorr_spectra(a.spectra, b.spectra, a.pad_len)
+    maxlag = int(round(cfg.maxlag_s * x.rate_hz))
+    return karapanos._score(np.abs(c[..., :maxlag + 1]).max(-1), a.norms, b.norms)
 
 
 def expand_instances(rows: list[ShresthaFeatureVector]) -> list[ShresthaFeatureVector]:

@@ -999,6 +999,20 @@ def test_cli_import_loads_no_scipy_and_commands_run_cold(tmp_path):
     assert json.loads((tmp_path / "rand.json").read_text())["random_walk"]["n_fingerprints"] == 8
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_allocation_beyond_address_space_exits_2(threads, tmp_path, monkeypatch):
+    # A maximum lag of 1e9 s asks `features karapanos` for a spectra buffer of
+    # 350 TiB, beyond the address space, so the allocation fails at once.
+    run_ok(["datagen", "--out", str(tmp_path / "scen"), "--seed", "3", "--duration-s", "20",
+            "--groups", "2,1"])
+    monkeypatch.setenv("ZIS_THREADS", threads)
+    proc = _cold("-m", "ziskit.cli", "features", "--scheme", "karapanos", "--dataset", "scen",
+                 "--out", "kara.csv", "--maxlag-s", "1e9", cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+
+
 # Runs `main(sys.argv[1:])` and prints its exit code, the scipy modules loaded
 # and those first imported outside the main thread.
 _SCIPY_PROBE = """

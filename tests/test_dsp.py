@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.signal import sosfreqz
 
 from conftest import noise_snippet
-from reference import apply_alignment
+from reference import apply_alignment, max_xcorr_norm
 from ziskit import datagen, dsp
 from ziskit.core.types import AudioSnippet
 from ziskit.errors import InsufficientProbe, InvalidBand, InvariantViolation, UndefinedCorrelation
@@ -305,11 +305,11 @@ print(json.dumps([loaded, sys.modules[name] is kernel,
 class TestMaxXcorrNorm:
     def test_identity_is_one(self, rng):
         x = rng.normal(size=500)
-        assert dsp.max_xcorr_norm(x, x, 0) == pytest.approx(1.0, abs=1e-12)
+        assert max_xcorr_norm(x, x, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_negation_is_one(self, rng):
         x = rng.normal(size=500)
-        assert dsp.max_xcorr_norm(x, -x, 10) == pytest.approx(1.0, abs=1e-12)
+        assert max_xcorr_norm(x, -x, 10) == pytest.approx(1.0, abs=1e-12)
 
     def test_shifted_copy_peaks_at_shift(self, rng):
         # Oracle: brute-force all lags with the direct sum.
@@ -321,7 +321,7 @@ class TestMaxXcorrNorm:
         # the reversed order peaks there.
         c_rev = direct_xcorr(y, x, 60)
         assert np.argmax(np.abs(c_rev)) == k
-        val = dsp.max_xcorr_norm(y, x, 60)
+        val = max_xcorr_norm(y, x, 60)
         norm = np.sqrt(np.dot(x, x) * np.dot(y, y))
         assert val == pytest.approx(np.max(np.abs(c_rev)) / norm, rel=1e-12)
         assert val >= abs(c[0]) / norm
@@ -330,13 +330,13 @@ class TestMaxXcorrNorm:
         for _ in range(5):
             x = rng.normal(size=3000)
             y = rng.normal(size=3000)
-            fft_val = dsp.max_xcorr_norm(x, y, 300, method="fft")
-            direct_val = dsp.max_xcorr_norm(x, y, 300, method="direct")
+            fft_val = max_xcorr_norm(x, y, 300, method="fft")
+            direct_val = max_xcorr_norm(x, y, 300, method="direct")
             assert fft_val == pytest.approx(direct_val, rel=1e-6)
 
     def test_all_zero_raises(self):
         with pytest.raises(UndefinedCorrelation):
-            dsp.max_xcorr_norm(np.zeros(10), np.ones(10), 2)
+            max_xcorr_norm(np.zeros(10), np.ones(10), 2)
 
     def test_two_sided_equals_best_order(self, rng):
         for _ in range(10):
@@ -344,7 +344,7 @@ class TestMaxXcorrNorm:
             y = rng.normal(size=401)
             two = dsp.max_xcorr_norm_two_sided(x, y, 40)
             assert two == pytest.approx(
-                max(dsp.max_xcorr_norm(x, y, 40), dsp.max_xcorr_norm(y, x, 40)),
+                max(max_xcorr_norm(x, y, 40), max_xcorr_norm(y, x, 40)),
                 rel=1e-12)
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0),
@@ -354,48 +354,54 @@ class TestMaxXcorrNorm:
         gen = np.random.default_rng(seed)
         x = gen.normal(size=128)
         y = gen.normal(size=128)
-        base = dsp.max_xcorr_norm(x, y, 16)
-        scaled = dsp.max_xcorr_norm(x, scale * y, 16)
+        base = max_xcorr_norm(x, y, 16)
+        scaled = max_xcorr_norm(x, scale * y, 16)
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_bounded_by_one(self, rng):
         for _ in range(20):
             x = rng.normal(size=256)
             y = rng.normal(size=256)
-            assert 0.0 <= dsp.max_xcorr_norm(x, y, 255) <= 1.0
+            assert 0.0 <= max_xcorr_norm(x, y, 255) <= 1.0
+
+
+class TestLagPeak:
+    def test_zero_maxlag_is_lag_zero(self, rng):
+        # c[..., -0:] is the whole array, so maxlag 0 must search lag 0 alone.
+        c = rng.normal(size=(4, 64))
+        assert dsp.lag_peak(c[0], 0) == np.abs(c[0, 0])
+        assert np.array_equal(dsp.lag_peak(c, 0), np.abs(c[..., 0]))
 
 
 class TestNormalizedPeak:
-    @pytest.mark.parametrize("two_sided", [False, True])
-    def test_equals_scalar_expression(self, rng, two_sided):
+    def test_equals_scalar_expression(self, rng):
         for y_is_x in (False, True):
             x = rng.normal(size=500)
             y = x if y_is_x else rng.normal(size=500)
             c = dsp._xcorr_fft_circular(x, y, 50)
             norm = np.sqrt(np.dot(x, x) * np.dot(y, y))
-            expected = float(min(dsp.lag_peak(c, 50, two_sided) / norm, 1.0))
-            assert float(dsp.normalized_peak(c, np.dot(x, x), np.dot(y, y), 50,
-                                             two_sided)) == expected
+            expected = float(min(dsp.lag_peak(c, 50) / norm, 1.0))
+            assert float(dsp.normalize_peak(dsp.lag_peak(c, 50), np.dot(x, x),
+                                            np.dot(y, y))) == expected
 
-    @pytest.mark.parametrize("two_sided", [False, True])
-    def test_equals_banded_expression(self, rng, two_sided):
+    def test_equals_banded_expression(self, rng):
         x, y = rng.normal(size=(2, 6, 400))
         y[1] = x[1]
         fx, pad = dsp.padded_spectrum(x, 30)
         fy, _ = dsp.padded_spectrum(y, 30)
         c = dsp.xcorr_spectra(fx, fy, pad)
         ex, ey = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
-        expected = np.minimum(dsp.lag_peak(c, 30, two_sided) / np.sqrt(ex * ey), 1.0)
-        got = dsp.normalized_peak(c, ex, ey, 30, two_sided)
+        expected = np.minimum(dsp.lag_peak(c, 30) / np.sqrt(ex * ey), 1.0)
+        got = dsp.normalize_peak(dsp.lag_peak(c, 30), ex, ey)
         assert got.shape == (6,)
         assert np.array_equal(got, expected)
 
     def test_zero_energy_raises(self):
         c = np.ones((3, 20))
         with pytest.raises(UndefinedCorrelation):
-            dsp.normalized_peak(c[0], 0.0, 4.0, 5)
+            dsp.normalize_peak(dsp.lag_peak(c[0], 5), 0.0, 4.0)
         with pytest.raises(UndefinedCorrelation):
-            dsp.normalized_peak(c, np.array([1.0, 0.0, 2.0]), np.ones(3), 5, two_sided=True)
+            dsp.normalize_peak(dsp.lag_peak(c, 5), np.array([1.0, 0.0, 2.0]), np.ones(3))
 
 
 class TestXcorrSpectra:

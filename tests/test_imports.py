@@ -2,8 +2,9 @@
 
 No module of ziskit imports another one's private names, and every function,
 class and method of ziskit is named in `src/` or `perfbench/` besides its own
-definition, unless it is one of the ORACLES. Every defaulted field of a
-configuration dataclass is set by some call in `src/` or `perfbench/`.
+definition. Every defaulted field of a configuration dataclass, and every
+defaulted parameter of a function or method, is set by some call in `src/` or
+`perfbench/`.
 """
 
 import ast
@@ -15,10 +16,6 @@ from pathlib import Path
 import ziskit
 
 SRC = Path(ziskit.__file__).parent
-
-# References that only tests call, as the oracles of the production path; they
-# move into tests/ with the rest of the per-pair reference (ROADMAP item 2).
-ORACLES = ("ziskit.dsp.max_xcorr_norm", "ziskit.schemes.karapanos.similarity")
 
 
 def _module_name(path: Path) -> str:
@@ -82,17 +79,23 @@ def test_every_definition_is_named_outside_its_def():
     unused = [f"{owner.__name__}.{name}" for path in sorted(SRC.rglob("*.py"))
               for name, owner in _definitions(path)
               if name not in used and not name.startswith("__")]
-    assert sorted(unused) == sorted(ORACLES), unused
+    assert not unused, unused
 
 
-def test_every_config_field_is_set_by_a_caller():
-    """A field that keeps its default in every call is a constant, not a setting."""
+def _calls_by_callee() -> dict[str, list[ast.Call]]:
+    """The calls in `src/` and `perfbench/`, keyed by the called name."""
     calls: dict[str, list[ast.Call]] = {}
     for path in _callers():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def test_every_config_field_is_set_by_a_caller():
+    """A field that keeps its default in every call is a constant, not a setting."""
+    calls = _calls_by_callee()
     unset = []
     for path in sorted(SRC.rglob("*.py")):
         module = importlib.import_module(_module_name(path))
@@ -108,3 +111,41 @@ def test_every_config_field_is_set_by_a_caller():
                       and (f.default is not dataclasses.MISSING
                            or f.default_factory is not dataclasses.MISSING)]
     assert not unset, f"{len(unset)} fields keep their default in every call: {unset}"
+
+
+def _defaulted_parameters(path: Path):
+    """(qualified name, callee, positional index or None, parameter) of every
+    defaulted parameter of the module-level functions and class methods of a
+    file. The callee of `__init__` is its class. The index counts a call's
+    positional arguments, which pass no `self` or `cls`."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = node.name if isinstance(node, ast.ClassDef) else None
+        for func in node.body if owner else [node]:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            name = f"{owner}.{func.name}" if owner else func.name
+            callee = owner if func.name == "__init__" else func.name
+            positional = [*func.args.posonlyargs, *func.args.args]
+            bound = owner is not None
+            for i in range(len(positional) - len(func.args.defaults), len(positional)):
+                yield name, callee, i - bound, positional[i].arg
+            for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+                if default is not None:
+                    yield name, callee, None, arg.arg
+
+
+def _passes(call: ast.Call, index: int | None, param: str) -> bool:
+    """Whether `call` may set the parameter, by keyword or by position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    """A parameter that keeps its default in every call serves no caller."""
+    calls = _calls_by_callee()
+    unset = [f"{_module_name(path)}.{name}.{param}" for path in sorted(SRC.rglob("*.py"))
+             for name, callee, index, param in _defaulted_parameters(path)
+             if not any(_passes(call, index, param) for call in calls.get(callee, []))]
+    assert not unset, f"{len(unset)} parameters keep their default in every call: {unset}"

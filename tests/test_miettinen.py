@@ -123,6 +123,15 @@ class TestContextFingerprint:
                 for averages in ([1e-300, 1e300, 1e300], [-1e308, 1e308, 1e308])]
         assert bits == [[1, 0], [1, 0]]
 
+    def test_overflowing_snapshot_sum_keeps_a_finite_mean(self):
+        # Five readings of 1e308 sum past the float64 maximum; their mean does not.
+        cfg = miettinen.MiettinenConfig(snapshot_s=5, bits=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fp = miettinen.iter_fingerprints(
+                snapshot_series([-1e308, 1e308, 1e308], period_s=5), cfg)[0]
+        assert fp.bits.tolist() == [1, 0]
+
     def test_insufficient_span(self):
         cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=8)
         assert miettinen.iter_fingerprints(snapshot_series([1.0, 2.0, 3.0]), cfg) == []
