@@ -6,16 +6,20 @@ sections; a direct-form transfer function of order 20 is numerically
 unstable for narrow bands at 16 kHz. Every cross-correlation runs through
 one FFT core (padded_spectrum, xcorr_spectra, lag_peak), which searches lags
 [-maxlag, maxlag]; the direct-sum reference in tests/reference.py checks it
-to 1e-6 relative.
+to 1e-6 relative. The schemes score many pairs at once through
+`PairCorrelator`, which equals that per-pair path bit for bit from scratch
+buffers it allocates once, and filter and transform into buffers they own
+(`sosfilt`, `bandpass` and `rfft` take `out`), so that no array is
+allocated per band or per pair.
 
 The band filters need no scipy.signal package, whose import also loads
 scipy.stats, scipy.interpolate and scipy.optimize, and the FFTs need no
 scipy.fft package, whose import also loads scipy.special.
 `butter_bandpass_sos` is a numpy port of scipy's Butterworth band-pass design
 with equal coefficients bit for bit. `sosfilt` runs scipy's compiled cascade
-and `padded_spectrum`/`xcorr_spectra` run scipy's compiled pocketfft
-transforms, each kernel loaded alone from its file (`_scipy_kernel`), with
-output equal bit for bit to scipy.signal.sosfilt and scipy.fft.rfft/irfft.
+and `rfft`/`_irfft` run scipy's compiled pocketfft transforms, each kernel
+loaded alone from its file (`_scipy_kernel`), with output equal bit for bit
+to scipy.signal.sosfilt and scipy.fft.rfft/irfft.
 A kernel is loaded when a function first uses it, here and in the other
 modules the CLI imports, so commands that never filter or transform audio do
 not pay for it: the `_sosfilt` kernel for the band filters (here and in
@@ -206,18 +210,25 @@ def _scipy_kernel(name: str):
     return module
 
 
-def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+def sosfilt(sos: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-state cascade of the second-order sections `sos` along the last axis.
 
     Equal bit for bit to scipy.signal.sosfilt(sos, x): the same compiled loop,
     on a C-ordered copy of `x` as (rows, N) in the dtype of `sos` and `x`.
+    The copy goes into `out` when given, a C-contiguous array of x's shape
+    and that dtype, which is overwritten and returned.
     """
     kernel = _scipy_kernel(_SOSFILT)._sosfilt
     x = np.asarray(x)
     dtype = np.result_type(sos, x)
-    out = np.array(x.reshape(-1, x.shape[-1]), dtype, order="C")
-    kernel(sos.astype(dtype, copy=False), out, np.zeros((out.shape[0], len(sos), 2), dtype))
-    return out.reshape(x.shape)
+    if out is None:
+        out = np.empty(x.shape, dtype)
+    elif out.shape != x.shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {x.shape}")
+    rows = out.reshape(-1, x.shape[-1])
+    rows[...] = x.reshape(rows.shape)
+    kernel(sos.astype(dtype, copy=False), rows, np.zeros((rows.shape[0], len(sos), 2), dtype))
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -240,14 +251,16 @@ def load_fft() -> None:
     _scipy_kernel(_POCKETFFT)
 
 
-def bandpass(x: np.ndarray, f_low: float, f_high: float, *, rate_hz: int) -> np.ndarray:
+def bandpass(x: np.ndarray, f_low: float, f_high: float, *, rate_hz: int,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Zero-state Butterworth band-pass of total order FILTER_ORDER along the last axis.
 
-    Output has the shape of the input.
+    Output has the shape of the input, in float64; `out` is an output
+    buffer, as in `sosfilt`.
     """
     if not 0 < f_low < f_high < rate_hz / 2:
         raise InvalidBand(f"band [{f_low}, {f_high}] outside (0, {rate_hz / 2})")
-    return sosfilt(_bandpass_sos(float(f_low), float(f_high), int(rate_hz)), x)
+    return sosfilt(_bandpass_sos(float(f_low), float(f_high), int(rate_hz)), x, out=out)
 
 
 def bandpass_bank(data: np.ndarray, bands: tuple[OctaveBandSpec, ...],
@@ -288,32 +301,39 @@ def _fit_last_axis(x: np.ndarray, n: int) -> np.ndarray:
     return padded
 
 
+def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real forward FFT of float `x` along its last axis at its own length,
+    into `out` when given. Equal bit for bit to scipy.fft.rfft(x, axis=-1)."""
+    return _scipy_kernel(_POCKETFFT).r2c(x, axes=(-1,), forward=True, inorm=0, out=out,
+                                         nthreads=1)
+
+
+def _irfft(spectrum: np.ndarray, pad_len: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of `rfft` at length pad_len along the last axis, into `out` when
+    given; norm code 2 scales it by 1 / pad_len."""
+    return _scipy_kernel(_POCKETFFT).c2r(spectrum, axes=(-1,), lastsize=pad_len, forward=False,
+                                         inorm=2, out=out, nthreads=1)
+
+
 def padded_spectrum(x: np.ndarray, maxlag: int) -> tuple[np.ndarray, int]:
     """rfft along the last axis at M = fast_len(N + maxlag), and M.
 
     At M, circular correlation is exact for every lag in [-maxlag, maxlag].
     Equal bit for bit, and in dtype, to scipy.fft.rfft(x, M, axis=-1)."""
     pad = fast_len(x.shape[-1] + maxlag)
-    spectrum = _scipy_kernel(_POCKETFFT).r2c(
-        _fit_last_axis(_as_float(x), pad), axes=(-1,), forward=True, inorm=0, nthreads=1)
-    return spectrum, pad
+    return rfft(_fit_last_axis(_as_float(x), pad)), pad
 
 
-def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int, *,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def xcorr_spectra(fx: np.ndarray, fy: np.ndarray, pad_len: int) -> np.ndarray:
     """c[l] = sum_i x[i]*y[i-l] (lag -l at c[-l]) from padded spectra, last axis.
 
-    `out`, an array of the spectra's shape and dtype, holds the spectral
-    product and is overwritten; without it the product is a new array. Equal
-    bit for bit, and in dtype, to scipy.fft.irfft of the product at pad_len.
+    Equal bit for bit, and in dtype, to scipy.fft.irfft of the product at
+    pad_len.
     """
     # numpy evaluates `fx * conj(fy)` as `conj(fy) * fx` only for arrays of 256 KiB
     # and more, and with FMA the two orders differ in the last bit: fix the order.
-    product = np.multiply(np.conjugate(fy, out=out), fx, out=out)
-    # Norm code 2 scales the inverse by 1 / pad_len.
-    return _scipy_kernel(_POCKETFFT).c2r(
-        _fit_last_axis(_as_float(product), pad_len // 2 + 1), axes=(-1,), lastsize=pad_len,
-        forward=False, inorm=2, nthreads=1)
+    product = np.multiply(np.conjugate(fy), fx)
+    return _irfft(_fit_last_axis(_as_float(product), pad_len // 2 + 1), pad_len)
 
 
 def lag_peak(c: np.ndarray, maxlag: int) -> np.ndarray:
@@ -322,6 +342,50 @@ def lag_peak(c: np.ndarray, maxlag: int) -> np.ndarray:
     if maxlag:  # c[..., -0:] would be the whole array
         peak = np.maximum(peak, np.abs(c[..., -maxlag:]).max(axis=-1))
     return peak
+
+
+class PairCorrelator:
+    """Two-sided lag peaks of many pairs of padded spectra, from scratch
+    buffers allocated once for one pad length and lag range.
+
+    The one correlation core of the schemes: Karapanos correlates each band of
+    an interval's devices through one correlator, and Truong each chunk of an
+    interval's pairs. A correlator is not shared between threads.
+    """
+
+    def __init__(self, pad_len: int, maxlag: int):
+        bins = pad_len // 2 + 1
+        self.pad_len = pad_len
+        self.maxlag = maxlag
+        self._conj = np.empty(bins, complex)
+        self._product = np.empty(bins, complex)
+        self._c = np.empty(pad_len)
+
+    def peaks(self, spectra, pairs, out: np.ndarray | None = None) -> np.ndarray:
+        """out[k] = lag_peak(xcorr_spectra(spectra[a], spectra[b], pad_len),
+        maxlag) for the k-th pair (a, b), bit for bit; a new array without `out`.
+
+        `spectra` is a stack of complex128 rows of `padded_spectrum` at pad_len,
+        or a mapping to such rows, indexed by the keys of `pairs`. The
+        conjugate of each second spectrum is taken once, and |c| over the
+        searched lags in place.
+        """
+        out = np.empty(len(pairs)) if out is None else out
+        by_second: dict = {}
+        for k, (a, b) in enumerate(pairs):
+            by_second.setdefault(b, []).append((k, a))
+        maxlag = self.maxlag
+        # Lags [0, maxlag] and [-maxlag, -1]; the second is empty at maxlag 0.
+        head, tail = self._c[:maxlag + 1], self._c[self.pad_len - maxlag:]
+        for b, firsts in by_second.items():
+            np.conjugate(spectra[b], out=self._conj)
+            for k, a in firsts:
+                # conj(fy) * fx, the order of `xcorr_spectra`.
+                np.multiply(self._conj, spectra[a], out=self._product)
+                _irfft(self._product, self.pad_len, out=self._c)
+                peak = np.abs(head, out=head).max()
+                out[k] = np.maximum(peak, np.abs(tail, out=tail).max()) if maxlag else peak
+        return out
 
 
 def normalize_peak(peak, energy_x, energy_y):

@@ -10,8 +10,9 @@ are gated and produce no score.
 `interval_similarities` scores every pair of one interval band by band: it
 filters the stacked snippets of the interval through one band at a time, so
 it holds one band's spectra of the interval's devices, never all bands of
-every device. `band_decompose` and `similarity_banded` are the per-pair
-form, which it equals bit for bit.
+every device, in buffers allocated once per interval (`_band_peaks`).
+`band_decompose` and `similarity_banded` are the per-pair form, which it
+equals bit for bit.
 """
 
 from __future__ import annotations
@@ -143,25 +144,26 @@ def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
     """Two-sided lag peaks (pairs x bands) and band energies (rows x bands) of
     the rows of `samples` (devices x N), pairs given as row indices.
 
-    Each band is filtered, transformed and correlated before the next. The
-    spectra go row by row into one buffer, and each pair gets its own irfft
-    of a product formed in one reused buffer: stacked transforms would
-    allocate several (devices x M) temporaries.
+    Each band is filtered, transformed and correlated before the next, in
+    buffers allocated once per call: every band is filtered into one
+    (devices x N) buffer, each row is copied into one zero-tailed pad buffer
+    and transformed straight into its row of the spectra, and one
+    `dsp.PairCorrelator` correlates the pairs. No array is allocated per band
+    or per pair.
     """
     n_rows, length = samples.shape
     maxlag = int(round(cfg.maxlag_s * rate_hz))
-    pad = dsp.fast_len(length + maxlag)
-    spectra = np.empty((n_rows, pad // 2 + 1), dtype=complex)
-    product = np.empty(pad // 2 + 1, dtype=complex)
+    correlator = dsp.PairCorrelator(dsp.fast_len(length + maxlag), maxlag)
+    banded = np.empty((n_rows, length))
+    padded = np.zeros(correlator.pad_len)
+    spectra = np.empty((n_rows, correlator.pad_len // 2 + 1), dtype=complex)
     peaks = np.empty((len(pairs), len(dsp.THIRD_OCTAVE_BANDS)))
     norms = np.empty((n_rows, len(dsp.THIRD_OCTAVE_BANDS)))
     for j, band in enumerate(dsp.THIRD_OCTAVE_BANDS):
-        banded = dsp.bandpass(samples, band.f_low, band.f_high, rate_hz=rate_hz)
+        banded = dsp.bandpass(samples, band.f_low, band.f_high, rate_hz=rate_hz, out=banded)
         norms[:, j] = np.einsum("ij,ij->i", banded, banded)
-        for i, row in enumerate(banded):
-            spectra[i] = dsp.padded_spectrum(row, maxlag)[0]
-        for k, (a, b) in enumerate(pairs):
-            c = dsp.xcorr_spectra(spectra[a], spectra[b], pad, out=product)
-            peaks[k, j] = dsp.lag_peak(c, maxlag)
+        for row, spectrum in zip(banded, spectra):
+            padded[:length] = row
+            dsp.rfft(padded, out=spectrum)
+        correlator.peaks(spectra, pairs, out=peaks[:, j])
     return peaks, norms
-

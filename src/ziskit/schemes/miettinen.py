@@ -92,10 +92,15 @@ def iter_fingerprints(series: SensorSeries, cfg: MiettinenConfig) -> list[Finger
     windows = list(zip(edges[:n_full], edges[1:n_full + 1]))
     with np.errstate(over="ignore"):
         means = np.array([float(series.values[a:b].mean()) for a, b in windows])
-        # Finite readings whose sum overflows: scale each before summing.
+        # Finite readings whose sum overflows: scale each before summing, and
+        # where that sum still rounds past the maximum, by the largest |reading|.
         for k in np.flatnonzero(~np.isfinite(means)):
             a, b = windows[k]
-            means[k] = (series.values[a:b] / (b - a)).sum()
+            values = series.values[a:b]
+            means[k] = (values / (b - a)).sum()
+            if not np.isfinite(means[k]):
+                m = np.abs(values).max()
+                means[k] = m * (values / m).mean()
     return [Fingerprint(_change_bits(means[lo:lo + cfg.bits + 1], cfg.delta_rel, cfg.delta_abs),
                         series.device_id, first + (lo + 1) * step)
             for lo in range(0, n_full - cfg.bits, cfg.bits)]

@@ -5,6 +5,10 @@ five set distances compare two aggregates. Audio contributes the full-lag
 normalized maximum cross-correlation and a time-frequency distance. Feature
 slots without usable data carry None rather than a substitute number; only
 the both-sides-saw-nothing case maps every distance to the rejection value.
+
+`build_dataset` takes one interval at a time and correlates its pairs through
+`dsp.PairCorrelator`; `audio_features` is the per-pair form, which it equals
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from ziskit import dsp
 from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, EvaluationRecord, Label
-from ziskit.core.windowing import interval_runs, pmap
+from ziskit.core.windowing import interval_runs, pmap, thread_count
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
 
 THETA_DEFAULT = -100.0
@@ -116,12 +120,10 @@ def audio_state(x: np.ndarray) -> AudioState:
                       mag / norm if norm != 0.0 else None)
 
 
-def audio_distances(a: AudioState, b: AudioState) -> AudioDistances:
-    """Full-lag normalized max cross-correlation and time-frequency distance."""
-    if a.size != b.size:
-        raise ValueError("snippets must be aligned, equal length, and non-trivial")
-    c = dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len)
-    max_xcorr = float(dsp.normalize_peak(dsp.lag_peak(c, a.size - 1), a.sum_sq, b.sum_sq))
+def audio_distances(a: AudioState, b: AudioState, peak: float) -> AudioDistances:
+    """Normalized max cross-correlation and time-frequency distance of two
+    equal-length states whose correlation peaks at |c| = `peak` over every lag."""
+    max_xcorr = float(dsp.normalize_peak(peak, a.sum_sq, b.sum_sq))
     if a.unit_spectrum is None or b.unit_spectrum is None:
         raise UndefinedCorrelation("zero spectrum")
     freq_distance = float(np.linalg.norm(a.unit_spectrum - b.unit_spectrum))
@@ -131,12 +133,17 @@ def audio_distances(a: AudioState, b: AudioState) -> AudioDistances:
 
 
 def audio_features(x: AudioSnippet | np.ndarray, y: AudioSnippet | np.ndarray) -> AudioDistances:
-    """Full-lag normalized max cross-correlation and time-frequency distance."""
+    """Full-lag normalized max cross-correlation and time-frequency distance.
+
+    The per-pair form of `build_dataset`'s audio slots, which equal it bit
+    for bit."""
     xd = x.as_float() if isinstance(x, AudioSnippet) else np.asarray(x, dtype=np.float64)
     yd = y.as_float() if isinstance(y, AudioSnippet) else np.asarray(y, dtype=np.float64)
     if xd.size != yd.size or xd.size < 2:
         raise ValueError("snippets must be aligned, equal length, and non-trivial")
-    return audio_distances(audio_state(xd), audio_state(yd))
+    a, b = audio_state(xd), audio_state(yd)
+    c = dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len)
+    return audio_distances(a, b, dsp.lag_peak(c, a.size - 1))
 
 
 @dataclass(frozen=True)
@@ -188,15 +195,15 @@ def device_interval(dataset: Dataset, device: str, start: int, stop: int) -> Dev
 
 
 def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
-                  theta: float = THETA_DEFAULT) -> TruongFeatureVector:
-    """The feature vector of one pair-interval from its two device states."""
+                  peak: float | None, theta: float = THETA_DEFAULT) -> TruongFeatureVector:
+    """The feature vector of one pair-interval from its two device states and
+    the full-lag peak of their audio correlation (None when not comparable)."""
     wifi, ble = (beacon_features(x, y, theta) if x is not None and y is not None else None
                  for x, y in ((a.wifi, b.wifi), (a.ble, b.ble)))
     audio = None
-    # Audio of unequal length (devices recording at other rates) is not comparable.
-    if a.audio is not None and b.audio is not None and a.audio.size == b.audio.size:
+    if peak is not None:
         try:
-            audio = audio_distances(a.audio, b.audio)
+            audio = audio_distances(a.audio, b.audio, peak)
         except UndefinedCorrelation:
             pass
     return TruongFeatureVector(
@@ -208,17 +215,48 @@ def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
         pair.label)
 
 
+def _audio_peaks(pairs: list[EvaluationRecord],
+                 states: dict[str, DeviceInterval]) -> list[float | None]:
+    """Full-lag peak |c| of each pair's audio correlation, None where either
+    side has no audio or the sizes differ; one correlator per audio size."""
+    peaks: list[float | None] = [None] * len(pairs)
+    by_size: dict[int, list[int]] = {}
+    for k, p in enumerate(pairs):
+        a, b = states[p.device_a].audio, states[p.device_b].audio
+        # Audio of unequal length (devices recording at other rates) is not comparable.
+        if a is not None and b is not None and a.size == b.size:
+            by_size.setdefault(a.size, []).append(k)
+    spectra = {d: s.audio.spectrum for d, s in states.items() if s.audio is not None}
+    for size, group in by_size.items():
+        correlator = dsp.PairCorrelator(states[pairs[group[0]].device_a].audio.pad_len, size - 1)
+        found = correlator.peaks(spectra, [(pairs[k].device_a, pairs[k].device_b) for k in group])
+        for k, peak in zip(group, found):
+            peaks[k] = peak
+    return peaks
+
+
 def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
                   theta: float = THETA_DEFAULT) -> list[TruongFeatureVector]:
     """One labeled feature vector per pair-interval, in the order of `pairs`.
 
-    Each run of `interval_runs` builds each device's state once; runs go
-    through `pmap`.
+    Intervals (runs of `interval_runs`) are taken one at a time. An
+    interval's device states are built once each, across threads (`pmap`),
+    and its pairs are split into one chunk per thread, each correlated with
+    its own scratch. The states are released before the next interval's are
+    built.
     """
-    def one_run(run: list[EvaluationRecord]) -> list[TruongFeatureVector]:
+    def one_interval(run: list[EvaluationRecord]) -> list[TruongFeatureVector]:
         start = run[0].interval_start
-        states = {d: device_interval(dataset, d, start, start + t * 1000)
-                  for d in dict.fromkeys(d for p in run for d in (p.device_a, p.device_b))}
-        return [pair_features(p, states[p.device_a], states[p.device_b], theta) for p in run]
+        devices = list(dict.fromkeys(d for p in run for d in (p.device_a, p.device_b)))
+        states = dict(zip(devices, pmap(
+            lambda d: device_interval(dataset, d, start, start + t * 1000), devices)))
 
-    return [row for rows in pmap(one_run, interval_runs(pairs)) for row in rows]
+        def chunk_rows(chunk: list[EvaluationRecord]) -> list[TruongFeatureVector]:
+            return [pair_features(p, states[p.device_a], states[p.device_b], peak, theta)
+                    for p, peak in zip(chunk, _audio_peaks(chunk, states))]
+
+        n = min(thread_count(), len(run))
+        chunks = [run[i * len(run) // n:(i + 1) * len(run) // n] for i in range(n)]
+        return [row for rows in pmap(chunk_rows, chunks) for row in rows]
+
+    return [row for run in interval_runs(pairs) for row in one_interval(run)]

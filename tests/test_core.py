@@ -385,6 +385,93 @@ def test_beacon_jsonl_rewrites_identically(scans):
     assert back == scans
 
 
+# Range algebra of GroundTruth: a timeline of 96 ticks of 250 ms, records of
+# t = 1 s on a 1 s grid, and four devices, "x" never grouped.
+TICK_MS, SPAN_TICKS = 250, 96
+RANGE_DEVICES = ("a", "b", "c", "x")
+TICK_RANGES = st.lists(st.tuples(st.integers(0, SPAN_TICKS - 1), st.integers(1, 40)).map(
+    lambda r: (r[0] * TICK_MS, min(r[0] + r[1], SPAN_TICKS) * TICK_MS)), min_size=1, max_size=4)
+# Every record, and every window label_for is asked about: 1 s on the grid,
+# and windows of any tick length that straddle range edges.
+GRID_RECORDS = [EvaluationRecord(a, b, start, 1, Label.COLOCATED)
+                for start in range(0, SPAN_TICKS * TICK_MS - 999, 1000)
+                for i, a in enumerate(RANGE_DEVICES) for b in RANGE_DEVICES[i + 1:]]
+WINDOWS = [(start * TICK_MS, (start + length) * TICK_MS)
+           for start in range(0, SPAN_TICKS, 5) for length in (1, 3, 4, 8, 13)
+           if start + length <= SPAN_TICKS]
+
+
+@st.composite
+def split_ranges(draw, ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """`ranges` with each range cut into touching pieces at drawn tick edges."""
+    pieces = []
+    for s, e in ranges:
+        inner = range(s // TICK_MS + 1, e // TICK_MS)
+        cuts = sorted(draw(st.sets(st.sampled_from(inner), max_size=3)) if inner else ())
+        edges = [s, *(c * TICK_MS for c in cuts), e]
+        pieces += list(zip(edges, edges[1:]))
+    return draw(st.permutations(pieces))
+
+
+@st.composite
+def group_splits(draw) -> tuple[GroundTruth, GroundTruth]:
+    """Ground truth whose groups share no member, and the same with every group
+    range cut into touching pieces."""
+    members = draw(st.lists(st.sampled_from([0, 1, None]), min_size=3, max_size=3))
+    groups = [(f"g{k}", tuple(d for d, m in zip("abc", members) if m == k), draw(TICK_RANGES))
+              for k in (0, 1)]
+    return (GroundTruth(groups=tuple(Group(*g) for g in groups)),
+            GroundTruth(groups=tuple(Group(g, m, tuple(draw(split_ranges(r))))
+                                     for g, m, r in groups)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(truths=group_splits())
+def test_splitting_group_ranges_keeps_every_label(truths):
+    whole, split = truths
+    for a, b in ((a, b) for i, a in enumerate(RANGE_DEVICES) for b in RANGE_DEVICES[i + 1:]):
+        for start, end in WINDOWS:
+            assert split.label_for(a, b, start, end) == whole.label_for(a, b, start, end)
+
+
+def _tick_runs(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The ticks that `ranges` cover, as ranges that neither overlap nor touch."""
+    runs: list[tuple[int, int]] = []
+    for k in sorted({k for s, e in ranges for k in range(s // TICK_MS, e // TICK_MS)}):
+        if runs and runs[-1][1] == k * TICK_MS:
+            runs[-1] = (runs[-1][0], (k + 1) * TICK_MS)
+        else:
+            runs.append((k * TICK_MS, (k + 1) * TICK_MS))
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ranges=TICK_RANGES.map(_tick_runs))
+def test_splitting_subscenario_ranges_keeps_its_records(data, ranges):
+    whole = GroundTruth(groups=(), subscenarios=(Subscenario("s", tuple(ranges)),))
+    pieces = data.draw(split_ranges(ranges))
+    split = GroundTruth(groups=(), subscenarios=(Subscenario("s", tuple(pieces)),))
+    assert filter_subscenario(GRID_RECORDS, split, "s") \
+        == filter_subscenario(GRID_RECORDS, whole, "s")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranges=TICK_RANGES.map(_tick_runs),
+       cut=st.integers(0, SPAN_TICKS * TICK_MS // 1000))
+def test_halves_of_a_split_subscenario_partition_its_records(ranges, cut):
+    # Cut on the records' 1 s grid, no record straddles the cut.
+    cut_ms = cut * 1000
+    halves = {"first": [(s, min(e, cut_ms)) for s, e in ranges if s < cut_ms],
+              "second": [(max(s, cut_ms), e) for s, e in ranges if e > cut_ms]}
+    gt = GroundTruth(groups=(), subscenarios=(
+        Subscenario("s", tuple(ranges)),
+        *(Subscenario(name, tuple(r)) for name, r in halves.items())))
+    kept = filter_subscenario(GRID_RECORDS, gt, "s")
+    first, second = (filter_subscenario(GRID_RECORDS, gt, name) for name in halves)
+    assert not set(first) & set(second)
+    assert sorted(first + second, key=GRID_RECORDS.index) == kept
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Every kind's readings within its invariants.
 SENSOR_VALUES = {

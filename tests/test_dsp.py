@@ -168,6 +168,19 @@ class TestSosfilt:
         assert np.array_equal(out, ref)
         # Input in Fortran order is filtered as its C-ordered copy.
         assert np.array_equal(dsp.sosfilt(sos, np.asfortranarray(x)), ref)
+        # A caller's buffer receives the same bits, and is what comes back.
+        buffer = np.full(shape, np.nan)
+        assert dsp.sosfilt(sos, x, out=buffer) is buffer
+        assert buffer.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape, dtype, order", [((5, 100), np.float64, "C"),
+                                                     ((4, 101), np.float64, "C"),
+                                                     ((4, 100), np.float32, "C"),
+                                                     ((4, 100), np.float64, "F")])
+    def test_rejects_an_unfit_buffer(self, shape, dtype, order):
+        sos = dsp.butter_bandpass_sos(dsp.FILTER_ORDER // 2, 400.0, 800.0, RATE)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            dsp.sosfilt(sos, np.ones((4, 100), np.int16), out=np.empty(shape, dtype, order=order))
 
     def test_kernel_loads_alone_then_scipy_signal_reuses_it(self, tmp_path):
         # A fresh process loads the kernel before any scipy.signal import: no
@@ -418,6 +431,35 @@ class TestXcorrSpectra:
         stacked = dsp.xcorr_spectra(fx, fy, pad)
         for i in range(6):
             assert np.array_equal(stacked[i], dsp.xcorr_spectra(fx[i], fy[i], pad))
+
+
+class TestPairCorrelator:
+    """The pair core of Karapanos and Truong equals the per-pair path,
+    lag_peak(xcorr_spectra(fx, fy, pad), maxlag), bit for bit."""
+
+    @given(rows=st.integers(2, 16), n=st.sampled_from([1, 2, 3, 257, 1000, 4097, 20_000]),
+           lag=st.sampled_from(["zero", "half", "full"]), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    @example(rows=3, n=160_000, lag="half", seed=0, data=None)
+    @settings(max_examples=25, deadline=None)
+    def test_equals_per_pair_lag_peak(self, rows, n, lag, seed, data):
+        maxlag = {"zero": 0, "half": (n - 1) // 2, "full": n - 1}[lag]
+        gen = np.random.default_rng(seed)
+        x = gen.integers(-2 ** 15, 2 ** 15, (rows, n)).astype(np.float64)
+        spectra, pad = dsp.padded_spectrum(x, maxlag)
+        index = st.integers(0, rows - 1)
+        pairs = (data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
+                 if data is not None else [(2, 0), (0, 1), (1, 2), (2, 1), (0, 0)])
+        expected = np.array([dsp.lag_peak(dsp.xcorr_spectra(spectra[a], spectra[b], pad), maxlag)
+                             for a, b in pairs])
+        correlator = dsp.PairCorrelator(pad, maxlag)
+        got = correlator.peaks(spectra, pairs)
+        assert got.tobytes() == expected.tobytes()
+        # A mapping of 1-D spectra, and a strided output column, give the same bits.
+        by_name = {f"d{i}": row for i, row in enumerate(spectra)}
+        column = np.empty((len(pairs), 2))
+        correlator.peaks(by_name, [(f"d{a}", f"d{b}") for a, b in pairs], out=column[:, 1])
+        assert column[:, 1].tobytes() == expected.tobytes()
 
 
 class TestAvgPowerDb:

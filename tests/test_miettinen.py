@@ -132,6 +132,18 @@ class TestContextFingerprint:
                 snapshot_series([-1e308, 1e308, 1e308], period_s=5), cfg)[0]
         assert fp.bits.tolist() == [1, 0]
 
+    def test_snapshot_mean_at_the_float_maximum_stays_finite(self):
+        # Three readings of the float64 maximum: each divided by 3 still sums
+        # to inf, so the mean is taken relative to the largest reading.
+        top = np.finfo(float).max
+        cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fp = miettinen.iter_fingerprints(snapshot_series(
+                [top, 0.95 * top, 0.95 * top], readings_per_snapshot=3), cfg)[0]
+        # A 5% change stays below delta_rel; an infinite first mean would set bit 0.
+        assert fp.bits.tolist() == [0, 0]
+
     def test_insufficient_span(self):
         cfg = miettinen.MiettinenConfig(snapshot_s=10, bits=8)
         assert miettinen.iter_fingerprints(snapshot_series([1.0, 2.0, 3.0]), cfg) == []

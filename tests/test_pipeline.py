@@ -1,6 +1,8 @@
 import hashlib
 import tempfile
+import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -302,6 +304,47 @@ class TestThreading:
             tracemalloc.stop()
         assert records and not any(r.gated for r in records)
         assert peak < device_major
+
+    def test_truong_holds_one_interval_of_device_states(self, audio_dataset, monkeypatch):
+        # Each built state is watched through a weak reference to its audio
+        # state. Building a state while another interval's is still alive
+        # fails, as does one interval per thread.
+        monkeypatch.setenv("ZIS_THREADS", "2")
+        real_fn = truong.device_interval
+        lock = threading.Lock()
+        alive: list[tuple[int, weakref.ref]] = []
+        overlaps = []
+
+        def watched(dataset, device, start, stop):
+            with lock:
+                overlaps.extend((s, start) for s, ref in alive if s != start and ref() is not None)
+            state = real_fn(dataset, device, start, stop)
+            with lock:
+                alive.append((start, weakref.ref(state.audio)))
+            return state
+
+        monkeypatch.setattr(truong, "device_interval", watched)
+        rows = pipeline.truong_rows(audio_dataset, 5)
+        assert len(rows) == len(pipeline.window_pairs(audio_dataset, 5))
+        assert len({start for start, _ in alive}) == 4 and len(alive) == 4 * 4
+        assert not overlaps
+
+    def test_karapanos_filters_every_band_into_one_buffer(self, audio_dataset, monkeypatch):
+        # Every filter output is held, so a buffer per band could not be reused.
+        outputs = []
+        real_bandpass = dsp.bandpass
+
+        def bandpass(*args, **kwargs):
+            outputs.append(real_bandpass(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(dsp, "bandpass", bandpass)
+        snippets = {d: x.slice_ms(0, 5000) for d, x in audio_dataset.audio.items()}
+        scores = karapanos.interval_similarities(snippets, list(combinations(snippets, 2)),
+                                                 karapanos.KarapanosConfig())
+        assert not any(score.gated for score in scores)
+        assert len(outputs) == len(dsp.THIRD_OCTAVE_BANDS)
+        assert all(np.shares_memory(out, outputs[0]) for out in outputs)
 
 
 def row_digest(row: np.ndarray) -> str:

@@ -259,10 +259,20 @@ class TestBuildDataset:
 
     def test_audio_at_another_rate_is_missing(self, rng):
         dataset = _beacon_dataset(rng, shared=True)
-        dataset.audio["a"] = AudioSnippet(dataset.audio["a"].samples[::2], 8000, 0, "a")
+        # a and b record at 8 kHz: only their own pair compares audio with them.
+        for dev in "ab":
+            dataset.audio[dev] = AudioSnippet(
+                noise_snippet(rng, seconds=20.0, rate=8000).samples, 8000, 0, dev)
         rows = truong.build_dataset(window_pairs(dataset, 10), dataset, 10)
         for row in rows:
-            assert (row.audio_max_xcorr is None) == ("a" in (row.device_a, row.device_b))
+            pair = (row.device_a, row.device_b)
+            assert (row.audio_max_xcorr is None) == (len({"a", "b"} & set(pair)) == 1)
+            if row.audio_max_xcorr is not None:
+                start, stop = row.interval_start, row.interval_start + 10_000
+                audio = truong.audio_features(
+                    *(dataset.audio[d].slice_ms(start, stop) for d in pair))
+                assert (row.audio_max_xcorr, row.audio_tf_distance) == \
+                    (audio.max_xcorr, audio.tf_distance)
 
     def test_ml_arrays_shape_and_nan(self, rng):
         dataset = _beacon_dataset(rng, shared=True)
