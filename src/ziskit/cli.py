@@ -39,6 +39,8 @@ ROBUSTNESS_COLUMNS = (Column("scheme"), Column("subscenario"), Column("t", int),
                       real("threshold"), real("far"), real("frr"), real("delta_far"),
                       real("delta_frr"))
 METRICS_COLUMNS = (Column("model_id"), real("auc"), real("eer"), real("accuracy"))
+# The longest interval, in seconds, whose length in milliseconds fits int64.
+MAX_T = np.iinfo(np.int64).max // 1000
 
 
 class _UsageError(Exception):
@@ -206,6 +208,9 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    # A lag beyond the interval has no samples to correlate.
+    if args.scheme == "karapanos" and args.maxlag_s > args.t:
+        raise _UsageError(f"--maxlag-s {args.maxlag_s} exceeds --t {args.t}")
     dataset = load_dataset(args.dataset)
     if args.scheme == "karapanos":
         cfg = karapanos.KarapanosConfig(maxlag_s=args.maxlag_s,
@@ -411,7 +416,7 @@ COMMANDS: dict[str, tuple[Callable | None, str, tuple[Flag, ...]]] = {
         Flag("probe-s", float, 60.0, low=0), Flag("maxlag-s", float, 3.0, low=0))),
     "features": (_cmd_features, "compute per-scheme context features", (
         Flag("scheme", choices=SCHEMES, required=True), Flag("dataset", Path, required=True),
-        Flag("out", Path, required=True), Flag("t", int, 10, low=1),
+        Flag("out", Path, required=True), Flag("t", int, 10, low=1, high=MAX_T),
         Flag("maxlag-s", float, 1.0, low=0), Flag("power-db", float, karapanos.DEFAULT_POWER_DB),
         Flag("theta", float, truong.THETA_DEFAULT), Flag("bits", int, 16, low=1),
         Flag("source", default="noise", choices=("noise", "luminosity")),

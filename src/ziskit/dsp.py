@@ -240,8 +240,12 @@ def load_sosfilt() -> None:
     """Load the `sosfilt` kernel in the calling thread.
 
     Pipelines call it, and `load_fft`, before `pmap` starts its worker
-    threads: a first import inside a worker thread raised the peak RSS of
-    `features karapanos` on a 16-device scenario from 296 MB to 300-315 MB.
+    threads. A first load in two threads at once is not safe: the compiled
+    module enters sys.modules while it is still being initialized, and with
+    both loads left to its worker threads `features karapanos` on a
+    16-device scenario failed with an AttributeError. Loaded in a worker
+    thread one at a time, the kernels moved that command's peak RSS by under
+    1 MB (107.5-109.0 MB against 107.1-108.5 MB).
     """
     _scipy_kernel(_SOSFILT)
 

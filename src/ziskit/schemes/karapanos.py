@@ -8,9 +8,10 @@ Snippets whose average power falls at or below the power threshold
 are gated and produce no score.
 
 `interval_similarities` scores every pair of one interval band by band: it
-filters the stacked snippets of the interval through one band at a time, so
-it holds one band's spectra of the interval's devices, never all bands of
-every device, in buffers allocated once per interval (`_band_peaks`).
+filters each snippet of the interval through one band at a time, straight
+into a zero-tailed pad buffer, so it holds one band's spectra of the
+interval's devices, never all bands of every device nor a filtered copy of
+the interval's audio, in buffers allocated once per interval (`_band_peaks`).
 `band_decompose` and `similarity_banded` are the per-pair form, which it
 equals bit for bit.
 """
@@ -130,7 +131,7 @@ def interval_similarities(snippets: Mapping[str, AudioSnippet | None],
             by_rate.setdefault(snippets[pairs[k][0]].rate_hz, []).append(k)
     for rate, group in by_rate.items():
         rows = {d: i for i, d in enumerate(dict.fromkeys(d for k in group for d in pairs[k]))}
-        peaks, norms = _band_peaks(np.stack([snippets[d].samples for d in rows]),
+        peaks, norms = _band_peaks([snippets[d].samples for d in rows],
                                    [(rows[a], rows[b]) for a, b in (pairs[k] for k in group)],
                                    rate, cfg)
         for k, peak in zip(group, peaks):
@@ -139,31 +140,33 @@ def interval_similarities(snippets: Mapping[str, AudioSnippet | None],
     return scores
 
 
-def _band_peaks(samples: np.ndarray, pairs: list[tuple[int, int]], rate_hz: int,
+def _band_peaks(samples: Sequence[np.ndarray], pairs: list[tuple[int, int]], rate_hz: int,
                 cfg: KarapanosConfig) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided lag peaks (pairs x bands) and band energies (rows x bands) of
-    the rows of `samples` (devices x N), pairs given as row indices.
+    `samples`, one row of N samples per device, pairs given as row indices.
 
     Each band is filtered, transformed and correlated before the next, in
-    buffers allocated once per call: every band is filtered into one
-    (devices x N) buffer, each row is copied into one zero-tailed pad buffer
-    and transformed straight into its row of the spectra, and one
-    `dsp.PairCorrelator` correlates the pairs. No array is allocated per band
-    or per pair.
+    buffers allocated once per call: each row is filtered straight into the
+    head of one zero-tailed pad buffer, which is transformed into its row of
+    the spectra, and one `dsp.PairCorrelator` correlates the pairs. No array
+    is allocated per band or per pair, and the filtered band of a row lives
+    only until the next row's.
     """
-    n_rows, length = samples.shape
+    length = len(samples[0])
     maxlag = int(round(cfg.maxlag_s * rate_hz))
     correlator = dsp.PairCorrelator(dsp.fast_len(length + maxlag), maxlag)
-    banded = np.empty((n_rows, length))
     padded = np.zeros(correlator.pad_len)
-    spectra = np.empty((n_rows, correlator.pad_len // 2 + 1), dtype=complex)
+    banded = padded[:length]
+    # numpy's einsum reduces a single row in another order than each row of a
+    # stack; over two rows it keeps the stacked sum's bits (`band_decompose`).
+    twice = np.broadcast_to(banded, (2, length))
+    spectra = np.empty((len(samples), correlator.pad_len // 2 + 1), dtype=complex)
     peaks = np.empty((len(pairs), len(dsp.THIRD_OCTAVE_BANDS)))
-    norms = np.empty((n_rows, len(dsp.THIRD_OCTAVE_BANDS)))
+    norms = np.empty((len(samples), len(dsp.THIRD_OCTAVE_BANDS)))
     for j, band in enumerate(dsp.THIRD_OCTAVE_BANDS):
-        banded = dsp.bandpass(samples, band.f_low, band.f_high, rate_hz=rate_hz, out=banded)
-        norms[:, j] = np.einsum("ij,ij->i", banded, banded)
-        for row, spectrum in zip(banded, spectra):
-            padded[:length] = row
+        for i, (row, spectrum) in enumerate(zip(samples, spectra)):
+            dsp.bandpass(row, band.f_low, band.f_high, rate_hz=rate_hz, out=banded)
+            norms[i, j] = np.einsum("ij,ij->i", twice, twice)[0]
             dsp.rfft(padded, out=spectrum)
         correlator.peaks(spectra, pairs, out=peaks[:, j])
     return peaks, norms

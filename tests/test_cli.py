@@ -883,6 +883,11 @@ def test_readme_range_table_matches_the_flag_specs():
     ["features", "--scheme", "miettinen", "--t", "-3"],
     ["features", "--scheme", "karapanos", "--maxlag-s", "-1"],
     ["features", "--scheme", "karapanos", "--maxlag-s", "nan"],
+    ["features", "--scheme", "karapanos", "--maxlag-s", "1e15"],
+    ["features", "--scheme", "karapanos", "--maxlag-s", "1e300"],
+    ["features", "--scheme", "karapanos", "--t", "5", "--maxlag-s", "5.5"],
+    ["features", "--scheme", "miettinen", "--t", "99999999999999999999"],
+    ["features", "--scheme", "miettinen", "--t", str(cli.MAX_T + 1)],
     ["align", "--maxlag-s", "-1"],
     ["datagen", "--duration-s", "0"],
     ["datagen", "--duration-s", "-5"],
@@ -999,15 +1004,57 @@ def test_cli_import_loads_no_scipy_and_commands_run_cold(tmp_path):
     assert json.loads((tmp_path / "rand.json").read_text())["random_walk"]["n_fingerprints"] == 8
 
 
+def test_maxlag_beyond_interval_is_usage_error_before_loading(tmp_path, capsys):
+    # A lag beyond the interval has no samples to correlate; the bound is
+    # checked before the dataset, absent here, is read.
+    argv = ["features", "--scheme", "karapanos", "--dataset", str(tmp_path / "absent"),
+            "--out", str(tmp_path / "kara.csv"), "--t", "10"]
+    for maxlag in ("10.001", "1e15", "1e300"):
+        assert main([*argv, "--maxlag-s", maxlag]) == 1
+        assert "--maxlag-s" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text('{"maxlag_s": 11}')
+    assert main([*argv, "--config", str(tmp_path / "cfg.json")]) == 1
+    assert main([*argv, "--maxlag-s", "10"]) == 2  # in range: the absent dataset is reached
+    assert not (tmp_path / "kara.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", cli.SCHEMES)
+def test_longest_interval_runs_every_scheme(scheme, scenario_dir, tmp_path):
+    # --t is bounded so that its milliseconds fit int64. At the bound no
+    # interval fits the scenario, so each scheme writes its header alone, and
+    # Karapanos allocates nothing for a --maxlag-s within it.
+    out = tmp_path / "out.csv"
+    run_ok(["features", "--scheme", scheme, "--dataset", str(scenario_dir), "--out", str(out),
+            "--t", str(cli.MAX_T), "--maxlag-s", "1e15"])
+    assert cli.MAX_T * 1000 <= np.iinfo(np.int64).max < (cli.MAX_T + 1) * 1000
+    if scheme != "shrestha":  # Shrestha's instances take no --t
+        assert len(out.read_text().splitlines()) == 1
+
+
+# Runs `main(sys.argv[1:])` with `karapanos._band_peaks` first asking for 8 PiB,
+# beyond the address space, so the allocation fails at once, in a worker
+# thread under ZIS_THREADS=2.
+_HUGE_ALLOCATION = """
+import sys
+import numpy as np
+from ziskit.cli import main
+from ziskit.schemes import karapanos
+real = karapanos._band_peaks
+def band_peaks(*args):
+    np.empty(1 << 50)
+    return real(*args)
+karapanos._band_peaks = band_peaks
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_allocation_beyond_address_space_exits_2(threads, tmp_path, monkeypatch):
-    # A maximum lag of 1e9 s asks `features karapanos` for a spectra buffer of
-    # 350 TiB, beyond the address space, so the allocation fails at once.
     run_ok(["datagen", "--out", str(tmp_path / "scen"), "--seed", "3", "--duration-s", "20",
             "--groups", "2,1"])
     monkeypatch.setenv("ZIS_THREADS", threads)
-    proc = _cold("-m", "ziskit.cli", "features", "--scheme", "karapanos", "--dataset", "scen",
-                 "--out", "kara.csv", "--maxlag-s", "1e9", cwd=tmp_path, timeout=120)
+    proc = _cold("-c", _HUGE_ALLOCATION, "features", "--scheme", "karapanos",
+                 "--dataset", "scen", "--out", "kara.csv", cwd=tmp_path, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: out of memory")

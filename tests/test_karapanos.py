@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import sosfilt
 
 from conftest import noise_snippet
@@ -187,3 +189,24 @@ class TestIntervalSimilarities:
         scored = {pair: score.value for pair, score in zip(pairs, got) if not score.gated}
         assert set(scored) == {("a", "b"), ("a", "c"), ("b", "c"), ("r1", "r2")}
         assert scored["a", "b"] > scored["a", "c"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_devices=st.integers(2, 16), length=st.integers(1, 20_000),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_devices=16, length=20_000, seed=0)
+@example(n_devices=2, length=8193, seed=1)
+def test_band_peaks_norms_equal_stacked_einsum(n_devices, length, seed):
+    # Each device is filtered alone, yet its band energies keep the bits of
+    # one einsum over the stack of the group's filtered rows; numpy reduces a
+    # lone row of more than 8192 samples in another order.
+    rng = np.random.default_rng(seed)
+    samples = [rng.integers(-3000, 3001, size=length).astype(np.int16)
+               for _ in range(n_devices)]
+    rate = 16000
+    _, norms = karapanos._band_peaks(samples, [(0, 1)], rate,
+                                     karapanos.KarapanosConfig(maxlag_s=0.01))
+    stack = np.stack(samples)
+    for j, band in enumerate(dsp.THIRD_OCTAVE_BANDS):
+        banded = dsp.bandpass(stack, band.f_low, band.f_high, rate_hz=rate)
+        np.testing.assert_array_equal(norms[:, j], np.einsum("ij,ij->i", banded, banded))

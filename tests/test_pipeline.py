@@ -224,7 +224,7 @@ class TestThreading:
     def test_device_state_built_once_per_device_interval(self, audio_dataset,
                                                          monkeypatch):
         # Truong builds each device-interval's state once; Karapanos filters
-        # each (interval, band) once, as one stack of the interval's devices.
+        # each (interval, device, band) once, one device's samples per call.
         monkeypatch.setenv("ZIS_THREADS", "2")
         built = []
         real_fn = truong.device_interval
@@ -238,8 +238,8 @@ class TestThreading:
         real_bandpass = dsp.bandpass
 
         def bandpass(x, f_low, *args, **kwargs):
-            rows = np.asarray(x, dtype=np.float64)
-            filtered.append((tuple(sorted(row_digest(row) for row in rows)), f_low))
+            row = np.asarray(x, dtype=np.float64)
+            filtered.append((row.ndim, row_digest(row), f_low))
             return real_bandpass(x, f_low, *args, **kwargs)
 
         monkeypatch.setattr(dsp, "bandpass", bandpass)
@@ -250,11 +250,11 @@ class TestThreading:
         device_intervals = {(d, p.interval_start) for p in pairs
                             for d in (p.device_a, p.device_b)}
         assert len(device_intervals) == 4 * 4  # 4 devices x 4 intervals
-        stacks = {start: tuple(sorted(row_digest(audio_dataset.audio_in(
-            d, start, start + 5000).as_float()) for d, s in device_intervals if s == start))
-            for start in {p.interval_start for p in pairs}}
+        rows = {row_digest(audio_dataset.audio_in(d, start, start + 5000).as_float())
+                for d, start in device_intervals}
+        assert len(rows) == len(device_intervals)  # the jitter tells them apart
         assert Counter(filtered) == Counter(
-            (stack, band.f_low) for stack in stacks.values() for band in dsp.THIRD_OCTAVE_BANDS)
+            (1, row, band.f_low) for row in rows for band in dsp.THIRD_OCTAVE_BANDS)
         assert built.count("device_interval") == len(device_intervals)
 
     def test_karapanos_threads_agree_on_gated_devices(self, audio_dataset, rng,
@@ -285,8 +285,10 @@ class TestThreading:
                                                            monkeypatch):
         # Holding every band of every device of one interval takes
         # devices x bands x (M/2+1) complex bins; band-major scoring holds one
-        # band of the interval at a time. numpy reports its buffers to
-        # tracemalloc.
+        # band's spectra of the interval, one pad buffer and the correlator's
+        # scratch, and no filtered copy of the interval's audio: half a
+        # (devices x N) float64 buffer more breaks the bound. numpy reports
+        # its buffers to tracemalloc.
         dsp.load_sosfilt()  # loaded lazily by dsp; keep the kernels out of the peak
         dsp.load_fft()
 
@@ -294,8 +296,11 @@ class TestThreading:
         cfg = karapanos.KarapanosConfig()
         t, rate = 10, 16000
         pad = dsp.fast_len(t * rate + int(round(cfg.maxlag_s * rate)))
-        device_major = (len(audio_dataset.audio) * len(dsp.THIRD_OCTAVE_BANDS)
-                        * (pad // 2 + 1) * 16)
+        n_devices, bins = len(audio_dataset.audio), pad // 2 + 1
+        device_major = n_devices * len(dsp.THIRD_OCTAVE_BANDS) * bins * 16
+        # one band's spectra, the pad buffer, and the correlator's three buffers
+        band_major = (n_devices + 2) * bins * 16 + 2 * pad * 8
+        banded = n_devices * t * rate * 8
         tracemalloc.start()
         try:
             records = pipeline.karapanos_records(audio_dataset, t, cfg)
@@ -304,6 +309,7 @@ class TestThreading:
             tracemalloc.stop()
         assert records and not any(r.gated for r in records)
         assert peak < device_major
+        assert peak < band_major + banded // 2
 
     def test_truong_holds_one_interval_of_device_states(self, audio_dataset, monkeypatch):
         # Each built state is watched through a weak reference to its audio
@@ -329,22 +335,34 @@ class TestThreading:
         assert len({start for start, _ in alive}) == 4 and len(alive) == 4 * 4
         assert not overlaps
 
-    def test_karapanos_filters_every_band_into_one_buffer(self, audio_dataset, monkeypatch):
-        # Every filter output is held, so a buffer per band could not be reused.
+    def test_karapanos_filters_every_band_into_one_buffer(self, audio_dataset, rng,
+                                                          monkeypatch):
+        # Every filter output is held, so a buffer per band or per device could
+        # not be reused. Each rate group is one `_band_peaks` call, and each
+        # output is the head of that call's zero-tailed pad buffer.
         outputs = []
         real_bandpass = dsp.bandpass
 
         def bandpass(*args, **kwargs):
-            outputs.append(real_bandpass(*args, **kwargs))
-            return outputs[-1]
+            outputs.append((kwargs["rate_hz"], real_bandpass(*args, **kwargs)))
+            return outputs[-1][1]
 
         monkeypatch.setattr(dsp, "bandpass", bandpass)
         snippets = {d: x.slice_ms(0, 5000) for d, x in audio_dataset.audio.items()}
-        scores = karapanos.interval_similarities(snippets, list(combinations(snippets, 2)),
-                                                 karapanos.KarapanosConfig())
-        assert not any(score.gated for score in scores)
-        assert len(outputs) == len(dsp.THIRD_OCTAVE_BANDS)
-        assert all(np.shares_memory(out, outputs[0]) for out in outputs)
+        snippets |= {d: noise_snippet(rng, seconds=5.0, rate=22050, device=d) for d in ("r1", "r2")}
+        cfg = karapanos.KarapanosConfig()
+        scores = karapanos.interval_similarities(snippets, list(combinations(snippets, 2)), cfg)
+        assert sum(not score.gated for score in scores) == 6 + 1
+        pads = []
+        for rate, n_devices in ((16000, 4), (22050, 2)):
+            outs = [out for r, out in outputs if r == rate]
+            assert len(outs) == n_devices * len(dsp.THIRD_OCTAVE_BANDS)
+            pad = outs[0].base
+            assert pad.shape == (dsp.fast_len(5 * rate + int(round(cfg.maxlag_s * rate))),)
+            assert all(out.base is pad and out.ctypes.data == pad.ctypes.data
+                       and out.size == 5 * rate for out in outs)
+            pads.append(pad)
+        assert not np.shares_memory(*pads)
 
 
 def row_digest(row: np.ndarray) -> str:
