@@ -1009,9 +1009,8 @@ def test_maxlag_beyond_interval_is_usage_error_before_loading(tmp_path, capsys):
     # checked before the dataset, absent here, is read.
     argv = ["features", "--scheme", "karapanos", "--dataset", str(tmp_path / "absent"),
             "--out", str(tmp_path / "kara.csv"), "--t", "10"]
-    for maxlag in ("10.001", "1e15", "1e300"):
-        assert main([*argv, "--maxlag-s", maxlag]) == 1
-        assert "--maxlag-s" in capsys.readouterr().err
+    assert main([*argv, "--maxlag-s", "10.001"]) == 1
+    assert "--maxlag-s 10.001 exceeds --t 10" in capsys.readouterr().err
     (tmp_path / "cfg.json").write_text('{"maxlag_s": 11}')
     assert main([*argv, "--config", str(tmp_path / "cfg.json")]) == 1
     assert main([*argv, "--maxlag-s", "10"]) == 2  # in range: the absent dataset is reached
