@@ -28,6 +28,8 @@ from ziskit.errors import InvariantViolation, MissingInput, ParseError
 from ziskit.table import Column, read_table, real
 
 MANIFEST_NAME = "manifest.json"
+# Timestamps are epoch milliseconds held in int64.
+_INT64 = np.iinfo(np.int64)
 _WAVE_FORMAT_PCM = 1  # integer PCM; 3 is IEEE float, 0xFFFE WAVE_FORMAT_EXTENSIBLE
 
 
@@ -93,7 +95,14 @@ def write_wav(path: Path, snippet: AudioSnippet) -> None:
         wav.writeframes(np.ascontiguousarray(snippet.samples, dtype=np.int16))
 
 
-SENSOR_COLUMNS = (Column("timestamp_ms", int), real("value"))
+def _int64(cell: str) -> int:
+    value = int(cell)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{cell!r} does not fit int64")
+    return value
+
+
+SENSOR_COLUMNS = (Column("timestamp_ms", _int64), real("value"))
 
 
 def read_sensor_csv(path: Path, kind: SensorKind, device_id: str) -> SensorSeries:
@@ -191,7 +200,8 @@ def load_dataset(root_path: str | Path) -> Dataset:
 
     A device id is any text that UTF-8 encodes, without `|`, the pair
     separator of the pair tables. An empty manifest yields an empty Dataset;
-    a malformed one raises ParseError naming it.
+    a malformed one raises ParseError naming it, as does an audio `start_ms`
+    at which the recording would start or end outside int64 milliseconds.
     """
     root = Path(root_path)
     devices, gt_path = _read_manifest(root)
@@ -201,6 +211,10 @@ def load_dataset(root_path: str | Path) -> Dataset:
     for dev_id, wav, sensor_files, jsonl in devices:
         if wav is not None:
             audio[dev_id] = read_wav(wav[0], dev_id, wav[1])
+            if audio[dev_id].end_time > _INT64.max:
+                raise ParseError(f"bad manifest: audio of device {dev_id!r} starting at "
+                                 f"{wav[1]} ms ends past int64 milliseconds",
+                                 path=str(root / MANIFEST_NAME))
         for kind, path in sensor_files:
             sensors.setdefault(dev_id, {})[kind] = read_sensor_csv(path, kind, dev_id)
         if jsonl is not None:
@@ -240,6 +254,9 @@ def _device_files(root: Path, dev: dict) -> tuple:
         if not isinstance(wav, dict):
             raise TypeError(f"audio of device {dev['id']!r} is not an object")
         wav = (root / wav["path"], int(wav.get("start_ms", 0)))
+        if not _INT64.min <= wav[1] <= _INT64.max:
+            raise ValueError(f"audio start_ms {wav[1]} of device {dev['id']!r} "
+                             "does not fit int64")
     sensor_files = [(SensorKind(kind), root / rel) for kind, rel in dev.get("sensors", {}).items()]
     jsonl = root / dev["beacons"] if "beacons" in dev else None
     return dev["id"], wav, sensor_files, jsonl

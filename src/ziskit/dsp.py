@@ -7,10 +7,10 @@ unstable for narrow bands at 16 kHz. Every cross-correlation runs through
 one FFT core (padded_spectrum, xcorr_spectra, lag_peak), which searches lags
 [-maxlag, maxlag]; the direct-sum reference in tests/reference.py checks it
 to 1e-6 relative. The schemes score many pairs at once through
-`PairCorrelator`, which equals that per-pair path bit for bit from scratch
-buffers it allocates once, and filter and transform into buffers they own
-(`sosfilt`, `bandpass` and `rfft` take `out`), so that no array is
-allocated per band or per pair.
+`PairCorrelator`, which equals that per-pair path bit for bit in two scratch
+buffers, its own or its caller's, and filter and transform into buffers they own
+(`sosfilt`, `bandpass`, `rfft` and `fft_mag_hamming` take `out`), so that no
+array is allocated per band or per pair.
 
 The band filters need no scipy.signal package, whose import also loads
 scipy.stats, scipy.interpolate and scipy.optimize, and the FFTs need no
@@ -19,7 +19,8 @@ scipy.fft package, whose import also loads scipy.special.
 with equal coefficients bit for bit. `sosfilt` runs scipy's compiled cascade
 and `rfft`/`_irfft` run scipy's compiled pocketfft transforms, each kernel
 loaded alone from its file (`_scipy_kernel`), with output equal bit for bit
-to scipy.signal.sosfilt and scipy.fft.rfft/irfft.
+to scipy.signal.sosfilt and scipy.fft.rfft/irfft; `fft_mag_hamming` runs
+pocketfft's complex transform in place, equal bit for bit to numpy.fft.fft.
 A kernel is loaded when a function first uses it, here and in the other
 modules the CLI imports, so commands that never filter or transform audio do
 not pay for it: the `_sosfilt` kernel for the band filters (here and in
@@ -32,6 +33,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from pathlib import Path
@@ -183,6 +185,8 @@ def _upper_poles(p: np.ndarray) -> np.ndarray:
 # The compiled scipy modules the program runs, each loaded by `_scipy_kernel`.
 _SOSFILT = "scipy.signal._sosfilt"
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+# Serializes first loads: `cache` lets two threads run the function at once.
+_KERNEL_LOCK = threading.Lock()
 
 
 @cache
@@ -191,22 +195,25 @@ def _scipy_kernel(name: str):
     package `__init__` runs.
 
     The module is registered in sys.modules as `name`, which a later import of
-    its package then reuses, and an earlier one has already loaded.
+    its package then reuses, and an earlier one has already loaded. Loads run
+    one at a time: an extension module enters sys.modules while it is still
+    being initialized, so a second thread could find it half built.
     """
-    module = sys.modules.get(name)
-    if module is None:
-        root, *package, stem = name.split(".")
-        spec = importlib.util.find_spec(root)
-        paths = [] if spec is None else [
-            path for suffix in importlib.machinery.EXTENSION_SUFFIXES
-            if (path := Path(spec.origin).parent.joinpath(*package, stem + suffix)).is_file()]
-        if not paths:
-            raise ImportError(f"scipy's compiled {name} kernel is not installed", name=name)
-        loader = importlib.machinery.ExtensionFileLoader(name, str(paths[0]))
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(name, paths[0], loader=loader))
-        loader.exec_module(module)
-        sys.modules[name] = module
+    with _KERNEL_LOCK:
+        module = sys.modules.get(name)
+        if module is None:
+            root, *package, stem = name.split(".")
+            spec = importlib.util.find_spec(root)
+            paths = [] if spec is None else [
+                path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                if (path := Path(spec.origin).parent.joinpath(*package, stem + suffix)).is_file()]
+            if not paths:
+                raise ImportError(f"scipy's compiled {name} kernel is not installed", name=name)
+            loader = importlib.machinery.ExtensionFileLoader(name, str(paths[0]))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, paths[0], loader=loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
     return module
 
 
@@ -240,12 +247,11 @@ def load_sosfilt() -> None:
     """Load the `sosfilt` kernel in the calling thread.
 
     Pipelines call it, and `load_fft`, before `pmap` starts its worker
-    threads. A first load in two threads at once is not safe: the compiled
-    module enters sys.modules while it is still being initialized, and with
-    both loads left to its worker threads `features karapanos` on a
-    16-device scenario failed with an AttributeError. Loaded in a worker
-    thread one at a time, the kernels moved that command's peak RSS by under
-    1 MB (107.5-109.0 MB against 107.1-108.5 MB).
+    threads, so that each command imports what it uses of scipy on the main
+    thread. A worker thread may also load a kernel first: `_scipy_kernel`
+    serializes first loads, without which `features karapanos` on a
+    16-device scenario, with both loads left to its worker threads, failed
+    with an AttributeError from the half-built module.
     """
     _scipy_kernel(_SOSFILT)
 
@@ -349,46 +355,44 @@ def lag_peak(c: np.ndarray, maxlag: int) -> np.ndarray:
 
 
 class PairCorrelator:
-    """Two-sided lag peaks of many pairs of padded spectra, from scratch
-    buffers allocated once for one pad length and lag range.
+    """Two-sided lag peaks of many pairs of padded spectra at one pad length,
+    over lags [-maxlag, maxlag], in two scratch buffers: `c`, float64 of
+    pad_len samples, and `product`, complex128 of pad_len // 2 + 1 bins. A
+    caller may pass its own, which are overwritten; otherwise they are
+    allocated once here.
 
     The one correlation core of the schemes: Karapanos correlates each band of
     an interval's devices through one correlator, and Truong each chunk of an
-    interval's pairs. A correlator is not shared between threads.
+    interval's pairs, in its worker's buffers. A correlator, and its buffers,
+    serve one thread at a time.
     """
 
-    def __init__(self, pad_len: int, maxlag: int):
-        bins = pad_len // 2 + 1
+    def __init__(self, pad_len: int, maxlag: int, c: np.ndarray | None = None,
+                 product: np.ndarray | None = None):
         self.pad_len = pad_len
         self.maxlag = maxlag
-        self._conj = np.empty(bins, complex)
-        self._product = np.empty(bins, complex)
-        self._c = np.empty(pad_len)
+        self._c = np.empty(pad_len) if c is None else c
+        self._product = np.empty(pad_len // 2 + 1, complex) if product is None else product
 
     def peaks(self, spectra, pairs, out: np.ndarray | None = None) -> np.ndarray:
         """out[k] = lag_peak(xcorr_spectra(spectra[a], spectra[b], pad_len),
         maxlag) for the k-th pair (a, b), bit for bit; a new array without `out`.
 
         `spectra` is a stack of complex128 rows of `padded_spectrum` at pad_len,
-        or a mapping to such rows, indexed by the keys of `pairs`. The
-        conjugate of each second spectrum is taken once, and |c| over the
-        searched lags in place.
+        or a mapping to such rows, indexed by the keys of `pairs`. Each pair's
+        product and |c| over the searched lags are taken in place.
         """
         out = np.empty(len(pairs)) if out is None else out
-        by_second: dict = {}
-        for k, (a, b) in enumerate(pairs):
-            by_second.setdefault(b, []).append((k, a))
-        maxlag = self.maxlag
+        maxlag, product, c = self.maxlag, self._product, self._c
         # Lags [0, maxlag] and [-maxlag, -1]; the second is empty at maxlag 0.
-        head, tail = self._c[:maxlag + 1], self._c[self.pad_len - maxlag:]
-        for b, firsts in by_second.items():
-            np.conjugate(spectra[b], out=self._conj)
-            for k, a in firsts:
-                # conj(fy) * fx, the order of `xcorr_spectra`.
-                np.multiply(self._conj, spectra[a], out=self._product)
-                _irfft(self._product, self.pad_len, out=self._c)
-                peak = np.abs(head, out=head).max()
-                out[k] = np.maximum(peak, np.abs(tail, out=tail).max()) if maxlag else peak
+        head, tail = c[:maxlag + 1], c[self.pad_len - maxlag:]
+        for k, (a, b) in enumerate(pairs):
+            # conj(fy) * fx, the order of `xcorr_spectra`.
+            np.conjugate(spectra[b], out=product)
+            np.multiply(product, spectra[a], out=product)
+            _irfft(product, self.pad_len, out=c)
+            peak = np.abs(head, out=head).max()
+            out[k] = np.maximum(peak, np.abs(tail, out=tail).max()) if maxlag else peak
         return out
 
 
@@ -470,11 +474,22 @@ def _hamming(n: int) -> np.ndarray:
     return window
 
 
-def fft_mag_hamming(x: np.ndarray) -> np.ndarray:
-    """|FFT(hamming(N) * x)| truncated to the first N//2 bins."""
+def fft_mag_hamming(x: np.ndarray, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """|FFT(hamming(N) * x)| truncated to the first N//2 bins, into `out` when
+    given.
+
+    The windowed samples, with imaginary part 0, are transformed in place by
+    pocketfft's complex FFT in the head of `work` when given, a complex128
+    buffer of at least N bins that is overwritten, and in a new array
+    otherwise. Equal bit for bit to np.abs(np.fft.fft(np.hamming(N) * x)[:N // 2]).
+    """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if n < 2:
         raise ValueError("need at least 2 samples")
-    spectrum = np.fft.fft(_hamming(n) * x)
-    return np.abs(spectrum[:n // 2])
+    z = np.empty(n, complex) if work is None else work[:n]
+    np.multiply(_hamming(n), x, out=z.real)
+    z.imag = 0.0
+    _scipy_kernel(_POCKETFFT).c2c(z, axes=(-1,), forward=True, inorm=0, out=z, nthreads=1)
+    return np.abs(z[:n // 2], out=out)

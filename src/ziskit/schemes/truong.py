@@ -6,16 +6,20 @@ normalized maximum cross-correlation and a time-frequency distance. Feature
 slots without usable data carry None rather than a substitute number; only
 the both-sides-saw-nothing case maps every distance to the rejection value.
 
-`build_dataset` takes one interval at a time and correlates its pairs through
-`dsp.PairCorrelator`; `audio_features` is the per-pair form, which it equals
-bit for bit.
+`build_dataset` takes one interval at a time: it builds each device's state
+and correlates the pairs through `dsp.PairCorrelator` in one workspace per
+worker slot, allocated on first use and reused by every interval
+(`_Workspace`). `audio_features` is the per-pair form, which it equals bit
+for bit; both build states with the same code, it in new buffers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from functools import partial
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,11 +117,73 @@ class AudioState:
 
 
 def audio_state(x: np.ndarray) -> AudioState:
-    spectrum, pad = dsp.padded_spectrum(x, x.size - 1)
-    mag = dsp.fft_mag_hamming(x)
+    """The state of samples `x` (float or int16), in new buffers."""
+    pad = dsp.fast_len(2 * x.size - 1)
+    bins = pad // 2 + 1
+    return _fill_state(x, np.empty(pad), np.empty(bins, complex), np.empty(bins, complex),
+                       np.empty(x.size // 2))
+
+
+def _fill_state(x: np.ndarray, padded: np.ndarray, work: np.ndarray, spectrum: np.ndarray,
+                unit: np.ndarray) -> AudioState:
+    """The state of the N samples `x`, built in scratch of the caller's:
+    `padded`, float64 of the pad length fast_len(2N - 1), and `work`, complex128
+    of its pad/2 + 1 bins, both overwritten. The state's spectrum goes into
+    `spectrum` (pad/2 + 1 bins) and its unit spectrum into `unit` (N//2).
+
+    `x` is cast into the head of `padded`, whose tail is zeroed: the head gives
+    the sum of squares and the windowed spectrum, and the whole buffer the
+    padded spectrum, as `dsp.padded_spectrum(x, N - 1)` would.
+    """
+    n = x.size
+    head = padded[:n]
+    head[...] = x
+    padded[n:] = 0.0
+    dsp.rfft(padded, out=spectrum)
+    mag = dsp.fft_mag_hamming(head, out=unit, work=work)
     norm = float(np.linalg.norm(mag))
-    return AudioState(x.size, np.dot(x, x), spectrum, pad,
-                      mag / norm if norm != 0.0 else None)
+    if norm != 0.0:
+        mag /= norm
+    return AudioState(n, np.dot(head, head), spectrum, padded.size,
+                      mag if norm != 0.0 else None)
+
+
+class _Workspace:
+    """The buffers of one `build_dataset` call, allocated on first use and
+    reused by every interval.
+
+    Per worker slot and audio size N: a pad buffer of fast_len(2N - 1) samples
+    and a complex buffer of its pad/2 + 1 bins, the scratch of the slot's state
+    builds and then of its pair correlation. Per audio size: a stack of spectra
+    and one of unit spectra, with a row per device of an interval, which grow
+    only when an interval has more devices than `devices`. Each slot serves
+    one thread at a time; the lock guards allocation.
+    """
+
+    def __init__(self):
+        self.devices = 0
+        self._lock = threading.Lock()
+        self._scratch: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def scratch(self, slot: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The slot's pad buffer and complex buffer at audio size `size`."""
+        with self._lock:
+            if (slot, size) not in self._scratch:
+                pad = dsp.fast_len(2 * size - 1)
+                self._scratch[slot, size] = np.empty(pad), np.empty(pad // 2 + 1, complex)
+            return self._scratch[slot, size]
+
+    def audio_state(self, slot: int, row: int, x: np.ndarray) -> AudioState:
+        """The state of `x`, built in the slot's scratch into row `row` of the stacks."""
+        padded, work = self.scratch(slot, x.size)
+        with self._lock:
+            if x.size not in self._stacks or len(self._stacks[x.size][0]) < self.devices:
+                self._stacks.pop(x.size, None)  # the last interval's states are released
+                self._stacks[x.size] = (np.empty((self.devices, work.size), complex),
+                                        np.empty((self.devices, x.size // 2)))
+            spectra, units = self._stacks[x.size]
+        return _fill_state(x, padded, work, spectra[row], units[row])
 
 
 def audio_distances(a: AudioState, b: AudioState, peak: float) -> AudioDistances:
@@ -185,9 +251,12 @@ class DeviceInterval(NamedTuple):
     ble: BeaconAggregate | None
 
 
-def device_interval(dataset: Dataset, device: str, start: int, stop: int) -> DeviceInterval:
+def device_interval(dataset: Dataset, device: str, start: int, stop: int,
+                    build: Callable[[np.ndarray], AudioState]) -> DeviceInterval:
+    """The device's state over [start, stop); `build` makes the audio state
+    of its samples."""
     chunk = dataset.audio_in(device, start, stop)
-    audio = audio_state(chunk.as_float()) if chunk is not None else None
+    audio = build(chunk.samples) if chunk is not None else None
     # No scan records at all means a scan error, not an empty environment.
     scans = {kind: dataset.beacons_in(device, kind, start, stop) for kind in ("wifi", "ble")}
     return DeviceInterval(audio, *(BeaconAggregate.from_scans(s, kind) if s else None
@@ -215,10 +284,11 @@ def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
         pair.label)
 
 
-def _audio_peaks(pairs: list[EvaluationRecord],
-                 states: dict[str, DeviceInterval]) -> list[float | None]:
+def _audio_peaks(pairs: list[EvaluationRecord], states: dict[str, DeviceInterval],
+                 scratch: Callable[[int], tuple[np.ndarray, np.ndarray]]) -> list[float | None]:
     """Full-lag peak |c| of each pair's audio correlation, None where either
-    side has no audio or the sizes differ; one correlator per audio size."""
+    side has no audio or the sizes differ; one correlator per audio size, in
+    `scratch(size)`, a pad buffer and a complex buffer of that size's."""
     peaks: list[float | None] = [None] * len(pairs)
     by_size: dict[int, list[int]] = {}
     for k, p in enumerate(pairs):
@@ -228,7 +298,8 @@ def _audio_peaks(pairs: list[EvaluationRecord],
             by_size.setdefault(a.size, []).append(k)
     spectra = {d: s.audio.spectrum for d, s in states.items() if s.audio is not None}
     for size, group in by_size.items():
-        correlator = dsp.PairCorrelator(states[pairs[group[0]].device_a].audio.pad_len, size - 1)
+        padded, work = scratch(size)
+        correlator = dsp.PairCorrelator(padded.size, size - 1, padded, work)
         found = correlator.peaks(spectra, [(pairs[k].device_a, pairs[k].device_b) for k in group])
         for k, peak in zip(group, found):
             peaks[k] = peak
@@ -240,23 +311,39 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
     """One labeled feature vector per pair-interval, in the order of `pairs`.
 
     Intervals (runs of `interval_runs`) are taken one at a time. An
-    interval's device states are built once each, across threads (`pmap`),
-    and its pairs are split into one chunk per thread, each correlated with
-    its own scratch. The states are released before the next interval's are
-    built.
+    interval's devices are split into one run per worker slot (`_slots`),
+    and each slot builds its devices' states once each, across threads
+    (`pmap`), into the rows of the workspace's stacks; then its pairs are
+    split the same way, each slot correlating its chunk in its own scratch.
+    No pad-sized array is allocated after the first interval, and the states
+    are released before the next interval's are built.
     """
+    workspace = _Workspace()
+
     def one_interval(run: list[EvaluationRecord]) -> list[TruongFeatureVector]:
         start = run[0].interval_start
         devices = list(dict.fromkeys(d for p in run for d in (p.device_a, p.device_b)))
-        states = dict(zip(devices, pmap(
-            lambda d: device_interval(dataset, d, start, start + t * 1000), devices)))
+        workspace.devices = max(workspace.devices, len(devices))
 
-        def chunk_rows(chunk: list[EvaluationRecord]) -> list[TruongFeatureVector]:
+        def slot_states(slot: int, rows: Sequence[int]) -> list[DeviceInterval]:
+            return [device_interval(dataset, devices[row], start, start + t * 1000,
+                                    partial(workspace.audio_state, slot, row)) for row in rows]
+
+        built = pmap(lambda job: slot_states(*job), _slots(range(len(devices))))
+        states = dict(zip(devices, (state for slot_rows in built for state in slot_rows)))
+
+        def chunk_rows(slot: int, chunk: list[EvaluationRecord]) -> list[TruongFeatureVector]:
+            peaks = _audio_peaks(chunk, states, partial(workspace.scratch, slot))
             return [pair_features(p, states[p.device_a], states[p.device_b], peak, theta)
-                    for p, peak in zip(chunk, _audio_peaks(chunk, states))]
+                    for p, peak in zip(chunk, peaks)]
 
-        n = min(thread_count(), len(run))
-        chunks = [run[i * len(run) // n:(i + 1) * len(run) // n] for i in range(n)]
-        return [row for rows in pmap(chunk_rows, chunks) for row in rows]
+        return [row for rows in pmap(lambda job: chunk_rows(*job), _slots(run)) for row in rows]
 
     return [row for run in interval_runs(pairs) for row in one_interval(run)]
+
+
+def _slots(items: Sequence) -> list[tuple[int, Sequence]]:
+    """(slot, run) of `items` split in order into min(thread_count(), len(items))
+    runs, one per worker slot."""
+    n = min(thread_count(), len(items))
+    return [(i, items[i * len(items) // n:(i + 1) * len(items) // n]) for i in range(n)]

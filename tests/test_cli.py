@@ -393,6 +393,23 @@ def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start_ms", [10 ** 30, -10 ** 30, 1.5e300, 2 ** 63 - 1])
+@pytest.mark.parametrize("scheme", ["miettinen", "karapanos"])
+def test_audio_start_outside_int64_ms_exits_2(start_ms, scheme, scenario_dir, tmp_path,
+                                              capsys):
+    # 2**63 - 1 fits int64, but the recording that starts there ends past it.
+    dataset = tmp_path / "scen"
+    shutil.copytree(scenario_dir, dataset)
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    manifest["devices"][0]["audio"]["start_ms"] = start_ms
+    (dataset / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["features", "--scheme", scheme, "--dataset", str(dataset),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "int64" in err and str(dataset / "manifest.json") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("names", [("full", "second_half"), ("first_half", "first_half")])
 def test_evaluate_rejects_subscenario_full_or_twice(names, scenario_dir, valid_files,
                                                     tmp_path, capsys):

@@ -501,3 +501,22 @@ def test_sensor_csv_rewrites_identically(series):
     np.testing.assert_array_equal(back.timestamps_ms, series.timestamps_ms)
     np.testing.assert_array_equal(back.values, series.values)
     assert np.signbit(back.values).tolist() == np.signbit(series.values).tolist()
+
+
+OUTSIDE_INT64 = st.one_of(st.integers(max_value=-2 ** 63 - 1), st.integers(min_value=2 ** 63))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series=sensor_series(), timestamp=OUTSIDE_INT64, data=st.data())
+def test_sensor_csv_timestamp_outside_int64_is_a_parse_error(series, timestamp, data):
+    # One row of an otherwise valid file holds a timestamp int64 cannot.
+    row = data.draw(st.integers(0, len(series)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sensor.csv"
+        write_sensor_csv(path, series)
+        lines = path.read_bytes().split(b"\n")
+        lines.insert(row + 1, f"{timestamp},1.0".encode())
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match="does not fit int64") as err:
+            read_sensor_csv(path, series.kind, "d")
+    assert (err.value.path, err.value.line) == (str(path), row + 2)

@@ -230,6 +230,35 @@ def test_missing_kernel_file_raises_import_error(name, monkeypatch):
         dsp._scipy_kernel.cache_clear()
 
 
+def test_first_kernel_loads_from_two_threads_at_once(tmp_path):
+    # Two threads per kernel load it at once and use it, each time in a fresh
+    # process; a load left unserialized hands one of them a half-built module.
+    probe = """
+import json, threading
+from ziskit import dsp
+kernels = {"scipy.signal._sosfilt": "_sosfilt", "scipy.fft._pocketfft.pypocketfft": "r2c"}
+barrier = threading.Barrier(2 * len(kernels))
+failures = []
+
+def load(name):
+    barrier.wait()
+    try:
+        getattr(dsp._scipy_kernel(name), kernels[name])
+    except Exception as exc:
+        failures.append(repr(exc))
+
+threads = [threading.Thread(target=load, args=(name,)) for name in kernels for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(json.dumps(failures))
+raise SystemExit(1 if failures else 0)
+"""
+    for _ in range(4):
+        assert run_probe(probe, tmp_path) == []
+
+
 def program_fft_sizes() -> list[tuple[int, int]]:
     """(N, maxlag) of every padded_spectrum call the program makes at 8, 16,
     44.1, 48 and 96 kHz: Karapanos over t = 1-30 s at maxlag_s 1 s, Truong's
@@ -460,6 +489,33 @@ class TestPairCorrelator:
         column = np.empty((len(pairs), 2))
         correlator.peaks(by_name, [(f"d{a}", f"d{b}") for a, b in pairs], out=column[:, 1])
         assert column[:, 1].tobytes() == expected.tobytes()
+
+
+    def test_caller_buffers_give_the_same_bits(self, rng):
+        # Truong's workers lend their pad buffer and complex buffer, left
+        # dirty by the state phase.
+        n, maxlag = 3000, 2999
+        x = rng.integers(-2 ** 15, 2 ** 15, (3, n)).astype(np.float64)
+        spectra, pad = dsp.padded_spectrum(x, maxlag)
+        c, product = np.full(pad, np.nan), np.full(pad // 2 + 1, np.nan, complex)
+        pairs = [(0, 1), (2, 0), (1, 1)]
+        got = dsp.PairCorrelator(pad, maxlag, c, product).peaks(spectra, pairs)
+        assert got.tobytes() == dsp.PairCorrelator(pad, maxlag).peaks(spectra, pairs).tobytes()
+
+
+class TestFftMagHamming:
+    """The windowed magnitude spectrum runs pocketfft's complex transform in
+    place; the transform equals numpy.fft.fft of the real windowed samples."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 97, 1000, 1009, 4096, 65_537, 160_000, 441_000])
+    def test_in_place_transform_equals_numpy_fft(self, rng, n):
+        x = rng.integers(-2 ** 15, 2 ** 15, n).astype(np.float64)
+        work, out = np.full(n + 3, np.nan, complex), np.full(n // 2, np.nan)
+        ref = np.fft.fft(np.hamming(n) * x)
+        assert dsp.fft_mag_hamming(x, out=out, work=work) is out
+        assert work[:n].tobytes() == ref.tobytes()
+        assert out.tobytes() == np.abs(ref[:n // 2]).tobytes() \
+            == dsp.fft_mag_hamming(x).tobytes()
 
 
 class TestAvgPowerDb:

@@ -298,8 +298,8 @@ class TestThreading:
         pad = dsp.fast_len(t * rate + int(round(cfg.maxlag_s * rate)))
         n_devices, bins = len(audio_dataset.audio), pad // 2 + 1
         device_major = n_devices * len(dsp.THIRD_OCTAVE_BANDS) * bins * 16
-        # one band's spectra, the pad buffer, and the correlator's three buffers
-        band_major = (n_devices + 2) * bins * 16 + 2 * pad * 8
+        # one band's spectra, the pad buffer, and the correlator's two buffers
+        band_major = (n_devices + 1) * bins * 16 + 2 * pad * 8
         banded = n_devices * t * rate * 8
         tracemalloc.start()
         try:
@@ -321,10 +321,10 @@ class TestThreading:
         alive: list[tuple[int, weakref.ref]] = []
         overlaps = []
 
-        def watched(dataset, device, start, stop):
+        def watched(dataset, device, start, stop, *build):
             with lock:
                 overlaps.extend((s, start) for s, ref in alive if s != start and ref() is not None)
-            state = real_fn(dataset, device, start, stop)
+            state = real_fn(dataset, device, start, stop, *build)
             with lock:
                 alive.append((start, weakref.ref(state.audio)))
             return state
@@ -334,6 +334,69 @@ class TestThreading:
         assert len(rows) == len(pipeline.window_pairs(audio_dataset, 5))
         assert len({start for start, _ in alive}) == 4 and len(alive) == 4 * 4
         assert not overlaps
+
+    def test_truong_peak_memory_is_states_and_two_buffers_per_worker(self, audio_dataset,
+                                                                     monkeypatch):
+        # Each worker slot holds one pad buffer and one complex buffer of
+        # pad/2 + 1 bins at the interval's audio size, beside the interval's
+        # states (a spectrum and a unit spectrum per device). A third
+        # pad-sized buffer per worker breaks the bound, as do per-device
+        # copies of the audio; the slack of one pad-sized buffer covers each
+        # pair's unit-spectrum difference. The audio is loaded before tracing
+        # starts, and `audio_in` slices it without a copy.
+        dsp.load_fft()  # loaded lazily by dsp; keep the kernel and the window
+        dsp.fft_mag_hamming(np.zeros(5 * 16000))  # out of the peak
+        monkeypatch.setenv("ZIS_THREADS", "2")
+        t, n_devices = 5, len(audio_dataset.audio)
+        n = t * 16000
+        pad = dsp.fast_len(2 * n - 1)
+        bins = pad // 2 + 1
+        states = n_devices * (bins * 16 + n // 2 * 8)
+        scratch = 2 * (pad * 8 + bins * 16)
+        pairs = pipeline.window_pairs(audio_dataset, t)
+        tracemalloc.start()
+        try:
+            rows = truong.build_dataset(pairs, audio_dataset, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(pairs) and all(r.audio_max_xcorr is not None for r in rows)
+        assert peak < states + scratch + pad * 8
+
+    def test_truong_allocates_no_pad_sized_array_after_its_first_interval(
+            self, audio_dataset, monkeypatch):
+        # Traced memory may rise after the first interval's states by less
+        # than one pad buffer: the states reuse the rows of the first
+        # interval's stacks, and the workers their scratch. What rises is
+        # small objects and each pair's unit-spectrum difference, N/2
+        # samples in each of two threads.
+        dsp.load_fft()
+        monkeypatch.setenv("ZIS_THREADS", "2")
+        t = 5
+        pad = dsp.fast_len(2 * t * 16000 - 1)
+        real_fn = truong.device_interval
+        lock = threading.Lock()
+        starts: list[int] = []
+        baseline: list[int] = []
+
+        def watched(dataset, device, start, stop, *build):
+            with lock:
+                if start not in starts:
+                    starts.append(start)
+                    if len(starts) == 2:  # the first state of the second interval
+                        baseline.append(tracemalloc.get_traced_memory()[0])
+                        tracemalloc.reset_peak()
+            return real_fn(dataset, device, start, stop, *build)
+
+        monkeypatch.setattr(truong, "device_interval", watched)
+        tracemalloc.start()
+        try:
+            rows = pipeline.truong_rows(audio_dataset, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == 4 and len(rows) == len(pipeline.window_pairs(audio_dataset, t))
+        assert peak - baseline[0] < pad * 8
 
     def test_karapanos_filters_every_band_into_one_buffer(self, audio_dataset, rng,
                                                           monkeypatch):

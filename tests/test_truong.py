@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import noise_snippet, two_group_truth
 from ziskit import dsp, pipeline
@@ -178,6 +180,50 @@ class TestAudioFeatures:
             truong.audio_features(np.zeros(100), np.ones(100))
 
 
+@st.composite
+def int16_audio(draw) -> np.ndarray:
+    """Audio of 2 to 5 000 samples, odd, even and prime: noise, silence, or
+    only the int16 extremes."""
+    n = draw(st.one_of(st.integers(2, 5000), st.sampled_from([2, 3, 97, 1009, 4096, 4999])))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["noise", "silence", "extremes"]))
+    if kind == "silence":
+        return np.zeros(n, np.int16)
+    if kind == "extremes":
+        return gen.choice(np.array([-2 ** 15, 2 ** 15 - 1], np.int16), n)
+    return gen.integers(-2 ** 15, 2 ** 15, n, dtype=np.int16)
+
+
+class TestWorkspace:
+    """`build_dataset` builds each state in its worker's scratch into a row of
+    shared stacks; it equals `audio_state`, which builds in new buffers, and
+    the plain numpy path, bit for bit."""
+
+    @given(x=int16_audio(), row=st.integers(0, 2))
+    @example(x=np.zeros(4, np.int16), row=1)
+    @example(x=np.full(1009, -2 ** 15, np.int16), row=2)
+    @settings(max_examples=60, deadline=None)
+    def test_state_equals_audio_state(self, x, row):
+        workspace = truong._Workspace()
+        workspace.devices = 3
+        for buffer in workspace.scratch(0, x.size):  # as an earlier pair phase leaves them
+            buffer.fill(np.nan)
+        got = workspace.audio_state(0, row, x)
+        xf = x.astype(np.float64)
+        ref = truong.audio_state(xf)
+        spectrum, pad = dsp.padded_spectrum(xf, x.size - 1)
+        mag = np.abs(np.fft.fft(np.hamming(x.size) * xf)[:x.size // 2])
+        norm = float(np.linalg.norm(mag))
+        assert got.size == ref.size == x.size and got.pad_len == ref.pad_len == pad
+        assert got.spectrum.tobytes() == ref.spectrum.tobytes() == spectrum.tobytes()
+        assert got.sum_sq.tobytes() == ref.sum_sq.tobytes() == np.dot(xf, xf).tobytes()
+        if norm == 0.0:
+            assert got.unit_spectrum is None and ref.unit_spectrum is None
+        else:
+            assert got.unit_spectrum.tobytes() == ref.unit_spectrum.tobytes() \
+                == (mag / norm).tobytes()
+
+
 def _beacon_dataset(rng, shared: bool):
     gt = two_group_truth()
     audio, beacons = {}, {}
@@ -273,6 +319,34 @@ class TestBuildDataset:
                     *(dataset.audio[d].slice_ms(start, stop) for d in pair))
                 assert (row.audio_max_xcorr, row.audio_tf_distance) == \
                     (audio.max_xcorr, audio.tf_distance)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_two_audio_sizes_and_growing_intervals_match_per_pair(self, rng, monkeypatch,
+                                                                 threads):
+        # a and b record at 8 kHz, c and d at 16 kHz: one interval holds two
+        # audio sizes. The first interval leaves d out, so the second has more
+        # devices and the stacks grow.
+        monkeypatch.setenv("ZIS_THREADS", threads)
+        dataset = _beacon_dataset(rng, shared=True)
+        for dev in dataset.audio:
+            rate = 8000 if dev in "ab" else 16000
+            dataset.audio[dev] = AudioSnippet(
+                noise_snippet(rng, seconds=20.0, rate=rate).samples, rate, 0, dev)
+        pairs = [p for p in window_pairs(dataset, 10)
+                 if p.interval_start or "d" not in (p.device_a, p.device_b)]
+        rows = truong.build_dataset(pairs, dataset, 10)
+        assert [r.record() for r in rows] == [p for p in pairs]
+        assert {r.interval_start for r in rows} == {0, 10_000}
+        for row in rows:
+            pair = (row.device_a, row.device_b)
+            if len({"a", "b"} & set(pair)) == 1:
+                assert row.audio_max_xcorr is None
+                continue
+            start, stop = row.interval_start, row.interval_start + 10_000
+            audio = truong.audio_features(
+                *(dataset.audio[d].slice_ms(start, stop) for d in pair))
+            assert (row.audio_max_xcorr, row.audio_tf_distance) == \
+                (audio.max_xcorr, audio.tf_distance)
 
     def test_ml_arrays_shape_and_nan(self, rng):
         dataset = _beacon_dataset(rng, shared=True)
