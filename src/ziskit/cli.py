@@ -19,7 +19,8 @@ import numpy as np
 
 from ziskit import datagen, dsp, evaluation, pipeline, randomness
 from ziskit.core.io import load_dataset, load_ground_truth
-from ziskit.core.types import EvaluationRecord, Fingerprint, GroundTruth, common_length
+from ziskit.core.types import (RSSI_LIMIT_DBM, EvaluationRecord, Fingerprint, GroundTruth,
+                                common_length)
 from ziskit.core.windowing import filter_subscenario
 from ziskit.errors import DegenerateLabels, IncompatibleFingerprints, ParseError, ZisError
 from ziskit.ml import ensemble
@@ -418,10 +419,11 @@ COMMANDS: dict[str, tuple[Callable | None, str, tuple[Flag, ...]]] = {
         Flag("scheme", choices=SCHEMES, required=True), Flag("dataset", Path, required=True),
         Flag("out", Path, required=True), Flag("t", int, 10, low=1, high=MAX_T),
         Flag("maxlag-s", float, 1.0, low=0), Flag("power-db", float, karapanos.DEFAULT_POWER_DB),
-        Flag("theta", float, truong.THETA_DEFAULT), Flag("bits", int, 16, low=1),
+        Flag("theta", float, truong.THETA_DEFAULT, low=-RSSI_LIMIT_DBM, high=RSSI_LIMIT_DBM),
+        Flag("bits", int, 16, low=1),
         Flag("source", default="noise", choices=("noise", "luminosity")),
         Flag("delta-rel", float, 0.1), Flag("delta-abs", float, 10.0),
-        Flag("measurement-window-s", float, 1.0, low=0.001, unit="seconds"))),
+        Flag("measurement-window-s", float, 1.0, low=0.001, high=MAX_T))),
     "fingerprint-randomness": (_cmd_fingerprint_randomness, "random-walk and bit statistics", (
         Flag("features", Path, required=True), Flag("out", Path, required=True),
         Flag("sub-len", int, 0, low=0, help="also analyze sub-fingerprints of this length"))),

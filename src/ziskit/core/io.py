@@ -136,7 +136,9 @@ def read_beacons_jsonl(path: Path) -> list[BeaconScan]:
                 if len(obs) != len(rec["obs"]):
                     raise InvariantViolation("duplicate beacon identifiers in one scan")
                 scans.append(BeaconScan(kind=rec["kind"], time=int(rec["t"]), observations=obs))
-            except (KeyError, ValueError, TypeError) as exc:  # UnicodeDecodeError too
+            # ValueError covers UnicodeDecodeError, OverflowError a time of Infinity,
+            # and InvariantViolation a bad kind, RSSI or repeated identifier.
+            except (KeyError, ValueError, TypeError, OverflowError, InvariantViolation) as exc:
                 raise ParseError(f"bad scan record: {exc}", path=str(path), line=lineno) from exc
     return scans
 

@@ -112,6 +112,11 @@ class SensorSeries:
         return int(self.timestamps_ms.size)
 
 
+# The largest |RSSI| in dBm that a scan or an RSSI flag takes: 1000 dBm is
+# 10^97 W, far beyond any radio, and within it every beacon distance is finite.
+RSSI_LIMIT_DBM = 1000.0
+
+
 @dataclass(frozen=True)
 class BeaconScan:
     """One WiFi or BLE scan: identifier -> RSSI dBm at a timestamp."""
@@ -124,8 +129,9 @@ class BeaconScan:
         if self.kind not in ("wifi", "ble"):
             raise InvariantViolation(f"unknown beacon kind {self.kind!r}")
         for ident, rssi in self.observations.items():
-            if not np.isfinite(rssi):
-                raise InvariantViolation(f"non-finite RSSI for {ident!r}")
+            if not abs(rssi) <= RSSI_LIMIT_DBM:  # NaN too
+                raise InvariantViolation(
+                    f"RSSI {rssi} for {ident!r} outside +-{RSSI_LIMIT_DBM} dBm")
 
 
 def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -6,11 +6,11 @@ sections; a direct-form transfer function of order 20 is numerically
 unstable for narrow bands at 16 kHz. Every cross-correlation runs through
 one FFT core (padded_spectrum, xcorr_spectra, lag_peak), which searches lags
 [-maxlag, maxlag]; the direct-sum reference in tests/reference.py checks it
-to 1e-6 relative. The schemes score many pairs at once through
-`PairCorrelator`, which equals that per-pair path bit for bit in two scratch
-buffers, its own or its caller's, and filter and transform into buffers they own
-(`sosfilt`, `bandpass`, `rfft` and `fft_mag_hamming` take `out`), so that no
-array is allocated per band or per pair.
+to 1e-6 relative. The schemes score many pairs at once through `pair_peaks`,
+which equals that per-pair path bit for bit in two scratch buffers of the
+caller's, and filter and transform into buffers they own (`sosfilt`,
+`bandpass`, `rfft` and `fft_mag_hamming` take `out`), so that no array is
+allocated per band or per pair.
 
 The band filters need no scipy.signal package, whose import also loads
 scipy.stats, scipy.interpolate and scipy.optimize, and the FFTs need no
@@ -354,46 +354,29 @@ def lag_peak(c: np.ndarray, maxlag: int) -> np.ndarray:
     return peak
 
 
-class PairCorrelator:
-    """Two-sided lag peaks of many pairs of padded spectra at one pad length,
-    over lags [-maxlag, maxlag], in two scratch buffers: `c`, float64 of
-    pad_len samples, and `product`, complex128 of pad_len // 2 + 1 bins. A
-    caller may pass its own, which are overwritten; otherwise they are
-    allocated once here.
+def pair_peaks(spectra, pairs, maxlag: int, c: np.ndarray, product: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """out[k] = lag_peak(xcorr_spectra(spectra[a], spectra[b], c.size), maxlag)
+    for the k-th pair (a, b), bit for bit; a new array without `out`.
 
-    The one correlation core of the schemes: Karapanos correlates each band of
-    an interval's devices through one correlator, and Truong each chunk of an
-    interval's pairs, in its worker's buffers. A correlator, and its buffers,
-    serve one thread at a time.
+    The one correlation core of the schemes. `spectra` is a stack of
+    complex128 rows of `padded_spectrum` at pad length c.size, or a mapping to
+    such rows, indexed by the keys of `pairs`. `c`, float64 of the pad length,
+    and `product`, complex128 of its pad/2 + 1 bins, are the caller's scratch
+    and are overwritten: each pair's product and |c| over the searched lags
+    are taken in place, so no array is allocated per pair.
     """
-
-    def __init__(self, pad_len: int, maxlag: int, c: np.ndarray | None = None,
-                 product: np.ndarray | None = None):
-        self.pad_len = pad_len
-        self.maxlag = maxlag
-        self._c = np.empty(pad_len) if c is None else c
-        self._product = np.empty(pad_len // 2 + 1, complex) if product is None else product
-
-    def peaks(self, spectra, pairs, out: np.ndarray | None = None) -> np.ndarray:
-        """out[k] = lag_peak(xcorr_spectra(spectra[a], spectra[b], pad_len),
-        maxlag) for the k-th pair (a, b), bit for bit; a new array without `out`.
-
-        `spectra` is a stack of complex128 rows of `padded_spectrum` at pad_len,
-        or a mapping to such rows, indexed by the keys of `pairs`. Each pair's
-        product and |c| over the searched lags are taken in place.
-        """
-        out = np.empty(len(pairs)) if out is None else out
-        maxlag, product, c = self.maxlag, self._product, self._c
-        # Lags [0, maxlag] and [-maxlag, -1]; the second is empty at maxlag 0.
-        head, tail = c[:maxlag + 1], c[self.pad_len - maxlag:]
-        for k, (a, b) in enumerate(pairs):
-            # conj(fy) * fx, the order of `xcorr_spectra`.
-            np.conjugate(spectra[b], out=product)
-            np.multiply(product, spectra[a], out=product)
-            _irfft(product, self.pad_len, out=c)
-            peak = np.abs(head, out=head).max()
-            out[k] = np.maximum(peak, np.abs(tail, out=tail).max()) if maxlag else peak
-        return out
+    out = np.empty(len(pairs)) if out is None else out
+    # Lags [0, maxlag] and [-maxlag, -1]; the second is empty at maxlag 0.
+    head, tail = c[:maxlag + 1], c[c.size - maxlag:]
+    for k, (a, b) in enumerate(pairs):
+        # conj(fy) * fx, the order of `xcorr_spectra`.
+        np.conjugate(spectra[b], out=product)
+        np.multiply(product, spectra[a], out=product)
+        _irfft(product, c.size, out=c)
+        peak = np.abs(head, out=head).max()
+        out[k] = np.maximum(peak, np.abs(tail, out=tail).max()) if maxlag else peak
+    return out
 
 
 def normalize_peak(peak, energy_x, energy_y):

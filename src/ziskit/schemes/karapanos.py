@@ -9,9 +9,10 @@ are gated and produce no score.
 
 `interval_similarities` scores every pair of one interval band by band: it
 filters each snippet of the interval through one band at a time, straight
-into a zero-tailed pad buffer, so it holds one band's spectra of the
-interval's devices, never all bands of every device nor a filtered copy of
-the interval's audio, in buffers allocated once per interval (`_band_peaks`).
+into a zero-tailed pad buffer, which then serves as the scratch of the
+band's `dsp.pair_peaks`, so it holds one band's spectra of the interval's
+devices, never all bands of every device nor a filtered copy of the
+interval's audio, in buffers allocated once per interval (`_band_peaks`).
 `band_decompose` and `similarity_banded` are the per-pair form, which it
 equals bit for bit.
 """
@@ -148,25 +149,27 @@ def _band_peaks(samples: Sequence[np.ndarray], pairs: list[tuple[int, int]], rat
     Each band is filtered, transformed and correlated before the next, in
     buffers allocated once per call: each row is filtered straight into the
     head of one zero-tailed pad buffer, which is transformed into its row of
-    the spectra, and one `dsp.PairCorrelator` correlates the pairs. No array
-    is allocated per band or per pair, and the filtered band of a row lives
-    only until the next row's.
+    the spectra; then `dsp.pair_peaks` correlates the pairs with that pad
+    buffer, idle until the next band, and one complex buffer as scratch. No
+    array is allocated per band or per pair, and the filtered band of a row
+    lives only until the next row's.
     """
     length = len(samples[0])
     maxlag = int(round(cfg.maxlag_s * rate_hz))
-    correlator = dsp.PairCorrelator(dsp.fast_len(length + maxlag), maxlag)
-    padded = np.zeros(correlator.pad_len)
+    padded = np.empty(dsp.fast_len(length + maxlag))
     banded = padded[:length]
     # numpy's einsum reduces a single row in another order than each row of a
     # stack; over two rows it keeps the stacked sum's bits (`band_decompose`).
     twice = np.broadcast_to(banded, (2, length))
-    spectra = np.empty((len(samples), correlator.pad_len // 2 + 1), dtype=complex)
+    spectra = np.empty((len(samples), padded.size // 2 + 1), dtype=complex)
+    product = np.empty(padded.size // 2 + 1, dtype=complex)
     peaks = np.empty((len(pairs), len(dsp.THIRD_OCTAVE_BANDS)))
     norms = np.empty((len(samples), len(dsp.THIRD_OCTAVE_BANDS)))
     for j, band in enumerate(dsp.THIRD_OCTAVE_BANDS):
+        padded[length:] = 0.0  # the last band's correlation wrote lags there
         for i, (row, spectrum) in enumerate(zip(samples, spectra)):
             dsp.bandpass(row, band.f_low, band.f_high, rate_hz=rate_hz, out=banded)
             norms[i, j] = np.einsum("ij,ij->i", twice, twice)[0]
             dsp.rfft(padded, out=spectrum)
-        correlator.peaks(spectra, pairs, out=peaks[:, j])
+        dsp.pair_peaks(spectra, pairs, maxlag, padded, product, out=peaks[:, j])
     return peaks, norms

@@ -6,17 +6,16 @@ normalized maximum cross-correlation and a time-frequency distance. Feature
 slots without usable data carry None rather than a substitute number; only
 the both-sides-saw-nothing case maps every distance to the rejection value.
 
-`build_dataset` takes one interval at a time: it builds each device's state
-and correlates the pairs through `dsp.PairCorrelator` in one workspace per
-worker slot, allocated on first use and reused by every interval
-(`_Workspace`). `audio_features` is the per-pair form, which it equals bit
-for bit; both build states with the same code, it in new buffers.
+`build_dataset` takes one interval at a time: each worker slot builds its
+devices' states and correlates its pairs through `dsp.pair_peaks` in buffers
+of its own, allocated on first use and reused by every interval (`_Lane`).
+`audio_features` is the per-pair form, which it equals bit for bit; both
+build states with the same code, it in new buffers.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, ClassVar, NamedTuple, Sequence
@@ -148,41 +147,37 @@ def _fill_state(x: np.ndarray, padded: np.ndarray, work: np.ndarray, spectrum: n
                       mag if norm != 0.0 else None)
 
 
-class _Workspace:
-    """The buffers of one `build_dataset` call, allocated on first use and
-    reused by every interval.
+class _Lane:
+    """The buffers of one worker slot of a `build_dataset` call, allocated on
+    first use and reused by every interval.
 
-    Per worker slot and audio size N: a pad buffer of fast_len(2N - 1) samples
-    and a complex buffer of its pad/2 + 1 bins, the scratch of the slot's state
-    builds and then of its pair correlation. Per audio size: a stack of spectra
-    and one of unit spectra, with a row per device of an interval, which grow
-    only when an interval has more devices than `devices`. Each slot serves
-    one thread at a time; the lock guards allocation.
+    Per audio size N: a pad buffer of fast_len(2N - 1) samples and a complex
+    buffer of its pad/2 + 1 bins, the scratch of the slot's state builds and
+    then of its pair correlation, and the spectrum and unit-spectrum rows of
+    the devices the slot builds, which grow only when it builds more. Only
+    the slot's thread writes its lane; other slots read the states in it.
     """
 
     def __init__(self):
-        self.devices = 0
-        self._lock = threading.Lock()
-        self._scratch: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def scratch(self, slot: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """The slot's pad buffer and complex buffer at audio size `size`."""
-        with self._lock:
-            if (slot, size) not in self._scratch:
-                pad = dsp.fast_len(2 * size - 1)
-                self._scratch[slot, size] = np.empty(pad), np.empty(pad // 2 + 1, complex)
-            return self._scratch[slot, size]
+    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The lane's pad buffer and complex buffer at audio size `size`."""
+        if size not in self._scratch:
+            pad = dsp.fast_len(2 * size - 1)
+            self._scratch[size] = np.empty(pad), np.empty(pad // 2 + 1, complex)
+        return self._scratch[size]
 
-    def audio_state(self, slot: int, row: int, x: np.ndarray) -> AudioState:
-        """The state of `x`, built in the slot's scratch into row `row` of the stacks."""
-        padded, work = self.scratch(slot, x.size)
-        with self._lock:
-            if x.size not in self._stacks or len(self._stacks[x.size][0]) < self.devices:
-                self._stacks.pop(x.size, None)  # the last interval's states are released
-                self._stacks[x.size] = (np.empty((self.devices, work.size), complex),
-                                        np.empty((self.devices, x.size // 2)))
-            spectra, units = self._stacks[x.size]
+    def audio_state(self, row: int, rows: int, x: np.ndarray) -> AudioState:
+        """The state of `x`, built in the lane's scratch into row `row` of the
+        `rows` rows that the slot builds at x's size."""
+        padded, work = self.scratch(x.size)
+        if x.size not in self._rows or len(self._rows[x.size][0]) < rows:
+            self._rows.pop(x.size, None)  # the last interval's states are released
+            self._rows[x.size] = (np.empty((rows, work.size), complex),
+                                  np.empty((rows, x.size // 2)))
+        spectra, units = self._rows[x.size]
         return _fill_state(x, padded, work, spectra[row], units[row])
 
 
@@ -287,8 +282,9 @@ def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
 def _audio_peaks(pairs: list[EvaluationRecord], states: dict[str, DeviceInterval],
                  scratch: Callable[[int], tuple[np.ndarray, np.ndarray]]) -> list[float | None]:
     """Full-lag peak |c| of each pair's audio correlation, None where either
-    side has no audio or the sizes differ; one correlator per audio size, in
-    `scratch(size)`, a pad buffer and a complex buffer of that size's."""
+    side has no audio or the sizes differ; each audio size's pairs are
+    correlated in `scratch(size)`, a pad buffer and a complex buffer of that
+    size's."""
     peaks: list[float | None] = [None] * len(pairs)
     by_size: dict[int, list[int]] = {}
     for k, p in enumerate(pairs):
@@ -298,9 +294,8 @@ def _audio_peaks(pairs: list[EvaluationRecord], states: dict[str, DeviceInterval
             by_size.setdefault(a.size, []).append(k)
     spectra = {d: s.audio.spectrum for d, s in states.items() if s.audio is not None}
     for size, group in by_size.items():
-        padded, work = scratch(size)
-        correlator = dsp.PairCorrelator(padded.size, size - 1, padded, work)
-        found = correlator.peaks(spectra, [(pairs[k].device_a, pairs[k].device_b) for k in group])
+        found = dsp.pair_peaks(spectra, [(pairs[k].device_a, pairs[k].device_b) for k in group],
+                               size - 1, *scratch(size))
         for k, peak in zip(group, found):
             peaks[k] = peak
     return peaks
@@ -313,37 +308,40 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
     Intervals (runs of `interval_runs`) are taken one at a time. An
     interval's devices are split into one run per worker slot (`_slots`),
     and each slot builds its devices' states once each, across threads
-    (`pmap`), into the rows of the workspace's stacks; then its pairs are
-    split the same way, each slot correlating its chunk in its own scratch.
-    No pad-sized array is allocated after the first interval, and the states
-    are released before the next interval's are built.
+    (`pmap`), into the rows of its own `_Lane`; then its pairs are split the
+    same way, each slot correlating its chunk in its lane's scratch. No
+    pad-sized array is allocated after the first interval unless a slot
+    builds more devices, and the states are released before the next
+    interval's are built.
     """
-    workspace = _Workspace()
+    lanes: list[_Lane] = []
 
     def one_interval(run: list[EvaluationRecord]) -> list[TruongFeatureVector]:
         start = run[0].interval_start
         devices = list(dict.fromkeys(d for p in run for d in (p.device_a, p.device_b)))
-        workspace.devices = max(workspace.devices, len(devices))
 
-        def slot_states(slot: int, rows: Sequence[int]) -> list[DeviceInterval]:
+        def slot_states(lane: _Lane, rows: Sequence[int]) -> list[DeviceInterval]:
             return [device_interval(dataset, devices[row], start, start + t * 1000,
-                                    partial(workspace.audio_state, slot, row)) for row in rows]
+                                    partial(lane.audio_state, i, len(rows)))
+                    for i, row in enumerate(rows)]
 
-        built = pmap(lambda job: slot_states(*job), _slots(range(len(devices))))
+        built = pmap(lambda job: slot_states(*job), _slots(range(len(devices)), lanes))
         states = dict(zip(devices, (state for slot_rows in built for state in slot_rows)))
 
-        def chunk_rows(slot: int, chunk: list[EvaluationRecord]) -> list[TruongFeatureVector]:
-            peaks = _audio_peaks(chunk, states, partial(workspace.scratch, slot))
+        def chunk_rows(lane: _Lane, chunk: list[EvaluationRecord]) -> list[TruongFeatureVector]:
+            peaks = _audio_peaks(chunk, states, lane.scratch)
             return [pair_features(p, states[p.device_a], states[p.device_b], peak, theta)
                     for p, peak in zip(chunk, peaks)]
 
-        return [row for rows in pmap(lambda job: chunk_rows(*job), _slots(run)) for row in rows]
+        chunks = pmap(lambda job: chunk_rows(*job), _slots(run, lanes))
+        return [row for rows in chunks for row in rows]
 
     return [row for run in interval_runs(pairs) for row in one_interval(run)]
 
 
-def _slots(items: Sequence) -> list[tuple[int, Sequence]]:
-    """(slot, run) of `items` split in order into min(thread_count(), len(items))
-    runs, one per worker slot."""
+def _slots(items: Sequence, lanes: list[_Lane]) -> list[tuple[_Lane, Sequence]]:
+    """`items` split in order into min(thread_count(), len(items)) runs, one
+    per worker slot, each with the slot's lane; `lanes` grows to the slots."""
     n = min(thread_count(), len(items))
-    return [(i, items[i * len(items) // n:(i + 1) * len(items) // n]) for i in range(n)]
+    lanes.extend(_Lane() for _ in range(len(lanes), n))
+    return [(lanes[i], items[i * len(items) // n:(i + 1) * len(items) // n]) for i in range(n)]

@@ -7,6 +7,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +410,30 @@ def test_audio_start_outside_int64_ms_exits_2(start_ms, scheme, scenario_dir, tm
     err = capsys.readouterr().err
     assert "int64" in err and str(dataset / "manifest.json") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"obs": [{"id": "x", "rssi": 1e200}]}, "RSSI 1e+200 for 'x' outside"),
+    ({"obs": [{"id": "x", "rssi": -1e200}]}, "RSSI -1e+200 for 'x' outside"),
+    ({"obs": [{"id": "x", "rssi": math.nan}]}, "RSSI nan for 'x' outside"),
+    ({"t": math.inf}, "cannot convert float infinity to integer"),
+])
+def test_bad_beacon_value_exits_2_naming_the_line(edit, message, scenario_dir, tmp_path,
+                                                  capsys):
+    # An RSSI of 1e200 made the beacon distances inf; NaN failed without
+    # naming the file, and a time of Infinity with a traceback.
+    dataset = tmp_path / "scen"
+    shutil.copytree(scenario_dir, dataset)
+    device = json.loads((dataset / "manifest.json").read_text())["devices"][0]
+    beacons = dataset / device["beacons"]
+    lines = beacons.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps(json.loads(lines[1]) | edit) + "\n"
+    beacons.write_text("".join(lines))
+    assert main(["features", "--scheme", "truong", "--dataset", str(dataset),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and f"{beacons}:2" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("names", [("full", "second_half"), ("first_half", "first_half")])
@@ -891,6 +917,80 @@ def test_readme_range_table_matches_the_flag_specs():
     assert table in readme, f"README.md's flag-range table should read:\n{table}"
 
 
+def _flag_text(spec, valid: bool) -> st.SearchStrategy[str]:
+    """Argv text for one flag. Valid: in its range, its extremes included.
+    Invalid: one step past a bound or beyond, not a number, or not a choice."""
+    if spec.choices:
+        return (st.sampled_from(spec.choices) if valid
+                else st.text(max_size=10).filter(lambda text: text not in spec.choices))
+    low, high = (bound if math.isfinite(bound) else None for bound in (spec.low, spec.high))
+    if spec.kind is int:
+        numbers, huge = st.integers, 10 ** 30
+        below = None if low is None else low - 1
+        above = None if high is None else high + 1
+    else:
+        # The nearest floats inside each bound (MAX_T lies between two), and outside.
+        numbers = partial(st.floats, allow_nan=False, allow_infinity=False)
+        huge = sys.float_info.max
+        if low is not None:
+            low = float(low) if float(low) >= low else np.nextafter(float(low), math.inf)
+            below = np.nextafter(low, -math.inf)
+        if high is not None:
+            high = float(high) if float(high) <= high else np.nextafter(float(high), -math.inf)
+            above = np.nextafter(high, math.inf)
+            if spec.high_open:
+                high, above = np.nextafter(high, -math.inf), high
+    if valid:
+        edges = [-huge if low is None else low, huge if high is None else high]
+        return st.one_of(numbers(low, high), st.sampled_from(edges)).map(str)
+    past = [*([st.just(below), numbers(max_value=below)] if low is not None else []),
+            *([st.just(above), numbers(min_value=above)] if high is not None else [])]
+    return st.one_of(*past).map(str) | st.sampled_from(
+        ["", "x", "0x10", "1,2", "nan", "-inf", "inf", "1e400", "-1e400"])
+
+
+@pytest.fixture(scope="module")
+def small_scenario(tmp_path_factory):
+    """A 10 s scenario of three devices, and its audio's size in bytes as float64."""
+    out = tmp_path_factory.mktemp("argv") / "scen"
+    run_ok(["datagen", "--out", str(out), "--seed", "3", "--duration-s", "10",
+            "--groups", "2,1"])
+    return out, 3 * 10 * 16000 * 8
+
+
+FEATURE_FLAGS = [spec for spec in cli.COMMANDS["features"][2] if spec.kind is not Path]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_features_argv_exits_0_1_or_2_within_the_audio(data, small_scenario, tmp_path_factory):
+    # Each flag of `features` but its paths is given or not, the required
+    # ones always, and at most one is invalid. No run may write a non-finite
+    # cell, and no flag may scale an allocation past what the audio sets:
+    # the largest run, Truong's states and two workers' buffers at --t 10,
+    # takes about 7.5 times the scenario's audio as float64.
+    scenario, audio_bytes = small_scenario
+    out = tmp_path_factory.getbasetemp() / "argv_out.csv"
+    out.unlink(missing_ok=True)
+    chosen = [spec for spec in FEATURE_FLAGS if spec.required or data.draw(st.booleans())]
+    invalid = data.draw(st.none() | st.sampled_from(chosen))
+    argv = ["features", "--dataset", str(scenario), "--out", str(out),
+            *(f"--{spec.name}={data.draw(_flag_text(spec, spec is not invalid))}"
+              for spec in chosen)]
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("ZIS_THREADS", "2")
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1, 2) and (invalid is None or code == 1)
+    assert peak < 16 * audio_bytes
+    if code == 0:
+        assert not {"inf", "nan"} & set(out.read_text().lower().replace(",", "\n").split())
+
+
 @pytest.mark.parametrize("argv", [
     ["features", "--scheme", "miettinen", "--t", "5", "--bits", "0"],
     ["features", "--scheme", "miettinen", "--t", "5", "--bits", "-1"],
@@ -931,6 +1031,8 @@ def test_readme_range_table_matches_the_flag_specs():
     ["datagen", "--leakage", "5"],
     ["datagen", "--leakage", "nan"],
     ["fingerprint-randomness", "--sub-len", "-1"],
+    ["features", "--scheme", "truong", "--theta", "1e308"],
+    ["features", "--scheme", "miettinen", "--measurement-window-s", "1.1235582092889475e+304"],
 ])
 def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp_path):
     dataset = ["--dataset", str(scenario_dir)]

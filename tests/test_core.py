@@ -23,6 +23,7 @@ from ziskit.core.io import (
     write_wav,
 )
 from ziskit.core.types import (
+    RSSI_LIMIT_DBM,
     AudioSnippet,
     BeaconScan,
     Dataset,
@@ -74,6 +75,13 @@ class TestTypeInvariants:
     def test_beacon_rejects_nan_rssi(self):
         with pytest.raises(InvariantViolation):
             BeaconScan("wifi", 0, {"x": float("nan")})
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_beacon_takes_rssi_up_to_the_limit_only(self, sign):
+        BeaconScan("ble", 0, {"x": sign * RSSI_LIMIT_DBM})
+        for rssi in (np.nextafter(RSSI_LIMIT_DBM, np.inf), 1e200, np.inf):
+            with pytest.raises(InvariantViolation):
+                BeaconScan("ble", 0, {"x": sign * float(rssi)})
 
     def test_ground_truth_rejects_double_membership(self):
         with pytest.raises(InvariantViolation):
@@ -372,9 +380,9 @@ def test_ground_truth_json_rewrites_identically(gt):
 
 SCANS = st.lists(st.builds(
     BeaconScan, kind=st.sampled_from(["wifi", "ble"]), time=TIMES_MS,
-    observations=st.dictionaries(st.text(max_size=8), st.floats(allow_nan=False,
-                                                                 allow_infinity=False),
-                                 max_size=5)), max_size=6)
+    observations=st.dictionaries(st.text(max_size=8),
+                                 st.floats(-RSSI_LIMIT_DBM, RSSI_LIMIT_DBM), max_size=5)),
+    max_size=6)
 
 
 @settings(max_examples=100, deadline=None)

@@ -463,8 +463,8 @@ class TestXcorrSpectra:
 
 
 class TestPairCorrelator:
-    """The pair core of Karapanos and Truong equals the per-pair path,
-    lag_peak(xcorr_spectra(fx, fy, pad), maxlag), bit for bit."""
+    """The pair core of Karapanos and Truong, `pair_peaks`, equals the per-pair
+    path, lag_peak(xcorr_spectra(fx, fy, pad), maxlag), bit for bit."""
 
     @given(rows=st.integers(2, 16), n=st.sampled_from([1, 2, 3, 257, 1000, 4097, 20_000]),
            lag=st.sampled_from(["zero", "half", "full"]), seed=st.integers(0, 2 ** 32 - 1),
@@ -481,26 +481,29 @@ class TestPairCorrelator:
                  if data is not None else [(2, 0), (0, 1), (1, 2), (2, 1), (0, 0)])
         expected = np.array([dsp.lag_peak(dsp.xcorr_spectra(spectra[a], spectra[b], pad), maxlag)
                              for a, b in pairs])
-        correlator = dsp.PairCorrelator(pad, maxlag)
-        got = correlator.peaks(spectra, pairs)
+        scratch = np.empty(pad), np.empty(pad // 2 + 1, complex)
+        got = dsp.pair_peaks(spectra, pairs, maxlag, *scratch)
         assert got.tobytes() == expected.tobytes()
         # A mapping of 1-D spectra, and a strided output column, give the same bits.
         by_name = {f"d{i}": row for i, row in enumerate(spectra)}
         column = np.empty((len(pairs), 2))
-        correlator.peaks(by_name, [(f"d{a}", f"d{b}") for a, b in pairs], out=column[:, 1])
+        dsp.pair_peaks(by_name, [(f"d{a}", f"d{b}") for a, b in pairs], maxlag, *scratch,
+                       out=column[:, 1])
         assert column[:, 1].tobytes() == expected.tobytes()
 
 
     def test_caller_buffers_give_the_same_bits(self, rng):
         # Truong's workers lend their pad buffer and complex buffer, left
-        # dirty by the state phase.
+        # dirty by the state phase, and Karapanos its zero-tailed pad buffer.
         n, maxlag = 3000, 2999
         x = rng.integers(-2 ** 15, 2 ** 15, (3, n)).astype(np.float64)
         spectra, pad = dsp.padded_spectrum(x, maxlag)
         c, product = np.full(pad, np.nan), np.full(pad // 2 + 1, np.nan, complex)
         pairs = [(0, 1), (2, 0), (1, 1)]
-        got = dsp.PairCorrelator(pad, maxlag, c, product).peaks(spectra, pairs)
-        assert got.tobytes() == dsp.PairCorrelator(pad, maxlag).peaks(spectra, pairs).tobytes()
+        got = dsp.pair_peaks(spectra, pairs, maxlag, c, product)
+        fresh = dsp.pair_peaks(spectra, pairs, maxlag, np.zeros(pad),
+                               np.zeros(pad // 2 + 1, complex))
+        assert got.tobytes() == fresh.tobytes()
 
 
 class TestFftMagHamming:

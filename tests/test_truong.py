@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,20 +196,19 @@ def int16_audio(draw) -> np.ndarray:
 
 
 class TestWorkspace:
-    """`build_dataset` builds each state in its worker's scratch into a row of
-    shared stacks; it equals `audio_state`, which builds in new buffers, and
-    the plain numpy path, bit for bit."""
+    """`build_dataset` builds each state in its worker's lane: in the lane's
+    scratch, into a row of the lane's stacks. It equals `audio_state`, which
+    builds in new buffers, and the plain numpy path, bit for bit."""
 
     @given(x=int16_audio(), row=st.integers(0, 2))
     @example(x=np.zeros(4, np.int16), row=1)
     @example(x=np.full(1009, -2 ** 15, np.int16), row=2)
     @settings(max_examples=60, deadline=None)
     def test_state_equals_audio_state(self, x, row):
-        workspace = truong._Workspace()
-        workspace.devices = 3
-        for buffer in workspace.scratch(0, x.size):  # as an earlier pair phase leaves them
+        lane = truong._Lane()
+        for buffer in lane.scratch(x.size):  # as an earlier pair phase leaves them
             buffer.fill(np.nan)
-        got = workspace.audio_state(0, row, x)
+        got = lane.audio_state(row, 3, x)
         xf = x.astype(np.float64)
         ref = truong.audio_state(xf)
         spectrum, pad = dsp.padded_spectrum(xf, x.size - 1)
@@ -347,6 +347,27 @@ class TestBuildDataset:
                 *(dataset.audio[d].slice_ms(start, stop) for d in pair))
             assert (row.audio_max_xcorr, row.audio_tf_distance) == \
                 (audio.max_xcorr, audio.tf_distance)
+
+    def test_lanes_hold_under_more_threads_than_cores(self, rng, monkeypatch):
+        # Each worker slot writes only its own lane, and reads the states in
+        # other lanes only after every state is built. With eight workers and
+        # a thread switch every microsecond, a lane written by two slots at
+        # once would change bits.
+        dataset = _beacon_dataset(rng, shared=True)
+        for dev in dataset.audio:  # each device its own noise
+            dataset.audio[dev] = AudioSnippet(noise_snippet(rng, seconds=20.0).samples,
+                                              16000, 0, dev)
+        pairs = window_pairs(dataset, 5)
+        monkeypatch.setenv("ZIS_THREADS", "1")
+        serial = truong.build_dataset(pairs, dataset, 5)
+        monkeypatch.setenv("ZIS_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = truong.build_dataset(pairs, dataset, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial and all(r.audio_max_xcorr is not None for r in serial)
 
     def test_ml_arrays_shape_and_nan(self, rng):
         dataset = _beacon_dataset(rng, shared=True)
