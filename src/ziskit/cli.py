@@ -92,8 +92,10 @@ class Flag:
     @property
     def bounds(self) -> str:
         """A numeric flag's range in words, as usage errors and the README say it."""
-        if self.high < math.inf:
+        if self.high < math.inf and self.low > -math.inf:
             return f"a number in [{self.low}, {self.high}{')' if self.high_open else ']'}"
+        if self.high < math.inf:
+            return f"at most {self.high} {self.unit}".rstrip()
         if self.low > -math.inf:
             return f"at least {self.low} {self.unit}".rstrip()
         return "a finite number"
@@ -409,12 +411,15 @@ COMMANDS: dict[str, tuple[Callable | None, str, tuple[Flag, ...]]] = {
         Flag("duration-s", int, 600, low=1),
         Flag("groups", _int_list, "3,3", help="comma-separated group sizes"),
         Flag("leakage", float, 0.1, low=0, high=1, high_open=True),
-        Flag("event-rate", float, 30.0, low=0), Flag("event-band", _event_band, "300,3500"),
-        Flag("noise-floor-db", float, 45.0), Flag("beacon-population", int, 12, low=0),
+        Flag("event-rate", float, 30.0, low=0, high=datagen.MAX_EVENT_RATE_PER_MIN),
+        Flag("event-band", _event_band, "300,3500"),
+        Flag("noise-floor-db", float, 45.0, high=datagen.MAX_NOISE_FLOOR_DB),
+        Flag("beacon-population", int, 12, low=0),
         Flag("beacon-dropout", float, 0.1, low=0, high=1))),
     "align": (_cmd_align, "report pairwise audio lags", (
         Flag("dataset", Path, required=True), Flag("out", Path, required=True),
-        Flag("probe-s", float, 60.0, low=0), Flag("maxlag-s", float, 3.0, low=0))),
+        Flag("probe-s", float, 60.0, low=0, high=MAX_T),
+        Flag("maxlag-s", float, 3.0, low=0, high=MAX_T))),
     "features": (_cmd_features, "compute per-scheme context features", (
         Flag("scheme", choices=SCHEMES, required=True), Flag("dataset", Path, required=True),
         Flag("out", Path, required=True), Flag("t", int, 10, low=1, high=MAX_T),

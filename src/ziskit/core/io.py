@@ -25,7 +25,7 @@ from ziskit.core.types import (
     Subscenario,
 )
 from ziskit.errors import InvariantViolation, MissingInput, ParseError
-from ziskit.table import Column, read_table, real
+from ziskit.table import Column, read_table, real, write_table
 
 MANIFEST_NAME = "manifest.json"
 # Timestamps are epoch milliseconds held in int64.
@@ -115,11 +115,8 @@ def read_sensor_csv(path: Path, kind: SensorKind, device_id: str) -> SensorSerie
 
 
 def write_sensor_csv(path: Path, series: SensorSeries) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp_ms,value\n")
-        for t, v in zip(series.timestamps_ms, series.values):
-            fh.write(f"{int(t)},{float(v)!r}\n")
+    write_table(path, SENSOR_COLUMNS, zip(series.timestamps_ms, series.values),
+                line_end="\n")
 
 
 def read_beacons_jsonl(path: Path) -> list[BeaconScan]:

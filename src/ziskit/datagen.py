@@ -42,6 +42,10 @@ SENSOR_PERIOD_MS = 500
 BEACON_PERIOD_S = 10
 START_EPOCH_MS = 1_600_000_000_000
 FOREIGN_BEACON_ATTENUATION_DB = 25.0
+# Upper bounds of the ambient profile: ten bursts a second, and a noise floor
+# whose noise alone (rms 10**6) clips every int16 sample.
+MAX_EVENT_RATE_PER_MIN = 600.0
+MAX_NOISE_FLOOR_DB = 120.0
 
 _SENSOR_BASE = {"temperature": 22.0, "humidity": 40.0,
                 "pressure": 1005.0, "luminosity": 300.0}
@@ -109,7 +113,8 @@ def _group_event_signal(rng: np.random.Generator, profile: AmbientProfile,
         start = int(rng.uniform(0, max(1, n_samples - dur)))
         amp = rng.uniform(2.0, 6.0)
         window = 0.5 * (1 - np.cos(2 * np.pi * np.arange(dur) / dur))
-        bursts[start:start + dur] += (amp * window).astype(np.float32)
+        # A burst longer than the recording is cut at its end.
+        bursts[start:start + dur] += (amp * window[:n_samples - start]).astype(np.float32)
 
     noise_rms = 10.0 ** (profile.noise_floor_db / 20.0)
     scale = 3.0 * noise_rms

@@ -24,7 +24,9 @@ pocketfft's complex transform in place, equal bit for bit to numpy.fft.fft.
 A kernel is loaded when a function first uses it, here and in the other
 modules the CLI imports, so commands that never filter or transform audio do
 not pay for it: the `_sosfilt` kernel for the band filters (here and in
-datagen) and the pocketfft kernel for the FFTs. WAV files are read and
+datagen) and the pocketfft kernel for the FFTs. `_scipy_kernel` is the one
+loader; it runs first loads one at a time, so the first use may come from
+any thread, a pipeline's worker threads included. WAV files are read and
 written without scipy (`core.io`).
 """
 
@@ -129,7 +131,8 @@ def butter_bandpass_sos(order: int, f_low: float, f_high: float, rate_hz: float)
     leaves the zeros at exactly +1 and -1, `order` of each, so none of scipy's
     branches for real poles is needed; an odd order raises ValueError. Raises
     InvalidBand unless 0 < f_low < f_high < 1 once the edges are divided by the
-    Nyquist frequency, where scipy raises ValueError.
+    Nyquist frequency, where scipy raises ValueError, and when an edge within
+    about 1e-12 of either end rounds a pole onto the real axis.
     """
     if order < 2 or order % 2:
         raise ValueError(f"Butterworth order must be even and positive, got {order}")
@@ -148,7 +151,10 @@ def butter_bandpass_sos(order: int, f_low: float, f_high: float, rate_hz: float)
     # Bilinear transform; the `order` analog zeros sit at the origin.
     fs2 = 2.0 * fs
     k = bw**order * np.real(np.prod(fs2 - np.zeros(order, dtype=complex)) / np.prod(fs2 - p))
-    p = _upper_poles((fs2 + p) / (fs2 - p))
+    p = (fs2 + p) / (fs2 - p)
+    if not np.all(p.imag):  # rounded onto the real axis, which scipy pairs otherwise
+        raise InvalidBand(f"band [{f_low}, {f_high}] too near 0 or {rate_hz / 2} Hz")
+    p = _upper_poles(p)
     z = np.repeat([-1.0, 1.0], order)
     # Pair the pole nearest the unit circle with its two nearest zeros, last
     # section first.
@@ -241,24 +247,6 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np
 @lru_cache(maxsize=256)
 def _bandpass_sos(f_low: float, f_high: float, rate_hz: int) -> np.ndarray:
     return butter_bandpass_sos(FILTER_ORDER // 2, f_low, f_high, rate_hz)
-
-
-def load_sosfilt() -> None:
-    """Load the `sosfilt` kernel in the calling thread.
-
-    Pipelines call it, and `load_fft`, before `pmap` starts its worker
-    threads, so that each command imports what it uses of scipy on the main
-    thread. A worker thread may also load a kernel first: `_scipy_kernel`
-    serializes first loads, without which `features karapanos` on a
-    16-device scenario, with both loads left to its worker threads, failed
-    with an AttributeError from the half-built module.
-    """
-    _scipy_kernel(_SOSFILT)
-
-
-def load_fft() -> None:
-    """Load the pocketfft kernel in the calling thread; see `load_sosfilt`."""
-    _scipy_kernel(_POCKETFFT)
 
 
 def bandpass(x: np.ndarray, f_low: float, f_high: float, *, rate_hz: int,

@@ -3,7 +3,8 @@
 Connects the scheme modules to datasets: windows pairs, computes per-scheme
 records, and reads/writes the CSV formats consumed by `evaluate`, `ml` and
 `fingerprint-randomness`. Interval-level work runs through a thread map
-capped by the ZIS_THREADS environment variable.
+capped by the ZIS_THREADS environment variable; its worker threads may be the
+first to use a scipy kernel, which `dsp` then loads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ziskit import dsp
 from ziskit.core.types import (
     Dataset,
     EvaluationRecord,
@@ -50,9 +50,6 @@ def karapanos_records(dataset: Dataset, t: int,
             snippets, [(p.device_a, p.device_b) for p in run], cfg)
         return [replace(p, score=s.value) for p, s in zip(run, scores, strict=True)]
 
-    if any(karapanos.fits_rate(x.rate_hz) for x in dataset.audio.values()):
-        dsp.load_sosfilt()
-        dsp.load_fft()
     return [r for rows in pmap(score_run, interval_runs(window_pairs(dataset, t)))
             for r in rows]
 
@@ -109,8 +106,6 @@ def schurmann_fingerprints(dataset: Dataset, t: int) -> list[Fingerprint]:
         except (InsufficientSamples, InvalidBand):  # short audio, or bands above Nyquist
             return None
 
-    if any(schurmann.fits_rate(x.rate_hz) for x in dataset.audio.values()):
-        dsp.load_sosfilt()
     return [fp for fp in pmap(one, jobs) if fp is not None]
 
 
@@ -193,8 +188,6 @@ TRUONG_COLUMNS = (PAIR_ID, INTERVAL_START, INTERVAL_LEN,
 
 def truong_rows(dataset: Dataset, t: int, theta: float = truong.THETA_DEFAULT
                 ) -> list[truong.TruongFeatureVector]:
-    if dataset.audio:
-        dsp.load_fft()
     return truong.build_dataset(window_pairs(dataset, t), dataset, t, theta=theta)
 
 

@@ -1,11 +1,13 @@
-"""One CSV table layer for every feature, score, prediction and result file.
+"""One CSV table layer for every sensor, feature, score, prediction and
+result file.
 
 A table format is a sequence of `Column`s: a header name, a parser from
 cell text and a formatter to cell text. `write_table` and `read_table` own
-the file, the csv dialect (the default one: CRLF line ends, minimal
-quoting), the header, None as an empty cell, and the errors: every
-malformed row (missing column, ragged row, bad value, undecodable bytes,
-csv syntax) surfaces as `ParseError` with path and line.
+the file, the csv dialect (the default one, minimal quoting, with CRLF line
+ends but for the LF of dataset sensor files), the header, None as an empty
+cell, and the errors: every malformed row (missing column, ragged row, bad
+value, undecodable bytes, csv syntax) surfaces as `ParseError` with path and
+line.
 """
 
 from __future__ import annotations
@@ -58,11 +60,13 @@ def choice(name: str, kind: Callable[[str], Any]) -> Column:
     return Column(name, kind, lambda member: member.value)
 
 
-def write_table(path: Path, columns: Sequence[Column], rows: Iterable[Sequence]) -> None:
-    """Header plus one line per row; row values line up with `columns`."""
+def write_table(path: Path, columns: Sequence[Column], rows: Iterable[Sequence],
+                line_end: str = "\r\n") -> None:
+    """Header plus one line per row, each ended by `line_end`; row values
+    line up with `columns`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow([col.name for col in columns])
         for row in rows:
             writer.writerow(["" if value is None else col.format(value)

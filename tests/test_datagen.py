@@ -67,6 +67,14 @@ class TestGenerate:
             means[leakage] = float(np.mean(scores[labels == 0]))
         assert means[0.9] > means[0.0]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_second_scenario_cuts_bursts_at_its_end(self, seed, tmp_path):
+        # A burst lasts up to 1.5 s, longer than the recording.
+        cfg = datagen.ScenarioConfig(seed=seed, duration_s=1, groups=(1, 1))
+        datagen.generate(cfg, tmp_path / "scen")
+        dataset = load_dataset(tmp_path / "scen")
+        assert [x.samples.size for x in dataset.audio.values()] == [datagen.RATE_HZ] * 2
+
     def test_scenario_json_echoes_config(self, tmp_path):
         import json
 

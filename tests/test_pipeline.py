@@ -289,8 +289,9 @@ class TestThreading:
         # scratch, and no filtered copy of the interval's audio: half a
         # (devices x N) float64 buffer more breaks the bound. numpy reports
         # its buffers to tracemalloc.
-        dsp.load_sosfilt()  # loaded lazily by dsp; keep the kernels out of the peak
-        dsp.load_fft()
+        # loaded lazily by dsp; keep the kernels out of the peak
+        dsp.bandpass(np.zeros(8), 100.0, 200.0, rate_hz=16000)
+        dsp.rfft(np.zeros(8))
 
         monkeypatch.setenv("ZIS_THREADS", "1")
         cfg = karapanos.KarapanosConfig()
@@ -344,7 +345,7 @@ class TestThreading:
         # copies of the audio; the slack of one pad-sized buffer covers each
         # pair's unit-spectrum difference. The audio is loaded before tracing
         # starts, and `audio_in` slices it without a copy.
-        dsp.load_fft()  # loaded lazily by dsp; keep the kernel and the window
+        dsp.rfft(np.zeros(8))  # loaded lazily by dsp; keep the kernel and the window
         dsp.fft_mag_hamming(np.zeros(5 * 16000))  # out of the peak
         monkeypatch.setenv("ZIS_THREADS", "2")
         t, n_devices = 5, len(audio_dataset.audio)
@@ -370,7 +371,7 @@ class TestThreading:
         # interval's stacks, and the workers their scratch. What rises is
         # small objects and each pair's unit-spectrum difference, N/2
         # samples in each of two threads.
-        dsp.load_fft()
+        dsp.rfft(np.zeros(8))
         monkeypatch.setenv("ZIS_THREADS", "2")
         t = 5
         pad = dsp.fast_len(2 * t * 16000 - 1)
