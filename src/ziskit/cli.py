@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -19,9 +19,7 @@ import numpy as np
 
 from ziskit import datagen, dsp, evaluation, pipeline, randomness
 from ziskit.core.io import load_dataset, load_ground_truth
-from ziskit.core.types import (RSSI_LIMIT_DBM, EvaluationRecord, Fingerprint, GroundTruth,
-                                common_length)
-from ziskit.core.windowing import filter_subscenario
+from ziskit.core.types import RSSI_LIMIT_DBM, EvaluationRecord, Fingerprint, common_length
 from ziskit.errors import DegenerateLabels, IncompatibleFingerprints, ParseError, ZisError
 from ziskit.ml import ensemble
 from ziskit.schemes import karapanos, miettinen, shrestha, truong
@@ -48,8 +46,19 @@ class _UsageError(Exception):
     pass
 
 
-def _int_list(value: str) -> list[int]:
-    return [int(v) for v in value.split(",") if v]
+def _group_sizes(value: str) -> list[int]:
+    """Comma-separated sizes of at least 2 groups, each of at least 1 device."""
+    sizes = [int(v) for v in value.split(",") if v]
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"need at least 2 groups of at least 1 device each, got {value}")
+    return sizes
+
+
+def _utf8_text(value: str) -> str:
+    """Text that a UTF-8 table can hold: no argv byte that did not decode."""
+    value.encode("utf-8")  # UnicodeEncodeError is a ValueError: a usage error
+    return value
 
 
 def _far_targets(value: str) -> list[float]:
@@ -255,28 +264,27 @@ def _cmd_fingerprint_randomness(args) -> int:
     fingerprints, _ = _read_fingerprints(args.features)
     if not fingerprints:
         raise ZisError("no records in fingerprint file")
-    walk = randomness.random_walk(fingerprints)
-    markov = randomness.markov_stats(fingerprints)
-    report = {"random_walk": walk.to_dict(), "markov": markov.to_dict()}
+    report = {"random_walk": asdict(randomness.random_walk(fingerprints)),
+              "markov": asdict(randomness.markov_stats(fingerprints))}
     if args.sub_len:
         chunks_by_pos: dict[int, list] = {}
         for fp in fingerprints:
             for pos, chunk in enumerate(randomness.split_subfingerprints(fp, args.sub_len)):
                 chunks_by_pos.setdefault(pos, []).append(chunk)
         report["subfingerprints"] = [
-            {"position": pos, **randomness.random_walk(chunks).to_dict()}
+            {"position": pos, **asdict(randomness.random_walk(chunks))}
             for pos, chunks in sorted(chunks_by_pos.items())
         ]
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True,
+                                   default=np.ndarray.tolist) + "\n", encoding="utf-8")
     print(f"wrote randomness report to {args.out}")
     return 0
 
 
-def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
-    """The scheme's records, and the ground truth that labels feature files. The
-    surprisal gate's model is fit on the fingerprint file's own fingerprints."""
+def _load_records(args) -> dict[tuple[int, str], list[EvaluationRecord]]:
+    """The scheme's records of each results row (`evaluation.cells`), labeled by
+    the ground truth for feature files."""
     ground_truth = load_ground_truth(args.dataset) if args.dataset else None
     if args.scheme in ML_SCHEMES or args.scheme not in SCHEMES:  # a prediction CSV
         if not args.scores:
@@ -287,48 +295,27 @@ def _load_records(args) -> tuple[list[EvaluationRecord], GroundTruth | None]:
     elif args.scheme == "karapanos":
         records = pipeline.read_score_csv(args.features, ground_truth)
     else:
-        fingerprints, spans = _read_fingerprints(args.features)
-        surprisals = None
-        if args.surprisal_threshold is not None and fingerprints:
-            model = miettinen.SurprisalModel.fit(fingerprints)
-            surprisals = [miettinen.surprisal(fp, model) for fp in fingerprints]
-        records = pipeline.fingerprint_records(
-            fingerprints, spans, ground_truth,
-            surprisals=surprisals, surprisal_threshold=args.surprisal_threshold)
+        records = pipeline.fingerprint_records(*_read_fingerprints(args.features), ground_truth,
+                                               surprisal_threshold=args.surprisal_threshold)
     if not records:
         raise ZisError("no records to evaluate")
-    return records, ground_truth
-
-
-def _subscenarios(ground_truth: GroundTruth | None) -> list[str]:
-    """The subscenario names of results rows: "full", then the ground truth's."""
-    return ["full", *(s.name for s in ground_truth.subscenarios)] if ground_truth else ["full"]
-
-
-def _subscenario_records(records: list[EvaluationRecord], ground_truth: GroundTruth | None,
-                         name: str) -> list[EvaluationRecord]:
-    """The records a results row of subscenario `name` covers; "full" covers all."""
-    return records if name == "full" else filter_subscenario(records, ground_truth, name)
+    return evaluation.cells(records, ground_truth)
 
 
 def _cmd_evaluate(args) -> int:
-    records, ground_truth = _load_records(args)
     out_rows = []
-    for t in sorted({r.interval_len_s for r in records}):
-        at_t = [r for r in records if r.interval_len_s == t]
-        for sub in _subscenarios(ground_truth):
-            subset = _subscenario_records(at_t, ground_truth, sub)
-            scores, labels = evaluation.usable_scores(subset)
-            avail = evaluation.availability(subset)
-            try:
-                rates = evaluation.equal_error_rate(scores, labels)
-            except (DegenerateLabels, ValueError):
-                continue
-            out_rows.append((args.scheme, args.scenario, sub, t, rates.eer,
-                             rates.starred, rates.threshold, avail))
-            curve = evaluation.frr_at_far(scores, labels, far_targets=args.far_targets)
-            write_table(args.out / "curves" / f"{args.scheme}_{sub}_t{t}.csv",
-                        CURVE_COLUMNS, curve)
+    for (t, sub), subset in _load_records(args).items():
+        scores, labels = evaluation.usable_scores(subset)
+        avail = evaluation.availability(subset)
+        try:
+            rates = evaluation.equal_error_rate(scores, labels)
+        except (DegenerateLabels, ValueError):
+            continue
+        out_rows.append((args.scheme, args.scenario, sub, t, rates.eer,
+                         rates.starred, rates.threshold, avail))
+        curve = evaluation.frr_at_far(scores, labels, far_targets=args.far_targets)
+        write_table(args.out / "curves" / f"{args.scheme}_{sub}_t{t}.csv",
+                    CURVE_COLUMNS, curve)
     if not out_rows:
         raise ZisError("no records with both classes present")
     write_table(args.out / "results.csv", RESULTS_COLUMNS, out_rows)
@@ -337,18 +324,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    """Each results row's threshold applied to the records of its t and subscenario;
-    a row of a subscenario that the ground truth (if any) lacks is skipped."""
-    records, ground_truth = _load_records(args)
-    known = _subscenarios(ground_truth)
+    """Each results row's threshold applied to the records of its (t, subscenario)
+    cell (`evaluation.cells`). A row whose cell holds no records, or one class
+    only, is skipped: a subscenario the ground truth lacks, for one."""
+    cells = _load_records(args)
     out_rows = []
     results = read_table(args.results, RESULTS_COLUMNS)
     for scheme, _, subscenario, t, _, _, threshold, _ in results:
-        if subscenario not in known:
-            continue
-        subset = _subscenario_records([r for r in records if r.interval_len_s == t],
-                                      ground_truth, subscenario)
-        scores, labels = evaluation.usable_scores(subset)
+        scores, labels = evaluation.usable_scores(cells.get((t, subscenario), []))
         try:
             result = evaluation.cross_apply(threshold, scores, labels)
         except DegenerateLabels:
@@ -408,8 +391,8 @@ def _cmd_ml_predict(args) -> int:
 COMMANDS: dict[str, tuple[Callable | None, str, tuple[Flag, ...]]] = {
     "datagen": (_cmd_datagen, "generate a synthetic scenario", (
         Flag("out", Path, required=True), Flag("seed", int, 0, low=0),
-        Flag("duration-s", int, 600, low=1),
-        Flag("groups", _int_list, "3,3", help="comma-separated group sizes"),
+        Flag("duration-s", int, 600, low=1, high=datagen.MAX_DURATION_S),
+        Flag("groups", _group_sizes, "3,3", help="comma-separated group sizes"),
         Flag("leakage", float, 0.1, low=0, high=1, high_open=True),
         Flag("event-rate", float, 30.0, low=0, high=datagen.MAX_EVENT_RATE_PER_MIN),
         Flag("event-band", _event_band, "300,3500"),
@@ -436,7 +419,7 @@ COMMANDS: dict[str, tuple[Callable | None, str, tuple[Flag, ...]]] = {
         Flag("scheme", choices=EVALUATED, required=True), Flag("features", Path),
         Flag("scores", Path, help="prediction CSV for ML schemes"),
         Flag("dataset", Path, help="dataset dir for ground-truth labels"),
-        Flag("out", Path, required=True), Flag("scenario", default="scenario"),
+        Flag("out", Path, required=True), Flag("scenario", _utf8_text, "scenario"),
         Flag("far-targets", _far_targets, "0.001,0.005,0.01,0.05"),
         Flag("surprisal-threshold", float))),
     "robustness": (_cmd_robustness, "apply scenario A thresholds to scenario B scores", (

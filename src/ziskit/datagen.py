@@ -46,6 +46,9 @@ FOREIGN_BEACON_ATTENUATION_DB = 25.0
 # whose noise alone (rms 10**6) clips every int16 sample.
 MAX_EVENT_RATE_PER_MIN = 600.0
 MAX_NOISE_FLOOR_DB = 120.0
+# The longest scenario whose float64 audio buffer, the first one generated,
+# has a size in bytes that fits int64, numpy's limit for any array.
+MAX_DURATION_S = np.iinfo(np.int64).max // (RATE_HZ * np.dtype(np.float64).itemsize)
 
 _SENSOR_BASE = {"temperature": 22.0, "humidity": 40.0,
                 "pressure": 1005.0, "luminosity": 300.0}

@@ -1,5 +1,8 @@
 """Error-rate evaluation: FAR/FRR, EER sweeps, target-FAR curves, robustness.
 
+`cells` maps each (t, subscenario) of a results row to the records it covers;
+`evaluate` and `robustness` both read their records through it.
+
 Every scheme scores a pair-interval higher the more likely it is colocated,
 so a score is accepted when it is at or above the threshold. Gated or
 missing scores never enter FAR/FRR denominators; they are reported through
@@ -20,7 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ziskit.core.types import EvaluationRecord, Label
+from ziskit.core.types import EvaluationRecord, GroundTruth, Label
+from ziskit.core.windowing import filter_subscenario
 from ziskit.errors import DegenerateLabels
 
 # FAR and FRR that differ beyond three decimals make the EER a starred
@@ -173,3 +177,19 @@ def usable_scores(records: Iterable[EvaluationRecord]) -> tuple[np.ndarray, np.n
         return np.array([]), np.array([], dtype=int)
     scores, labels = zip(*pairs)
     return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=int)
+
+
+def cells(records: list[EvaluationRecord], ground_truth: GroundTruth | None
+          ) -> dict[tuple[int, str], list[EvaluationRecord]]:
+    """The records of each results row, keyed by (t, subscenario) in row order.
+
+    t ascends; for each t, "full" holds every record of that t, then each of
+    the ground truth's subscenarios, in its order, holds those inside it.
+    """
+    out = {}
+    for t in sorted({r.interval_len_s for r in records}):
+        at_t = [r for r in records if r.interval_len_s == t]
+        out[t, "full"] = at_t
+        for sub in ground_truth.subscenarios if ground_truth else ():
+            out[t, sub.name] = filter_subscenario(at_t, ground_truth, sub.name)
+    return out

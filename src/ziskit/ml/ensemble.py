@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -133,12 +133,7 @@ class TrainedModel:
     def to_json(self) -> str:
         doc = {
             "kind": self.kind,
-            "params": {
-                "kind": self.params.kind,
-                "n_trees": self.params.n_trees,
-                "max_depth": self.params.max_depth,
-                "learning_rate": self.params.learning_rate,
-            },
+            "params": asdict(self.params),
             "n_features": self.n_features,
             "prior": self.prior,
             "base_score": self.base_score,

@@ -149,16 +149,18 @@ def read_fingerprint_csv(path: Path) -> tuple[list[Fingerprint], list[int]]:
 
 
 def fingerprint_records(fingerprints: list[Fingerprint], spans: list[int],
-                        ground_truth: GroundTruth,
-                        surprisals: list[float | None] | None = None,
-                        surprisal_threshold: float | None = None
+                        ground_truth: GroundTruth, surprisal_threshold: float | None = None
                         ) -> list[EvaluationRecord]:
     """Pairwise Hamming similarity of co-timed fingerprints, labeled.
 
-    A pair is gated when either fingerprint's surprisal is at or below the threshold.
+    With a threshold, a `miettinen.SurprisalModel` is fit on these fingerprints,
+    and a pair is gated when either fingerprint's surprisal under it is at or
+    below the threshold.
     """
-    gate = [surprisal_threshold is not None and s is not None and s <= surprisal_threshold
-            for s in surprisals or [None] * len(fingerprints)]
+    gate = [False] * len(fingerprints)
+    if surprisal_threshold is not None and fingerprints:
+        model = miettinen.SurprisalModel.fit(fingerprints)
+        gate = [miettinen.surprisal(fp, model) <= surprisal_threshold for fp in fingerprints]
     by_start: dict[tuple[int, int], list[int]] = {}
     for i, fp in enumerate(fingerprints):
         by_start.setdefault((fp.interval_start, spans[i]), []).append(i)

@@ -25,16 +25,6 @@ class RandomWalkReport:
     n_fingerprints: int
     n_bits: int
 
-    def to_dict(self) -> dict:
-        return {
-            "offsets": self.offsets.tolist(),
-            "counts": self.counts.tolist(),
-            "expected_pmf": self.expected_pmf.tolist(),
-            "tv_distance": self.tv_distance,
-            "n_fingerprints": self.n_fingerprints,
-            "n_bits": self.n_bits,
-        }
-
 
 @dataclass(frozen=True)
 class MarkovReport:
@@ -42,13 +32,6 @@ class MarkovReport:
     # transitions[v] = P(next bit = 1 | current bit = v)
     transitions: np.ndarray
     n_fingerprints: int
-
-    def to_dict(self) -> dict:
-        return {
-            "p_one": self.p_one.tolist(),
-            "transitions": self.transitions.tolist(),
-            "n_fingerprints": self.n_fingerprints,
-        }
 
 
 def _bit_matrix(fingerprints: list[Fingerprint]) -> np.ndarray:

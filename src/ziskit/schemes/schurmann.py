@@ -59,10 +59,12 @@ def energy_matrix(x: AudioSnippet, interval_s: int) -> np.ndarray:
     if not fits_rate(x.rate_hz):
         raise InvalidBand(f"{N_BANDS} bands of {BAND_WIDTH_HZ} Hz do not fit "
                           f"below {x.rate_hz / 2} Hz")
-    frames = x.as_float()[:needed].reshape(N_FRAMES, d)
+    # sosfilt converts the int16 frames to float64 exactly; one buffer takes every band.
+    frames = x.samples[:needed].reshape(N_FRAMES, d)
+    filtered = np.empty((N_FRAMES, d))
     energies = np.empty((N_FRAMES, N_BANDS))
     for j, (lo, hi) in enumerate(band_edges(x.rate_hz)):
-        filtered = dsp.bandpass(frames, lo, hi, rate_hz=x.rate_hz)
+        dsp.bandpass(frames, lo, hi, rate_hz=x.rate_hz, out=filtered)
         energies[:, j] = np.einsum("ij,ij->i", filtered, filtered)
     return energies
 

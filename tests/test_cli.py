@@ -140,7 +140,7 @@ def test_miettinen_features_with_surprisal(scenario_dir, tmp_path):
     surprisals = [miettinen.surprisal(fp, model) for fp in fingerprints]
     threshold = float(np.median(surprisals))
     expected = pipeline.fingerprint_records(fingerprints, [16] * len(fingerprints),
-                                            dataset.ground_truth, surprisals, threshold)
+                                            dataset.ground_truth, threshold)
     assert any(r.gated for r in expected) and not all(r.gated for r in expected)
     # The expected records, evaluated as a score file, give the same rows and curves.
     scores = tmp_path / "expected.csv"
@@ -996,14 +996,14 @@ def test_features_argv_exits_0_1_or_2_within_the_audio(data, small_scenario, tmp
 DATAGEN_TEXT = {
     "duration-s": st.integers(1, 3).map(str),
     "beacon-population": st.integers(0, 30).map(str),
-    "groups": st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    "groups": st.lists(st.integers(1, 3), min_size=2, max_size=3).map(
         lambda sizes: ",".join(map(str, sizes))),
     "event-band": st.lists(st.floats(0, cli.datagen.RATE_HZ / 2, exclude_min=True,
                                      exclude_max=True), min_size=2, max_size=2, unique=True
                            ).map(lambda band: "{!r},{!r}".format(*sorted(band))),
 }
 # Invalid argv text of the flags whose kind parses a list.
-LIST_INVALID = {"groups": ["x", "1.5,2", "1;2", "2,y"],
+LIST_INVALID = {"groups": ["x", "1.5,2", "1;2", "2,y", "1", "3", "", "0,2", "2,0,1", "2,-1"],
                 "event-band": ["5,1", "300,8000", "0,10", "nan,5", "x", "1,2,3"]}
 
 
@@ -1034,6 +1034,84 @@ def test_datagen_and_align_argv_exits_0_1_or_2(command, data, small_scenario,
                                           else []),
             *(f"--{spec.name}={data.draw(text(spec))}" for spec in chosen)]
     code = main(argv)
+    assert code in (0, 1, 2) and (invalid is None or code == 1)
+
+
+@pytest.fixture(scope="module")
+def small_tables(small_scenario, tmp_path_factory):
+    """Small valid tables of every kind the table-reading commands take, from
+    the small scenario at --t 1, keyed by the scheme or the flag that reads them."""
+    scenario, _ = small_scenario
+    base = tmp_path_factory.mktemp("argv_tables")
+    files = {"dataset": scenario, "model": base / "model.json",
+             "scores": base / "prediction.csv", "results": base / "eval" / "results.csv"}
+    for scheme, extra in [("karapanos", []), ("schurmann", []), ("truong", []),
+                          ("shrestha", []), ("miettinen", ["--bits", "2"])]:
+        files[scheme] = base / f"{scheme}.csv"
+        run_ok(["features", "--scheme", scheme, "--dataset", str(scenario),
+                "--out", str(files[scheme]), "--t", "1", *extra])
+    run_ok(["ml", "train", "--scheme", "truong", "--grid", "small", "--folds", "2",
+            "--features", str(files["truong"]), "--out", str(files["model"]),
+            "--predictions", str(files["scores"])])
+    run_ok(["evaluate", "--scheme", "scores", "--scores", str(files["scores"]),
+            "--dataset", str(scenario), "--out", str(base / "eval")])
+    return files
+
+
+# Valid and invalid argv text of the table-reading commands' flags whose kind
+# parses a list, and the flags `ml train` keeps small: a small grid and two
+# folds, unless the flag is the one drawn over its whole range.
+FAR_TARGETS = st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), max_size=4).map(
+    lambda targets: ",".join(map(repr, targets)))
+FAR_TARGETS_INVALID = ["0", "1", "0.5,1", "-0.1", "nan", "0.1,inf", "x", "0.1;0.2"]
+SEARCH_PINS = {"grid": "small", "folds": "2"}
+TABLE_COMMANDS = ["fingerprint-randomness", "evaluate", "robustness", "ml train", "ml predict"]
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_command_argv_exits_0_1_or_2(command, data, small_tables, tmp_path_factory):
+    # As for `features`: each flag is given or not, the required ones always,
+    # at most one is invalid, and the value flags range over their whole range
+    # and one step past each bound. An input path names the table that its
+    # scheme reads, or any other table; an output path is fresh.
+    out = tmp_path_factory.mktemp("argv_out")
+    flags = cli.COMMANDS[command][2]
+    chosen = [spec for spec in flags
+              if spec.required or spec.name in SEARCH_PINS and command == "ml train"
+              or data.draw(st.integers(0, 3)) > 0]
+    invalid = data.draw(st.none() | st.sampled_from([None, *(
+        spec for spec in chosen if spec.kind not in (Path, cli._utf8_text))]))
+    wide = data.draw(st.sampled_from([None, *SEARCH_PINS]))
+
+    def text(spec) -> st.SearchStrategy[str]:
+        if spec.name == "far-targets":
+            return st.sampled_from(FAR_TARGETS_INVALID) if spec is invalid else FAR_TARGETS
+        if spec.name in SEARCH_PINS and spec is not invalid and spec.name != wide:
+            return st.just(SEARCH_PINS[spec.name])
+        if spec.kind is cli._utf8_text:  # any argv text, undecoded bytes too
+            return st.text(st.characters(exclude_categories=()))
+        return _flag_text(spec, spec is not invalid)
+
+    argv = command.split()
+    values = {spec.name: data.draw(text(spec)) for spec in chosen if spec.kind is not Path}
+    scheme = values.get("scheme", "")
+    read = {"features": scheme if command != "fingerprint-randomness" else "schurmann"}
+    for spec in chosen:
+        if spec.kind is not Path:
+            argv.append(f"--{spec.name}={values[spec.name]}")
+        elif spec.name in ("out", "predictions", "metrics"):
+            argv.append(f"--{spec.name}={out / spec.name}")
+        else:
+            key = read.get(spec.name, spec.name)
+            any_table = st.sampled_from(list(small_tables.values()))
+            path = data.draw(st.just(small_tables[key]) | any_table if key in small_tables
+                             else any_table)
+            argv.append(f"--{spec.name}={path}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("ZIS_THREADS", "1")
+        code = main(argv)
     assert code in (0, 1, 2) and (invalid is None or code == 1)
 
 
@@ -1083,6 +1161,11 @@ def test_datagen_and_align_argv_exits_0_1_or_2(command, data, small_scenario,
     ["align", "--maxlag-s", "1e308"],
     ["datagen", "--event-rate", "1e308"],
     ["datagen", "--noise-floor-db", "1e308"],
+    ["datagen", "--duration-s", str(cli.datagen.MAX_DURATION_S + 1)],
+    ["datagen", "--duration-s", "100000000000000"],
+    ["datagen", "--groups", "1"],
+    ["datagen", "--groups", "0,2"],
+    ["evaluate", "--scheme", "karapanos", "--scenario", "a\udcffb"],  # argv byte 0xff
 ])
 def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp_path):
     dataset = ["--dataset", str(scenario_dir)]
@@ -1095,6 +1178,15 @@ def test_out_of_range_number_is_usage_error(argv, scenario_dir, valid_files, tmp
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "usage error" in proc.stderr
+
+
+def test_longest_duration_runs_out_of_memory_without_traceback(tmp_path):
+    # The first buffer of the longest scenario has a byte count just inside
+    # int64: numpy refuses it as an allocation (exit 2), not as a size.
+    proc = _cold("-m", "ziskit.cli", "datagen", "--duration-s", str(cli.datagen.MAX_DURATION_S),
+                 "--out", str(tmp_path / "scen"), cwd=tmp_path, timeout=60)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])

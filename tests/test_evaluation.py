@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ziskit import evaluation as ev
-from ziskit.core.types import EvaluationRecord, Label
+from ziskit.core.types import EvaluationRecord, Group, GroundTruth, Label, Subscenario
+from ziskit.core.windowing import filter_subscenario
 from ziskit.errors import DegenerateLabels
 
 
@@ -271,3 +272,22 @@ class TestRecords:
         scores, labels = ev.usable_scores(self._records())
         assert scores.tolist() == [0.9, 0.2]
         assert labels.tolist() == [1, 0]
+
+    def test_cells_in_results_row_order(self):
+        # t ascending; per t "full" (every record of that t), then each
+        # subscenario in the ground truth's order, through filter_subscenario.
+        truth = GroundTruth(groups=(Group("g", ("a", "b"), ((0, 40_000),)),),
+                            subscenarios=(Subscenario("late", ((20_000, 40_000),)),
+                                          Subscenario("early", ((0, 20_000),))))
+        records = [EvaluationRecord("a", "b", start, t, Label.COLOCATED, 0.5)
+                   for t in (20, 5, 10) for start in range(0, 40_000 - t * 1000 + 1, t * 1000)]
+        cells = ev.cells(records, truth)
+        assert list(cells) == [(t, sub) for t in (5, 10, 20)
+                               for sub in ("full", "late", "early")]
+        for (t, sub), cell in cells.items():
+            at_t = [r for r in records if r.interval_len_s == t]
+            assert cell == (at_t if sub == "full" else filter_subscenario(at_t, truth, sub))
+        assert [len(cell) for cell in cells.values()] == [8, 4, 4, 4, 2, 2, 2, 1, 1]
+        assert ev.cells(records, None) == {(t, "full"): [r for r in records
+                                                          if r.interval_len_s == t]
+                                           for t in (5, 10, 20)}

@@ -1,4 +1,6 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,14 +41,17 @@ def gated(surprisals, threshold):
     """Whether `pipeline.fingerprint_records` gates each surprisal at `threshold`.
 
     Fingerprint i of device a carries surprisals[i]; it pairs with a co-timed
-    fingerprint of device b that carries none.
+    fingerprint of device b whose surprisal is infinite. The gate computes the
+    surprisals in fingerprint order, so `miettinen.surprisal` is replaced by
+    one that returns them in that order.
     """
     fps, values = [], []
     for i, s in enumerate(surprisals):
         fps += [Fingerprint(np.zeros(1, dtype=np.uint8), d, i * 1000) for d in "ab"]
-        values += [s, None]
-    records = pipeline.fingerprint_records(fps, [1] * len(fps), two_group_truth(),
-                                           surprisals=values, surprisal_threshold=threshold)
+        values += [s, math.inf]
+    with mock.patch.object(miettinen, "surprisal", side_effect=values):
+        records = pipeline.fingerprint_records(fps, [1] * len(fps), two_group_truth(),
+                                               surprisal_threshold=threshold)
     assert len(records) == len(surprisals)
     return [r.gated for r in records]
 

@@ -124,10 +124,10 @@ class TestFingerprintPipeline:
 
     def test_surprisal_threshold_gates_records(self, audio_dataset):
         fps = pipeline.schurmann_fingerprints(audio_dataset, 10)
-        surprisals = [float(i) for i in range(len(fps))]
+        model = miettinen.SurprisalModel.fit(fps)
+        threshold = float(np.median([miettinen.surprisal(fp, model) for fp in fps]))
         records = pipeline.fingerprint_records(
-            fps, [10] * len(fps), audio_dataset.ground_truth,
-            surprisals=surprisals, surprisal_threshold=1.5)
+            fps, [10] * len(fps), audio_dataset.ground_truth, surprisal_threshold=threshold)
         gated = [r for r in records if r.gated]
         assert gated and all(r.score is None for r in gated)
         kept = [r for r in records if not r.gated]

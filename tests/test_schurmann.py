@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -80,6 +82,22 @@ class TestAudioFingerprint:
             scaled = AudioSnippet((base * alpha).astype(np.int16), 16000, 0, "d")
             got = schurmann.audio_fingerprint(scaled, 1)
             np.testing.assert_array_equal(got.bits, ref.bits)
+
+    def test_energy_matrix_filters_into_one_frame_sized_buffer(self, rng):
+        # Every band of an interval is filtered from the int16 samples into one
+        # (N_FRAMES, d) float64 buffer: no float copy of the samples, and no
+        # new array per band.
+        x = noise_snippet(rng, seconds=10.0)
+        schurmann.energy_matrix(x, 10)  # loads the kernel and caches the filters
+        buffer_bytes = schurmann.N_FRAMES * schurmann.frame_len(16000, 10) * 8
+        tracemalloc.start()
+        try:
+            energies = schurmann.energy_matrix(x, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energies.shape == (schurmann.N_FRAMES, schurmann.N_BANDS)
+        assert buffer_bytes <= peak < 1.1 * buffer_bytes
 
     def test_too_short_snippet(self, rng):
         with pytest.raises(InsufficientSamples):
