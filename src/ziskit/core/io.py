@@ -1,14 +1,17 @@
 """Dataset ingestion: manifest-driven loading of WAV/CSV/JSONL/JSON files.
 
 WAV files are read and written with the standard library's `wave` and
-numpy, so loading a dataset imports no scipy module.
+numpy, so loading a dataset imports no scipy module. A loaded WAV file is
+its header: `WavRecording` reads the frames of a range when asked.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import wave
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -20,6 +23,7 @@ from ziskit.core.types import (
     Dataset,
     GroundTruth,
     Group,
+    Recording,
     SensorKind,
     SensorSeries,
     Subscenario,
@@ -39,20 +43,49 @@ def _require(path: Path) -> Path:
     return path
 
 
-def read_wav(path: Path, device_id: str, start_ms: int = 0) -> AudioSnippet:
-    """Read a mono 16-bit PCM WAV file.
+@dataclass(frozen=True)
+class WavRecording(Recording):
+    """The audio of a mono 16-bit PCM WAV file, read a range of frames at a time.
+
+    `offset` is the byte offset of the data chunk's first frame, and
+    `n_frames` the whole frames the file held when `open_wav` read its
+    header. Each `read` opens the file on its own handle, so threads share
+    nothing; a file that has since lost frames is a ParseError naming it.
+    """
+
+    path: Path
+    offset: int
+    n_frames: int
+    rate_hz: int
+    start_time: int
+    device_id: str
+
+    def read(self, i0: int, i1: int) -> np.ndarray:
+        out = np.empty(i1 - i0, dtype=np.int16)
+        if out.size:
+            with open(self.path, "rb") as fh:
+                fh.seek(self.offset + 2 * i0)
+                if fh.readinto(out) != out.nbytes:
+                    raise ParseError(f"WAV file lost frames after it was loaded: frames "
+                                     f"[{i0}, {i1}) of {self.n_frames} are not all there",
+                                     path=str(self.path))
+        return out
+
+
+def open_wav(path: Path, device_id: str, start_ms: int) -> WavRecording:
+    """The header of a mono 16-bit PCM WAV file, checked; no sample is read.
 
     Anything else, a malformed or truncated header included, raises ParseError
     naming the file. WAVE_FORMAT_EXTENSIBLE is refused on every Python version
     (`wave` reads it only from 3.12 on). A data chunk shorter than its header
-    declares yields the whole samples it holds.
+    declares holds the whole frames that are present.
     """
     _require(path)
     try:
         with open(path, "rb") as fh, wave.open(fh) as wav:
             width, channels, rate = wav.getsampwidth(), wav.getnchannels(), wav.getframerate()
-            frames = wav.readframes(wav.getnframes())
-            tag = _format_tag(fh)
+            tag, offset, declared = _pcm_layout(fh)
+            present = os.fstat(fh.fileno()).st_size - offset
         if tag != _WAVE_FORMAT_PCM:
             raise wave.Error(f"unknown format: {tag}")
     except (wave.Error, EOFError, RuntimeError) as exc:
@@ -64,24 +97,30 @@ def read_wav(path: Path, device_id: str, start_ms: int = 0) -> AudioSnippet:
         raise ParseError(f"expected 16-bit PCM, got {8 * width}-bit", path=str(path))
     if channels != 1:
         raise ParseError("expected mono audio", path=str(path))
-    samples = np.frombuffer(frames, dtype=np.int16, count=len(frames) // 2)
-    try:
-        return AudioSnippet(samples=samples, rate_hz=rate, start_time=start_ms,
-                            device_id=device_id)
-    except InvariantViolation as exc:  # a sample rate of 0
-        raise InvariantViolation(f"{path}: {exc}") from exc
+    if rate <= 0:
+        raise ParseError(f"rate_hz must be positive, got {rate}", path=str(path))
+    return WavRecording(path, offset, min(declared, present) // 2, rate, start_ms, device_id)
 
 
-def _format_tag(fh: BinaryIO) -> int:
-    """The format tag of the 'fmt ' chunk of a RIFF file `wave` has opened.
+def _pcm_layout(fh: BinaryIO) -> tuple[int, int, int]:
+    """The format tag of the 'fmt ' chunk of a RIFF file `wave` has opened, the
+    byte offset of its 'data' chunk's payload, and the payload's byte count as
+    its header and the RIFF chunk's bound it.
 
-    `wave` found that chunk, so every chunk header on the way is whole.
+    `wave` found both chunks, 'fmt ' first, so every chunk header on the way
+    is whole.
     """
+    fh.seek(4)
+    riff_end = 8 + struct.unpack("<I", fh.read(4))[0]
     fh.seek(12)  # past "RIFF", the RIFF size and "WAVE"
+    tag = None
     while True:
         name, size = struct.unpack("<4sI", fh.read(8))
-        if name == b"fmt ":
-            return struct.unpack("<H", fh.read(2))[0]
+        if name == b"data":
+            return tag, fh.tell(), min(size, riff_end - fh.tell())
+        if name == b"fmt " and tag is None:
+            tag = struct.unpack("<H", fh.read(2))[0]
+            fh.seek(-2, 1)
         fh.seek(size + size % 2, 1)  # chunks are padded to even length
 
 
@@ -201,15 +240,17 @@ def load_dataset(root_path: str | Path) -> Dataset:
     separator of the pair tables. An empty manifest yields an empty Dataset;
     a malformed one raises ParseError naming it, as does an audio `start_ms`
     at which the recording would start or end outside int64 milliseconds.
+    Of each WAV file only the header is read and checked (`open_wav`): the
+    dataset's audio reads its frames when a caller asks for a time range.
     """
     root = Path(root_path)
     devices, gt_path = _read_manifest(root)
-    audio: dict[str, AudioSnippet] = {}
+    audio: dict[str, WavRecording] = {}
     sensors: dict[str, dict[SensorKind, SensorSeries]] = {}
     beacons: dict[str, list[BeaconScan]] = {}
     for dev_id, wav, sensor_files, jsonl in devices:
         if wav is not None:
-            audio[dev_id] = read_wav(wav[0], dev_id, wav[1])
+            audio[dev_id] = open_wav(wav[0], dev_id, wav[1])
             if audio[dev_id].end_time > _INT64.max:
                 raise ParseError(f"bad manifest: audio of device {dev_id!r} starting at "
                                  f"{wav[1]} ms ends past int64 milliseconds",

@@ -31,9 +31,40 @@ class Label(str, enum.Enum):
     NON_COLOCATED = "non_colocated"
 
 
+class Recording:
+    """Mono 16-bit audio on an epoch-millisecond timeline.
+
+    A subclass holds `rate_hz`, `start_time` (epoch milliseconds of frame 0),
+    `device_id` and `n_frames`, and `read(i0, i1)` returns frames [i0, i1)
+    as int16, for i1 <= n_frames or i1 == i0. The timeline arithmetic is
+    written here once, for samples in memory (`AudioSnippet`) and samples
+    read from a file a range at a time (`ziskit.core.io.WavRecording`).
+    """
+
+    @property
+    def end_time(self) -> int:
+        return self.start_time + int(round(self.n_frames * 1000 / self.rate_hz))
+
+    def frame_range(self, start_ms: int, end_ms: int) -> tuple[int, int]:
+        """Indices [i0, i1) of the frames whose timestamps fall in [start_ms, end_ms)."""
+        i0 = max(0, int(np.ceil((start_ms - self.start_time) * self.rate_hz / 1000)))
+        i1 = min(self.n_frames, int(np.ceil((end_ms - self.start_time) * self.rate_hz / 1000)))
+        return i0, max(i0, i1)
+
+    def slice_ms(self, start_ms: int, end_ms: int) -> "AudioSnippet":
+        """Samples whose timestamps fall in [start_ms, end_ms); only they are read."""
+        i0, i1 = self.frame_range(start_ms, end_ms)
+        return AudioSnippet(
+            samples=self.read(i0, i1),
+            rate_hz=self.rate_hz,
+            start_time=self.start_time + int(round(i0 * 1000 / self.rate_hz)),
+            device_id=self.device_id,
+        )
+
+
 @dataclass(frozen=True)
-class AudioSnippet:
-    """Mono PCM audio with epoch timestamps.
+class AudioSnippet(Recording):
+    """Mono PCM audio in memory, with epoch timestamps.
 
     Attributes:
         samples: signed 16-bit amplitudes, shape (N,).
@@ -58,24 +89,11 @@ class AudioSnippet:
         object.__setattr__(self, "samples", samples.astype(np.int16, copy=False))
 
     @property
-    def duration_ms(self) -> int:
-        return int(round(self.samples.size * 1000 / self.rate_hz))
+    def n_frames(self) -> int:
+        return self.samples.size
 
-    @property
-    def end_time(self) -> int:
-        return self.start_time + self.duration_ms
-
-    def slice_ms(self, start_ms: int, end_ms: int) -> "AudioSnippet":
-        """Samples whose timestamps fall in [start_ms, end_ms)."""
-        i0 = max(0, int(np.ceil((start_ms - self.start_time) * self.rate_hz / 1000)))
-        i1 = min(self.samples.size, int(np.ceil((end_ms - self.start_time) * self.rate_hz / 1000)))
-        i1 = max(i0, i1)
-        return AudioSnippet(
-            samples=self.samples[i0:i1],
-            rate_hz=self.rate_hz,
-            start_time=self.start_time + int(round(i0 * 1000 / self.rate_hz)),
-            device_id=self.device_id,
-        )
+    def read(self, i0: int, i1: int) -> np.ndarray:
+        return self.samples[i0:i1]
 
     def as_float(self) -> np.ndarray:
         return self.samples.astype(np.float64)
@@ -322,9 +340,15 @@ def common_length(fingerprints: list[Fingerprint]) -> int:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Validated collections for one scenario plus ground truth."""
+    """Validated collections for one scenario plus ground truth.
 
-    audio: dict[str, AudioSnippet] = field(default_factory=dict)
+    Each device's audio is a `Recording`: `AudioSnippet`s in memory, or the
+    `WavRecording`s of `load_dataset`, which hold a file's header and read
+    only the frames a caller asks for. Spans use only a recording's start,
+    rate and frame count, so nothing here reads a sample but `audio_in`.
+    """
+
+    audio: dict[str, Recording] = field(default_factory=dict)
     sensors: dict[str, dict[SensorKind, SensorSeries]] = field(default_factory=dict)
     beacons: dict[str, list[BeaconScan]] = field(default_factory=dict)
     ground_truth: GroundTruth = GroundTruth(groups=())
@@ -337,7 +361,7 @@ class Dataset:
         """Earliest and latest data timestamp of a device, or None if no data."""
         starts, ends = [], []
         snip = self.audio.get(device)
-        if snip is not None and snip.samples.size:
+        if snip is not None and snip.n_frames:
             starts.append(snip.start_time)
             ends.append(snip.end_time)
         for series in self.sensors.get(device, {}).values():

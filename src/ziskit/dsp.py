@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ziskit.core.types import AudioSnippet
+from ziskit.core.types import Recording
 from ziskit.errors import InsufficientProbe, InvalidBand, InvariantViolation, UndefinedCorrelation
 
 
@@ -401,41 +401,38 @@ def max_xcorr_norm_two_sided(x: np.ndarray, y: np.ndarray, maxlag: int) -> float
     return float(normalize_peak(lag_peak(c, maxlag), np.dot(x, x), np.dot(y, y)))
 
 
-def align(x: AudioSnippet, y: AudioSnippet, probe_len_s: float,
+def align(x: Recording, y: Recording, probe_len_s: float,
           maxlag_s: float) -> AlignmentResult:
     """Two-stage alignment: coarse by timestamps, fine by cross-correlation.
 
-    The probe prefix (after coarse alignment) is correlated over lags within
-    +/- maxlag_s. A positive lag means y started `lag` samples late.
+    The probe prefix of the recordings' common time span is correlated over
+    lags within +/- maxlag_s; only the probe is read. A positive lag means y
+    started `lag` samples late.
     """
-    x2, y2 = _coarse_align(x, y)
-    rate = x2.rate_hz
-    maxlag = int(round(maxlag_s * rate))
-    n = min(x2.samples.size, y2.samples.size)
-    probe = min(int(round(probe_len_s * rate)), n)
-    if probe < 2 * maxlag or probe == 0:
-        raise InsufficientProbe(
-            f"probe of {probe} samples cannot resolve lags up to {maxlag}")
-    px = x2.as_float()[:probe]
-    py = y2.as_float()[:probe]
-    if maxlag == 0:
-        return AlignmentResult(lag_samples=0, trimmed_len=n)
-    c = _xcorr_fft_circular(px, py, maxlag)
-    # Advancing y by k aligns it when y is k samples late: score C(-k) = c[-k].
-    lags = np.arange(-maxlag, maxlag + 1)
-    values = c[(-lags) % c.size]
-    lag = int(lags[np.argmax(values)])
-    return AlignmentResult(lag_samples=lag, trimmed_len=n - abs(lag))
-
-
-def _coarse_align(x: AudioSnippet, y: AudioSnippet) -> tuple[AudioSnippet, AudioSnippet]:
     if x.rate_hz != y.rate_hz:
         raise InvariantViolation("snippets must share a sampling rate")
     start = max(x.start_time, y.start_time)
     end = min(x.end_time, y.end_time)
     if start >= end:
         raise InvariantViolation("snippets do not overlap in time")
-    return x.slice_ms(start, end), y.slice_ms(start, end)
+    (x0, x1), (y0, y1) = x.frame_range(start, end), y.frame_range(start, end)
+    rate = x.rate_hz
+    maxlag = int(round(maxlag_s * rate))
+    n = min(x1 - x0, y1 - y0)
+    probe = min(int(round(probe_len_s * rate)), n)
+    if probe < 2 * maxlag or probe == 0:
+        raise InsufficientProbe(
+            f"probe of {probe} samples cannot resolve lags up to {maxlag}")
+    if maxlag == 0:
+        return AlignmentResult(lag_samples=0, trimmed_len=n)
+    px = x.read(x0, x0 + probe).astype(np.float64)
+    py = y.read(y0, y0 + probe).astype(np.float64)
+    c = _xcorr_fft_circular(px, py, maxlag)
+    # Advancing y by k aligns it when y is k samples late: score C(-k) = c[-k].
+    lags = np.arange(-maxlag, maxlag + 1)
+    values = c[(-lags) % c.size]
+    lag = int(lags[np.argmax(values)])
+    return AlignmentResult(lag_samples=lag, trimmed_len=n - abs(lag))
 
 
 @lru_cache(maxsize=16)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ziskit.core.types import (
-    AudioSnippet,
     Fingerprint,
+    Recording,
     SensorKind,
     SensorSeries,
     common_length,
@@ -26,6 +26,9 @@ MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
 # Probabilities are clamped before taking logs so surprisal stays finite.
 _P_FLOOR = 1e-12
+# Samples per block of windows that noise_levels reads and reduces at once:
+# 2 MB as float64.
+_BLOCK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,26 @@ class MiettinenConfig:
                 f"need bits >= 1 and snapshot_s >= 1, got {self.bits} and {self.snapshot_s}")
 
 
-def noise_levels(x: AudioSnippet, m_w: float = 1.0) -> SensorSeries:
-    """Mean absolute amplitude over consecutive m_w-second windows."""
+def noise_levels(x: Recording, m_w: float = 1.0) -> SensorSeries:
+    """Mean absolute amplitude over consecutive m_w-second windows.
+
+    The windows are read and reduced a block of whole windows at a time,
+    about _BLOCK_SAMPLES samples each, so no float64 copy of the recording is
+    made. Each window is reduced on its own, so its mean does not depend on
+    the block that holds it.
+    """
     win = int(round(m_w * x.rate_hz))
-    if win <= 0 or x.samples.size < win:
+    if win <= 0 or x.n_frames < win:
         raise InsufficientSamples(f"need at least {win} samples for one window")
-    n_win = x.samples.size // win
-    data = np.abs(x.samples[:n_win * win].reshape(n_win, win), dtype=np.float64)
+    n_win = x.n_frames // win
+    means = np.empty(n_win)
+    step = max(1, _BLOCK_SAMPLES // win)
+    for lo in range(0, n_win, step):
+        hi = min(lo + step, n_win)
+        block = x.read(lo * win, hi * win).reshape(hi - lo, win)
+        means[lo:hi] = np.abs(block, dtype=np.float64).mean(axis=1)
     times = x.start_time + np.arange(n_win, dtype=np.int64) * int(round(m_w * 1000))
-    return SensorSeries(SensorKind.NOISE, times, data.mean(axis=1), x.device_id)
+    return SensorSeries(SensorKind.NOISE, times, means, x.device_id)
 
 
 def _change_bits(averages: np.ndarray, delta_rel: float, delta_abs: float) -> np.ndarray:

@@ -181,13 +181,18 @@ class _Lane:
         return _fill_state(x, padded, work, spectra[row], units[row])
 
 
-def audio_distances(a: AudioState, b: AudioState, peak: float) -> AudioDistances:
+def audio_distances(a: AudioState, b: AudioState, peak: float,
+                    diff: np.ndarray) -> AudioDistances:
     """Normalized max cross-correlation and time-frequency distance of two
-    equal-length states whose correlation peaks at |c| = `peak` over every lag."""
+    equal-length states whose correlation peaks at |c| = `peak` over every lag.
+
+    The unit-spectrum difference is formed in the head of `diff`, a float64
+    buffer of at least N//2 samples of the caller's, which is overwritten."""
     max_xcorr = float(dsp.normalize_peak(peak, a.sum_sq, b.sum_sq))
     if a.unit_spectrum is None or b.unit_spectrum is None:
         raise UndefinedCorrelation("zero spectrum")
-    freq_distance = float(np.linalg.norm(a.unit_spectrum - b.unit_spectrum))
+    delta = np.subtract(a.unit_spectrum, b.unit_spectrum, out=diff[:a.unit_spectrum.size])
+    freq_distance = float(np.linalg.norm(delta))
     time_distance = 1.0 - max_xcorr
     return AudioDistances(max_xcorr, time_distance, freq_distance,
                           math.hypot(time_distance, freq_distance))
@@ -204,7 +209,7 @@ def audio_features(x: AudioSnippet | np.ndarray, y: AudioSnippet | np.ndarray) -
         raise ValueError("snippets must be aligned, equal length, and non-trivial")
     a, b = audio_state(xd), audio_state(yd)
     c = dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len)
-    return audio_distances(a, b, dsp.lag_peak(c, a.size - 1))
+    return audio_distances(a, b, dsp.lag_peak(c, a.size - 1), np.empty(a.size // 2))
 
 
 @dataclass(frozen=True)
@@ -259,15 +264,19 @@ def device_interval(dataset: Dataset, device: str, start: int, stop: int,
 
 
 def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
-                  peak: float | None, theta: float = THETA_DEFAULT) -> TruongFeatureVector:
+                  peak: float | None, theta: float,
+                  scratch: Callable[[int], tuple[np.ndarray, np.ndarray]]
+                  ) -> TruongFeatureVector:
     """The feature vector of one pair-interval from its two device states and
-    the full-lag peak of their audio correlation (None when not comparable)."""
+    the full-lag peak of their audio correlation (None when not comparable).
+    The pad buffer of `scratch(size)`, idle once the peaks are found, holds
+    the unit-spectrum difference of audio of that size."""
     wifi, ble = (beacon_features(x, y, theta) if x is not None and y is not None else None
                  for x, y in ((a.wifi, b.wifi), (a.ble, b.ble)))
     audio = None
     if peak is not None:
         try:
-            audio = audio_distances(a.audio, b.audio, peak)
+            audio = audio_distances(a.audio, b.audio, peak, scratch(a.audio.size)[0])
         except UndefinedCorrelation:
             pass
     return TruongFeatureVector(
@@ -330,7 +339,8 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
 
         def chunk_rows(lane: _Lane, chunk: list[EvaluationRecord]) -> list[TruongFeatureVector]:
             peaks = _audio_peaks(chunk, states, lane.scratch)
-            return [pair_features(p, states[p.device_a], states[p.device_b], peak, theta)
+            return [pair_features(p, states[p.device_a], states[p.device_b], peak, theta,
+                                  lane.scratch)
                     for p, peak in zip(chunk, peaks)]
 
         chunks = pmap(lambda job: chunk_rows(*job), _slots(run, lanes))

@@ -3,13 +3,18 @@ test compares the production path against, and no command runs it."""
 
 from __future__ import annotations
 
+import struct
+import wave
 from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from ziskit import dsp
+from ziskit.core.io import _WAVE_FORMAT_PCM, _require
 from ziskit.core.types import AudioSnippet, Dataset, Fingerprint, Label, SensorKind, SensorSeries
-from ziskit.errors import InsufficientSamples
+from ziskit.errors import InsufficientSamples, InvariantViolation, ParseError
 from ziskit.ml.tree import _MIN_HESSIAN, Tree, TreeParams, _best_splits
 from ziskit.schemes import karapanos
 from ziskit.schemes.miettinen import MiettinenConfig, SurprisalModel, _change_bits
@@ -17,10 +22,57 @@ from ziskit.schemes.shrestha import (MATCH_TOLERANCE_MS, ShresthaFeatureVector,
                                      pressure_to_altitude)
 
 
+def read_wav(path: Path, device_id: str, start_ms: int = 0) -> AudioSnippet:
+    """Read a mono 16-bit PCM WAV file.
+
+    Anything else, a malformed or truncated header included, raises ParseError
+    naming the file. WAVE_FORMAT_EXTENSIBLE is refused on every Python version
+    (`wave` reads it only from 3.12 on). A data chunk shorter than its header
+    declares yields the whole samples it holds.
+    """
+    _require(path)
+    try:
+        with open(path, "rb") as fh, wave.open(fh) as wav:
+            width, channels, rate = wav.getsampwidth(), wav.getnchannels(), wav.getframerate()
+            frames = wav.readframes(wav.getnframes())
+            tag = _format_tag(fh)
+        if tag != _WAVE_FORMAT_PCM:
+            raise wave.Error(f"unknown format: {tag}")
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # `wave` raises a bare EOFError on a short header and a bare RuntimeError
+        # on a chunk that runs past the end of the RIFF chunk.
+        raise ParseError(f"bad WAV file: {str(exc) or 'truncated or malformed header'}",
+                         path=str(path)) from exc
+    if width != 2:
+        raise ParseError(f"expected 16-bit PCM, got {8 * width}-bit", path=str(path))
+    if channels != 1:
+        raise ParseError("expected mono audio", path=str(path))
+    samples = np.frombuffer(frames, dtype=np.int16, count=len(frames) // 2)
+    try:
+        return AudioSnippet(samples=samples, rate_hz=rate, start_time=start_ms,
+                            device_id=device_id)
+    except InvariantViolation as exc:  # a sample rate of 0
+        raise InvariantViolation(f"{path}: {exc}") from exc
+
+
+def _format_tag(fh: BinaryIO) -> int:
+    """The format tag of the 'fmt ' chunk of a RIFF file `wave` has opened.
+
+    `wave` found that chunk, so every chunk header on the way is whole.
+    """
+    fh.seek(12)  # past "RIFF", the RIFF size and "WAVE"
+    while True:
+        name, size = struct.unpack("<4sI", fh.read(8))
+        if name == b"fmt ":
+            return struct.unpack("<H", fh.read(2))[0]
+        fh.seek(size + size % 2, 1)  # chunks are padded to even length
+
+
 def apply_alignment(x: AudioSnippet, y: AudioSnippet,
                     result: dsp.AlignmentResult) -> tuple[AudioSnippet, AudioSnippet]:
     """Shift-and-trim both snippets to the aligned common length."""
-    x2, y2 = dsp._coarse_align(x, y)
+    start, end = max(x.start_time, y.start_time), min(x.end_time, y.end_time)
+    x2, y2 = x.slice_ms(start, end), y.slice_ms(start, end)
     lag, n = result.lag_samples, result.trimmed_len
     xs, ys = x2.samples, y2.samples
     if lag >= 0:

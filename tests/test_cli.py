@@ -21,6 +21,7 @@ from scipy.signal import resample_poly
 from conftest import wav_bytes
 from ziskit import cli
 from ziskit.cli import _apply_config, build_parser, main
+from ziskit.core.io import WavRecording, load_dataset
 from ziskit.schemes import truong
 
 pytestmark = pytest.mark.usefixtures("scenario_dir")
@@ -535,6 +536,66 @@ def test_bad_wav_exits_2_naming_the_file(fault, message, scenario_dir, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr and str(wav) in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "--scheme", "karapanos"], ["features", "--scheme", "schurmann"],
+    ["features", "--scheme", "truong"], ["features", "--scheme", "miettinen"],
+    ["align"]])
+def test_wav_cut_after_loading_exits_2_naming_the_file(argv, scenario_dir, tmp_path,
+                                                       monkeypatch, capsys):
+    """A recording that loses frames between `load_dataset` and a read is a
+    data error, from whichever thread reads it."""
+    dataset = tmp_path / "scen"
+    shutil.copytree(scenario_dir, dataset)
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    wav = dataset / manifest["devices"][0]["audio"]["path"]
+
+    def load_then_cut(root):
+        loaded = load_dataset(root)
+        with open(wav, "r+b") as fh:
+            fh.truncate(44 + 2000)  # the header and 1000 frames
+        return loaded
+
+    monkeypatch.setattr(cli, "load_dataset", load_then_cut)
+    out = tmp_path / ("lags.json" if argv == ["align"] else "out.csv")
+    assert main([*argv, "--dataset", str(dataset), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"({wav})" in err and "lost frames" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "--scheme", "shrestha", "--out", "{tmp}/shr.csv"],
+    ["features", "--scheme", "miettinen", "--source", "luminosity", "--t", "5", "--bits", "3",
+     "--out", "{tmp}/lum.csv"],
+    ["evaluate", "--scheme", "karapanos", "--features", "{files}/score.csv",
+     "--out", "{tmp}/eval"],
+    ["evaluate", "--scheme", "schurmann", "--features", "{files}/fingerprint.csv",
+     "--out", "{tmp}/eval"],
+    ["robustness", "--results", "{files}/results.csv", "--scheme", "karapanos",
+     "--features", "{files}/score.csv", "--out", "{tmp}/robust.csv"],
+    ["ml", "train", "--scheme", "truong", "--features", "{files}/truong.csv",
+     "--grid", "small", "--folds", "3", "--out", "{tmp}/model.json"]])
+def test_commands_without_audio_read_no_samples(argv, valid_files, scenario_dir, tmp_path,
+                                               monkeypatch):
+    """A recording's samples are read only by the commands that use them;
+    `features --scheme miettinen` from noise levels reads them all."""
+    reads = []
+    real_read = WavRecording.read
+
+    def read(self, i0, i1):
+        reads.append((self.device_id, i0, i1))
+        return real_read(self, i0, i1)
+
+    monkeypatch.setattr(WavRecording, "read", read)
+    dataset = [] if argv[0] == "ml" else ["--dataset", str(scenario_dir)]
+    assert main([a.format(tmp=tmp_path, files=valid_files) for a in argv] + dataset) == 0
+    assert reads == []
+    assert main(["features", "--scheme", "miettinen", "--dataset", str(scenario_dir),
+                 "--out", str(tmp_path / "noise.csv")]) == 0
+    assert {device for device, _, _ in reads} == {d["id"] for d in json.loads(
+        (scenario_dir / "manifest.json").read_text())["devices"]}
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])

@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import series_of, wav_bytes
+from reference import read_wav
 from ziskit.core.io import (
     load_dataset,
+    open_wav,
     read_beacons_jsonl,
     read_ground_truth,
     read_sensor_csv,
-    read_wav,
     write_beacons_jsonl,
     write_ground_truth,
     write_sensor_csv,
@@ -35,7 +37,7 @@ from ziskit.core.types import (
     SensorSeries,
     Subscenario,
 )
-from ziskit.core.windowing import dataset_epoch, filter_subscenario, window_pairs
+from ziskit.core.windowing import dataset_epoch, filter_subscenario, pmap, window_pairs
 from ziskit.errors import InvariantViolation, MissingInput, NotFound, ParseError
 
 
@@ -159,6 +161,11 @@ class TestLoadDataset:
         assert err.value.line == 2
 
 
+def _whole(path: Path, device: str = "d", start_ms: int = 0) -> np.ndarray:
+    recording = open_wav(path, device, start_ms)
+    return recording.read(0, recording.n_frames)
+
+
 class TestWav:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -175,33 +182,125 @@ class TestWav:
         oracle = io.BytesIO()
         wavfile.write(oracle, rate, samples)
         assert path.read_bytes() == oracle.getvalue()
-        snippet = read_wav(path, "d", 250)
+        recording = open_wav(path, "d", 250)
+        read = recording.read(0, recording.n_frames)
         scipy_rate, scipy_samples = wavfile.read(path)
-        assert snippet.rate_hz == scipy_rate == rate
-        assert snippet.samples.dtype == np.int16
-        np.testing.assert_array_equal(snippet.samples, scipy_samples)
-        np.testing.assert_array_equal(snippet.samples, samples)
-        assert (snippet.start_time, snippet.device_id) == (250, "d")
+        assert recording.rate_hz == scipy_rate == rate
+        assert read.dtype == np.int16
+        np.testing.assert_array_equal(read, scipy_samples)
+        np.testing.assert_array_equal(read, samples)
+        assert (recording.start_time, recording.device_id) == (250, "d")
 
     def test_chunks_before_fmt_are_skipped(self, tmp_path):
         from scipy.io import wavfile
 
         samples = np.arange(-50, 50, dtype=np.int16)
-        whole = wav_bytes(samples.astype("<i2").tobytes())
-        # An odd-sized chunk is followed by one pad byte.
-        body = whole[8:12] + b"JUNK" + struct.pack("<I", 3) + b"abc\0" + whole[12:]
         path = tmp_path / "junk.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        np.testing.assert_array_equal(read_wav(path, "d").samples, samples)
+        path.write_bytes(_wav_file(samples, 16000, junk_before_fmt=True))
+        np.testing.assert_array_equal(_whole(path), samples)
         np.testing.assert_array_equal(wavfile.read(path)[1], samples)
 
     @pytest.mark.parametrize("kept_bytes", [500, 501])
     def test_short_data_chunk_reads_the_samples_present(self, kept_bytes, tmp_path):
         samples = np.arange(-500, 500, dtype=np.int16)
-        whole = wav_bytes(samples.astype("<i2").tobytes())
         path = tmp_path / "short.wav"
-        path.write_bytes(whole[:len(whole) - samples.nbytes + kept_bytes])
-        np.testing.assert_array_equal(read_wav(path, "d").samples, samples[:250])
+        path.write_bytes(_wav_file(samples, 16000, kept_bytes=kept_bytes))
+        assert open_wav(path, "d", 0).n_frames == 250
+        np.testing.assert_array_equal(_whole(path), samples[:250])
+
+
+def _wav_file(samples: np.ndarray, rate: int, *, junk_before_fmt: bool = False,
+              chunk_after_data: bool = False, kept_bytes: int | None = None,
+              riff_shortfall: int = 0) -> bytes:
+    """A WAV file of `samples`, with an odd-sized chunk (and its pad byte)
+    before 'fmt ', a chunk after 'data', the file cut `kept_bytes` into the
+    data chunk's payload, and a RIFF size `riff_shortfall` bytes short of
+    the chunks, as asked."""
+    body = wav_bytes(samples.astype("<i2").tobytes(), rate=rate)[8:]  # "WAVE" and the chunks
+    if junk_before_fmt:
+        body = body[:4] + b"JUNK" + struct.pack("<I", 3) + b"abc\0" + body[4:]
+    if chunk_after_data:
+        body += b"LIST" + struct.pack("<I", 5) + b"info\0\0"
+    whole = b"RIFF" + struct.pack("<I", max(0, len(body) - riff_shortfall)) + body
+    if kept_bytes is None:
+        return whole
+    payload = 12 + 12 * junk_before_fmt + 24 + 8  # RIFF header, JUNK, 'fmt ', 'data' header
+    return whole[:payload + kept_bytes]
+
+
+class TestWavRecording:
+    """`open_wav`'s reader against the whole-file `reference.read_wav`."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=arrays(np.int16, st.integers(0, 1200)),
+           rate=st.sampled_from([8000, 16000, 44100]),
+           start_ms=st.integers(-2 ** 40, 2 ** 40),
+           junk_before_fmt=st.booleans(), chunk_after_data=st.booleans(),
+           kept_bytes=st.sampled_from([None, 0, 1, 500, 501]),
+           riff_shortfall=st.sampled_from([0, 0, 0, 1, 2, 301]),
+           ranges=st.lists(st.tuples(st.integers(-300, 300), st.integers(0, 400)),
+                           min_size=1, max_size=6))
+    @example(samples=np.arange(-500, 500, dtype=np.int16), rate=16000, start_ms=0,
+             junk_before_fmt=True, chunk_after_data=True, kept_bytes=501, riff_shortfall=0,
+             ranges=[(-10, 5), (3, 10), (10, 30), (-5, 100)])
+    def test_slices_equal_the_whole_file_reference(self, samples, rate, start_ms,
+                                                   junk_before_fmt, chunk_after_data,
+                                                   kept_bytes, riff_shortfall, ranges,
+                                                   tmp_path):
+        """Ranges before, inside, across and past the recording, given as
+        (offset from its start, length) in milliseconds. A header the
+        reference refuses is refused."""
+        path = tmp_path / "a.wav"
+        path.write_bytes(_wav_file(samples, rate, junk_before_fmt=junk_before_fmt,
+                                   chunk_after_data=chunk_after_data, kept_bytes=kept_bytes,
+                                   riff_shortfall=riff_shortfall))
+        try:
+            oracle = read_wav(path, "d", start_ms)
+        except ParseError:
+            with pytest.raises(ParseError):
+                open_wav(path, "d", start_ms)
+            return
+        recording = open_wav(path, "d", start_ms)
+        assert recording.n_frames == oracle.samples.size
+        assert recording.end_time == oracle.end_time
+        assert Dataset(audio={"d": recording}).device_span("d") \
+            == Dataset(audio={"d": oracle}).device_span("d")
+        for offset, length in ranges:
+            lo = start_ms + offset
+            got, want = recording.slice_ms(lo, lo + length), oracle.slice_ms(lo, lo + length)
+            assert got.samples.dtype == want.samples.dtype == np.int16
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert (got.rate_hz, got.start_time, got.device_id) \
+                == (want.rate_hz, want.start_time, want.device_id)
+
+    def test_threads_read_distinct_intervals_of_one_file(self, tmp_path, monkeypatch):
+        """Eight pmap workers, switching threads every microsecond, each read on
+        their own handle."""
+        samples = np.random.default_rng(5).integers(-30000, 30000, 8 * 16000, dtype=np.int16)
+        path = tmp_path / "a.wav"
+        write_wav(path, AudioSnippet(samples, 16000, 0, "d"))
+        recording, oracle = open_wav(path, "d", 1000), read_wav(path, "d", 1000)
+        jobs = [(1000 + 250 * k, 1000 + 250 * k + 700) for k in range(29)] * 4
+        monkeypatch.setenv("ZIS_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = pmap(lambda job: recording.slice_ms(*job).samples.tobytes(), jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [oracle.slice_ms(*job).samples.tobytes() for job in jobs]
+
+    def test_file_cut_after_loading_is_a_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, AudioSnippet(np.arange(1000, dtype=np.int16), 1000, 0, "d"))
+        recording = open_wav(path, "d", 0)
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 3)
+        assert recording.slice_ms(0, 998).samples.tolist() == list(range(998))
+        with pytest.raises(ParseError) as err:
+            recording.slice_ms(500, 1000)
+        assert err.value.path == str(path)
 
 
 def _sensor_dataset(gt: GroundTruth, devices: list[str], n: int = 20,

@@ -73,7 +73,7 @@ class TestGenerate:
         cfg = datagen.ScenarioConfig(seed=seed, duration_s=1, groups=(1, 1))
         datagen.generate(cfg, tmp_path / "scen")
         dataset = load_dataset(tmp_path / "scen")
-        assert [x.samples.size for x in dataset.audio.values()] == [datagen.RATE_HZ] * 2
+        assert [x.n_frames for x in dataset.audio.values()] == [datagen.RATE_HZ] * 2
 
     def test_scenario_json_echoes_config(self, tmp_path):
         import json

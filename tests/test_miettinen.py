@@ -82,6 +82,23 @@ class TestNoiseLevels:
         with pytest.raises(InsufficientSamples):
             miettinen.noise_levels(noise_snippet(rng, seconds=0.25), m_w=1.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(samples=st.lists(st.integers(-32768, 32767), min_size=1, max_size=400),
+           rate=st.integers(1, 200), m_w=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+           block=st.integers(1, 120))
+    def test_blocks_equal_one_whole_reduction(self, samples, rate, m_w, block):
+        """Windows reduced a block at a time give the bits of one (n_win, win)
+        float64 reduction over the whole recording, whatever the block size."""
+        x = AudioSnippet(np.array(samples, dtype=np.int16), rate, 7, "d")
+        win = int(round(m_w * rate))
+        if win == 0 or x.samples.size < win:
+            return
+        n_win = x.samples.size // win
+        whole = np.abs(x.samples[:n_win * win].reshape(n_win, win), dtype=np.float64).mean(axis=1)
+        with mock.patch.object(miettinen, "_BLOCK_SAMPLES", block):
+            levels = miettinen.noise_levels(x, m_w)
+        assert levels.values.tobytes() == whole.tobytes()
+
 
 class TestContextFingerprint:
     def test_hand_truth_table(self):

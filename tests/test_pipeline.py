@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import noise_snippet, series_of, two_group_truth
-from ziskit import dsp, pipeline
+from ziskit import datagen, dsp, pipeline
+from ziskit.core.io import load_dataset, write_wav
 from ziskit.core.types import (
     AudioSnippet,
     Dataset,
@@ -342,9 +343,9 @@ class TestThreading:
         # pad/2 + 1 bins at the interval's audio size, beside the interval's
         # states (a spectrum and a unit spectrum per device). A third
         # pad-sized buffer per worker breaks the bound, as do per-device
-        # copies of the audio; the slack of one pad-sized buffer covers each
-        # pair's unit-spectrum difference. The audio is loaded before tracing
-        # starts, and `audio_in` slices it without a copy.
+        # copies of the audio; the slack of one pad-sized buffer covers small
+        # objects. The audio is in memory before tracing starts, and
+        # `audio_in` slices it without a copy.
         dsp.rfft(np.zeros(8))  # loaded lazily by dsp; keep the kernel and the window
         dsp.fft_mag_hamming(np.zeros(5 * 16000))  # out of the peak
         monkeypatch.setenv("ZIS_THREADS", "2")
@@ -367,14 +368,14 @@ class TestThreading:
     def test_truong_allocates_no_pad_sized_array_after_its_first_interval(
             self, audio_dataset, monkeypatch):
         # Traced memory may rise after the first interval's states by less
-        # than one pad buffer: the states reuse the rows of the first
-        # interval's stacks, and the workers their scratch. What rises is
-        # small objects and each pair's unit-spectrum difference, N/2
-        # samples in each of two threads.
+        # than one unit spectrum (N/2 float64): the states reuse the rows of
+        # the first interval's stacks, and the workers their scratch, whose
+        # pad buffer also holds each pair's unit-spectrum difference. What
+        # rises is small objects.
         dsp.rfft(np.zeros(8))
         monkeypatch.setenv("ZIS_THREADS", "2")
         t = 5
-        pad = dsp.fast_len(2 * t * 16000 - 1)
+        unit = t * 16000 // 2 * 8
         real_fn = truong.device_interval
         lock = threading.Lock()
         starts: list[int] = []
@@ -397,7 +398,7 @@ class TestThreading:
         finally:
             tracemalloc.stop()
         assert len(starts) == 4 and len(rows) == len(pipeline.window_pairs(audio_dataset, t))
-        assert peak - baseline[0] < pad * 8
+        assert peak - baseline[0] < unit
 
     def test_karapanos_filters_every_band_into_one_buffer(self, audio_dataset, rng,
                                                           monkeypatch):
@@ -427,6 +428,52 @@ class TestThreading:
                        and out.size == 5 * rate for out in outs)
             pads.append(pad)
         assert not np.shares_memory(*pads)
+
+
+@pytest.fixture(scope="module")
+def crowded_scenario(tmp_path_factory):
+    """16 devices x 20 s, the crowded_room benchmark's scenario shape."""
+    out = tmp_path_factory.mktemp("crowded") / "scen"
+    datagen.generate(datagen.ScenarioConfig(seed=1, duration_s=20, groups=(8, 8)), out)
+    return out
+
+
+class TestAudioReadPerInterval:
+    """Audio is read a range at a time, never a whole recording. numpy
+    reports its buffers to tracemalloc."""
+
+    def test_loading_a_dataset_reads_no_audio(self, crowded_scenario):
+        # The scenario's int16 audio alone is 16 x 20 s x 32 kB/s = 10 MB.
+        load_dataset(crowded_scenario)  # first use of every reader out of the peak
+        tracemalloc.start()
+        try:
+            dataset = load_dataset(crowded_scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset.audio) == 16
+        assert peak < 1 << 20
+
+    def test_noise_levels_hold_one_block_of_windows(self, tmp_path):
+        # A 600 s recording: its float64 |x| is 77 MB, one block of windows
+        # as int16 and as float64 is 10 bytes a sample.
+        rate, seconds = 16000, 600
+        samples = np.random.default_rng(3).integers(-3000, 3000, rate * seconds,
+                                                    dtype=np.int16)
+        write_wav(tmp_path / "d.wav", AudioSnippet(samples, rate, 0, "d"))
+        (tmp_path / "manifest.json").write_text(
+            '{"devices": [{"id": "d", "audio": {"path": "d.wav"}}]}')
+        recording = load_dataset(tmp_path).audio["d"]
+        del samples
+        tracemalloc.start()
+        try:
+            levels = miettinen.noise_levels(recording, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(levels) == seconds
+        output = 2 * seconds * 8  # times and means
+        assert peak < miettinen._BLOCK_SAMPLES * (2 + 8) + 2 * output + (1 << 18)
 
 
 def row_digest(row: np.ndarray) -> str:

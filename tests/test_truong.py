@@ -224,6 +224,33 @@ class TestWorkspace:
                 == (mag / norm).tobytes()
 
 
+    @given(x=int16_audio(), y_kind=st.sampled_from(["noise", "silence", "same", "negated"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(x=np.full(1009, -2 ** 15, np.int16), y_kind="noise", seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_tf_distance_in_the_pad_buffer_equals_the_per_pair_difference(self, x, y_kind,
+                                                                         seed):
+        """The pair phase forms the unit-spectrum difference in the lane's
+        idle pad buffer; the per-pair form subtracts into a new array."""
+        y = {"noise": np.random.default_rng(seed).integers(-2 ** 15, 2 ** 15, x.size,
+                                                            dtype=np.int16),
+             "silence": np.zeros(x.size, np.int16), "same": x,
+             "negated": -x.astype(np.float64)}[y_kind]
+        a, b = truong.audio_state(x.astype(np.float64)), truong.audio_state(y)
+        peak = dsp.lag_peak(dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len), x.size - 1)
+        pad, _ = truong._Lane().scratch(x.size)
+        pad.fill(np.nan)  # as the pair's correlation leaves it
+        if a.unit_spectrum is None or b.unit_spectrum is None:
+            with pytest.raises(UndefinedCorrelation):
+                truong.audio_distances(a, b, peak, pad)
+            return
+        got = truong.audio_distances(a, b, peak, pad)
+        freq = float(np.linalg.norm(a.unit_spectrum - b.unit_spectrum))
+        time = 1.0 - float(dsp.normalize_peak(peak, a.sum_sq, b.sum_sq))
+        assert np.float64(got.freq_distance).tobytes() == np.float64(freq).tobytes()
+        assert np.float64(got.tf_distance).tobytes() == \
+            np.float64(math.hypot(time, freq)).tobytes()
+
 def _beacon_dataset(rng, shared: bool):
     gt = two_group_truth()
     audio, beacons = {}, {}
