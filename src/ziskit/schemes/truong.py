@@ -6,9 +6,15 @@ normalized maximum cross-correlation and a time-frequency distance. Feature
 slots without usable data carry None rather than a substitute number; only
 the both-sides-saw-nothing case maps every distance to the rejection value.
 
-`build_dataset` takes one interval at a time: each worker slot builds its
-devices' states and correlates its pairs through `dsp.pair_peaks` in buffers
-of its own, allocated on first use and reused by every interval (`_Lane`).
+`build_dataset` takes one interval at a time and each audio rate's devices
+in two halves, so that about half of the interval's padded spectra are held
+at once: the first half's are built and held, and its pairs correlated; each
+second-half device's state is built and at once correlated against every
+first-half spectrum, and its padded spectrum dropped; last, the second
+half's padded spectra are transformed again from the samples already read,
+into the rows the first half held, and its pairs correlated. Each worker
+slot builds and correlates through `dsp.pair_peaks` in buffers of its own,
+allocated on first use and reused by every interval (`_Lane`).
 `audio_features` is the per-pair form, which it equals bit for bit; both
 build states with the same code, it in new buffers.
 """
@@ -18,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,21 +137,28 @@ def _fill_state(x: np.ndarray, padded: np.ndarray, work: np.ndarray, spectrum: n
     of its pad/2 + 1 bins, both overwritten. The state's spectrum goes into
     `spectrum` (pad/2 + 1 bins) and its unit spectrum into `unit` (N//2).
 
-    `x` is cast into the head of `padded`, whose tail is zeroed: the head gives
+    `x` is cast into the head of `padded` (`_padded_spectrum`): the head gives
     the sum of squares and the windowed spectrum, and the whole buffer the
-    padded spectrum, as `dsp.padded_spectrum(x, N - 1)` would.
+    padded spectrum.
     """
-    n = x.size
-    head = padded[:n]
-    head[...] = x
-    padded[n:] = 0.0
-    dsp.rfft(padded, out=spectrum)
+    _padded_spectrum(x, padded, spectrum)
+    head = padded[:x.size]
     mag = dsp.fft_mag_hamming(head, out=unit, work=work)
     norm = float(np.linalg.norm(mag))
     if norm != 0.0:
         mag /= norm
-    return AudioState(n, np.dot(head, head), spectrum, padded.size,
+    return AudioState(x.size, np.dot(head, head), spectrum, padded.size,
                       mag if norm != 0.0 else None)
+
+
+def _padded_spectrum(x: np.ndarray, padded: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """`spectrum`, filled with the rfft of `x` zero-padded to padded.size, as
+    `dsp.padded_spectrum(x, x.size - 1)` would give it. `x` is cast into the
+    head of `padded`, whose tail is zeroed."""
+    n = x.size
+    padded[:n] = x
+    padded[n:] = 0.0
+    return dsp.rfft(padded, out=spectrum)
 
 
 class _Lane:
@@ -153,14 +167,17 @@ class _Lane:
 
     Per audio size N: a pad buffer of fast_len(2N - 1) samples and a complex
     buffer of its pad/2 + 1 bins, the scratch of the slot's state builds and
-    then of its pair correlation, and the spectrum and unit-spectrum rows of
-    the devices the slot builds, which grow only when it builds more. Only
-    the slot's thread writes its lane; other slots read the states in it.
+    transforms and of its pair correlation; the spectrum and unit-spectrum
+    rows of the first-half devices the slot builds, whose spectrum rows later
+    take the second half's spectra; and one stream spectrum row and the
+    unit-spectrum rows of the second-half devices it builds. A stack grows only
+    when the slot builds more into it. Only the slot's thread writes its lane;
+    other slots read the states and spectra in it.
     """
 
     def __init__(self):
         self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._stacks: dict[tuple[str, int], np.ndarray] = {}
 
     def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The lane's pad buffer and complex buffer at audio size `size`."""
@@ -169,16 +186,34 @@ class _Lane:
             self._scratch[size] = np.empty(pad), np.empty(pad // 2 + 1, complex)
         return self._scratch[size]
 
+    def _stack(self, name: str, x: np.ndarray, rows: int, dtype: type) -> np.ndarray:
+        """The lane's stack `name` at x's size, of at least `rows` rows of
+        spectra (complex) or unit spectra (float)."""
+        width = self.scratch(x.size)[1].size if dtype is complex else x.size // 2
+        key = (name, x.size)
+        if key not in self._stacks or len(self._stacks[key]) < rows:
+            self._stacks.pop(key, None)  # the last interval's states are released
+            self._stacks[key] = np.empty((rows, width), dtype)
+        return self._stacks[key]
+
     def audio_state(self, row: int, rows: int, x: np.ndarray) -> AudioState:
         """The state of `x`, built in the lane's scratch into row `row` of the
-        `rows` rows that the slot builds at x's size."""
-        padded, work = self.scratch(x.size)
-        if x.size not in self._rows or len(self._rows[x.size][0]) < rows:
-            self._rows.pop(x.size, None)  # the last interval's states are released
-            self._rows[x.size] = (np.empty((rows, work.size), complex),
-                                  np.empty((rows, x.size // 2)))
-        spectra, units = self._rows[x.size]
-        return _fill_state(x, padded, work, spectra[row], units[row])
+        `rows` spectrum and unit-spectrum rows that the slot holds at x's size."""
+        return _fill_state(x, *self.scratch(x.size), self._stack("spectra", x, rows, complex)[row],
+                           self._stack("units", x, rows, float)[row])
+
+    def stream_state(self, row: int, rows: int, x: np.ndarray) -> AudioState:
+        """The state of `x`, built like `audio_state`, with its unit spectrum in
+        row `row` of the `rows` the slot streams at x's size and its spectrum
+        in the stream row, which the slot's next stream state overwrites."""
+        return _fill_state(x, *self.scratch(x.size), self._stack("stream", x, 1, complex)[0],
+                           self._stack("stream units", x, rows, float)[row])
+
+    def spectrum(self, row: int, rows: int, x: np.ndarray) -> np.ndarray:
+        """The padded spectrum of `x` again, into row `row` of the `rows`
+        spectrum rows that the slot holds at x's size."""
+        return _padded_spectrum(x, self.scratch(x.size)[0],
+                                self._stack("spectra", x, rows, complex)[row])
 
 
 def audio_distances(a: AudioState, b: AudioState, peak: float,
@@ -288,20 +323,25 @@ def pair_features(pair: EvaluationRecord, a: DeviceInterval, b: DeviceInterval,
         pair.label)
 
 
-def _audio_peaks(pairs: list[EvaluationRecord], states: dict[str, DeviceInterval],
+def _comparable(pair: EvaluationRecord, states: Mapping[str, DeviceInterval]) -> bool:
+    """Whether both devices of `pair` have audio of one size; audio of unequal
+    length (devices recording at other rates) is not comparable."""
+    a, b = states[pair.device_a].audio, states[pair.device_b].audio
+    return a is not None and b is not None and a.size == b.size
+
+
+def _audio_peaks(pairs: list[EvaluationRecord], states: Mapping[str, DeviceInterval],
+                 spectra: Mapping[str, np.ndarray],
                  scratch: Callable[[int], tuple[np.ndarray, np.ndarray]]) -> list[float | None]:
-    """Full-lag peak |c| of each pair's audio correlation, None where either
-    side has no audio or the sizes differ; each audio size's pairs are
-    correlated in `scratch(size)`, a pad buffer and a complex buffer of that
-    size's."""
+    """Full-lag peak |c| of each pair's audio correlation, None where its audio
+    is not `_comparable`; `spectra` holds the padded spectrum of each device of
+    a comparable pair, and each audio size's pairs are correlated in
+    `scratch(size)`, a pad buffer and a complex buffer of that size's."""
     peaks: list[float | None] = [None] * len(pairs)
     by_size: dict[int, list[int]] = {}
     for k, p in enumerate(pairs):
-        a, b = states[p.device_a].audio, states[p.device_b].audio
-        # Audio of unequal length (devices recording at other rates) is not comparable.
-        if a is not None and b is not None and a.size == b.size:
-            by_size.setdefault(a.size, []).append(k)
-    spectra = {d: s.audio.spectrum for d, s in states.items() if s.audio is not None}
+        if _comparable(p, states):
+            by_size.setdefault(states[p.device_a].audio.size, []).append(k)
     for size, group in by_size.items():
         found = dsp.pair_peaks(spectra, [(pairs[k].device_a, pairs[k].device_b) for k in group],
                                size - 1, *scratch(size))
@@ -314,44 +354,151 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
                   theta: float = THETA_DEFAULT) -> list[TruongFeatureVector]:
     """One labeled feature vector per pair-interval, in the order of `pairs`.
 
-    Intervals (runs of `interval_runs`) are taken one at a time. An
-    interval's devices are split into one run per worker slot (`_slots`),
-    and each slot builds its devices' states once each, across threads
-    (`pmap`), into the rows of its own `_Lane`; then its pairs are split the
-    same way, each slot correlating its chunk in its lane's scratch. No
-    pad-sized array is allocated after the first interval unless a slot
-    builds more devices, and the states are released before the next
-    interval's are built.
+    Intervals (runs of `interval_runs`) are taken one at a time, and each
+    interval's devices are split into two halves per audio rate (`_halves`).
+    Every step splits its devices or pairs into one run per worker slot and
+    runs the slots across threads (`_per_slot`), each in its own `_Lane`:
+    1. the first half's states are built into the lanes' rows, their padded
+       spectra held;
+    2. the first half's pairs are correlated, and each second-half device's
+       state is built into its lane's stream row and correlated at once with
+       its first-half partners; its samples, unit spectrum, sum of squares and
+       beacon aggregates are kept, its padded spectrum is not;
+    3. the padded spectra of the second-half devices that share a comparable
+       pair are transformed again from their samples, into the lanes' rows;
+       the last device of each size that a slot streamed needs none, as its
+       spectrum is still in the stream row;
+    4. the second half's pairs are correlated.
+    So ceil(D/2) padded spectra of an interval's D devices of one rate are
+    held at once, plus one stream row per slot, and every state is built
+    once, at the cost of at most floor(D/2) padded transforms more.
+    The spectra a step correlates are passed to it: a state's own
+    `spectrum` is its row, which a later step refills. No pad-sized array is
+    allocated after the first interval unless a slot builds more devices, and
+    the states are released before the next interval's are built.
     """
     lanes: list[_Lane] = []
 
     def one_interval(run: list[EvaluationRecord]) -> list[TruongFeatureVector]:
         start = run[0].interval_start
+        stop = start + t * 1000
         devices = list(dict.fromkeys(d for p in run for d in (p.device_a, p.device_b)))
+        first, second = _halves(devices, dataset)
+        # Indices of the pairs within the first half (`inner`), across the
+        # halves by second-half device (`cross`), and within the second (`last`).
+        inner: list[int] = []
+        cross: dict[str, list[int]] = {d: [] for d in second}
+        last: list[int] = []
+        for k, p in enumerate(run):
+            a, b = p.device_a in cross, p.device_b in cross
+            if a and b:
+                last.append(k)
+            elif a or b:
+                cross[p.device_a if a else p.device_b].append(k)
+            else:
+                inner.append(k)
 
-        def slot_states(lane: _Lane, rows: Sequence[int]) -> list[DeviceInterval]:
-            return [device_interval(dataset, devices[row], start, start + t * 1000,
-                                    partial(lane.audio_state, i, len(rows)))
-                    for i, row in enumerate(rows)]
+        def rows_of(lane: _Lane, ks: Sequence[int], states: Mapping[str, DeviceInterval],
+                    spectra: Mapping[str, np.ndarray]) -> list[tuple[int, TruongFeatureVector]]:
+            chunk = [run[k] for k in ks]
+            peaks = _audio_peaks(chunk, states, spectra, lane.scratch)
+            return [(k, pair_features(p, states[p.device_a], states[p.device_b], peak, theta,
+                                      lane.scratch))
+                    for k, p, peak in zip(ks, chunk, peaks)]
 
-        built = pmap(lambda job: slot_states(*job), _slots(range(len(devices)), lanes))
-        states = dict(zip(devices, (state for slot_rows in built for state in slot_rows)))
+        def resident(lane: _Lane, devs: Sequence[str]) -> list[DeviceInterval]:
+            return [device_interval(dataset, d, start, stop, partial(lane.audio_state, i, len(devs)))
+                    for i, d in enumerate(devs)]
 
-        def chunk_rows(lane: _Lane, chunk: list[EvaluationRecord]) -> list[TruongFeatureVector]:
-            peaks = _audio_peaks(chunk, states, lane.scratch)
-            return [pair_features(p, states[p.device_a], states[p.device_b], peak, theta,
-                                  lane.scratch)
-                    for p, peak in zip(chunk, peaks)]
+        states = dict(zip(first, chain.from_iterable(_per_slot(resident, lanes, _runs(first)))))
+        held = {d: s.audio.spectrum for d, s in states.items() if s.audio is not None}
 
-        chunks = pmap(lambda job: chunk_rows(*job), _slots(run, lanes))
-        return [row for rows in chunks for row in rows]
+        def streamed(lane: _Lane, devs: Sequence[str], ks: Sequence[int]):
+            found = rows_of(lane, ks, states, held)
+            built: dict[str, DeviceInterval] = {}
+            kept: dict[str, np.ndarray] = {}
+            live: dict[int, str] = {}  # the device whose spectrum is in the stream row, by size
+            for i, d in enumerate(devs):
+                def build(x: np.ndarray, d: str = d, i: int = i) -> AudioState:
+                    kept[d] = x
+                    return lane.stream_state(i, len(devs), x)
+
+                built[d] = state = device_interval(dataset, d, start, stop, build)
+                own = {}
+                if state.audio is not None:
+                    live[state.audio.size] = d
+                    own[d] = state.audio.spectrum
+                found += rows_of(lane, cross[d], {**states, d: state}, {**held, **own})
+            for d in live.values():
+                del kept[d]
+            return found, built, kept, {d: built[d].audio.spectrum for d in live.values()}
+
+        done = _per_slot(streamed, lanes, *_stream_jobs(second, inner, cross))
+        samples: dict[str, np.ndarray] = {}
+        late: dict[str, np.ndarray] = {}
+        for _, built, kept, live in done:
+            states.update(built)
+            samples.update(kept)
+            late.update(live)
+
+        def again(lane: _Lane, devs: Sequence[str]) -> list[np.ndarray]:
+            return [lane.spectrum(i, len(devs), samples[d]) for i, d in enumerate(devs)]
+
+        # Only devices of a comparable second-half pair need their spectrum,
+        # and the last one of each size that a slot streamed still has it.
+        redone = [d for d in dict.fromkeys(d for k in last if _comparable(run[k], states)
+                                           for d in (run[k].device_a, run[k].device_b))
+                  if d not in late]
+        late.update(zip(redone, chain.from_iterable(_per_slot(again, lanes, _runs(redone)))))
+        tail = _per_slot(lambda lane, ks: rows_of(lane, ks, states, late), lanes, _runs(last))
+        out: list[TruongFeatureVector | None] = [None] * len(run)
+        for k, row in chain.from_iterable([found for found, *_ in done] + tail):
+            out[k] = row
+        return out
 
     return [row for run in interval_runs(pairs) for row in one_interval(run)]
 
 
-def _slots(items: Sequence, lanes: list[_Lane]) -> list[tuple[_Lane, Sequence]]:
-    """`items` split in order into min(thread_count(), len(items)) runs, one
-    per worker slot, each with the slot's lane; `lanes` grows to the slots."""
-    n = min(thread_count(), len(items))
+def _halves(devices: list[str], dataset: Dataset) -> tuple[list[str], list[str]]:
+    """`devices` split per audio rate, in order, into a first half of the first
+    ceil(n/2) of each rate's n devices and a second half of the rest; devices
+    without a recording count as one rate. A rate's full-interval audio has
+    one size, t x rate."""
+    by_rate: dict[int | None, list[str]] = {}
+    for d in devices:
+        recording = dataset.audio.get(d)
+        by_rate.setdefault(recording.rate_hz if recording is not None else None, []).append(d)
+    first = {d for group in by_rate.values() for d in group[:(len(group) + 1) // 2]}
+    return [d for d in devices if d in first], [d for d in devices if d not in first]
+
+
+def _runs(items: Sequence, n: int | None = None) -> list[Sequence]:
+    """`items` split in order into n runs whose lengths differ by at most one,
+    by default one per worker slot: min(thread_count(), len(items))."""
+    n = min(thread_count(), len(items)) if n is None else n
+    return [items[i * len(items) // n:(i + 1) * len(items) // n] for i in range(n)]
+
+
+def _stream_jobs(second: list[str], inner: list[int], cross: Mapping[str, list[int]]
+                 ) -> tuple[list[Sequence[str]], list[list[int]]]:
+    """The second-half devices and the first-half pair indices of each worker
+    slot of step 2: the devices in runs (`_runs`), then each pair to the slot
+    with the least work so far, counting a pair as one inverse transform and
+    a streamed device as its pairs plus two for its state's transforms."""
+    streams = _runs(second, min(thread_count(), len(second) + len(inner)))
+    loads = [sum(2 + len(cross[d]) for d in devs) for devs in streams]
+    chunks: list[list[int]] = [[] for _ in streams]
+    for k in inner:
+        i = loads.index(min(loads))
+        chunks[i].append(k)
+        loads[i] += 1
+    return streams, chunks
+
+
+def _per_slot(fn: Callable, lanes: list[_Lane], *runs: Sequence) -> list:
+    """fn(lanes[i], runs[0][i], runs[1][i], ...) of each worker slot i, in
+    order, across threads (`pmap`); there is one slot per run of runs[0], and
+    `lanes` grows to them."""
+    n = len(runs[0])
     lanes.extend(_Lane() for _ in range(len(lanes), n))
-    return [(lanes[i], items[i * len(items) // n:(i + 1) * len(items) // n]) for i in range(n)]
+    return pmap(lambda i: fn(lanes[i], *(r[i] for r in runs)), range(n))

@@ -365,6 +365,42 @@ class TestThreading:
         assert len(rows) == len(pairs) and all(r.audio_max_xcorr is not None for r in rows)
         assert peak < states + scratch + pad * 8
 
+    def test_truong_holds_half_an_interval_of_spectra(self, rng, monkeypatch):
+        # Of an interval's D devices, the first ceil(D/2) hold their padded
+        # spectra while each of the others is built into its worker's stream
+        # row and correlated with them; the second half's spectra then take
+        # the rows the first half held. So beside D unit spectra and each
+        # worker's two scratch buffers, ceil(D/2) + workers spectra are held.
+        # Holding all D spectra, as building every state before correlating
+        # does, breaks the bound by D/2 - workers spectra; the slack of half a
+        # spectrum covers small objects. The audio is in memory before
+        # tracing starts, and `audio_in` slices it without a copy.
+        dsp.rfft(np.zeros(8))  # loaded lazily by dsp; keep the kernel and the window
+        dsp.fft_mag_hamming(np.zeros(5 * 16000))  # out of the peak
+        monkeypatch.setenv("ZIS_THREADS", "2")
+        t, workers = 5, 2
+        names = [f"d{i}" for i in range(8)]
+        dataset = Dataset(
+            audio={d: noise_snippet(rng, seconds=10.0, device=d) for d in names},
+            ground_truth=GroundTruth(groups=(Group("g0", tuple(names[:4]), ((0, 1_000_000),)),
+                                             Group("g1", tuple(names[4:]), ((0, 1_000_000),)))))
+        n = t * 16000
+        pad = dsp.fast_len(2 * n - 1)
+        bins = pad // 2 + 1
+        spectra = ((len(names) + 1) // 2 + workers) * bins * 16
+        units = len(names) * (n // 2) * 8
+        scratch = workers * (pad * 8 + bins * 16)
+        pairs = pipeline.window_pairs(dataset, t)
+        tracemalloc.start()
+        try:
+            rows = truong.build_dataset(pairs, dataset, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(pairs) == 2 * 28
+        assert all(r.audio_max_xcorr is not None for r in rows)
+        assert peak < spectra + units + scratch + bins * 8
+
     def test_truong_allocates_no_pad_sized_array_after_its_first_interval(
             self, audio_dataset, monkeypatch):
         # Traced memory may rise after the first interval's states by less

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import noise_snippet, two_group_truth
 from ziskit import dsp, pipeline
-from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, Label
+from ziskit.core.types import AudioSnippet, BeaconScan, Dataset, GroundTruth, Group, Label
 from ziskit.core.windowing import window_pairs
 from ziskit.errors import IncompatibleScans, UndefinedCorrelation
 from ziskit.schemes import truong
@@ -374,6 +374,44 @@ class TestBuildDataset:
                 *(dataset.audio[d].slice_ms(start, stop) for d in pair))
             assert (row.audio_max_xcorr, row.audio_tf_distance) == \
                 (audio.max_xcorr, audio.tf_distance)
+
+    @pytest.mark.parametrize("n_devices", [2, 3, 5, 8])
+    def test_half_split_rows_match_per_pair_under_every_thread_count(self, rng, monkeypatch,
+                                                                    n_devices):
+        # Every third device records at 8 kHz, so from three devices on an
+        # interval holds two audio sizes, each split into its own halves; d0's
+        # audio ends with the first interval, so it has none in the second.
+        # Pairs are correlated within the first half, across the halves and
+        # within the second half, whose spectra are transformed again.
+        names = [f"d{i}" for i in range(n_devices)]
+        rates = {d: 8000 if i % 3 == 2 else 16000 for i, d in enumerate(names)}
+        audio = {d: AudioSnippet(noise_snippet(rng, seconds=2.0, rate=rates[d]).samples,
+                                 rates[d], 0, d) for d in names}
+        dataset = Dataset(audio=audio, ground_truth=GroundTruth(groups=(
+            Group("g0", tuple(names[::2]), ((0, 10_000),)),
+            Group("g1", tuple(names[1::2]), ((0, 10_000),)))))
+        pairs = window_pairs(dataset, 1)
+        audio["d0"] = AudioSnippet(audio["d0"].samples[:16000], 16000, 0, "d0")
+        runs = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ZIS_THREADS", threads)
+            runs[threads] = truong.build_dataset(pairs, dataset, 1)
+        assert runs["1"] == runs["2"] == runs["3"]
+        rows = runs["1"]
+        assert [r.record() for r in rows] == pairs
+        assert {r.interval_start for r in rows} == {0, 1000}
+        compared = 0
+        for row in rows:
+            start, stop = row.interval_start, row.interval_start + 1000
+            snippets = [dataset.audio_in(d, start, stop) for d in (row.device_a, row.device_b)]
+            if None in snippets or snippets[0].rate_hz != snippets[1].rate_hz:
+                assert (row.audio_max_xcorr, row.audio_tf_distance) == (None, None)
+                continue
+            expected = truong.audio_features(*snippets)
+            assert (row.audio_max_xcorr, row.audio_tf_distance) == \
+                (expected.max_xcorr, expected.tf_distance)
+            compared += 1
+        assert compared == {2: 1, 3: 1, 5: 6 + 3, 8: 16 + 11}[n_devices]
 
     def test_lanes_hold_under_more_threads_than_cores(self, rng, monkeypatch):
         # Each worker slot writes only its own lane, and reads the states in
