@@ -134,7 +134,7 @@ def write_wav(path: Path, snippet: AudioSnippet) -> None:
         wav.writeframes(np.ascontiguousarray(snippet.samples, dtype=np.int16))
 
 
-def _int64(cell: str) -> int:
+def _int64(cell: str | int) -> int:
     value = int(cell)
     if not _INT64.min <= value <= _INT64.max:
         raise ValueError(f"{cell!r} does not fit int64")
@@ -188,20 +188,54 @@ def write_beacons_jsonl(path: Path, scans: list[BeaconScan]) -> None:
                                 sort_keys=True) + "\n")
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _expect(value, kind: type, what: str):
+    """`value` if it is of JSON type `kind` (a bool is no integer), else TypeError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _ms_ranges(value) -> tuple[tuple[int, int], ...]:
+    """A JSON list of [start_ms, end_ms] ranges, each bound an int64 integer."""
+    ranges = []
+    for pair in _expect(value, list, "ranges"):
+        start, end = _expect(pair, list, "a range")  # ValueError unless two bounds
+        ranges.append((_int64(_expect(start, int, "a range bound")),
+                       _int64(_expect(end, int, "a range bound"))))
+    return tuple(ranges)
+
+
+def _group(value) -> Group:
+    group = _expect(value, dict, "a group")
+    members = _expect(group["members"], list, "members")
+    return Group(_expect(group["id"], str, "a group id"),
+                 tuple(_expect(m, str, "a member") for m in members), _ms_ranges(group["ranges"]))
+
+
+def _subscenario(value) -> Subscenario:
+    sub = _expect(value, dict, "a subscenario")
+    return Subscenario(_expect(sub["name"], str, "a subscenario name"), _ms_ranges(sub["ranges"]))
+
+
 def read_ground_truth(path: Path) -> GroundTruth:
+    """The ground truth `write_ground_truth` writes: a JSON object whose
+    optional `groups` list holds objects of a string `id`, a list of string
+    `members` and `ranges`, and whose optional `subscenarios` list holds
+    objects of a string `name` and `ranges` (`_ms_ranges`). Any other document
+    raises ParseError naming the file; a ground truth that breaks its
+    invariants raises InvariantViolation naming it."""
     _require(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        groups = tuple(
-            Group(g["id"], tuple(g["members"]),
-                  tuple((int(s), int(e)) for s, e in g["ranges"]))
-            for g in raw.get("groups", [])
-        )
-        subs = tuple(
-            Subscenario(s["name"], tuple((int(a), int(b)) for a, b in s["ranges"]))
-            for s in raw.get("subscenarios", [])
-        )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        raw = _expect(json.loads(path.read_text(encoding="utf-8")), dict, "ground truth")
+        groups = tuple(map(_group, _expect(raw.get("groups", []), list, "groups")))
+        subs = tuple(map(_subscenario, _expect(raw.get("subscenarios", []), list,
+                                               "subscenarios")))
+    # ValueError covers JSONDecodeError and UnicodeDecodeError, and RecursionError
+    # a document nested too deeply to decode.
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise ParseError(f"bad ground truth: {exc}", path=str(path)) from exc
     try:
         return GroundTruth(groups=groups, subscenarios=subs)

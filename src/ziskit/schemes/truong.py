@@ -8,22 +8,18 @@ the both-sides-saw-nothing case maps every distance to the rejection value.
 
 `build_dataset` takes one interval at a time and each audio rate's devices
 in two halves, so that about half of the interval's padded spectra are held
-at once: the first half's are built and held, and its pairs correlated; each
-second-half device's state is built and at once correlated against every
-first-half spectrum, and its padded spectrum dropped; last, the second
-half's padded spectra are transformed again from the samples already read,
-into the rows the first half held, and its pairs correlated. Each worker
-slot builds and correlates through `dsp.pair_peaks` in buffers of its own,
-allocated on first use and reused by every interval (`_Lane`).
-`audio_features` is the per-pair form, which it equals bit for bit; both
-build states with the same code, it in new buffers.
+at once: every state is built first, and the second half's spectra are then
+streamed past the first half's. Each worker slot builds and correlates
+through `dsp.pair_peaks` in buffers of its own, allocated on first use and
+reused by every interval (`_Lane`). `audio_features` is the per-pair form,
+which it equals bit for bit; both build states with the same code, it in
+new buffers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
@@ -117,48 +113,25 @@ class AudioState:
 
     size: int
     sum_sq: float                     # sum of squared samples
-    spectrum: np.ndarray              # rfft at pad length fast_len(2N - 1)
-    pad_len: int
     unit_spectrum: np.ndarray | None  # |FFT(hamming * x)|[:N//2] over its norm
 
 
 def audio_state(x: np.ndarray) -> AudioState:
     """The state of samples `x` (float or int16), in new buffers."""
-    pad = dsp.fast_len(2 * x.size - 1)
-    bins = pad // 2 + 1
-    return _fill_state(x, np.empty(pad), np.empty(bins, complex), np.empty(bins, complex),
-                       np.empty(x.size // 2))
+    return _fill_state(x, np.empty(x.size), np.empty(x.size, complex), np.empty(x.size // 2))
 
 
-def _fill_state(x: np.ndarray, padded: np.ndarray, work: np.ndarray, spectrum: np.ndarray,
+def _fill_state(x: np.ndarray, head: np.ndarray, work: np.ndarray,
                 unit: np.ndarray) -> AudioState:
-    """The state of the N samples `x`, built in scratch of the caller's:
-    `padded`, float64 of the pad length fast_len(2N - 1), and `work`, complex128
-    of its pad/2 + 1 bins, both overwritten. The state's spectrum goes into
-    `spectrum` (pad/2 + 1 bins) and its unit spectrum into `unit` (N//2).
-
-    `x` is cast into the head of `padded` (`_padded_spectrum`): the head gives
-    the sum of squares and the windowed spectrum, and the whole buffer the
-    padded spectrum.
-    """
-    _padded_spectrum(x, padded, spectrum)
-    head = padded[:x.size]
+    """The state of the N samples `x`, built in scratch of the caller's: `x`
+    is cast into `head`, float64 of N samples, and `work`, complex128 of at
+    least N bins, is overwritten; the unit spectrum goes into `unit` (N//2)."""
+    head[:] = x
     mag = dsp.fft_mag_hamming(head, out=unit, work=work)
     norm = float(np.linalg.norm(mag))
     if norm != 0.0:
         mag /= norm
-    return AudioState(x.size, np.dot(head, head), spectrum, padded.size,
-                      mag if norm != 0.0 else None)
-
-
-def _padded_spectrum(x: np.ndarray, padded: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """`spectrum`, filled with the rfft of `x` zero-padded to padded.size, as
-    `dsp.padded_spectrum(x, x.size - 1)` would give it. `x` is cast into the
-    head of `padded`, whose tail is zeroed."""
-    n = x.size
-    padded[:n] = x
-    padded[n:] = 0.0
-    return dsp.rfft(padded, out=spectrum)
+    return AudioState(x.size, np.dot(head, head), mag if norm != 0.0 else None)
 
 
 class _Lane:
@@ -166,13 +139,12 @@ class _Lane:
     first use and reused by every interval.
 
     Per audio size N: a pad buffer of fast_len(2N - 1) samples and a complex
-    buffer of its pad/2 + 1 bins, the scratch of the slot's state builds and
-    transforms and of its pair correlation; the spectrum and unit-spectrum
-    rows of the first-half devices the slot builds, whose spectrum rows later
-    take the second half's spectra; and one stream spectrum row and the
-    unit-spectrum rows of the second-half devices it builds. A stack grows only
-    when the slot builds more into it. Only the slot's thread writes its lane;
-    other slots read the states and spectra in it.
+    buffer of its pad/2 + 1 bins, the scratch of the slot's state builds,
+    transforms and pair correlation; a unit-spectrum row per device the slot
+    builds; a padded-spectrum row per first-half device it builds, which
+    later take the second half's spectra; and one stream row. A stack grows
+    only when the slot builds more into it. Only the slot's thread writes its
+    lane; other slots read the states and spectra in it.
     """
 
     def __init__(self):
@@ -197,23 +169,22 @@ class _Lane:
         return self._stacks[key]
 
     def audio_state(self, row: int, rows: int, x: np.ndarray) -> AudioState:
-        """The state of `x`, built in the lane's scratch into row `row` of the
-        `rows` spectrum and unit-spectrum rows that the slot holds at x's size."""
-        return _fill_state(x, *self.scratch(x.size), self._stack("spectra", x, rows, complex)[row],
-                           self._stack("units", x, rows, float)[row])
+        """The state of `x`, built in the lane's scratch with its unit spectrum
+        in row `row` of the `rows` unit-spectrum rows that the slot holds at
+        x's size."""
+        pad, work = self.scratch(x.size)
+        return _fill_state(x, pad[:x.size], work, self._stack("units", x, rows, float)[row])
 
-    def stream_state(self, row: int, rows: int, x: np.ndarray) -> AudioState:
-        """The state of `x`, built like `audio_state`, with its unit spectrum in
-        row `row` of the `rows` the slot streams at x's size and its spectrum
-        in the stream row, which the slot's next stream state overwrites."""
-        return _fill_state(x, *self.scratch(x.size), self._stack("stream", x, 1, complex)[0],
-                           self._stack("stream units", x, rows, float)[row])
-
-    def spectrum(self, row: int, rows: int, x: np.ndarray) -> np.ndarray:
-        """The padded spectrum of `x` again, into row `row` of the `rows`
-        spectrum rows that the slot holds at x's size."""
-        return _padded_spectrum(x, self.scratch(x.size)[0],
-                                self._stack("spectra", x, rows, complex)[row])
+    def spectrum(self, row: int | None, rows: int, x: np.ndarray) -> np.ndarray:
+        """The padded spectrum of `x` (`dsp.padded_spectrum(x, x.size - 1)`),
+        cast into the head of the lane's pad buffer, whose tail is zeroed, and
+        transformed into row `row` of the `rows` spectrum rows that the slot
+        holds at x's size, or into the stream row when `row` is None."""
+        padded = self.scratch(x.size)[0]
+        padded[:x.size] = x
+        padded[x.size:] = 0.0
+        return dsp.rfft(padded, out=self._stack("stream", x, 1, complex)[0] if row is None
+                        else self._stack("spectra", x, rows, complex)[row])
 
 
 def audio_distances(a: AudioState, b: AudioState, peak: float,
@@ -242,8 +213,9 @@ def audio_features(x: AudioSnippet | np.ndarray, y: AudioSnippet | np.ndarray) -
     yd = y.as_float() if isinstance(y, AudioSnippet) else np.asarray(y, dtype=np.float64)
     if xd.size != yd.size or xd.size < 2:
         raise ValueError("snippets must be aligned, equal length, and non-trivial")
+    (fx, pad), (fy, _) = (dsp.padded_spectrum(v, v.size - 1) for v in (xd, yd))
     a, b = audio_state(xd), audio_state(yd)
-    c = dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len)
+    c = dsp.xcorr_spectra(fx, fy, pad)
     return audio_distances(a, b, dsp.lag_peak(c, a.size - 1), np.empty(a.size // 2))
 
 
@@ -358,12 +330,12 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
     interval's devices are split into two halves per audio rate (`_halves`).
     Every step splits its devices or pairs into one run per worker slot and
     runs the slots across threads (`_per_slot`), each in its own `_Lane`:
-    1. the first half's states are built into the lanes' rows, their padded
-       spectra held;
+    1. every device's state is built, once, into its lane's rows; a
+       first-half device's padded spectrum is transformed into its lane's row
+       and held, and a second-half device's samples are kept;
     2. the first half's pairs are correlated, and each second-half device's
-       state is built into its lane's stream row and correlated at once with
-       its first-half partners; its samples, unit spectrum, sum of squares and
-       beacon aggregates are kept, its padded spectrum is not;
+       padded spectrum is transformed into its lane's stream row and
+       correlated at once with its first-half partners;
     3. the padded spectra of the second-half devices that share a comparable
        pair are transformed again from their samples, into the lanes' rows;
        the last device of each size that a slot streamed needs none, as its
@@ -371,11 +343,9 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
     4. the second half's pairs are correlated.
     So ceil(D/2) padded spectra of an interval's D devices of one rate are
     held at once, plus one stream row per slot, and every state is built
-    once, at the cost of at most floor(D/2) padded transforms more.
-    The spectra a step correlates are passed to it: a state's own
-    `spectrum` is its row, which a later step refills. No pad-sized array is
-    allocated after the first interval unless a slot builds more devices, and
-    the states are released before the next interval's are built.
+    once, at the cost of at most floor(D/2) padded transforms more. No
+    pad-sized array is allocated after the first interval unless a slot builds
+    more devices, and the states are released before the next interval's are.
     """
     lanes: list[_Lane] = []
 
@@ -398,7 +368,11 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
             else:
                 inner.append(k)
 
-        def rows_of(lane: _Lane, ks: Sequence[int], states: Mapping[str, DeviceInterval],
+        states: dict[str, DeviceInterval] = {}  # each slot of step 1 writes its devices' keys
+        held: dict[str, np.ndarray] = {}     # the first half's padded spectra
+        samples: dict[str, np.ndarray] = {}  # the second half's samples
+
+        def rows_of(lane: _Lane, ks: Sequence[int],
                     spectra: Mapping[str, np.ndarray]) -> list[tuple[int, TruongFeatureVector]]:
             chunk = [run[k] for k in ks]
             peaks = _audio_peaks(chunk, states, spectra, lane.scratch)
@@ -406,43 +380,40 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
                                       lane.scratch))
                     for k, p, peak in zip(ks, chunk, peaks)]
 
-        def resident(lane: _Lane, devs: Sequence[str]) -> list[DeviceInterval]:
-            return [device_interval(dataset, d, start, stop, partial(lane.audio_state, i, len(devs)))
-                    for i, d in enumerate(devs)]
+        def resident(lane: _Lane, firsts: Sequence[str], seconds: Sequence[str]) -> None:
+            for i, d in enumerate(chain(firsts, seconds)):
+                def build(x: np.ndarray, d: str = d, i: int = i) -> AudioState:
+                    state = lane.audio_state(i, len(firsts) + len(seconds), x)
+                    if i < len(firsts):
+                        held[d] = lane.spectrum(i, len(firsts), x)
+                    else:
+                        samples[d] = x
+                    return state
 
-        states = dict(zip(first, chain.from_iterable(_per_slot(resident, lanes, _runs(first)))))
-        held = {d: s.audio.spectrum for d, s in states.items() if s.audio is not None}
+                states[d] = device_interval(dataset, d, start, stop, build)
+
+        # `_runs` puts its longer runs last, so the second half's go in reverse.
+        slots = _runs(first)
+        _per_slot(resident, lanes, slots, _runs(second, len(slots))[::-1])
 
         def streamed(lane: _Lane, devs: Sequence[str], ks: Sequence[int]):
-            found = rows_of(lane, ks, states, held)
-            built: dict[str, DeviceInterval] = {}
-            kept: dict[str, np.ndarray] = {}
-            live: dict[int, str] = {}  # the device whose spectrum is in the stream row, by size
-            for i, d in enumerate(devs):
-                def build(x: np.ndarray, d: str = d, i: int = i) -> AudioState:
-                    kept[d] = x
-                    return lane.stream_state(i, len(devs), x)
-
-                built[d] = state = device_interval(dataset, d, start, stop, build)
+            found = rows_of(lane, ks, held)
+            live: dict[int, tuple[str, np.ndarray]] = {}  # the stream row's device, by size
+            for d in devs:
                 own = {}
-                if state.audio is not None:
-                    live[state.audio.size] = d
-                    own[d] = state.audio.spectrum
-                found += rows_of(lane, cross[d], {**states, d: state}, {**held, **own})
-            for d in live.values():
-                del kept[d]
-            return found, built, kept, {d: built[d].audio.spectrum for d in live.values()}
+                if d in samples:
+                    own[d] = lane.spectrum(None, 1, samples[d])
+                    live[samples[d].size] = d, own[d]
+                found += rows_of(lane, cross[d], {**held, **own})
+            return found, dict(live.values())
 
         done = _per_slot(streamed, lanes, *_stream_jobs(second, inner, cross))
-        samples: dict[str, np.ndarray] = {}
-        late: dict[str, np.ndarray] = {}
-        for _, built, kept, live in done:
-            states.update(built)
-            samples.update(kept)
-            late.update(live)
+        late = {d: spectrum for _, live in done for d, spectrum in live.items()}
+        for d in late:
+            del samples[d]
 
         def again(lane: _Lane, devs: Sequence[str]) -> list[np.ndarray]:
-            return [lane.spectrum(i, len(devs), samples[d]) for i, d in enumerate(devs)]
+            return [lane.spectrum(i, len(devs), samples.pop(d)) for i, d in enumerate(devs)]
 
         # Only devices of a comparable second-half pair need their spectrum,
         # and the last one of each size that a slot streamed still has it.
@@ -450,9 +421,9 @@ def build_dataset(pairs: list[EvaluationRecord], dataset: Dataset, t: int,
                                            for d in (run[k].device_a, run[k].device_b))
                   if d not in late]
         late.update(zip(redone, chain.from_iterable(_per_slot(again, lanes, _runs(redone)))))
-        tail = _per_slot(lambda lane, ks: rows_of(lane, ks, states, late), lanes, _runs(last))
+        tail = _per_slot(lambda lane, ks: rows_of(lane, ks, late), lanes, _runs(last))
         out: list[TruongFeatureVector | None] = [None] * len(run)
-        for k, row in chain.from_iterable([found for found, *_ in done] + tail):
+        for k, row in chain.from_iterable([found for found, _ in done] + tail):
             out[k] = row
         return out
 
@@ -484,9 +455,9 @@ def _stream_jobs(second: list[str], inner: list[int], cross: Mapping[str, list[i
     """The second-half devices and the first-half pair indices of each worker
     slot of step 2: the devices in runs (`_runs`), then each pair to the slot
     with the least work so far, counting a pair as one inverse transform and
-    a streamed device as its pairs plus two for its state's transforms."""
+    a streamed device as its pairs plus one for its padded transform."""
     streams = _runs(second, min(thread_count(), len(second) + len(inner)))
-    loads = [sum(2 + len(cross[d]) for d in devs) for devs in streams]
+    loads = [sum(1 + len(cross[d]) for d in devs) for devs in streams]
     chunks: list[list[int]] = [[] for _ in streams]
     for k in inner:
         i = loads.index(min(loads))

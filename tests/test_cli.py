@@ -396,6 +396,44 @@ def test_bad_dataset_file_exits_2(fault, command, valid_files, scenario_dir, tmp
     assert str(bad) in capsys.readouterr().err
 
 
+def _break_ground_truth(fault: str, truth: dict) -> str:
+    """The text of the ground truth `truth` broken as `fault` says."""
+    sentinel = 98_765_432_123_456_789
+    if fault in ("list", "string", "number"):
+        return {"list": "[]", "string": '"text"', "number": "0"}[fault]
+    if fault == "group_infinity":
+        truth["groups"][0]["ranges"][0][1] = math.inf  # written as Infinity
+    elif fault == "subscenario_1e400":
+        truth["subscenarios"][0]["ranges"][0][1] = sentinel
+    elif fault == "name_object":
+        truth = {"subscenarios": [{"name": {}, "ranges": []}]}
+    else:  # one member id where a list of them belongs
+        truth["groups"][0]["members"] = truth["groups"][0]["members"][0]
+    return json.dumps(truth).replace(str(sentinel), "1e400")
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate"])
+@pytest.mark.parametrize("fault", ["list", "string", "number", "group_infinity",
+                                   "subscenario_1e400", "name_object", "members_string"])
+def test_malformed_ground_truth_exits_2_naming_the_file(fault, command, valid_files,
+                                                        scenario_dir, tmp_path, capsys):
+    dataset = tmp_path / "scen"
+    shutil.copytree(scenario_dir, dataset)
+    truth = dataset / json.loads((dataset / "manifest.json").read_text())["ground_truth"]
+    truth.write_text(_break_ground_truth(fault, json.loads(truth.read_text())))
+    out = tmp_path / "out"
+    argv = ["--dataset", str(dataset), "--out", str(out)]
+    if command == "features":
+        argv = ["features", "--scheme", "shrestha", *argv]
+    else:
+        argv = ["evaluate", "--scheme", "karapanos", "--features",
+                str(valid_files / "score.csv"), *argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bad ground truth" in err and f"({truth})" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("start_ms", [10 ** 30, -10 ** 30, 1.5e300, 2 ** 63 - 1])
 @pytest.mark.parametrize("scheme", ["miettinen", "karapanos"])
 def test_audio_start_outside_int64_ms_exits_2(start_ms, scheme, scenario_dir, tmp_path,

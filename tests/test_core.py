@@ -38,7 +38,7 @@ from ziskit.core.types import (
     Subscenario,
 )
 from ziskit.core.windowing import dataset_epoch, filter_subscenario, pmap, window_pairs
-from ziskit.errors import InvariantViolation, MissingInput, NotFound, ParseError
+from ziskit.errors import InvariantViolation, MissingInput, NotFound, ParseError, ZisError
 
 
 class TestTypeInvariants:
@@ -475,6 +475,45 @@ def test_ground_truth_json_rewrites_identically(gt):
     first, second, back = _rewrite(write_ground_truth, read_ground_truth, gt)
     assert second == first
     assert back == gt
+
+
+# Any JSON value; json.dumps writes NaN and the infinities as NaN and Infinity.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=12)
+# Ground-truth documents, with any JSON value in place of any of their parts.
+DOC_NAMES = st.text(max_size=4) | JSON_VALUES
+DOC_RANGES = st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70) | JSON_VALUES, max_size=3)
+                      | JSON_VALUES, max_size=3) | JSON_VALUES
+DOC_GROUPS = st.fixed_dictionaries({}, optional={
+    "id": DOC_NAMES, "members": st.lists(DOC_NAMES, max_size=3) | JSON_VALUES,
+    "ranges": DOC_RANGES})
+DOC_SUBSCENARIOS = st.fixed_dictionaries({}, optional={"name": DOC_NAMES, "ranges": DOC_RANGES})
+GROUND_TRUTH_DOCS = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "groups": st.lists(DOC_GROUPS | JSON_VALUES, max_size=3) | JSON_VALUES,
+    "subscenarios": st.lists(DOC_SUBSCENARIOS | JSON_VALUES, max_size=3) | JSON_VALUES})
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=GROUND_TRUTH_DOCS.map(json.dumps))
+@example(text="[]")
+@example(text='{"subscenarios": [{"name": {}, "ranges": []}]}')
+@example(text='{"groups": [{"id": "g", "members": "g0d0", "ranges": [[0, 10]]}]}')
+@example(text='{"groups": [{"id": "g", "members": ["a"], "ranges": [[0, 1e400]]}]}')
+@example(text='{"subscenarios": [{"name": "s", "ranges": [[0, Infinity]]}]}')
+@example(text="[" * 100_000)  # nested beyond what the decoder recurses into
+def test_any_ground_truth_document_reads_or_raises_zis_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ground_truth.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            gt = read_ground_truth(path)
+        except ZisError:
+            return
+        assert isinstance(gt, GroundTruth)
+        assert all(isinstance(m, str) for g in gt.groups for m in g.members)
 
 
 SCANS = st.lists(st.builds(

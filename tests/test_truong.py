@@ -198,7 +198,9 @@ def int16_audio(draw) -> np.ndarray:
 class TestWorkspace:
     """`build_dataset` builds each state in its worker's lane: in the lane's
     scratch, into a row of the lane's stacks. It equals `audio_state`, which
-    builds in new buffers, and the plain numpy path, bit for bit."""
+    builds in new buffers, and the plain numpy path, bit for bit; the lane's
+    padded spectra, in a held row or the stream row, equal
+    `dsp.padded_spectrum`."""
 
     @given(x=int16_audio(), row=st.integers(0, 2))
     @example(x=np.zeros(4, np.int16), row=1)
@@ -209,13 +211,14 @@ class TestWorkspace:
         for buffer in lane.scratch(x.size):  # as an earlier pair phase leaves them
             buffer.fill(np.nan)
         got = lane.audio_state(row, 3, x)
+        held, streamed = lane.spectrum(row, 3, x), lane.spectrum(None, 1, x)
         xf = x.astype(np.float64)
         ref = truong.audio_state(xf)
         spectrum, pad = dsp.padded_spectrum(xf, x.size - 1)
         mag = np.abs(np.fft.fft(np.hamming(x.size) * xf)[:x.size // 2])
         norm = float(np.linalg.norm(mag))
-        assert got.size == ref.size == x.size and got.pad_len == ref.pad_len == pad
-        assert got.spectrum.tobytes() == ref.spectrum.tobytes() == spectrum.tobytes()
+        assert got.size == ref.size == x.size and lane.scratch(x.size)[0].size == pad
+        assert held.tobytes() == streamed.tobytes() == spectrum.tobytes()
         assert got.sum_sq.tobytes() == ref.sum_sq.tobytes() == np.dot(xf, xf).tobytes()
         if norm == 0.0:
             assert got.unit_spectrum is None and ref.unit_spectrum is None
@@ -237,8 +240,13 @@ class TestWorkspace:
              "silence": np.zeros(x.size, np.int16), "same": x,
              "negated": -x.astype(np.float64)}[y_kind]
         a, b = truong.audio_state(x.astype(np.float64)), truong.audio_state(y)
-        peak = dsp.lag_peak(dsp.xcorr_spectra(a.spectrum, b.spectrum, a.pad_len), x.size - 1)
-        pad, _ = truong._Lane().scratch(x.size)
+        lane = truong._Lane()
+        fx, fy = lane.spectrum(0, 1, x), lane.spectrum(None, 1, y)
+        pad, _ = lane.scratch(x.size)
+        assert (fx.tobytes(), fy.tobytes()) == tuple(
+            dsp.padded_spectrum(np.asarray(v, np.float64), x.size - 1)[0].tobytes()
+            for v in (x, y))
+        peak = dsp.lag_peak(dsp.xcorr_spectra(fx, fy, pad.size), x.size - 1)
         pad.fill(np.nan)  # as the pair's correlation leaves it
         if a.unit_spectrum is None or b.unit_spectrum is None:
             with pytest.raises(UndefinedCorrelation):
@@ -412,6 +420,46 @@ class TestBuildDataset:
                 (expected.max_xcorr, expected.tf_distance)
             compared += 1
         assert compared == {2: 1, 3: 1, 5: 6 + 3, 8: 16 + 11}[n_devices]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n_devices", [2, 3, 5, 8])
+    def test_transforms_per_interval(self, rng, monkeypatch, n_devices, threads):
+        # Each of an interval's D devices of one rate has its windowed
+        # spectrum taken once. Its padded spectrum is transformed once, and
+        # again for each second-half device but the last one each worker slot
+        # streamed, whose spectrum is still in the slot's stream row.
+        names = [f"d{i}" for i in range(n_devices)]
+        dataset = Dataset(
+            audio={d: AudioSnippet(noise_snippet(rng, seconds=2.0).samples, 16000, 0, d)
+                   for d in names},
+            ground_truth=GroundTruth(groups=(Group("g0", tuple(names), ((0, 10_000),)),)))
+        events: list[tuple] = []  # list.append is atomic across worker threads
+        for name in ("rfft", "fft_mag_hamming"):
+            def counted(*args, real=getattr(dsp, name), name=name, **kwargs):
+                events.append((name,))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(dsp, name, counted)
+        real_interval = truong.device_interval
+
+        def marked(dataset, device, start, *args):
+            events.append(("start", start))
+            return real_interval(dataset, device, start, *args)
+
+        monkeypatch.setattr(truong, "device_interval", marked)
+        monkeypatch.setenv("ZIS_THREADS", str(threads))
+        pairs = window_pairs(dataset, 1)
+        assert len(truong.build_dataset(pairs, dataset, 1)) == len(pairs)
+        per_interval: dict[int, dict[str, int]] = {}
+        for event in events:
+            if event[0] == "start":
+                counts = per_interval.setdefault(event[1], {"rfft": 0, "fft_mag_hamming": 0})
+            else:
+                counts[event[0]] += 1
+        half = n_devices // 2
+        assert per_interval == {start: {"rfft": n_devices + half - min(threads, half),
+                                        "fft_mag_hamming": n_devices}
+                                for start in (0, 1000)}
 
     def test_lanes_hold_under_more_threads_than_cores(self, rng, monkeypatch):
         # Each worker slot writes only its own lane, and reads the states in
